@@ -16,7 +16,7 @@ transition settles through the filters exactly as the turn-on does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +57,6 @@ class SequenceResult:
     settle_time: float
     config: afe.AfeConfig
     saturated: bool = False
-    extra: dict = field(default_factory=dict)
 
 
 def _phase_taps(series, start_n: int, settle_n: int, spacing_n: int, taps: int,

@@ -31,6 +31,8 @@ measurements may run concurrently with independent seeds.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -138,6 +140,10 @@ class ChainParams:
     settle_time: float = 0.025
     output_rate: float = 50e3
     rf_oversampling: int = 256
+
+    def __post_init__(self):
+        if not (self.settle_time >= 0) or not math.isfinite(self.settle_time):
+            raise ValueError("settle_time must be non-negative and finite")
 
     def total_gain(self, g2: int) -> float:
         return GM_LEVELS[g2] * self.tia_gain * self.lpf_gain
@@ -261,6 +267,13 @@ def mixer_dc_pair(
 ) -> tuple:
     """Steady-state post-mixer DC (amps, after the LNA gm) for I and Q.
 
+    The result does not depend on the seed, so it is memoized per process
+    in an LRU cache of 256 entries keyed on (model, f0, config, params,
+    include_interface): the repeats of a reading compute it once.  Frozen
+    models and parameters key by value; a TabulatedTwoPort keys by
+    identity.  A disabled source returns (0.0, 0.0) without a lookup, and
+    a TimeVaryingModel is frozen at t = 0 before it.
+
     Rational (RC) loads: the load and LNA pole form one state-space system
     driven by the rendered staircase; an appended integrator state makes
     each sample step yield the exact continuous integral of its output, so
@@ -277,11 +290,14 @@ def mixer_dc_pair(
     """
     if not config.source_enable:
         return 0.0, 0.0
-    amp_staircase = config.current_amplitude / FUNDAMENTAL_GAIN
-
     if isinstance(model, tissue.TimeVaryingModel):
         model = model.at_time(0.0)
+    return _mixer_dc(model, f0, config, params, include_interface)
 
+
+@functools.lru_cache(maxsize=256)
+def _mixer_dc(model, f0, config, params, include_interface) -> tuple:
+    amp_staircase = config.current_amplitude / FUNDAMENTAL_GAIN
     if tissue.is_rational(model):
         per_n = params.rf_oversampling
         rate = per_n * f0
@@ -318,6 +334,19 @@ def mixer_dc_pair(
 # Baseband stage: post-mixer DC steps -> settling output series
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=32)
+def _baseband_filters(params: ChainParams) -> tuple:
+    """DC-normalized (b, a) of the TIA pole and the Chebyshev low-pass, read-only."""
+    fs = params.output_rate
+    tb, ta = dc_normalized(*onepole_bilinear(params.tia_pole, fs))
+    cb, ca = signal.cheby1(params.lpf_order, params.lpf_ripple_db, params.lpf_cutoff, fs=fs)
+    cb, ca = dc_normalized(cb, ca)
+    coeffs = (tb, ta, cb, ca)
+    for c in coeffs:
+        c.setflags(write=False)
+    return coeffs
+
+
 def baseband_output(
     steps,
     params: ChainParams,
@@ -331,15 +360,15 @@ def baseband_output(
     rate.  Filter states start at rest and are carried across all steps,
     so the settling transients (about 25 ms to 1% at the default 50 Hz
     cutoff) emerge from the discretized filters themselves.  Compression,
-    offset, and seeded noise are applied at the output.
+    offset, and seeded noise are applied at the output.  The TIA and
+    Chebyshev coefficients are designed once per `params` (an LRU cache
+    keyed on the frozen ChainParams); only the noise depends on the seed.
     """
     fs = params.output_rate
     u = np.concatenate([np.full(int(n), dc) for n, dc in steps])
 
-    tb, ta = dc_normalized(*onepole_bilinear(params.tia_pole, fs))
+    tb, ta, cb, ca = _baseband_filters(params)
     y = signal.lfilter(tb, ta, u) * params.tia_gain
-    cb, ca = signal.cheby1(params.lpf_order, params.lpf_ripple_db, params.lpf_cutoff, fs=fs)
-    cb, ca = dc_normalized(cb, ca)
     y = signal.lfilter(cb, ca, y) * params.lpf_gain
 
     y = apply_compression(y, params)

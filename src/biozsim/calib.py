@@ -114,8 +114,11 @@ class CalibrationTable:
 
     `offsets` maps gain word -> (v_i, v_q) volts; `eq_coeffs` maps each
     plan frequency to its complex multiplier.  Coefficients are sanity
-    bounded to [0.5, 2] in magnitude and are ~1 at the lowest frequency
-    where the chain is ideal.
+    bounded to [0.5, 2] in magnitude.  At the lowest frequency, where the
+    chain's poles are negligible, they are not 1: the staircase's hold
+    images fold onto the mixer DC, so `bioz calibrate` on the default
+    chain reads |coeff| = 1.0306 at 1953.125 Hz (seed 3; 1.0103 at seed
+    14, the spread being the reference reads' noise).
     """
 
     reference_r: float

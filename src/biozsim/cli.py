@@ -41,7 +41,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+import typing
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -113,7 +115,11 @@ def build_model(spec: dict, base_dir: Path):
             raise ScenarioError(f"table file not found: {path}")
         return tissue.TabulatedTwoPort.from_text(path)
     if kind == "builtin":
-        return tissue.builtin_model(spec["name"])
+        name = spec["name"]
+        try:
+            return tissue.builtin_model(name)
+        except KeyError as exc:
+            raise ScenarioError(exc.args[0]) from None
     if kind == "time_varying":
         base = build_model(spec["base"], base_dir)
         schedule = {
@@ -133,12 +139,30 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"scenario file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario file {path} is not valid JSON: {exc}")
-    if "model" not in doc:
-        raise ScenarioError("scenario must define a model")
-    model = build_model(doc["model"], path.parent)
+    if not isinstance(doc, dict) or not isinstance(doc.get("model"), dict):
+        raise ScenarioError("scenario must define a model object")
+    try:
+        model = build_model(doc["model"], path.parent)
+    except ScenarioError:
+        raise
+    except KeyError as exc:
+        raise ScenarioError(f"model is missing field {exc}") from None
+    except (ValueError, TypeError) as exc:
+        raise ScenarioError(f"bad model: {exc}") from None
 
+    chain = doc.get("chain", {})
+    if not isinstance(chain, dict):
+        raise ScenarioError("chain must be an object of parameter overrides")
+    hints = typing.get_type_hints(afe.ChainParams)
+    for name, value in chain.items():
+        numeric = (isinstance(value, (int, float)) and not isinstance(value, bool)
+                   and math.isfinite(value))
+        nullable = value is None and type(None) in typing.get_args(hints.get(name))
+        if name in hints and not (numeric or nullable):
+            raise ScenarioError(
+                f"chain parameter {name!r} must be a finite number, got {value!r}")
     defaults = afe.ChainParams().to_dict()
-    defaults.update(doc.get("chain", {}))
+    defaults.update(chain)
     try:
         params = afe.ChainParams.from_dict(defaults)
     except (TypeError, ValueError) as exc:
@@ -214,6 +238,8 @@ def run_sweep(
     but was built under a different word, the record is flagged
     gain_mismatch and left uncorrected beyond derotation.
     """
+    if repeats < 1:
+        raise ScenarioError(f"repeats must be >= 1, got {repeats}")
     setup = scenario.setup()
     records = []
     for idx in scenario.freq_indices():

@@ -24,11 +24,13 @@ Models are immutable; concurrent reads are safe.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import signal
 
+from ._dsp import periodic_lfilter
 from .waveforms import SampleSeries
 
 
@@ -45,10 +47,12 @@ class ParallelRC:
     r_interface: float = 0.0
 
     def __post_init__(self):
-        if self.r <= 0:
-            raise ValueError("r must be positive")
-        if self.c < 0 or self.r_interface < 0:
-            raise ValueError("c and r_interface must be non-negative")
+        if not (self.r > 0) or not math.isfinite(self.r):
+            raise ValueError("r must be positive and finite")
+        for name in ("c", "r_interface"):
+            value = getattr(self, name)
+            if not (value >= 0) or not math.isfinite(value):
+                raise ValueError(f"{name} must be non-negative and finite")
 
     @property
     def tau(self) -> float:
@@ -65,11 +69,13 @@ class ColeModel:
     alpha: float = 1.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.r_inf, self.r0, self.tau, self.alpha))):
+            raise ValueError("Cole parameters must be finite")
         if not (self.r0 > self.r_inf > 0):
             raise ValueError("need r0 > r_inf > 0")
         if not (0 < self.alpha <= 1):
             raise ValueError("alpha must be in (0, 1]")
-        if self.tau <= 0:
+        if not (self.tau > 0):
             raise ValueError("tau must be positive")
 
 
@@ -204,31 +210,6 @@ def is_rational(model) -> bool:
     return isinstance(model, ParallelRC)
 
 
-def _periodic_lfilter(b, a, x: np.ndarray, period: int) -> np.ndarray:
-    """lfilter with the initial state solved for exact periodic steady state.
-
-    `x` must consist of whole periods of `period` samples.  The one-period
-    state map z' = M z + g is probed column-by-column (the state dimension
-    is tiny), then z* = (I - M)^-1 g initializes the run.
-    """
-    if len(x) % period:
-        raise ValueError("input must contain whole periods")
-    nstate = max(len(a), len(b)) - 1
-    if nstate == 0:
-        return signal.lfilter(b, a, x)
-    zeros = np.zeros(period)
-    _, g = signal.lfilter(b, a, x[:period], zi=np.zeros(nstate))
-    m = np.empty((nstate, nstate))
-    for j in range(nstate):
-        e = np.zeros(nstate)
-        e[j] = 1.0
-        _, zf = signal.lfilter(b, a, zeros, zi=e)
-        m[:, j] = zf
-    zstar = np.linalg.solve(np.eye(nstate) - m, g)
-    y, _ = signal.lfilter(b, a, x, zi=zstar)
-    return y
-
-
 def _zoh_coeffs(model, include_interface: bool, dt: float):
     """Exact ZOH discretization of the ParallelRC transfer impedance."""
     r_ser = model.r_interface if include_interface else 0.0
@@ -301,7 +282,7 @@ def sense_voltage(
             raise ValueError("filter route requires a rational (ParallelRC) model")
         b, a = _zoh_coeffs(model, include_interface, 1.0 / fs)
         if period_samples:
-            y = _periodic_lfilter(b, a, x, period_samples)
+            y = periodic_lfilter(b, a, x, period_samples)
         else:
             y = signal.lfilter(b, a, x)
         return SampleSeries(fs, y, current.t0)

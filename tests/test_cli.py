@@ -75,6 +75,26 @@ class TestScenario:
         path = write_scenario(tmp_path, frequencies=[1234.5])
         assert cli.main(["sweep", "--scenario", str(path), "--uncalibrated"]) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("overrides", [
+        {"model": {"type": "parallel_rc", "c": 0.0}},
+        {"model": {"type": "parallel_rc", "r": -5.0}},
+        {"model": {"type": "parallel_rc", "r": float("nan")}},
+        {"model": {"type": "cole", "r_inf": 50.0, "r0": 100.0, "tau": float("nan")}},
+        {"model": {"type": "builtin", "name": "plasma"}},
+        {"chain": {"settle_time": -0.01}},
+        {"chain": {"lpf_cutoff": [50.0]}},
+        {"chain": {"lpf_cutoff": float("nan")}},
+    ], ids=["missing_r", "negative_r", "nan_r", "nan_tau", "unknown_builtin",
+            "negative_settle_time", "list_chain_value", "nan_chain_value"])
+    def test_malformed_scenario_one_line_error(self, tmp_path, capsys, overrides):
+        path = write_scenario(tmp_path, frequencies=[1953.125], **overrides)
+        rc = cli.main(["sweep", "--scenario", str(path), "--uncalibrated", "--repeats", "2"])
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_USAGE
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 
 class TestCalibrate:
     def test_writes_table_with_top_frequency_boost(self, cal_table, capsys):
@@ -136,6 +156,16 @@ class TestSweep:
             ])
             assert rc == cli.EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("repeats", ["0", "-3"])
+    def test_repeats_below_one_rejected(self, r100_scenario, capsys, repeats):
+        rc = cli.main([
+            "sweep", "--scenario", str(r100_scenario), "--uncalibrated", "--repeats", repeats,
+        ])
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_single_repeat_has_zero_stderr(self, r100_scenario, cal_table, capsys):
         cli.main([

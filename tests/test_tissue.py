@@ -67,6 +67,18 @@ class TestImpedanceAt:
         with pytest.raises(ValueError):
             impedance_at(ParallelRC(r=1.0), 0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["r", "c", "r_interface"])
+    def test_parallel_rc_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError):
+            ParallelRC(**{"r": 100.0, "c": 1e-9, "r_interface": 10.0, field: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["r_inf", "r0", "tau", "alpha"])
+    def test_cole_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError):
+            ColeModel(**{"r_inf": 50.0, "r0": 100.0, "tau": 1e-6, "alpha": 0.8, field: value})
+
 
 class TestTabulatedTwoPort:
     def make_table(self):
