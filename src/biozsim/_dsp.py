@@ -58,14 +58,15 @@ def dc_normalized(b, a):
 def gated_mean_exact(num, den, u: np.ndarray, gates, dt: float, period: int):
     """Exact period means of gate(t) * y(t) for a rational filter.
 
-    `u` is one period of a piecewise-constant input (constant between
-    samples); each gate is a +/-1 sequence constant between samples.  The
-    transfer function num/den is realized in state space, augmented with
-    an output integrator, and ZOH-discretized, so each step yields the
-    exact continuous integral of y over that sample interval.  The
-    physical state is first solved for the periodic steady state, making
-    the returned means exact continuous-time cycle means (all hold-image
-    content included), one per gate.
+    `u` is one period of a piecewise-constant input: `period` constant
+    segments of `dt` each, which may be samples or any longer stretch over
+    which the input holds still.  Each gate is a +/-1 sequence constant
+    over the same segments.  The transfer function num/den is realized in
+    state space, augmented with an output integrator, and ZOH-discretized,
+    so each step yields the exact continuous integral of y over that
+    segment.  The physical state is first solved for the periodic steady
+    state, making the returned means exact continuous-time cycle means
+    (all hold-image content included), one per gate.
     """
     if len(u) != period:
         raise ValueError("u must be exactly one period")

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -42,6 +42,7 @@ from scipy import signal
 from ._dsp import dc_normalized, gated_mean_exact, onepole_bilinear, periodic_lfilter
 from .waveforms import (
     FUNDAMENTAL_GAIN,
+    MIN_OVERSAMPLING,
     IqClock,
     Phase,
     SampleSeries,
@@ -139,7 +140,6 @@ class ChainParams:
     carrier_flicker_corner: float = 2000.0
     settle_time: float = 0.025
     output_rate: float = 50e3
-    rf_oversampling: int = 256
 
     def __post_init__(self):
         if not (self.settle_time >= 0) or not math.isfinite(self.settle_time):
@@ -243,6 +243,11 @@ _SPECTRAL_OVERSAMPLE = 4096
 _SPECTRAL_N_CUT = 255
 
 
+def _period_segments(spec, f0: float) -> np.ndarray:
+    """One period of the staircase or a clock as its 16 constant segments."""
+    return synthesize(spec, MIN_OVERSAMPLING * f0, 1 / f0).samples[:: MIN_OVERSAMPLING // 16]
+
+
 def _sense_tf(model, params: ChainParams, include_interface: bool):
     """Combined s-domain numerator/denominator of Z_sense(s) * LNA(s)."""
     r_ser = model.r_interface if include_interface else 0.0
@@ -253,7 +258,6 @@ def _sense_tf(model, params: ChainParams, include_interface: bool):
         num = [tau * r_ser, model.r + r_ser] if r_ser else [model.r]
         den = [tau, 1.0]
     if params.lna_pole is not None:
-        num = np.polymul(num, [1.0])
         den = np.polymul(den, [1.0 / (2 * np.pi * params.lna_pole), 1.0])
     return num, den
 
@@ -274,12 +278,12 @@ def mixer_dc_pair(
     identity.  A disabled source returns (0.0, 0.0) without a lookup, and
     a TimeVaryingModel is frozen at t = 0 before it.
 
-    Rational (RC) loads: the load and LNA pole form one state-space system
-    driven by the rendered staircase; an appended integrator state makes
-    each sample step yield the exact continuous integral of its output, so
-    the clock-gated cycle mean is the exact continuous mixer DC including
-    every hold image (sampled products would otherwise alias image-times-
-    clock-harmonic terms onto DC).
+    Rational (RC) loads: the lagged staircase and both clocks hold still
+    over each sixteenth of a period, so one period is 16 exact segments,
+    with no oversampling to choose.  The load and LNA pole form one
+    state-space system whose appended integrator state yields the exact
+    integral of the output over each segment: the clock-gated cycle mean
+    is the exact continuous mixer DC, every hold image included.
 
     Tabulated/fractional loads: the sensed voltage is synthesized from the
     staircase's spectrum (hold-compensated bins up to the 255th image,
@@ -299,13 +303,11 @@ def mixer_dc_pair(
 def _mixer_dc(model, f0, config, params, include_interface) -> tuple:
     amp_staircase = config.current_amplitude / FUNDAMENTAL_GAIN
     if tissue.is_rational(model):
-        per_n = params.rf_oversampling
-        rate = per_n * f0
-        u = synthesize(SteppedSine(amp_staircase, f0), rate, 1 / f0).samples
-        sq_i = synthesize(IqClock(f0, Phase.I), rate, 1 / f0).samples
-        sq_q = synthesize(IqClock(f0, Phase.Q), rate, 1 / f0).samples
+        u = _period_segments(SteppedSine(amp_staircase, f0), f0)
+        gates = (_period_segments(IqClock(f0, Phase.I), f0),
+                 _period_segments(IqClock(f0, Phase.Q), f0))
         num, den = _sense_tf(model, params, include_interface)
-        dc_i, dc_q = gated_mean_exact(num, den, u, (sq_i, sq_q), 1.0 / rate, per_n)
+        dc_i, dc_q = gated_mean_exact(num, den, u, gates, 1.0 / (len(u) * f0), len(u))
         return config.gm * dc_i, config.gm * dc_q
 
     per_n = _SPECTRAL_OVERSAMPLE

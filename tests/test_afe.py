@@ -3,6 +3,7 @@ import pytest
 from scipy import signal as sps
 
 from biozsim import afe
+from biozsim._dsp import gated_mean_exact
 from biozsim.afe import (
     AfeConfig,
     ChainParams,
@@ -13,7 +14,14 @@ from biozsim.afe import (
     noise_process,
 )
 from biozsim.tissue import ColeModel, ParallelRC, builtin_model, impedance_at, sense_voltage
-from biozsim.waveforms import Phase, SteppedSine, plan_frequencies, synthesize
+from biozsim.waveforms import (
+    FUNDAMENTAL_GAIN,
+    IqClock,
+    Phase,
+    SteppedSine,
+    plan_frequencies,
+    synthesize,
+)
 
 QUIET = ChainParams(noise_floor=0.0, carrier_noise_v=0.0)
 BARE = ChainParams(noise_floor=0.0, carrier_noise_v=0.0, compression_knee=None, offset=0.0)
@@ -175,6 +183,49 @@ class TestOracleEquivalence:
         v200 = settled_dc(ParallelRC(r=200.0, c=0.0), 1953.125, cfg, QUIET)
         off = QUIET.offset
         assert (v200 - off) / (v100 - off) == pytest.approx(2.0, rel=2e-3)
+
+
+class TestRationalSegments:
+    """The 16-segment rational route against the 256-sample render it replaced."""
+
+    #: The reference's own rounding grows with tau * f0 (its 256-step
+    #: steady-state recursion); these loads keep tau * f0 <= 200.
+    LOADS = [
+        (ParallelRC(r=100.0, c=0.0), False),
+        (ParallelRC(r=150.0, c=0.0, r_interface=50.0), True),
+        (ParallelRC(r=330.0, c=10e-9, r_interface=25.0), False),
+        (ParallelRC(r=330.0, c=10e-9, r_interface=25.0), True),
+        (ParallelRC(r=1e3, c=0.1e-6), False),
+        (ParallelRC(r=2000.0, c=2e-10, r_interface=50.0), True),
+    ]
+
+    @staticmethod
+    def reference_pair(model, f0, config, params, include_interface):
+        rate = 256 * f0
+        u = synthesize(SteppedSine(config.current_amplitude / FUNDAMENTAL_GAIN, f0),
+                       rate, 1 / f0).samples
+        gates = [synthesize(IqClock(f0, ph), rate, 1 / f0).samples for ph in (Phase.I, Phase.Q)]
+        num, den = afe._sense_tf(model, params, include_interface)
+        dc_i, dc_q = gated_mean_exact(num, den, u, gates, 1 / rate, 256)
+        return config.gm * dc_i, config.gm * dc_q
+
+    @pytest.mark.parametrize("f0", plan_frequencies())
+    def test_segments_repeat_to_the_256_sample_render(self, f0):
+        for spec in (SteppedSine(1e-5, f0), IqClock(f0, Phase.I), IqClock(f0, Phase.Q)):
+            seg = afe._period_segments(spec, f0)
+            assert len(seg) == 16
+            np.testing.assert_array_equal(np.repeat(seg, 16), synthesize(spec, 256 * f0, 1 / f0).samples)
+
+    @pytest.mark.parametrize("chain", ["default", "ideal"])
+    def test_matches_256_sample_reference(self, chain):
+        params = ChainParams() if chain == "default" else ChainParams().ideal()
+        for model, include_interface in self.LOADS:
+            for idx, f0 in enumerate(plan_frequencies()):
+                config = AfeConfig(freq_index=idx)
+                got = mixer_dc_pair(model, f0, config, params, include_interface)
+                want = self.reference_pair(model, f0, config, params, include_interface)
+                for g, w in zip(got, want):
+                    assert abs(g - w) <= 1e-10 * abs(w)
 
 
 class TestDemodulateTimeDomain:

@@ -84,8 +84,10 @@ class TestScenario:
         {"chain": {"settle_time": -0.01}},
         {"chain": {"lpf_cutoff": [50.0]}},
         {"chain": {"lpf_cutoff": float("nan")}},
+        {"chain": {"rf_oversampling": 16}},
     ], ids=["missing_r", "negative_r", "nan_r", "nan_tau", "unknown_builtin",
-            "negative_settle_time", "list_chain_value", "nan_chain_value"])
+            "negative_settle_time", "list_chain_value", "nan_chain_value",
+            "removed_rf_oversampling"])
     def test_malformed_scenario_one_line_error(self, tmp_path, capsys, overrides):
         path = write_scenario(tmp_path, frequencies=[1953.125], **overrides)
         rc = cli.main(["sweep", "--scenario", str(path), "--uncalibrated", "--repeats", "2"])
