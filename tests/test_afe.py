@@ -154,6 +154,20 @@ class TestOracleEquivalence:
                 z_or = complex(oi, oq)
                 assert abs(z_td - z_or) / abs(z_or) < 5e-3
 
+    @pytest.mark.parametrize("chain", ["default", "ideal"])
+    @pytest.mark.parametrize("name", ["blood", "cole", "muscle", "saline"])
+    def test_spectral_route_matches_255_image_oracle(self, name, chain):
+        # the spectral route keeps images up to the 255th, as does this sum
+        model = self.MODELS[name]
+        params = ChainParams() if chain == "default" else ChainParams().ideal()
+        g_post = params.tia_gain * params.lpf_gain
+        for idx, f0 in enumerate(plan_frequencies()):
+            got = mixer_dc_pair(model, f0, AfeConfig(freq_index=idx), params)
+            for dc, phase in zip(got, (Phase.I, Phase.Q)):
+                cfg = AfeConfig(freq_index=idx, iq_select=phase)
+                want = analytic_dc_oracle(model, f0, cfg, params, n_max=255) - params.offset
+                assert abs(dc * g_post - want) <= 1e-6 * abs(want)
+
     def test_all_eight_gain_words(self):
         model = ParallelRC(r=100.0, c=0.0)
         g = lambda w: BARE.total_gain(int(w[2]))
