@@ -142,14 +142,24 @@ class ChainParams:
     output_rate: float = 50e3
 
     def __post_init__(self):
-        if not (self.settle_time >= 0) or not math.isfinite(self.settle_time):
-            raise ValueError("settle_time must be non-negative and finite")
+        def check(name, ok, rule):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        for name in ("output_rate", "tia_gain", "tia_pole", "lpf_gain", "lpf_ripple_db"):
+            check(name, 0 < getattr(self, name) < math.inf, "positive and finite")
+        for name in ("settle_time", "noise_floor", "flicker_corner", "carrier_noise_v",
+                     "carrier_flicker_corner"):
+            check(name, 0 <= getattr(self, name) < math.inf, "non-negative and finite")
+        for name in ("lna_pole", "compression_knee"):
+            value = getattr(self, name)
+            check(name, value is None or 0 < value < math.inf, "positive and finite, or null")
+        check("offset", math.isfinite(self.offset), "finite")
+        check("lpf_order", self.lpf_order >= 1 and float(self.lpf_order).is_integer(),
+              "a positive integer")
+        check("lpf_cutoff", 0 < self.lpf_cutoff < self.output_rate / 2, "in (0, output_rate / 2)")
 
     def total_gain(self, g2: int) -> float:
         return GM_LEVELS[g2] * self.tia_gain * self.lpf_gain
-
-    def without_noise(self) -> "ChainParams":
-        return replace(self, noise_floor=0.0, carrier_noise_v=0.0)
 
     def ideal(self) -> "ChainParams":
         """No pole, no compression, no offset, no noise: the bare math chain."""
@@ -161,9 +171,6 @@ class ChainParams:
             noise_floor=0.0,
             carrier_noise_v=0.0,
         )
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ChainParams":
@@ -319,8 +326,7 @@ def _mixer_dc(model, f0, config, params, include_interface) -> tuple:
     bins = np.arange(len(spec))
     live = (np.abs(spec) > 1e-9 * np.abs(spec).max()) & (bins > 0) & (bins <= _SPECTRAL_N_CUT)
     h = np.zeros(len(spec), dtype=complex)
-    hold = np.sinc(freqs[live] / rate)
-    h[live] = tissue._sense_z(model, freqs[live], include_interface) * hold
+    h[live] = tissue._sense_z(model, freqs[live], include_interface) * np.sinc(freqs[live] / rate)
     v = np.fft.irfft(spec * h, n=per_n)
 
     if params.lna_pole is not None:

@@ -93,6 +93,8 @@ class Scenario:
 
 
 def build_model(spec: dict, base_dir: Path):
+    if not isinstance(spec, dict):
+        raise ScenarioError(f"a model must be an object, got {spec!r}")
     kind = spec.get("type")
     if kind == "parallel_rc":
         return tissue.ParallelRC(
@@ -122,6 +124,8 @@ def build_model(spec: dict, base_dir: Path):
             raise ScenarioError(exc.args[0]) from None
     if kind == "time_varying":
         base = build_model(spec["base"], base_dir)
+        if not isinstance(spec["schedule"], dict):
+            raise ScenarioError("a time_varying schedule must be an object")
         schedule = {
             name: [(float(t), float(v)) for t, v in points]
             for name, points in spec["schedule"].items()
@@ -155,34 +159,52 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError("chain must be an object of parameter overrides")
     hints = typing.get_type_hints(afe.ChainParams)
     for name, value in chain.items():
-        numeric = (isinstance(value, (int, float)) and not isinstance(value, bool)
-                   and math.isfinite(value))
+        numeric = _is_number(value) and math.isfinite(value)
         nullable = value is None and type(None) in typing.get_args(hints.get(name))
         if name in hints and not (numeric or nullable):
             raise ScenarioError(
                 f"chain parameter {name!r} must be a finite number, got {value!r}")
-    defaults = afe.ChainParams().to_dict()
-    defaults.update(chain)
     try:
-        params = afe.ChainParams.from_dict(defaults)
+        params = afe.ChainParams.from_dict(chain)
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"bad chain parameters: {exc}")
 
-    taps = int(doc.get("taps", 32))
+    taps = _integer(doc, "taps", 32)
     if taps < 1:
         raise ScenarioError("taps must be >= 1")
+    seed = _integer(doc, "seed", 0)
+    if seed < 0:
+        raise ScenarioError("seed must be >= 0")
     gain = str(doc.get("gain", "111"))
     if gain != "auto":
-        afe.AfeConfig.from_gain_word(gain)  # validates
+        try:
+            afe.AfeConfig.from_gain_word(gain)
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from None
+    frequencies = doc.get("frequencies", [])
+    if not (isinstance(frequencies, list) and all(_is_number(f) for f in frequencies)):
+        raise ScenarioError(f"frequencies must be a list of numbers, got {frequencies!r}")
     return Scenario(
         model=model,
         params=params,
-        seed=int(doc.get("seed", 0)),
+        seed=seed,
         taps=taps,
         gain=gain,
-        frequencies=tuple(float(f) for f in doc.get("frequencies", ())),
+        frequencies=tuple(float(f) for f in frequencies),
         output_format=str(doc.get("format", "csv")),
     )
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _integer(doc: dict, name: str, default: int) -> int:
+    """A whole-number scenario field (2 or 2.0, not "2", 2.5 or true)."""
+    value = doc.get(name, default)
+    if not (_is_number(value) and math.isfinite(value) and value == int(value)):
+        raise ScenarioError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _measure_seed(master: int, freq_index: int, repeat: int):
@@ -461,6 +483,8 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ScenarioError(f"--seed must be >= 0, got {args.seed}")
         if args.command == "plan":
             return cmd_plan(args)
         if args.command == "calibrate":

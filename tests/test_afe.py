@@ -64,6 +64,33 @@ class TestAfeConfig:
         assert p.total_gain(0) == pytest.approx(700.0 / 3)
 
 
+class TestChainParams:
+    @pytest.mark.parametrize("field,value", [
+        ("lpf_order", 2.5), ("lpf_order", 0),
+        ("output_rate", 0.0), ("output_rate", -50e3),
+        ("lpf_cutoff", 30000.0), ("lpf_cutoff", 0.0),
+        ("tia_pole", -10.0), ("tia_pole", 0.0),
+        ("compression_knee", 0.0), ("compression_knee", -1.0),
+        ("lna_pole", 0.0), ("lna_pole", -1e6),
+        ("tia_gain", 0.0), ("lpf_gain", 0.0), ("lpf_ripple_db", 0.0),
+        ("settle_time", -0.01), ("settle_time", float("inf")),
+        ("noise_floor", -1.0), ("flicker_corner", -100.0),
+        ("carrier_noise_v", -0.036), ("carrier_flicker_corner", -2000.0),
+        ("offset", float("nan")),
+    ])
+    def test_rejects_out_of_range_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ChainParams(**{field: value})
+
+    def test_accepts_boundaries(self):
+        ChainParams(lpf_order=2.0, lpf_cutoff=24999.0, settle_time=0.0, noise_floor=0.0,
+                    lna_pole=None, compression_knee=None, offset=-0.5)
+
+    def test_unknown_field_rejected(self):
+        with pytest.raises(ValueError, match="unknown chain parameters"):
+            ChainParams.from_dict({"rf_oversampling": 256})
+
+
 class TestOracle:
     def test_fundamental_only_matches_quadrature_formula(self):
         # single-harmonic case: G * (2/pi) * |I| * R * cos/sin(22.5 deg)

@@ -85,15 +85,47 @@ class TestScenario:
         {"chain": {"lpf_cutoff": [50.0]}},
         {"chain": {"lpf_cutoff": float("nan")}},
         {"chain": {"rf_oversampling": 16}},
+        {"chain": {"lpf_order": 2.5}},
+        {"chain": {"output_rate": 0}},
+        {"chain": {"lpf_cutoff": 30000}},
+        {"chain": {"tia_pole": -10}},
+        {"chain": {"compression_knee": 0}},
+        {"chain": {"lna_pole": 0}},
+        {"seed": "x"},
+        {"seed": -1},
+        {"taps": "x"},
+        {"taps": 2.5},
+        {"frequencies": "abc"},
+        {"model": {"type": "time_varying", "base": 5, "schedule": {}}},
+        {"model": {"type": "time_varying", "base": {"type": "parallel_rc", "r": 100.0},
+                   "schedule": [["r", 1]]}},
+        {"gain": "11x"},
     ], ids=["missing_r", "negative_r", "nan_r", "nan_tau", "unknown_builtin",
             "negative_settle_time", "list_chain_value", "nan_chain_value",
-            "removed_rf_oversampling"])
+            "removed_rf_oversampling", "fractional_lpf_order", "zero_output_rate",
+            "lpf_cutoff_above_nyquist", "negative_tia_pole", "zero_compression_knee",
+            "zero_lna_pole", "string_seed", "negative_seed", "string_taps", "fractional_taps",
+            "string_frequencies", "time_varying_base_not_object",
+            "time_varying_schedule_not_object", "bad_gain_word"])
     def test_malformed_scenario_one_line_error(self, tmp_path, capsys, overrides):
-        path = write_scenario(tmp_path, frequencies=[1953.125], **overrides)
+        path = write_scenario(tmp_path, **{"frequencies": [1953.125], **overrides})
         rc = cli.main(["sweep", "--scenario", str(path), "--uncalibrated", "--repeats", "2"])
         captured = capsys.readouterr()
         assert rc == cli.EXIT_USAGE
         assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("verb", ["sweep", "calibrate", "link-demo"])
+    def test_negative_seed_option_one_line_error(self, tmp_path, capsys, r100_scenario, verb):
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps([{"op": "ping"}]))
+        args = {"sweep": ["--scenario", str(r100_scenario), "--uncalibrated"],
+                "calibrate": ["--scenario", str(r100_scenario), "--out", str(tmp_path / "t.json")],
+                "link-demo": ["--script", str(script)]}[verb]
+        assert cli.main([verb, *args, "--seed", "-1"]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
         assert "Traceback" not in captured.err
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
