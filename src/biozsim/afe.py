@@ -265,7 +265,7 @@ def _sense_tf(model, params: ChainParams, include_interface: bool):
         num = [tau * r_ser, model.r + r_ser] if r_ser else [model.r]
         den = [tau, 1.0]
     if params.lna_pole is not None:
-        den = np.polymul(den, [1.0 / (2 * np.pi * params.lna_pole), 1.0])
+        den = np.convolve(den, [1.0 / (2 * np.pi * params.lna_pole), 1.0])
     return num, den
 
 
