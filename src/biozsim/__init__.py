@@ -1,7 +1,7 @@
 """Deterministic behavioral simulator of a battery-less 4-terminal
 bio-impedance measurement system: 8-step stepped-sine excitation over an
-11-point 2 kHz - 2 MHz plan, square-wave I/Q demodulation with an analytic
-DC oracle, 10-bit acquisition with oversampled averaging, software
+11-point 2 kHz - 2 MHz plan, square-wave I/Q demodulation (one mixer-DC
+computation per load class), 10-bit acquisition with oversampled averaging, software
 calibration (offsets, derotation, per-frequency equalization), and the
 inductive-link configuration/communication protocol with its energy
 reservoir budget.
@@ -27,14 +27,12 @@ from .tissue import (
     TimeVaryingModel,
     builtin_model,
     impedance_at,
-    sense_voltage,
 )
 from .afe import (
     AfeConfig,
     ChainParams,
     analytic_dc_oracle,
     apply_compression,
-    demodulate_time_domain,
     noise_process,
 )
 from .acquire import AdcSpec, SequenceResult, adc_sample, run_sequence

@@ -6,45 +6,10 @@ import numpy as np
 from scipy import signal
 
 
-def periodic_lfilter(b, a, x: np.ndarray, period: int) -> np.ndarray:
-    """lfilter initialized to the exact periodic steady state.
-
-    `x` must consist of whole periods of `period` samples.  The one-period
-    state map z' = M z + g is probed column-by-column (state dimension is
-    1 or 2 here), then z* = (I - M)^-1 g seeds the run, so the output is
-    exactly periodic with no leading transient.
-    """
-    if len(x) % period:
-        raise ValueError("input must contain whole periods")
-    nstate = max(len(a), len(b)) - 1
-    if nstate == 0:
-        return signal.lfilter(b, a, x)
-    _, g = signal.lfilter(b, a, x[:period], zi=np.zeros(nstate))
-    m = np.empty((nstate, nstate))
-    zeros = np.zeros(period)
-    for j in range(nstate):
-        e = np.zeros(nstate)
-        e[j] = 1.0
-        _, zf = signal.lfilter(b, a, zeros, zi=e)
-        m[:, j] = zf
-    zstar = np.linalg.solve(np.eye(nstate) - m, g)
-    y, _ = signal.lfilter(b, a, x, zi=zstar)
-    return y
-
-
-def onepole_bilinear(pole_hz: float, fs: float, prewarp_hz: float | None = None):
-    """Unity-DC-gain single-pole low-pass, bilinear transform.
-
-    With `prewarp_hz` the discrete response matches the continuous pole
-    exactly (magnitude and phase) at that frequency; otherwise the
-    standard 2*fs mapping is used.
-    """
+def onepole_bilinear(pole_hz: float, fs: float):
+    """Unity-DC-gain single-pole low-pass, bilinear transform (k = 2*fs)."""
     wp = 2 * np.pi * pole_hz
-    if prewarp_hz:
-        w0 = 2 * np.pi * prewarp_hz
-        k = w0 / np.tan(w0 / (2 * fs))
-    else:
-        k = 2 * fs
+    k = 2 * fs
     b = np.array([wp, wp]) / (wp + k)
     a = np.array([1.0, (wp - k) / (wp + k)])
     return b, a

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import afe
-from .waveforms import Phase, plan_frequencies
+from .waveforms import plan_frequencies
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,6 @@ class SequenceResult:
 
     v_i_dc: float
     v_q_dc: float
-    taps_used: int
-    settle_time: float
     config: afe.AfeConfig
     saturated: bool = False
 
@@ -118,8 +116,6 @@ def run_sequence(
     return SequenceResult(
         v_i_dc=v_i,
         v_q_dc=v_q,
-        taps_used=taps,
-        settle_time=params.settle_time,
         config=config,
         saturated=saturated,
     )

@@ -2,7 +2,9 @@
 transconductance amplification, square-wave I/Q mixing, filtering,
 compression, offset, and noise.
 
-Chain order, applied by the time-domain engine:
+Chain order.  The RF stage up to the mixer is reduced to its steady-state
+post-mixer DC (`mixer_dc_pair`: exact for RC loads, a per-image sum for
+Cole and tabulated loads); the baseband stage runs in the time domain:
 
     sensed voltage -> LNA transconductance (single parasitic pole)
                    -> current-commutating mixer (ideal +/-1 by the selected
@@ -39,7 +41,7 @@ from typing import Optional
 import numpy as np
 from scipy import signal
 
-from ._dsp import dc_normalized, gated_mean_exact, onepole_bilinear, periodic_lfilter
+from ._dsp import dc_normalized, gated_mean_exact, onepole_bilinear
 from .waveforms import (
     FUNDAMENTAL_GAIN,
     MIN_OVERSAMPLING,
@@ -237,16 +239,11 @@ def _carrier_noise_sigma(params: ChainParams, f0: float, g2: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# RF stage: rendered waveforms -> steady-state post-mixer DC
+# RF stage: load, LNA and square clocks -> steady-state post-mixer DC
 # ---------------------------------------------------------------------------
 
-#: Samples per fundamental period for the spectral (non-rational) RF route.
-#: Product components at multiples of this rate alias onto the mixer DC;
-#: 4096 keeps them below 1e-6 of it.
-_SPECTRAL_OVERSAMPLE = 4096
-
-#: Highest staircase image applied to a tabulated/fractional load in the
-#: spectral route (images beyond this carry < 2e-5 of the mixer DC).
+#: Highest staircase image summed for a tabulated/fractional load (the
+#: images beyond it carry < 2e-5 of the mixer DC).
 _SPECTRAL_N_CUT = 255
 
 
@@ -269,6 +266,32 @@ def _sense_tf(model, params: ChainParams, include_interface: bool):
     return num, den
 
 
+def _image_dc(model, f0, config, params, n_max, include_interface) -> tuple:
+    """Post-mixer DC (amps, after the LNA gm) for I and Q, summed per image.
+
+    The stepped current carries images only at n = 8k +/- 1 with
+    fundamental-relative amplitude 1/n; each is scaled by W = Z_sense * LNA
+    at n*f0 and multiplied by the matching square-clock harmonic 4/(pi*n),
+    whose product contributes half the amplitude times the trig of the
+    accumulated phase to the DC:
+
+        dc = gm * (2/pi) * |I| * sum_{n <= n_max} |W(n f0)| / n^2 * T_n
+        T_n(I) = cos(phi_n - n*pi/8)
+        T_n(Q) = (-1)^((n-1)/2) * sin(phi_n - n*pi/8)
+
+    with phi_n the phase of W(n f0).  W is evaluated once for both phases.
+    """
+    n = np.arange(1, n_max + 1)
+    n = n[(n % 8 == 1) | (n % 8 == 7)]
+    w = tissue._sense_z(model, n * f0, include_interface) * _lna_response(params, n * f0)
+    phi = np.angle(w) - n * SOURCE_LAG
+    mag = np.abs(w) / n**2
+    scale = config.gm * (2 / np.pi) * config.current_amplitude
+    dc_i = scale * np.sum(mag * np.cos(phi))
+    dc_q = scale * np.sum(mag * np.where(n % 8 == 1, 1.0, -1.0) * np.sin(phi))
+    return float(dc_i), float(dc_q)
+
+
 def mixer_dc_pair(
     model,
     f0: float,
@@ -282,8 +305,8 @@ def mixer_dc_pair(
     in an LRU cache of 256 entries keyed on (model, f0, config, params,
     include_interface): the repeats of a reading compute it once.  Frozen
     models and parameters key by value; a TabulatedTwoPort keys by
-    identity.  A disabled source returns (0.0, 0.0) without a lookup, and
-    a TimeVaryingModel is frozen at t = 0 before it.
+    identity.  A disabled source returns (0.0, 0.0) without a lookup.  A
+    TimeVaryingModel raises TypeError: pass `model.at_time(t)`.
 
     Rational (RC) loads: the lagged staircase and both clocks hold still
     over each sixteenth of a period, so one period is 16 exact segments,
@@ -292,51 +315,27 @@ def mixer_dc_pair(
     integral of the output over each segment: the clock-gated cycle mean
     is the exact continuous mixer DC, every hold image included.
 
-    Tabulated/fractional loads: the sensed voltage is synthesized from the
-    staircase's spectrum (bins up to the 255th image, each scaled by Z at
-    its own frequency and by the zero-phase sample-hold sinc), the LNA
-    pole is a bilinear recursion pre-warped at the fundamental, and the
-    mixer is a sample-wise multiply by the rendered square clocks at 4096
-    samples per period.  I and Q each stay within 1e-6 relative of the
-    per-harmonic sum over the same images, analytic_dc_oracle(n_max=255).
+    Tabulated/fractional loads: the per-image sum of `_image_dc` over
+    n = 8k +/- 1 <= 255, the same sum `analytic_dc_oracle` evaluates.
+    Truncating it there moves the DC by at most 2e-5 of |I + jQ|, which
+    tests check on Cole alpha = 1 loads against the exact RC route.
     """
+    tissue.require_frozen(model)
     if not config.source_enable:
         return 0.0, 0.0
-    if isinstance(model, tissue.TimeVaryingModel):
-        model = model.at_time(0.0)
     return _mixer_dc(model, f0, config, params, include_interface)
 
 
 @functools.lru_cache(maxsize=256)
 def _mixer_dc(model, f0, config, params, include_interface) -> tuple:
-    amp_staircase = config.current_amplitude / FUNDAMENTAL_GAIN
-    if tissue.is_rational(model):
-        u = _period_segments(SteppedSine(amp_staircase, f0), f0)
-        gates = (_period_segments(IqClock(f0, Phase.I), f0),
-                 _period_segments(IqClock(f0, Phase.Q), f0))
-        num, den = _sense_tf(model, params, include_interface)
-        dc_i, dc_q = gated_mean_exact(num, den, u, gates, 1.0 / (len(u) * f0), len(u))
-        return config.gm * dc_i, config.gm * dc_q
-
-    per_n = _SPECTRAL_OVERSAMPLE
-    rate = per_n * f0
-    x = synthesize(SteppedSine(amp_staircase, f0), rate, 1 / f0).samples
-    spec = np.fft.rfft(x)
-    freqs = np.fft.rfftfreq(per_n, 1.0 / rate)
-    bins = np.arange(len(spec))
-    live = (np.abs(spec) > 1e-9 * np.abs(spec).max()) & (bins > 0) & (bins <= _SPECTRAL_N_CUT)
-    h = np.zeros(len(spec), dtype=complex)
-    h[live] = tissue._sense_z(model, freqs[live], include_interface) * np.sinc(freqs[live] / rate)
-    v = np.fft.irfft(spec * h, n=per_n)
-
-    if params.lna_pole is not None:
-        b, a = onepole_bilinear(params.lna_pole, rate, prewarp_hz=f0)
-        v = periodic_lfilter(b, a, v, per_n)
-    i_lna = config.gm * v
-
-    sq_i = synthesize(IqClock(f0, Phase.I), rate, 1 / f0).samples
-    sq_q = synthesize(IqClock(f0, Phase.Q), rate, 1 / f0).samples
-    return float(np.mean(i_lna * sq_i)), float(np.mean(i_lna * sq_q))
+    if not tissue.is_rational(model):
+        return _image_dc(model, f0, config, params, _SPECTRAL_N_CUT, include_interface)
+    u = _period_segments(SteppedSine(config.current_amplitude / FUNDAMENTAL_GAIN, f0), f0)
+    gates = (_period_segments(IqClock(f0, Phase.I), f0),
+             _period_segments(IqClock(f0, Phase.Q), f0))
+    num, den = _sense_tf(model, params, include_interface)
+    dc_i, dc_q = gated_mean_exact(num, den, u, gates, 1.0 / (len(u) * f0), len(u))
+    return config.gm * dc_i, config.gm * dc_q
 
 
 # ---------------------------------------------------------------------------
@@ -392,68 +391,9 @@ def baseband_output(
     return SampleSeries(fs, y)
 
 
-def demodulate_time_domain(
-    v_sense: SampleSeries,
-    config: AfeConfig,
-    params: ChainParams,
-    rng_seed=None,
-    duration: Optional[float] = None,
-) -> SampleSeries:
-    """Full demodulation of a sensed-voltage series for one clock select.
-
-    `v_sense` must be sampled at >= 64x and commensurate with the
-    fundamental (clock edges on samples) and contain at least one whole
-    period; its time origin is the reference-clock edge.  The trailing
-    whole periods determine the steady-state mixer DC; the returned series
-    is the filtered output over `duration` (default: the input duration),
-    which must cover the settling time.  With the default parameters the
-    output settles in approximately 25 ms.
-    """
-    f0 = config.fundamental
-    rate = v_sense.sample_rate
-    per_n = rate / f0
-    if abs(per_n - round(per_n)) > 1e-9:
-        raise ValueError("v_sense sample rate is not commensurate with the fundamental")
-    per_n = int(round(per_n))
-    if rate < 64 * f0:
-        raise ValueError("v_sense sample rate below 64x the fundamental")
-    n_whole = len(v_sense) // per_n
-    if n_whole < 1:
-        raise ValueError("v_sense must contain at least one whole period")
-
-    if duration is None:
-        duration = v_sense.duration
-    if duration < params.settle_time + 1e-3:
-        raise ValueError(
-            f"duration {duration:g} s too short to settle "
-            f"(settle_time {params.settle_time:g} s)"
-        )
-
-    if config.source_enable:
-        x = v_sense.samples[: n_whole * per_n]
-        if params.lna_pole is None:
-            v_lna = x
-        else:
-            b, a = onepole_bilinear(params.lna_pole, rate, prewarp_hz=f0)
-            v_lna = signal.lfilter(b, a, x)
-        sq = synthesize(IqClock(f0, config.iq_select), rate, n_whole / f0).samples
-        tail = slice((n_whole - 1) * per_n, n_whole * per_n)
-        dc_mix = config.gm * float(np.mean(v_lna[tail] * sq[tail]))
-    else:
-        dc_mix = 0.0
-
-    n_out = int(round(duration * params.output_rate))
-    return baseband_output([(n_out, dc_mix)], params, f0, config.g2, rng_seed)
-
-
 # ---------------------------------------------------------------------------
 # Analytic oracle
 # ---------------------------------------------------------------------------
-
-def _image_orders(n_max: int) -> np.ndarray:
-    n = np.arange(1, n_max + 1)
-    return n[(n % 8 == 1) | (n % 8 == 7)]
-
 
 def analytic_dc_oracle(
     model,
@@ -463,35 +403,12 @@ def analytic_dc_oracle(
     n_max: int = 63,
     include_interface: bool = False,
 ) -> float:
-    """Settled output DC from the per-harmonic product sum (volts).
-
-    The stepped current carries images only at n = 8k +/- 1 with
-    fundamental-relative amplitude 1/n; each is scaled by the load and LNA
-    response at n*f0 and multiplied by the matching square-clock harmonic
-    4/(pi*n), whose product contributes half the amplitude times the trig
-    of the accumulated phase to the DC:
-
-        V_dc = G * (2/pi) * |I| * sum_n |W(n f0)| / n^2 * T_n + offset
-        T_n(I) = cos(phi_n - n*pi/8)
-        T_n(Q) = (-1)^((n-1)/2) * sin(phi_n - n*pi/8)
-
-    with W = Z_sense * LNA and phi its phase.  Assumes noise and
-    compression are disabled; this is the ground truth the time-domain
-    engine must match.
-    """
+    """Settled output DC (volts) with noise and compression disabled: the
+    per-image sum of `_image_dc` up to `n_max`, times the TIA and low-pass
+    gains, plus the offset."""
+    tissue.require_frozen(model)
     if not config.source_enable:
         return params.offset
-    if isinstance(model, tissue.TimeVaryingModel):
-        model = model.at_time(0.0)
-    n = _image_orders(n_max)
-    freqs = n * f0
-    w = np.asarray(tissue._sense_z(model, freqs, include_interface), dtype=complex)
-    w = w * _lna_response(params, freqs)
-    phi = np.angle(w)
-    if config.iq_select == Phase.I:
-        t = np.cos(phi - n * SOURCE_LAG)
-    else:
-        t = np.where((n % 8) == 1, 1.0, -1.0) * np.sin(phi - n * SOURCE_LAG)
-    g = params.total_gain(config.g2)
-    total = np.sum(np.abs(w) / n.astype(float) ** 2 * t)
-    return float(g * (2 / np.pi) * config.current_amplitude * total + params.offset)
+    dc_i, dc_q = _image_dc(model, f0, config, params, n_max, include_interface)
+    dc = dc_i if config.iq_select == Phase.I else dc_q
+    return float(dc * params.tia_gain * params.lpf_gain + params.offset)

@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import cmath
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import acquire, afe, tissue
-from .waveforms import Phase, plan_frequencies
+from .waveforms import plan_frequencies
 
 #: Derotation factor undoing the pi/8 source lag.
 DEROTATION = cmath.exp(1j * np.pi / 8)

@@ -9,8 +9,9 @@ Verbs:
                   [--out file] [--strict]
   bioz link-demo  --script script.json [--cap uF]
 
-Exit codes: 0 success, 1 usage/parse error, 2 measurement range
-(saturation or out-of-range impedance under --strict), 3 brown-out.
+Exit codes: 0 success (also --help), 1 usage/parse error or an unreadable
+or unwritable file, 2 measurement range (saturation or out-of-range
+impedance under --strict), 3 brown-out.
 
 Scenario file (JSON): a load model plus instrument overrides::
 
@@ -62,6 +63,13 @@ EXIT_BROWNOUT = 3
 
 class ScenarioError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Turns a rejected command line into a usage error (one line, exit 1)."""
+
+    def error(self, message):
+        raise ScenarioError(f"{self.prog}: {message}")
 
 
 @dataclass(frozen=True)
@@ -345,7 +353,10 @@ def cmd_calibrate(args) -> int:
     except calib.CalibrationError as exc:
         print(f"calibration failed: {exc}", file=sys.stderr)
         return EXIT_RANGE
-    table.save(args.out)
+    try:
+        table.save(args.out)
+    except OSError as exc:
+        raise ScenarioError(f"cannot write calibration table: {exc}") from None
     print(f"calibration table written to {args.out}")
     print(f"reference {table.reference_r:g} ohm, gain word {table.gain_word}")
     for f, c in sorted(table.eq_coeffs.items(), reverse=True):
@@ -362,7 +373,12 @@ def cmd_sweep(args) -> int:
         if not args.cal:
             print("sweep needs --cal TABLE or --uncalibrated", file=sys.stderr)
             return EXIT_USAGE
-        table = calib.CalibrationTable.load(args.cal)
+        try:
+            table = calib.CalibrationTable.load(args.cal)
+        except (OSError, ValueError, KeyError, TypeError, AttributeError,
+                calib.CalibrationError) as exc:
+            raise ScenarioError(
+                f"cannot read calibration table {args.cal}: {type(exc).__name__}: {exc}") from None
     records = run_sweep(scenario, table, repeats=args.repeats)
     fmt = args.format or scenario.output_format
     text = format_records(records, fmt)
@@ -379,6 +395,8 @@ def cmd_sweep(args) -> int:
 
 
 def _link_script_frames(doc):
+    if not isinstance(doc, list):
+        raise ScenarioError("a link script must be a list of operations")
     frames = []
     for entry in doc:
         op = entry["op"]
@@ -413,7 +431,7 @@ def cmd_link_demo(args) -> int:
         return EXIT_USAGE
     try:
         frames = _link_script_frames(doc)
-    except (ScenarioError, ValueError, KeyError) as exc:
+    except (ScenarioError, ValueError, KeyError, TypeError) as exc:
         print(f"bad script: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -450,7 +468,7 @@ def cmd_link_demo(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bioz",
         description="Simulated 4-terminal bio-impedance spectroscopy bench (2 kHz - 2 MHz)",
     )
@@ -481,10 +499,13 @@ def main(argv=None) -> int:
     p_ld.add_argument("--seed", type=int, default=0)
     p_ld.add_argument("--trace", action="store_true", help="print the full voltage trace")
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ScenarioError(f"--seed must be >= 0, got {args.seed}")
+        for name in ("reference", "cap"):
+            if not 0 < getattr(args, name, 1.0) < math.inf:
+                raise ScenarioError(f"--{name} must be a positive number, got {getattr(args, name)}")
         if args.command == "plan":
             return cmd_plan(args)
         if args.command == "calibrate":

@@ -11,12 +11,9 @@ Three model families cover the bench and tissue scenarios:
   real and imaginary parts separately.  No extrapolation: the table is the
   only authority for electrode behavior.
 
-`sense_voltage` converts an injected current series into the sensed
-voltage.  Two independent routes are provided and must agree: a spectral
-route (each harmonic of the periodic current scaled by Z at its own
-frequency) and, for the rational models, a recursive filter route using
-the exact zero-order-hold discretization, which is sample-exact for the
-piecewise-constant stepped current.
+`impedance_at` evaluates any frozen model at a frequency.  A
+TimeVaryingModel has no single impedance: freeze it with `at_time(t)`
+first; passing it unfrozen raises TypeError.
 
 Models are immutable; concurrent reads are safe.
 """
@@ -28,10 +25,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import signal
-
-from ._dsp import periodic_lfilter
-from .waveforms import SampleSeries
 
 
 class TableRangeError(ValueError):
@@ -167,6 +160,7 @@ def impedance_at(model, freq):
     resistance is included: this is the impedance seen from the injection
     port.
     """
+    require_frozen(model)
     freq = np.asarray(freq, dtype=float)
     if np.any(freq <= 0):
         raise ValueError("freq must be positive")
@@ -178,8 +172,6 @@ def impedance_at(model, freq):
         z = model.r_inf + (model.r0 - model.r_inf) / (1 + (1j * w * model.tau) ** model.alpha)
     elif isinstance(model, TabulatedTwoPort):
         z = model.interp(freq)
-    elif isinstance(model, TimeVaryingModel):
-        z = impedance_at(model.at_time(0.0), freq)
     else:
         raise TypeError(f"unknown model type {type(model).__name__}")
     if np.ndim(freq) == 0:
@@ -187,12 +179,10 @@ def impedance_at(model, freq):
     return z
 
 
-def _z_dc(model, include_interface: bool) -> float:
-    if isinstance(model, ParallelRC):
-        return model.r + (model.r_interface if include_interface else 0.0)
-    if isinstance(model, ColeModel):
-        return model.r0
-    raise TableRangeError("tabulated model has no DC value")
+def require_frozen(model) -> None:
+    """Reject a TimeVaryingModel, whose impedance depends on the time."""
+    if isinstance(model, TimeVaryingModel):
+        raise TypeError("a TimeVaryingModel has no single impedance; pass model.at_time(t)")
 
 
 def _sense_z(model, freq, include_interface: bool):
@@ -205,89 +195,8 @@ def _sense_z(model, freq, include_interface: bool):
 
 def is_rational(model) -> bool:
     """True when the model has an exact lumped (state-space) realization."""
-    if isinstance(model, TimeVaryingModel):
-        return is_rational(model.base)
+    require_frozen(model)
     return isinstance(model, ParallelRC)
-
-
-def _zoh_coeffs(model, include_interface: bool, dt: float):
-    """Exact ZOH discretization of the ParallelRC transfer impedance."""
-    r_ser = model.r_interface if include_interface else 0.0
-    if model.c == 0:
-        return np.array([model.r + r_ser]), np.array([1.0])
-    tau = model.r * model.c
-    if r_ser:
-        num = [tau * r_ser, model.r + r_ser]
-    else:
-        num = [model.r]
-    bd, ad, _ = signal.cont2discrete((num, [tau, 1.0]), dt, method="zoh")
-    return np.atleast_1d(np.squeeze(bd)), np.atleast_1d(ad)
-
-
-def sense_voltage(
-    model,
-    current: SampleSeries,
-    method: str = "auto",
-    include_interface: bool = False,
-    period_samples: int | None = None,
-) -> SampleSeries:
-    """Sensed differential voltage for an injected current series.
-
-    With ideal high-impedance sensing no current flows in the sense
-    electrodes, so the injection-side interface resistance drops out of
-    the sensed voltage; pass include_interface=True to add it back for
-    sensitivity studies (the two-terminal view).
-
-    method:
-      * "phasor" -- per-harmonic steady state: the series is interpreted
-        as one period of a zero-order-hold waveform (what `synthesize`
-        renders), so each DFT bin is first deconvolved by the per-sample
-        hold response sinc(f/fs) * exp(-j*pi*f/fs) to recover the true
-        continuous harmonic amplitude, then scaled by Z at the bin
-        frequency.  This is exact for every harmonic below Nyquist; the
-        output is the band-limited response (hold images beyond Nyquist
-        are dropped, which any physical load attenuates anyway).
-      * "filter" -- recursive filtering with the exact zero-order-hold
-        discretization, sample-exact including all hold-image content;
-        only the rational models qualify.  When `period_samples` is given
-        the filter state is initialized to the periodic steady state,
-        otherwise it starts from rest and the leading transient is part
-        of the output.
-      * "auto" -- "filter" for rational models, else "phasor".
-    """
-    x = np.asarray(current.samples, dtype=float)
-    fs = current.sample_rate
-    if isinstance(model, TimeVaryingModel):
-        model = model.at_time(current.t0)
-
-    if method == "auto":
-        method = "filter" if is_rational(model) else "phasor"
-
-    if method == "phasor":
-        spec = np.fft.rfft(x)
-        freqs = np.fft.rfftfreq(len(x), 1.0 / fs)
-        h = np.zeros(len(spec), dtype=complex)
-        live = np.abs(spec) > 1e-12 * (np.abs(spec).max() or 1.0)
-        live[0] = False
-        if np.any(live):
-            hold = np.sinc(freqs[live] / fs) * np.exp(-1j * np.pi * freqs[live] / fs)
-            h[live] = _sense_z(model, freqs[live], include_interface) * hold
-        if np.abs(spec[0]) > 1e-12 * np.abs(spec).max():
-            h[0] = _z_dc(model, include_interface)
-        y = np.fft.irfft(spec * h, n=len(x))
-        return SampleSeries(fs, y, current.t0)
-
-    if method == "filter":
-        if not is_rational(model):
-            raise ValueError("filter route requires a rational (ParallelRC) model")
-        b, a = _zoh_coeffs(model, include_interface, 1.0 / fs)
-        if period_samples:
-            y = periodic_lfilter(b, a, x, period_samples)
-        else:
-            y = signal.lfilter(b, a, x)
-        return SampleSeries(fs, y, current.t0)
-
-    raise ValueError(f"unknown method {method!r}")
 
 
 # Representative electrode-referred transfer impedances for the bundled

@@ -108,14 +108,12 @@ class SteppedSine:
 
     `amplitude` is the nominal sine amplitude scaling the hold levels
     (differential peak of the underlying sine, 100 mV nominal for the
-    voltage ladder).  `common_mode` is carried as metadata only; the
-    rendered samples are the differential signal, whose one-period mean
-    is exactly zero by odd symmetry.
+    voltage ladder).  The rendered samples are the differential signal,
+    whose one-period mean is exactly zero by odd symmetry.
     """
 
     amplitude: float = 0.1
     fundamental: float = 1953.125
-    common_mode: float = 0.9
     lag_radians: float = SOURCE_LAG
 
     @property
@@ -134,7 +132,6 @@ class IqClock:
 
     fundamental: float
     phase: Phase = Phase.I
-    duty: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -143,17 +140,12 @@ class SampleSeries:
 
     sample_rate: float
     samples: np.ndarray
-    t0: float = 0.0
 
     def __len__(self):
         return len(self.samples)
 
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
-
     def times(self) -> np.ndarray:
-        return self.t0 + np.arange(len(self.samples)) / self.sample_rate
+        return np.arange(len(self.samples)) / self.sample_rate
 
 
 def _samples_per_step(fundamental: float, sample_rate: float) -> int:

@@ -2,18 +2,18 @@ import numpy as np
 import pytest
 from scipy import signal as sps
 
-from biozsim import afe
+from biozsim import afe, tissue
 from biozsim._dsp import gated_mean_exact
 from biozsim.afe import (
     AfeConfig,
     ChainParams,
     analytic_dc_oracle,
     apply_compression,
-    demodulate_time_domain,
+    baseband_output,
     mixer_dc_pair,
     noise_process,
 )
-from biozsim.tissue import ColeModel, ParallelRC, builtin_model, impedance_at, sense_voltage
+from biozsim.tissue import ColeModel, ParallelRC, builtin_model
 from biozsim.waveforms import (
     FUNDAMENTAL_GAIN,
     IqClock,
@@ -28,11 +28,30 @@ BARE = ChainParams(noise_floor=0.0, carrier_noise_v=0.0, compression_knee=None, 
 
 
 def settled_dc(model, f0, config, params):
-    """Pre-ADC settled output DC through the exact time-domain engine."""
+    """Pre-ADC settled output DC from the engine's mixer DC."""
     dc_i, dc_q = mixer_dc_pair(model, f0, config, params)
     dc = dc_i if config.iq_select == Phase.I else dc_q
     v = apply_compression(dc * params.tia_gain * params.lpf_gain, params)
     return v + params.offset
+
+
+def spectral_reference(model, f0, config, params):
+    """Post-mixer DC (I, Q) by FFT of a rendered period: an independent check
+    of the image sum.  Bins up to the 255th are scaled by the sense impedance,
+    the zero-order-hold sinc and the continuous LNA response, then mixed
+    sample-wise with the rendered clocks at 4096 samples per period."""
+    rate = 4096 * f0
+    x = synthesize(SteppedSine(config.current_amplitude / FUNDAMENTAL_GAIN, f0), rate, 1 / f0)
+    spec = np.fft.rfft(x.samples)
+    freqs = np.fft.rfftfreq(len(x), 1 / rate)
+    bins = np.arange(len(spec))
+    live = (bins > 0) & (bins <= 255)
+    h = np.zeros(len(spec), dtype=complex)
+    h[live] = (tissue._sense_z(model, freqs[live], False) * np.sinc(freqs[live] / rate)
+               * afe._lna_response(params, freqs[live]))
+    v = config.gm * np.fft.irfft(spec * h, n=len(x))
+    return tuple(float(np.mean(v * synthesize(IqClock(f0, ph), rate, 1 / f0).samples))
+                 for ph in (Phase.I, Phase.Q))
 
 
 class TestAfeConfig:
@@ -150,7 +169,7 @@ class TestOracle:
 
 
 class TestOracleEquivalence:
-    """Core dual-route check: exact time-domain engine vs per-harmonic sum."""
+    """The engine (exact RC route, per-image sum otherwise) against the oracle."""
 
     MODELS = {
         "r100": ParallelRC(r=100.0, c=0.0),
@@ -184,16 +203,19 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("chain", ["default", "ideal"])
     @pytest.mark.parametrize("name", ["blood", "cole", "muscle", "saline"])
     def test_spectral_route_matches_255_image_oracle(self, name, chain):
-        # the spectral route keeps images up to the 255th, as does this sum
+        # the FFT reference keeps the bins up to the 255th image, as the
+        # engine and the oracle (the same per-image sum) do
         model = self.MODELS[name]
         params = ChainParams() if chain == "default" else ChainParams().ideal()
         g_post = params.tia_gain * params.lpf_gain
         for idx, f0 in enumerate(plan_frequencies()):
             got = mixer_dc_pair(model, f0, AfeConfig(freq_index=idx), params)
-            for dc, phase in zip(got, (Phase.I, Phase.Q)):
+            want = spectral_reference(model, f0, AfeConfig(freq_index=idx), params)
+            for dc, ref, phase in zip(got, want, (Phase.I, Phase.Q)):
+                assert abs(dc - ref) <= 1e-6 * abs(ref)
                 cfg = AfeConfig(freq_index=idx, iq_select=phase)
-                want = analytic_dc_oracle(model, f0, cfg, params, n_max=255) - params.offset
-                assert abs(dc * g_post - want) <= 1e-6 * abs(want)
+                oracle = analytic_dc_oracle(model, f0, cfg, params, n_max=255) - params.offset
+                assert abs(oracle - ref * g_post) <= 1e-6 * abs(ref * g_post)
 
     def test_all_eight_gain_words(self):
         model = ParallelRC(r=100.0, c=0.0)
@@ -270,79 +292,58 @@ class TestRationalSegments:
 
 
 class TestDemodulateTimeDomain:
-    def make_sense(self, model, f0, periods=4, rate_mult=128):
-        rate = rate_mult * f0
-        i = synthesize(SteppedSine(10e-6 / afe.FUNDAMENTAL_GAIN, f0), rate, periods / f0)
-        return sense_voltage(model, i, period_samples=rate_mult)
+    """The exact mixer DC of a resistor, and the baseband chain it drives."""
+
+    R100 = ParallelRC(r=100.0, c=0.0)
+    FLAT = ChainParams(lna_pole=None, noise_floor=0.0, carrier_noise_v=0.0,
+                       compression_knee=None, offset=0.0)
+
+    def exact_and_deep_oracle(self, phase):
+        # the exact route carries every hold image; compare against a deep sum
+        g_post = self.FLAT.tia_gain * self.FLAT.lpf_gain
+        for idx, f0 in enumerate(plan_frequencies()):
+            dc_i, dc_q = mixer_dc_pair(self.R100, f0, AfeConfig(freq_index=idx), self.FLAT)
+            cfg = AfeConfig(freq_index=idx, iq_select=phase)
+            yield (dc_i if phase == Phase.I else dc_q) * g_post, analytic_dc_oracle(
+                self.R100, f0, cfg, self.FLAT, n_max=2001)
 
     def test_flat_resistor_settles_to_quadrature_value(self):
-        f0 = 1953.125
-        p = ChainParams(lna_pole=None, noise_floor=0.0, carrier_noise_v=0.0,
-                        compression_knee=None, offset=0.0)
-        v_sense = self.make_sense(ParallelRC(r=100.0, c=0.0), f0)
-        out = demodulate_time_domain(
-            v_sense, AfeConfig(freq_index=10), p, duration=0.08
-        )
-        tail = out.samples[-int(0.005 * out.sample_rate):]
-        # the engine carries every hold image; compare against a deep sum
-        expect = analytic_dc_oracle(ParallelRC(r=100.0, c=0.0), f0,
-                                    AfeConfig(freq_index=10), p, n_max=2001)
-        assert np.mean(tail) == pytest.approx(expect, rel=1e-5)
+        for got, want in self.exact_and_deep_oracle(Phase.I):
+            assert got > 0
+            assert abs(got - want) <= 1e-6 * abs(want)
+        dc_i, _ = mixer_dc_pair(self.R100, 1953.125, AfeConfig(freq_index=10), self.FLAT)
+        out = baseband_output([(10000, dc_i)], self.FLAT, 1953.125, 1)
+        want = dc_i * self.FLAT.tia_gain * self.FLAT.lpf_gain
+        assert np.mean(out.samples[-250:]) == pytest.approx(want, rel=1e-6)
 
     def test_q_select_sign_and_magnitude(self):
-        f0 = 1953.125
-        p = ChainParams(lna_pole=None, noise_floor=0.0, carrier_noise_v=0.0,
-                        compression_knee=None, offset=0.0)
-        v_sense = self.make_sense(ParallelRC(r=100.0, c=0.0), f0)
-        cfg = AfeConfig(freq_index=10, iq_select=Phase.Q)
-        out = demodulate_time_domain(v_sense, cfg, p, duration=0.08)
-        tail = float(np.mean(out.samples[-250:]))
         base = 700.0 * (2 / np.pi) * 10e-6 * 100.0
-        # fundamental product magnitude G*(2/pi)*|I|*R*sin(22.5deg); image
-        # products shift the full value by ~3%, captured by the deep oracle
-        assert abs(tail) == pytest.approx(base * np.sin(np.pi / 8), rel=0.04)
-        assert tail == pytest.approx(
-            analytic_dc_oracle(ParallelRC(r=100.0, c=0.0), f0, cfg, p, n_max=2001),
-            rel=1e-5,
-        )
-        assert tail < 0
+        for got, want in self.exact_and_deep_oracle(Phase.Q):
+            # fundamental product magnitude G*(2/pi)*|I|*R*sin(22.5deg); image
+            # products shift the full value by ~3%, captured by the deep oracle
+            assert got < 0
+            assert abs(got) == pytest.approx(base * np.sin(np.pi / 8), rel=0.04)
+            assert abs(got - want) <= 1e-6 * abs(want)
 
     def test_source_disabled_gives_offset_only(self):
-        f0 = 1953.125
-        v_sense = self.make_sense(ParallelRC(r=100.0, c=0.0), f0)
         cfg = AfeConfig(freq_index=10, source_enable=0)
-        out = demodulate_time_domain(v_sense, cfg, QUIET, duration=0.05)
+        dc_i, _ = mixer_dc_pair(self.R100, 1953.125, cfg, QUIET)
+        out = baseband_output([(2500, dc_i)], QUIET, 1953.125, cfg.g2)
         assert np.allclose(out.samples[-100:], QUIET.offset, atol=1e-12)
 
     def test_settles_in_approximately_25_ms(self):
-        f0 = 1953.125
-        v_sense = self.make_sense(ParallelRC(r=100.0, c=0.0), f0)
-        out = demodulate_time_domain(v_sense, AfeConfig(freq_index=10), QUIET, duration=0.1)
+        dc_i, _ = mixer_dc_pair(self.R100, 1953.125, AfeConfig(freq_index=10), QUIET)
+        out = baseband_output([(5000, dc_i)], QUIET, 1953.125, 1)
         final = np.mean(out.samples[-100:])
         k25 = int(0.025 * out.sample_rate)
         k5 = int(0.005 * out.sample_rate)
         assert abs(out.samples[k25] - final) < 0.01 * abs(final - QUIET.offset)
         assert abs(out.samples[k5] - final) > 0.05 * abs(final - QUIET.offset)
 
-    def test_duration_too_short_rejected(self):
-        f0 = 1953.125
-        v_sense = self.make_sense(ParallelRC(r=100.0, c=0.0), f0)
-        with pytest.raises(ValueError):
-            demodulate_time_domain(v_sense, AfeConfig(freq_index=10), QUIET, duration=0.01)
-
-    def test_noncommensurate_rate_rejected(self):
-        from biozsim.waveforms import SampleSeries
-
-        bad = SampleSeries(100e3, np.zeros(10000))
-        with pytest.raises(ValueError):
-            demodulate_time_domain(bad, AfeConfig(freq_index=10), QUIET, duration=0.05)
-
     def test_seeded_noise_is_deterministic(self):
-        f0 = 1953.125
-        v_sense = self.make_sense(ParallelRC(r=100.0, c=0.0), f0)
-        p = ChainParams()
-        a = demodulate_time_domain(v_sense, AfeConfig(freq_index=10), p, rng_seed=11, duration=0.06)
-        b = demodulate_time_domain(v_sense, AfeConfig(freq_index=10), p, rng_seed=11, duration=0.06)
+        dc_i, _ = mixer_dc_pair(self.R100, 1953.125, AfeConfig(freq_index=10), ChainParams())
+        a = baseband_output([(3000, dc_i)], ChainParams(), 1953.125, 1, rng_seed=11)
+        b = baseband_output([(3000, dc_i)], ChainParams(), 1953.125, 1, rng_seed=11)
         assert np.array_equal(a.samples, b.samples)
 
 

@@ -130,6 +130,59 @@ class TestScenario:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+class TestCommandLine:
+    def one_line_usage_error(self, capsys, argv):
+        assert cli.main(argv) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--scenario", "s.json", "--repeats", "x"],
+        ["sweep", "--uncalibrated"],
+        ["frobnicate"],
+        [],
+        ["link-demo", "--script", "s.json", "--cap", "x"],
+    ], ids=["non_integer_repeats", "missing_scenario", "unknown_verb", "no_verb",
+            "non_numeric_cap"])
+    def test_rejected_arguments_exit_usage(self, capsys, argv):
+        self.one_line_usage_error(capsys, argv)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+    def test_help_exits_ok(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.EXIT_OK
+        assert "usage:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["0", "-5", "nan", "inf"])
+    def test_link_demo_cap_must_be_positive(self, tmp_path, capsys, value):
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps([{"op": "ping"}]))
+        self.one_line_usage_error(capsys, ["link-demo", "--script", str(script), "--cap", value])
+
+    @pytest.mark.parametrize("value", ["0", "-100", "nan"])
+    def test_calibrate_reference_must_be_positive(self, tmp_path, capsys, r100_scenario, value):
+        self.one_line_usage_error(capsys, [
+            "calibrate", "--scenario", str(r100_scenario), "--out", str(tmp_path / "t.json"),
+            "--reference", value])
+
+    @pytest.mark.parametrize("content", [None, "not json", json.dumps({"version": 1}),
+                                         json.dumps([1, 2])],
+                             ids=["missing", "not_json", "missing_key", "not_object"])
+    def test_unreadable_calibration_table(self, tmp_path, capsys, r100_scenario, content):
+        table = tmp_path / "table.json"
+        if content is not None:
+            table.write_text(content)
+        self.one_line_usage_error(capsys, [
+            "sweep", "--scenario", str(r100_scenario), "--cal", str(table)])
+
+    def test_unwritable_calibration_table(self, tmp_path, capsys, r100_scenario):
+        self.one_line_usage_error(capsys, [
+            "calibrate", "--scenario", str(r100_scenario),
+            "--out", str(tmp_path / "missing" / "t.json")])
+
+
 class TestCalibrate:
     def test_writes_table_with_top_frequency_boost(self, cal_table, capsys):
         table = CalibrationTable.load(cal_table)
@@ -303,3 +356,10 @@ class TestLinkDemo:
     def test_bad_script(self, tmp_path):
         path = self.script(tmp_path, [{"op": "launch"}])
         assert cli.main(["link-demo", "--script", str(path)]) == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("entries", [{"op": "ping"}, ["ping"]], ids=["object", "string_entry"])
+    def test_script_of_wrong_shape(self, tmp_path, capsys, entries):
+        path = self.script(tmp_path, entries)
+        assert cli.main(["link-demo", "--script", str(path)]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err and captured.err.count("\n") == 1

@@ -4,6 +4,8 @@ Counted by monkeypatching the computation behind each cache, never by
 timing.  Each test clears the caches it counts first.
 """
 
+import pytest
+
 from biozsim import afe, cli
 from biozsim.afe import AfeConfig, ChainParams
 from biozsim.tissue import ParallelRC, TimeVaryingModel
@@ -52,15 +54,19 @@ def test_equal_models_share_one_mixer_entry():
     assert (info.currsize, info.hits) == (1, 1)
 
 
-def test_time_varying_model_keys_on_its_t0_snapshot():
+def test_time_varying_model_keys_by_the_snapshot_value():
     afe._mixer_dc.cache_clear()
     base = ParallelRC(r=120.0, c=1e-9)
     moving = TimeVaryingModel(base=base, schedule={"r": [(0.0, 120.0), (1.0, 240.0)]})
     config = AfeConfig(freq_index=3)
     f0 = config.fundamental
-    assert afe.mixer_dc_pair(moving, f0, config, ChainParams()) == afe.mixer_dc_pair(
+    with pytest.raises(TypeError, match="at_time"):
+        afe.mixer_dc_pair(moving, f0, config, ChainParams())
+    assert afe.mixer_dc_pair(moving.at_time(0.0), f0, config, ChainParams()) == afe.mixer_dc_pair(
         base, f0, config, ChainParams())
     assert afe._mixer_dc.cache_info().currsize == 1
+    afe.mixer_dc_pair(moving.at_time(1.0), f0, config, ChainParams())
+    assert afe._mixer_dc.cache_info().currsize == 2
 
 
 def test_disabled_source_bypasses_the_cache():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,14 @@ from biozsim.tissue import (
     TableRangeError,
     TabulatedTwoPort,
     TimeVaryingModel,
+    _BUILTIN_COLE,
+    _sense_z,
     builtin_model,
     impedance_at,
-    sense_voltage,
+    is_rational,
 )
-from biozsim.waveforms import SampleSeries, SteppedSine, plan_frequencies, synthesize
+from biozsim.afe import AfeConfig, ChainParams, analytic_dc_oracle, mixer_dc_pair
+from biozsim.waveforms import plan_frequencies
 
 
 def rc_closed_form(r, c, f, r_int=0.0):
@@ -140,6 +145,17 @@ class TestTimeVarying:
         assert tv.at_time(5.0).r == 1500.0
         assert tv.at_time(20.0).r == 2000.0  # held at the last breakpoint
 
+    @pytest.mark.parametrize("call", [
+        lambda m: impedance_at(m, 1e3),
+        is_rational,
+        lambda m: mixer_dc_pair(m, 1953.125, AfeConfig(freq_index=10), ChainParams()),
+        lambda m: analytic_dc_oracle(m, 1953.125, AfeConfig(freq_index=10), ChainParams()),
+    ], ids=["impedance_at", "is_rational", "mixer_dc_pair", "analytic_dc_oracle"])
+    def test_unfrozen_model_rejected(self, call):
+        tv = TimeVaryingModel(base=ParallelRC(r=1000.0), schedule={"r": [(0.0, 1e3), (1.0, 2e3)]})
+        with pytest.raises(TypeError, match=r"model\.at_time\(t\)"):
+            call(tv)
+
     def test_strictly_increasing_times(self):
         with pytest.raises(ValueError):
             TimeVaryingModel(
@@ -148,74 +164,68 @@ class TestTimeVarying:
 
 
 class TestSenseVoltage:
-    def current(self, f0=15625.0, amp=10e-6, periods=4):
-        return synthesize(SteppedSine(amp, f0), 256 * f0, periods / f0), 256
+    """The sensed voltage as the mixer sees it: interface handling, and the
+    per-image (phasor) sum against the exact state-space (filter) route."""
+
+    @staticmethod
+    def dc(model, idx, params=ChainParams(), include_interface=False):
+        f0 = plan_frequencies()[idx]
+        return complex(*mixer_dc_pair(model, f0, AfeConfig(freq_index=idx), params,
+                                      include_interface))
+
+    @staticmethod
+    def cole_as_rc(cole):
+        """alpha = 1: r_inf in series with (r0 - r_inf) || c, c = tau / (r0 - r_inf)."""
+        r = cole.r0 - cole.r_inf
+        return ParallelRC(r=r, c=cole.tau / r, r_interface=cole.r_inf)
 
     def test_resistor_is_memoryless(self):
-        i, per = self.current()
-        m = ParallelRC(r=100.0, c=0.0)
-        v = sense_voltage(m, i, method="filter", period_samples=per)
-        assert np.allclose(v.samples, 100.0 * i.samples, rtol=0, atol=1e-15)
+        freqs = 1953.125 * np.arange(1, 256)
+        assert np.array_equal(_sense_z(ParallelRC(r=100.0, c=0.0), freqs, False),
+                              np.full(len(freqs), 100.0 + 0j))
 
     def test_interface_excluded_by_default(self):
-        i, per = self.current()
-        m = ParallelRC(r=100.0, c=0.0, r_interface=50.0)
-        v = sense_voltage(m, i, period_samples=per)
-        assert np.allclose(v.samples, 100.0 * i.samples, atol=1e-15)
+        for idx in (0, 10):
+            assert self.dc(ParallelRC(r=100.0, c=0.0, r_interface=50.0), idx) == self.dc(
+                ParallelRC(r=100.0, c=0.0), idx)
 
     def test_interface_flag_restores_ohms_law_on_150(self):
-        # 10 uA through 100 + 50 ohm: 1.5 mV amplitude on the sensed pair
-        f0 = 15625.0
-        rate = 256 * f0
-        t = np.arange(int(rate / f0 * 4)) / rate
-        i = SampleSeries(rate, 10e-6 * np.sin(2 * np.pi * f0 * t))
-        m = ParallelRC(r=100.0, c=0.0, r_interface=50.0)
-        v = sense_voltage(m, i, include_interface=True)
-        assert np.max(np.abs(v.samples)) == pytest.approx(1.5e-3, rel=1e-6)
+        # 100 + 50 ohm seen whole is a 150 ohm resistor
+        for idx in (0, 10):
+            got = self.dc(ParallelRC(r=100.0, c=0.0, r_interface=50.0), idx,
+                          include_interface=True)
+            assert got == pytest.approx(self.dc(ParallelRC(r=150.0, c=0.0), idx), rel=1e-12)
 
     def test_capacitive_asymptote(self):
-        # far above the corner the response amplitude approaches |I|/(2 pi f c)
-        f0 = 1e6
-        rate = 256 * f0
-        t = np.arange(int(rate / f0 * 8)) / rate
-        i = SampleSeries(rate, 10e-6 * np.sin(2 * np.pi * f0 * t))
+        # far above the corner the sensed impedance approaches 1/(2 pi f c)
         m = ParallelRC(r=1e3, c=0.1e-6)
-        v = sense_voltage(m, i, method="phasor")
-        expect = 10e-6 / (2 * np.pi * f0 * 0.1e-6)
-        assert np.max(np.abs(v.samples)) == pytest.approx(expect, rel=1e-3)
+        freqs = 1e6 * np.array([1, 7, 9])
+        expect = 1 / (2 * np.pi * freqs * 0.1e-6)
+        assert np.abs(_sense_z(m, freqs, False)) == pytest.approx(expect, rel=1e-3)
 
     def test_phasor_and_filter_routes_agree_per_harmonic(self):
-        # the two independent routes must produce the same harmonic content;
-        # compare every image component up to the 25th.  Models here have
-        # their corner at or below the fundamental so the hold images beyond
-        # Nyquist (present only in the exact filter route) are negligible.
-        cases = [
-            (1953.125, ParallelRC(r=1e3, c=0.1e-6)),
-            (62500.0, ParallelRC(r=1e3, c=1 / (2 * np.pi * 1e3 * 62500.0))),
-            (2e6, ParallelRC(r=330.0, c=10e-9, r_interface=25.0)),
-        ]
-        for f0, model in cases:
-            i, per = self.current(f0=f0)
-            va = sense_voltage(model, i, method="phasor")
-            vb = sense_voltage(model, i, method="filter", period_samples=per)
-            sa = np.fft.rfft(va.samples[-per:])
-            sb = np.fft.rfft(vb.samples[-per:])
-            fund = abs(sa[1])
-            for n in (1, 7, 9, 15, 17, 23, 25):
-                assert abs(sa[n] - sb[n]) < 1e-3 * fund
+        # a Cole load with alpha = 1 is an RC: its image sum, truncated at
+        # the 255th, must stay within the stated 2e-5 of the exact route
+        coles = [ColeModel(r_inf=50.0, r0=500.0, tau=1e-5),
+                 ColeModel(r_inf=90.0, r0=100.0, tau=1e-7),
+                 *(replace(c, alpha=1.0) for c in _BUILTIN_COLE.values())]
+        for params in (ChainParams(), ChainParams().ideal()):
+            for cole in coles:
+                for idx in range(11):
+                    exact = self.dc(self.cole_as_rc(cole), idx, params, include_interface=True)
+                    assert abs(self.dc(cole, idx, params) - exact) <= 2e-5 * abs(exact)
 
     def test_filter_route_rms_agreement_smooth_load(self):
-        # for loads that attenuate the hold images the raw waveforms agree
-        # closely as well (0.1% RMS)
-        f0 = 15625.0
-        model = ParallelRC(r=1e3, c=1 / (2 * np.pi * 1e3 * f0))  # corner at f0
-        i, per = self.current(f0=f0)
-        va = sense_voltage(model, i, method="phasor")
-        vb = sense_voltage(model, i, method="filter", period_samples=per)
-        rms = np.sqrt(np.mean((va.samples - vb.samples) ** 2))
-        assert rms / np.sqrt(np.mean(va.samples**2)) < 1e-3
+        # a load whose corner sits at the fundamental and that falls to a
+        # small r_inf attenuates the truncated images: 1e-6 holds
+        for idx, f0 in enumerate(plan_frequencies()):
+            cole = ColeModel(r_inf=1.0, r0=1000.0, tau=1 / (2 * np.pi * f0))
+            exact = self.dc(self.cole_as_rc(cole), idx, include_interface=True)
+            assert abs(self.dc(cole, idx) - exact) <= 1e-6 * abs(exact)
 
     def test_filter_route_rejects_nonrational(self):
-        i, _ = self.current()
-        with pytest.raises(ValueError):
-            sense_voltage(ColeModel(r_inf=10.0, r0=100.0, tau=1e-5, alpha=0.8), i, method="filter")
+        # only ParallelRC takes the exact route; the rest take the image sum
+        assert is_rational(ParallelRC(r=100.0, c=1e-9))
+        assert not is_rational(ColeModel(r_inf=10.0, r0=100.0, tau=1e-5, alpha=0.8))
+        assert not is_rational(ColeModel(r_inf=10.0, r0=100.0, tau=1e-5))
+        assert not is_rational(builtin_model("blood"))
