@@ -197,12 +197,17 @@ def apply_compression(v, params: ChainParams):
     fourth power of level: 1% at the knee, 0.06% at half the knee, which
     keeps the chain linear to within 1% up to the gain-range breakpoints
     while doubling a mid-range signal stays linear to better than 0.1%.
+
+    The fourth root is taken as two square roots of 1 + (x*x)^2, which
+    avoids libm `pow` (about 10x slower on negative arrays) and stays
+    within 2 ULP of the `pow` form.
     """
     if params.compression_knee is None:
         return v
     vs = params.compression_knee / _KNEE_X
     x = np.asarray(v, dtype=float) / vs
-    y = np.asarray(v) / (1.0 + x**4) ** 0.25
+    x2 = x * x
+    y = np.asarray(v) / np.sqrt(np.sqrt(1.0 + x2 * x2))
     return y if np.ndim(v) else float(y)
 
 
@@ -355,6 +360,24 @@ def _baseband_filters(params: ChainParams) -> tuple:
     return coeffs
 
 
+#: Noise-free trajectories kept per process.  The repeats of a reading
+#: run back to back, so a few entries suffice; the largest default entry
+#: (a 256-tap source-off sequence, 28 100 samples) is 225 KB.
+_TRAJECTORY_CACHE_SIZE = 4
+
+
+@functools.lru_cache(maxsize=_TRAJECTORY_CACHE_SIZE)
+def _trajectory(steps: tuple, params: ChainParams) -> np.ndarray:
+    """Compressed, offset, noise-free output for ((n, dc), ...) steps, read-only."""
+    u = np.concatenate([np.full(n, dc) for n, dc in steps])
+    tb, ta, cb, ca = _baseband_filters(params)
+    y = signal.lfilter(tb, ta, u) * params.tia_gain
+    y = signal.lfilter(cb, ca, y) * params.lpf_gain
+    y = apply_compression(y, params) + params.offset
+    y.setflags(write=False)
+    return y
+
+
 def baseband_output(
     steps,
     params: ChainParams,
@@ -368,26 +391,26 @@ def baseband_output(
     rate.  Filter states start at rest and are carried across all steps,
     so the settling transients (about 25 ms to 1% at the default 50 Hz
     cutoff) emerge from the discretized filters themselves.  Compression,
-    offset, and seeded noise are applied at the output.  The TIA and
-    Chebyshev coefficients are designed once per `params` (an LRU cache
-    keyed on the frozen ChainParams); only the noise depends on the seed.
+    offset, and seeded noise are applied at the output.
+
+    Only the noise depends on the seed.  The noise-free trajectory (the
+    filters, compression and offset) is memoized per process in an LRU
+    cache of `_TRAJECTORY_CACHE_SIZE` entries keyed on the steps and the
+    frozen ChainParams, so the repeats of a reading render it once; the
+    TIA and Chebyshev coefficients are designed once per `params`.  The
+    noise is added into a fresh array, and the noise-free chain returns a
+    copy, so the caller always owns the samples.
     """
     fs = params.output_rate
-    u = np.concatenate([np.full(int(n), dc) for n, dc in steps])
-
-    tb, ta, cb, ca = _baseband_filters(params)
-    y = signal.lfilter(tb, ta, u) * params.tia_gain
-    y = signal.lfilter(cb, ca, y) * params.lpf_gain
-
-    y = apply_compression(y, params)
-    y = y + params.offset
-
+    y = _trajectory(tuple((int(n), float(dc)) for n, dc in steps), params)
     if params.noise_floor or params.carrier_noise_v:
         rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
-        y = y + noise_process(params, rng, len(u) / fs, fs).samples
+        y = y + noise_process(params, rng, len(y) / fs, fs).samples
         sig = _carrier_noise_sigma(params, f0, g2)
         if sig:
-            y = y + sig * rng.standard_normal(len(u))
+            y = y + sig * rng.standard_normal(len(y))
+    else:
+        y = y.copy()
     return SampleSeries(fs, y)
 
 
