@@ -67,6 +67,23 @@ def _phase_taps(series, start_n: int, settle_n: int, spacing_n: int, taps: int,
     return float(np.mean(v)), codes
 
 
+def _phase_samples(params: afe.ChainParams, taps: int, tap_spacing: float) -> tuple:
+    """(settle_n, spacing_n, phase_n): output samples to settle, between
+    taps, and in one select phase (settling plus the averaging window)."""
+    fs = params.output_rate
+    settle_n = int(round(params.settle_time * fs))
+    spacing_n = int(round(tap_spacing * fs))
+    if spacing_n < 1:
+        raise ValueError("tap_spacing below the output sample period")
+    return settle_n, spacing_n, settle_n + spacing_n * taps
+
+
+def sequence_duration(params: afe.ChainParams, taps: int = 32, tap_spacing: float = 1e-3) -> float:
+    """Seconds one I-then-Q sequence occupies: two settle-plus-averaging
+    windows (0.114 s at the default chain and 32 taps)."""
+    return 2 * _phase_samples(params, taps, tap_spacing)[2] / params.output_rate
+
+
 def run_sequence(
     model,
     f0: float,
@@ -96,12 +113,7 @@ def run_sequence(
 
     dc_i, dc_q = afe.mixer_dc_pair(model, f0, config, params, include_interface)
 
-    fs = params.output_rate
-    settle_n = int(round(params.settle_time * fs))
-    spacing_n = int(round(tap_spacing * fs))
-    if spacing_n < 1:
-        raise ValueError("tap_spacing below the output sample period")
-    phase_n = settle_n + spacing_n * taps
+    settle_n, spacing_n, phase_n = _phase_samples(params, taps, tap_spacing)
     series = afe.baseband_output(
         [(phase_n, dc_i), (phase_n, dc_q)], params, f0, config.g2, seed
     )

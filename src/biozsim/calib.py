@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
@@ -161,17 +162,34 @@ class CalibrationTable:
 
     @classmethod
     def from_json(cls, text: str) -> "CalibrationTable":
-        doc = json.loads(text)
+        """Parse a saved table; a malformed document raises CalibrationError."""
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:
+            raise CalibrationError(f"calibration table is not valid JSON: {exc}") from None
+        if not isinstance(doc, dict):
+            raise CalibrationError("a calibration table must be a JSON object")
         if doc.get("version") != 1:
             raise CalibrationError(f"unsupported calibration table version {doc.get('version')}")
-        return cls(
-            reference_r=doc["reference_r"],
-            gain_word=doc["gain_word"],
-            offsets={w: (o["v_i"], o["v_q"]) for w, o in doc["offsets"].items()},
-            eq_coeffs={e["freq_hz"]: complex(e["re"], e["im"]) for e in doc["eq_coeffs"]},
-            created_at=doc.get("created_at", ""),
-            version=doc["version"],
-        )
+        try:
+            reference_r = _number(doc["reference_r"])
+            gain_word = doc["gain_word"]
+            if not isinstance(gain_word, str):
+                raise TypeError(f"gain_word must be a string, got {gain_word!r}")
+            return cls(
+                reference_r=reference_r,
+                gain_word=gain_word,
+                offsets={w: (_number(o["v_i"]), _number(o["v_q"]))
+                         for w, o in doc["offsets"].items()},
+                eq_coeffs={_number(e["freq_hz"]): complex(_number(e["re"]), _number(e["im"]))
+                           for e in doc["eq_coeffs"]},
+                created_at=doc.get("created_at", ""),
+                version=doc["version"],
+            )
+        except KeyError as exc:
+            raise CalibrationError(f"calibration table is missing key {exc}") from None
+        except (TypeError, AttributeError) as exc:
+            raise CalibrationError(f"malformed calibration table: {exc}") from None
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -180,7 +198,18 @@ class CalibrationTable:
     @classmethod
     def load(cls, path) -> "CalibrationTable":
         with open(path, encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise CalibrationError(f"calibration table is not UTF-8 text: {exc}") from None
+        return cls.from_json(text)
+
+
+def _number(value):
+    """A finite JSON number from a calibration table, else TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise TypeError(f"expected a finite number, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import typing
 from dataclasses import dataclass, replace
@@ -215,6 +216,18 @@ def _integer(doc: dict, name: str, default: int) -> int:
     return int(value)
 
 
+def _check_writable(path) -> None:
+    """Reject an output path no file can be written to, before any
+    measurement runs, so a bad path costs nothing."""
+    path = Path(path)
+    if path.is_dir():
+        raise ScenarioError(f"cannot write {path}: it is a directory")
+    if not path.parent.is_dir():
+        raise ScenarioError(f"cannot write {path}: no directory {path.parent}")
+    if not os.access(path if path.exists() else path.parent, os.W_OK):
+        raise ScenarioError(f"cannot write {path}: permission denied")
+
+
 def _measure_seed(master: int, freq_index: int, repeat: int):
     """Deterministic per-measurement seed stream."""
     return np.random.SeedSequence((master, freq_index, repeat))
@@ -340,6 +353,7 @@ def cmd_plan(args) -> int:
 
 def cmd_calibrate(args) -> int:
     scenario = load_scenario(args.scenario)
+    _check_writable(args.out)
     word = "111" if scenario.gain == "auto" else scenario.gain
     setup = scenario.setup()
     try:
@@ -368,22 +382,25 @@ def cmd_sweep(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
+    if args.out:
+        _check_writable(args.out)
     table = None
     if not args.uncalibrated:
         if not args.cal:
-            print("sweep needs --cal TABLE or --uncalibrated", file=sys.stderr)
-            return EXIT_USAGE
+            raise ScenarioError("sweep needs --cal TABLE or --uncalibrated")
         try:
             table = calib.CalibrationTable.load(args.cal)
-        except (OSError, ValueError, KeyError, TypeError, AttributeError,
-                calib.CalibrationError) as exc:
+        except (OSError, calib.CalibrationError) as exc:
             raise ScenarioError(
                 f"cannot read calibration table {args.cal}: {type(exc).__name__}: {exc}") from None
     records = run_sweep(scenario, table, repeats=args.repeats)
     fmt = args.format or scenario.output_format
     text = format_records(records, fmt)
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise ScenarioError(f"cannot write sweep records: {exc}") from None
     else:
         sys.stdout.write(text)
     bad = [r for r in records if r.flags]
@@ -427,26 +444,26 @@ def cmd_link_demo(args) -> int:
     try:
         doc = json.loads(Path(args.script).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        print(f"cannot read script: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ScenarioError(f"cannot read script: {exc}") from None
     try:
         frames = _link_script_frames(doc)
-    except (ScenarioError, ValueError, KeyError, TypeError) as exc:
-        print(f"bad script: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ScenarioError(f"bad script: {exc}") from None
 
     model = tissue.ParallelRC(r=100.0, c=0.0)
     params = afe.ChainParams()
     adc = acquire.AdcSpec()
+    taps = 32
 
     def backend(word: link.ConfigWord):
         config = word.to_afe_config()
         f0 = plan_frequencies()[word.freq_sel]
-        res = acquire.run_sequence(model, f0, config, params, taps=32, seed=args.seed)
+        res = acquire.run_sequence(model, f0, config, params, taps=taps, seed=args.seed)
         to_code = lambda v: acquire.adc_sample(0.9 + v / 2.0, adc)
         return to_code(res.v_i_dc), to_code(res.v_q_dc)
 
-    device = link.ImplantDevice(measure_backend=backend)
+    device = link.ImplantDevice(measure_backend=backend,
+                                measure_time=acquire.sequence_duration(params, taps))
     power = link.PowerState(reservoir_cap=args.cap * 1e-6)
     try:
         result = link.session(frames, link.ChannelParams(), power, device)

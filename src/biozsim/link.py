@@ -266,11 +266,17 @@ class ImplantDevice:
     `measure_backend(config_word) -> (vi_code, vq_code)` plugs in the
     measurement engine; without one, START_MEASURE acknowledges and
     READ_RESULT returns zero codes.  `measure_time` is the busy interval a
-    measurement occupies (two settle-plus-averaging windows).
+    measurement occupies, `acquire.sequence_duration` of the chain and taps
+    the backend measures with; it defaults to that of the default chain
+    and 32 taps (0.114 s).
     """
 
     def __init__(self, measure_backend: Optional[Callable] = None,
-                 measure_time: float = 2 * (0.025 + 0.032)):
+                 measure_time: Optional[float] = None):
+        if measure_time is None:
+            from . import acquire, afe
+
+            measure_time = acquire.sequence_duration(afe.ChainParams())
         self.config: Optional[ConfigWord] = None
         self.measure_backend = measure_backend
         self.measure_time = measure_time

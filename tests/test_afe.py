@@ -370,6 +370,20 @@ class TestCompression:
         assert np.allclose(y, -apply_compression(-v, p))
         assert np.all(np.diff(y) > 0)
 
+    def test_matches_the_pow_form(self):
+        p = ChainParams()
+        knee = p.compression_knee
+        vs = knee / afe._KNEE_X
+        v = np.concatenate([np.random.default_rng(7).normal(0.0, 3.0, 5000),
+                            [0.0, knee, -knee, 1e3 * knee, -1e3 * knee, -0.3, -4.0]])
+        reference = v / (1.0 + (v / vs) ** 4) ** 0.25
+        y = apply_compression(v, p)
+        assert np.all(np.abs(y - reference) <= 1e-15 * np.abs(reference))
+        for scalar in (0.0, knee, -knee, 1e3 * knee, -2.5):
+            y = apply_compression(scalar, p)
+            assert type(y) is float
+            assert abs(y - scalar / (1.0 + (scalar / vs) ** 4) ** 0.25) <= 1e-15 * abs(scalar)
+
     def breakpoint_deviation(self, r_ohm, word):
         """|Z|-domain compressive deviation of a resistor at a gain word."""
         cfg = AfeConfig.from_gain_word(word, freq_index=10)

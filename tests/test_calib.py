@@ -1,4 +1,5 @@
 import cmath
+import json
 
 import numpy as np
 import pytest
@@ -229,6 +230,37 @@ class TestApplyCalibration:
     def test_version_checked(self):
         with pytest.raises(CalibrationError):
             CalibrationTable.from_json('{"version": 2}')
+
+    def test_non_json_text_rejected(self):
+        with pytest.raises(CalibrationError, match="not valid JSON"):
+            CalibrationTable.from_json("not json")
+
+    def test_non_object_document_rejected(self):
+        with pytest.raises(CalibrationError, match="JSON object"):
+            CalibrationTable.from_json("[1, 2]")
+
+    def test_missing_key_rejected(self):
+        with pytest.raises(CalibrationError, match="reference_r"):
+            CalibrationTable.from_json('{"version": 1}')
+
+    @pytest.mark.parametrize("field,value", [
+        ("reference_r", "100"), ("gain_word", 111), ("offsets", [1, 2]),
+        ("offsets", {"111": {"v_i": "x", "v_q": 0.0}}), ("eq_coeffs", 5),
+        ("eq_coeffs", [{"freq_hz": "2e6", "re": 1.0, "im": 0.0}]),
+        ("eq_coeffs", [{"freq_hz": 2e6, "re": float("nan"), "im": 0.0}]),
+    ], ids=["string_reference", "integer_gain_word", "offsets_list", "string_offset",
+            "coeffs_not_list", "string_frequency", "nan_coefficient"])
+    def test_wrongly_typed_entry_rejected(self, field, value):
+        doc = json.loads(self.make_table().to_json())
+        doc[field] = value
+        with pytest.raises(CalibrationError, match="malformed"):
+            CalibrationTable.from_json(json.dumps(doc))
+
+    def test_binary_file_rejected(self, tmp_path):
+        path = tmp_path / "table.json"
+        path.write_bytes(b"\xff\xfe\x00garbage")
+        with pytest.raises(CalibrationError, match="UTF-8"):
+            CalibrationTable.load(path)
 
 
 class TestRoundTrip:

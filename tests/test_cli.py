@@ -177,10 +177,31 @@ class TestCommandLine:
         self.one_line_usage_error(capsys, [
             "sweep", "--scenario", str(r100_scenario), "--cal", str(table)])
 
-    def test_unwritable_calibration_table(self, tmp_path, capsys, r100_scenario):
+    def unwritable_table(self, capsys, monkeypatch, scenario, out):
+        calls = []
+        monkeypatch.setattr(cli.calib, "build_equalization", lambda *a, **k: calls.append(a))
         self.one_line_usage_error(capsys, [
-            "calibrate", "--scenario", str(r100_scenario),
-            "--out", str(tmp_path / "missing" / "t.json")])
+            "calibrate", "--scenario", str(scenario), "--out", str(out)])
+        assert calls == []  # rejected before any measurement
+
+    def test_unwritable_calibration_table(self, tmp_path, capsys, monkeypatch, r100_scenario):
+        self.unwritable_table(capsys, monkeypatch, r100_scenario, tmp_path / "missing" / "t.json")
+
+    def test_calibration_table_path_is_a_directory(self, tmp_path, capsys, monkeypatch,
+                                                   r100_scenario):
+        self.unwritable_table(capsys, monkeypatch, r100_scenario, tmp_path)
+
+    def test_unwritable_sweep_output_fails_before_measuring(
+            self, tmp_path, capsys, monkeypatch, r100_scenario):
+        calls = []
+        monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: calls.append(a))
+        self.one_line_usage_error(capsys, [
+            "sweep", "--scenario", str(r100_scenario), "--uncalibrated",
+            "--out", str(tmp_path / "missing" / "z.csv")])
+        assert calls == []
+
+    def test_sweep_without_table_or_uncalibrated(self, capsys, r100_scenario):
+        self.one_line_usage_error(capsys, ["sweep", "--scenario", str(r100_scenario)])
 
 
 class TestCalibrate:
@@ -353,13 +374,25 @@ class TestLinkDemo:
         rc = cli.main(["link-demo", "--script", str(path), "--cap", "0.05"])
         assert rc == cli.EXIT_BROWNOUT
 
-    def test_bad_script(self, tmp_path):
+    def test_bad_script(self, tmp_path, capsys):
         path = self.script(tmp_path, [{"op": "launch"}])
         assert cli.main(["link-demo", "--script", str(path)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "error: bad script: unknown link op 'launch'\n"
 
     @pytest.mark.parametrize("entries", [{"op": "ping"}, ["ping"]], ids=["object", "string_entry"])
     def test_script_of_wrong_shape(self, tmp_path, capsys, entries):
         path = self.script(tmp_path, entries)
         assert cli.main(["link-demo", "--script", str(path)]) == cli.EXIT_USAGE
         captured = capsys.readouterr()
-        assert "Traceback" not in captured.err and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert captured.err.startswith("error: bad script: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", [None, "not json"], ids=["missing", "not_json"])
+    def test_unreadable_script(self, tmp_path, capsys, text):
+        path = tmp_path / "script.json"
+        if text is not None:
+            path.write_text(text)
+        assert cli.main(["link-demo", "--script", str(path)]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot read script: ")
+        assert captured.err.count("\n") == 1

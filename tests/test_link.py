@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from biozsim.acquire import sequence_duration
+from biozsim.afe import ChainParams
 from biozsim.link import (
     ALL_BLOCKS,
     BrownOutError,
@@ -218,3 +220,24 @@ class TestSession:
         payload = result.responses[2].payload
         assert int.from_bytes(payload[:2], "big") == 7
         assert int.from_bytes(payload[2:], "big") == 0b001
+
+
+class TestMeasureTime:
+    FRAMES = [set_config_frame(freq_sel=10, source_enable=1, gain=0b111), Frame(OP_START_MEASURE)]
+
+    def busy(self, device):
+        trace = session(self.FRAMES, device=device).trace
+        (before, after), = [(trace[k - 1][0], t) for k, (t, _, tag) in enumerate(trace)
+                            if tag == "measure"]
+        return after - before
+
+    def test_default_is_the_default_sequence(self):
+        device = ImplantDevice(measure_backend=lambda w: (512, 480))
+        assert device.measure_time == 0.114
+        assert device.measure_time == sequence_duration(ChainParams(), 32)
+
+    def test_longer_settling_lengthens_the_busy_interval(self):
+        slow = sequence_duration(ChainParams(settle_time=0.05), 32)
+        assert slow == pytest.approx(2 * (0.05 + 0.032))
+        assert self.busy(ImplantDevice(measure_time=slow)) > self.busy(ImplantDevice())
+        assert self.busy(ImplantDevice(measure_time=slow)) == pytest.approx(slow)

@@ -6,7 +6,9 @@ timing.  Each test clears the caches it counts first.
 
 import pytest
 
-from biozsim import afe, cli
+import numpy as np
+
+from biozsim import afe, calib, cli
 from biozsim.afe import AfeConfig, ChainParams
 from biozsim.tissue import ParallelRC, TimeVaryingModel
 
@@ -74,3 +76,38 @@ def test_disabled_source_bypasses_the_cache():
     config = AfeConfig(source_enable=0)
     assert afe.mixer_dc_pair(ParallelRC(r=100.0), config.fundamental, config, ChainParams()) == (0.0, 0.0)
     assert afe._mixer_dc.cache_info().currsize == 0
+
+
+def count_trajectory_renders(monkeypatch):
+    """Each uncached trajectory render compresses its output exactly once."""
+    afe._trajectory.cache_clear()
+    return count_calls(monkeypatch, afe, "apply_compression")
+
+
+def test_rc_sweep_renders_one_trajectory_per_frequency(monkeypatch):
+    renders = count_trajectory_renders(monkeypatch)
+    scenario = cli.Scenario(model=ParallelRC(r=150.0, c=2e-9), params=ChainParams(), seed=5)
+    cli.run_sweep(scenario, None, repeats=10)
+    assert len(renders) == 11
+
+
+def test_calibration_renders_one_offset_trajectory_and_one_per_frequency(monkeypatch):
+    renders = count_trajectory_renders(monkeypatch)
+    calib.build_equalization(calib.MeasurementSetup(model=None), seed=4, created_at="pinned")
+    source_off = [args for args in renders if not np.any(args[0])]
+    assert len(source_off) == 1
+    assert len(renders) - len(source_off) == 11
+
+
+def test_returned_samples_belong_to_the_caller():
+    afe._trajectory.cache_clear()
+    quiet = ChainParams(noise_floor=0.0, carrier_noise_v=0.0)
+    steps = [(200, 1e-8), (200, -1e-8)]
+    first = afe.baseband_output(steps, quiet, 1953.125, 1)
+    expected = first.samples.copy()
+    first.samples[:] = 99.0
+    again = afe.baseband_output(steps, quiet, 1953.125, 1)
+    assert afe._trajectory.cache_info().hits == 1
+    assert np.array_equal(again.samples, expected)
+    again.samples[100:] = -5.0
+    assert np.array_equal(afe.baseband_output(steps, quiet, 1953.125, 1).samples, expected)
