@@ -16,6 +16,7 @@ transition settles through the filters exactly as the turn-on does.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +60,8 @@ class SequenceResult:
 
 def _phase_taps(series, start_n: int, settle_n: int, spacing_n: int, taps: int,
                 adc: AdcSpec):
-    """Digitize `taps` samples of one select phase; return (mean_v, codes)."""
+    """Digitize `taps` samples of one select phase (indices in samples of
+    `series`); return (mean_v, codes)."""
     idx = start_n + settle_n + spacing_n * np.arange(taps)
     pin = 0.9 + series.samples[idx] / 2.0
     codes = adc_sample(pin, adc)
@@ -114,12 +116,15 @@ def run_sequence(
     dc_i, dc_q = afe.mixer_dc_pair(model, f0, config, params, include_interface)
 
     settle_n, spacing_n, phase_n = _phase_samples(params, taps, tap_spacing)
+    # every tap index and the series length are multiples of g: render
+    # only that lattice of output samples
+    g = math.gcd(settle_n, spacing_n)
     series = afe.baseband_output(
-        [(phase_n, dc_i), (phase_n, dc_q)], params, f0, config.g2, seed
+        [(phase_n, dc_i), (phase_n, dc_q)], params, f0, config.g2, seed, stride=g
     )
 
-    v_i, codes_i = _phase_taps(series, 0, settle_n, spacing_n, taps, adc)
-    v_q, codes_q = _phase_taps(series, phase_n, settle_n, spacing_n, taps, adc)
+    v_i, codes_i = _phase_taps(series, 0, settle_n // g, spacing_n // g, taps, adc)
+    v_q, codes_q = _phase_taps(series, phase_n // g, settle_n // g, spacing_n // g, taps, adc)
 
     codes = np.concatenate([codes_i, codes_q])
     clamped = np.count_nonzero((codes == 0) | (codes == adc.codes - 1))

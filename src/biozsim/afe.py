@@ -124,7 +124,11 @@ class ChainParams:
     1/f below `flicker_corner` (integrating 1-100 Hz at the defaults gives
     1.3 mVrms), plus a front-end term that the mixer folds down from the
     carrier, white per tap with amplitude carrier_noise_v *
-    (carrier_flicker_corner / f0) at the high-gain setting.
+    (carrier_flicker_corner / f0) at the high-gain setting.  Both terms
+    are drawn only on the lattice of output samples the ADC reads (every
+    gcd(settle, tap spacing)-th sample): the 1/f term from its spectrum
+    folded onto that lattice, the white term per lattice point, so each
+    tap's noise has exactly the full series' joint distribution.
     """
 
     lna_pole: Optional[float] = 2.2e6
@@ -212,27 +216,50 @@ def apply_compression(v, params: ChainParams):
 
 
 def noise_process(
-    params: ChainParams, rng_seed, duration: float, sample_rate: float
+    params: ChainParams, rng_seed, duration: float, sample_rate: float, stride: int = 1
 ) -> SampleSeries:
-    """Output-referred baseband noise: white floor plus 1/f shaping.
+    """Output-referred baseband noise at every `stride`-th sample.
 
-    One-sided PSD noise_floor^2 * (1 + flicker_corner/f), realized by
-    spectral shaping of seeded white Gaussian noise (DC bin zeroed, so the
-    realization is exactly zero-mean).  Deterministic for a fixed seed.
-    At the default floor and corner the 1-100 Hz integral is 1.3 mVrms.
+    One-sided PSD noise_floor^2 * (1 + flicker_corner/f): seeded white
+    Gaussian noise at `sample_rate`, spectrally shaped over the circular
+    series of n = duration * sample_rate samples (DC bin zeroed), then
+    read at samples 0, stride, 2*stride, ...  Deterministic for a fixed
+    seed.  At the default floor and corner the 1-100 Hz integral is
+    1.3 mVrms.
+
+    The full series is never built.  It is circular-stationary with
+    covariance c = irfft(S), S the per-bin power noise_floor^2 *
+    sample_rate / 2 * (1 + flicker_corner/f) (zero at DC), so its every
+    stride-th sample is circular-stationary over n/stride points with
+    covariance c[::stride], whose spectrum is the folded PSD
+    S.reshape(stride, n // stride).sum(0) / stride (non-negative).  The
+    draw shapes n/stride standard normals by that spectrum's square root:
+    exactly the full series' distribution at the samples read.  Stride 1
+    is the full series, exactly zero-mean; n must be a multiple of the
+    stride.  The returned series runs at sample_rate / stride.
     """
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
     n = int(round(duration * sample_rate))
+    if n % stride:
+        raise ValueError(f"{n} samples do not divide into stride {stride}")
+    m = n // stride
     if params.noise_floor == 0.0 or n == 0:
-        return SampleSeries(sample_rate, np.zeros(n))
-    sigma_white = params.noise_floor * np.sqrt(sample_rate / 2.0)
-    white = rng.standard_normal(n) * sigma_white
-    spec = np.fft.rfft(white)
-    f = np.fft.rfftfreq(n, 1.0 / sample_rate)
-    shape = np.ones_like(f)
-    shape[1:] = np.sqrt(1.0 + params.flicker_corner / f[1:])
-    shape[0] = 0.0
-    return SampleSeries(sample_rate, np.fft.irfft(spec * shape, n=n))
+        return SampleSeries(sample_rate / stride, np.zeros(m))
+    root = _folded_root_spectrum(params, n, sample_rate, stride)
+    return SampleSeries(sample_rate / stride,
+                        np.fft.irfft(np.fft.rfft(rng.standard_normal(m)) * root, n=m))
+
+
+@functools.lru_cache(maxsize=8)
+def _folded_root_spectrum(params: ChainParams, n: int, sample_rate: float, stride: int):
+    """Square root of the noise PSD folded to n/stride bins (rfft half), read-only."""
+    f = np.abs(np.fft.fftfreq(n, 1.0 / sample_rate))
+    psd = np.zeros(n)
+    psd[1:] = params.noise_floor**2 * (sample_rate / 2.0) * (1.0 + params.flicker_corner / f[1:])
+    m = n // stride
+    root = np.sqrt(psd.reshape(stride, m).sum(0)[: m // 2 + 1] / stride)
+    root.setflags(write=False)
+    return root
 
 
 def _carrier_noise_sigma(params: ChainParams, f0: float, g2: int) -> float:
@@ -361,8 +388,10 @@ def _baseband_filters(params: ChainParams) -> tuple:
 
 
 #: Noise-free trajectories kept per process.  The repeats of a reading
-#: run back to back, so a few entries suffice; the largest default entry
-#: (a 256-tap source-off sequence, 28 100 samples) is 225 KB.
+#: run back to back, so a few entries suffice.  An entry holds the full
+#: output-rate series, which the filters need; the repeats read only its
+#: every stride-th sample.  The largest default entry (a 256-tap
+#: source-off sequence, 28 100 samples) is 225 KB.
 _TRAJECTORY_CACHE_SIZE = 4
 
 
@@ -384,6 +413,7 @@ def baseband_output(
     f0: float,
     g2: int,
     rng_seed=None,
+    stride: int = 1,
 ) -> SampleSeries:
     """Drive the TIA + Chebyshev chain with piecewise-constant mixer DC.
 
@@ -392,6 +422,13 @@ def baseband_output(
     so the settling transients (about 25 ms to 1% at the default 50 Hz
     cutoff) emerge from the discretized filters themselves.  Compression,
     offset, and seeded noise are applied at the output.
+
+    The result holds every `stride`-th output sample (rate
+    output_rate / stride; the total length must be a multiple of the
+    stride), so a caller that reads only a lattice of samples, such as
+    the ADC taps, draws noise only there.  Both noise terms are exact on
+    that lattice: `noise_process` draws the 1/f noise from its folded
+    spectrum, and the carrier term is white per sample.
 
     Only the noise depends on the seed.  The noise-free trajectory (the
     filters, compression and offset) is memoized per process in an LRU
@@ -402,16 +439,19 @@ def baseband_output(
     copy, so the caller always owns the samples.
     """
     fs = params.output_rate
-    y = _trajectory(tuple((int(n), float(dc)) for n, dc in steps), params)
+    full = _trajectory(tuple((int(n), float(dc)) for n, dc in steps), params)
+    if len(full) % stride:
+        raise ValueError(f"{len(full)} samples do not divide into stride {stride}")
+    y = full[::stride]
     if params.noise_floor or params.carrier_noise_v:
         rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
-        y = y + noise_process(params, rng, len(y) / fs, fs).samples
+        y = y + noise_process(params, rng, len(full) / fs, fs, stride).samples
         sig = _carrier_noise_sigma(params, f0, g2)
         if sig:
             y = y + sig * rng.standard_normal(len(y))
     else:
         y = y.copy()
-    return SampleSeries(fs, y)
+    return SampleSeries(fs / stride, y)
 
 
 # ---------------------------------------------------------------------------

@@ -118,7 +118,7 @@ class CalibrationTable:
     bounded to [0.5, 2] in magnitude.  At the lowest frequency, where the
     chain's poles are negligible, they are not 1: the staircase's hold
     images fold onto the mixer DC, so `bioz calibrate` on the default
-    chain reads |coeff| = 1.0306 at 1953.125 Hz (seed 3; 1.0103 at seed
+    chain reads |coeff| = 1.0249 at 1953.125 Hz (seed 3; 1.0365 at seed
     14, the spread being the reference reads' noise).
     """
 

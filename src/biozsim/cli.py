@@ -22,6 +22,7 @@ Scenario file (JSON): a load model plus instrument overrides::
       "taps": 32,
       "gain": "111",                         # 3-bit word or "auto"
       "frequencies": [1953.125, 125000.0],   # optional plan subset
+      "format": "csv",                       # sweep output: csv | json
       "time": 0.0                            # for time-varying models
     }
 
@@ -55,6 +56,7 @@ from . import acquire, afe, calib, link, tissue
 from .waveforms import plan_frequencies
 
 CSV_HEADER = "freq_hz,re_ohm,im_ohm,mag_ohm,phase_deg,stderr_ohm,gain_word,flags"
+OUTPUT_FORMATS = ("csv", "json")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -193,6 +195,9 @@ def load_scenario(path) -> Scenario:
     frequencies = doc.get("frequencies", [])
     if not (isinstance(frequencies, list) and all(_is_number(f) for f in frequencies)):
         raise ScenarioError(f"frequencies must be a list of numbers, got {frequencies!r}")
+    output_format = doc.get("format", "csv")
+    if output_format not in OUTPUT_FORMATS:
+        raise ScenarioError(f"unknown output format {output_format!r}")
     return Scenario(
         model=model,
         params=params,
@@ -200,7 +205,7 @@ def load_scenario(path) -> Scenario:
         taps=taps,
         gain=gain,
         frequencies=tuple(float(f) for f in frequencies),
-        output_format=str(doc.get("format", "csv")),
+        output_format=output_format,
     )
 
 
@@ -356,17 +361,13 @@ def cmd_calibrate(args) -> int:
     _check_writable(args.out)
     word = "111" if scenario.gain == "auto" else scenario.gain
     setup = scenario.setup()
-    try:
-        table = calib.build_equalization(
-            setup,
-            reference_r=args.reference,
-            gain_word=word,
-            seed=scenario.seed if args.seed is None else args.seed,
-            created_at=args.created_at,
-        )
-    except calib.CalibrationError as exc:
-        print(f"calibration failed: {exc}", file=sys.stderr)
-        return EXIT_RANGE
+    table = calib.build_equalization(
+        setup,
+        reference_r=args.reference,
+        gain_word=word,
+        seed=scenario.seed if args.seed is None else args.seed,
+        created_at=args.created_at,
+    )
     try:
         table.save(args.out)
     except OSError as exc:
@@ -506,7 +507,7 @@ def main(argv=None) -> int:
     p_sw.add_argument("--uncalibrated", action="store_true")
     p_sw.add_argument("--repeats", type=int, default=10)
     p_sw.add_argument("--seed", type=int, default=None, help="override scenario seed")
-    p_sw.add_argument("--format", choices=("csv", "json"), default=None)
+    p_sw.add_argument("--format", choices=OUTPUT_FORMATS, default=None)
     p_sw.add_argument("--out", default=None, help="write records here instead of stdout")
     p_sw.add_argument("--strict", action="store_true", help="flagged records fail the run")
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from biozsim import afe
 from biozsim.acquire import AdcSpec, SequenceResult, adc_sample, run_sequence
-from biozsim.afe import AfeConfig, ChainParams, analytic_dc_oracle
+from biozsim.afe import AfeConfig, ChainParams, analytic_dc_oracle, baseband_output, mixer_dc_pair
 from biozsim.tissue import ParallelRC
 from biozsim.waveforms import plan_frequencies
 
@@ -109,3 +110,55 @@ class TestRunSequence:
         cfg = AfeConfig(freq_index=10)
         with pytest.raises(ValueError):
             run_sequence(self.MODEL, 2e6, cfg, QUIET)
+
+
+class TestTapLattice:
+    """A sequence renders only the output samples its taps read."""
+
+    MODEL = ParallelRC(r=180.0, c=2e-9)
+
+    def full_series_read(self, params, cfg, taps=32):
+        # the taps read off the full output-rate series, noise-free
+        fs = params.output_rate
+        settle_n = int(round(params.settle_time * fs))
+        spacing_n = int(round(1e-3 * fs))
+        phase_n = settle_n + spacing_n * taps
+        dc_i, dc_q = mixer_dc_pair(self.MODEL, cfg.fundamental, cfg, params)
+        series = baseband_output([(phase_n, dc_i), (phase_n, dc_q)], params,
+                                 cfg.fundamental, cfg.g2)
+        spec = AdcSpec()
+        means = []
+        for start in (0, phase_n):
+            idx = start + settle_n + spacing_n * np.arange(taps)
+            codes = adc_sample(0.9 + series.samples[idx] / 2.0, spec)
+            means.append(float(np.mean(2.0 * (codes * spec.lsb - 0.9))))
+        return means
+
+    def strides(self, monkeypatch):
+        seen = []
+        real = afe.baseband_output
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["stride"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(afe, "baseband_output", spy)
+        return seen
+
+    @pytest.mark.parametrize("settle_time,stride", [(0.025, 50), (0.0251, 5)])
+    @pytest.mark.parametrize("idx", [0, 6, 10])
+    def test_noise_free_taps_match_the_full_series(self, monkeypatch, settle_time, stride, idx):
+        params = ChainParams(noise_floor=0.0, carrier_noise_v=0.0, settle_time=settle_time)
+        cfg = AfeConfig(freq_index=idx)
+        strides = self.strides(monkeypatch)
+        res = run_sequence(self.MODEL, cfg.fundamental, cfg, params, seed=3)
+        assert strides == [stride]
+        assert [res.v_i_dc, res.v_q_dc] == self.full_series_read(params, cfg)
+
+    def test_zero_settle_reads_at_the_tap_spacing(self, monkeypatch):
+        params = ChainParams(noise_floor=0.0, carrier_noise_v=0.0, settle_time=0.0)
+        cfg = AfeConfig(freq_index=4)
+        strides = self.strides(monkeypatch)
+        res = run_sequence(self.MODEL, cfg.fundamental, cfg, params)
+        assert strides == [50]
+        assert [res.v_i_dc, res.v_q_dc] == self.full_series_read(params, cfg)

@@ -449,3 +449,59 @@ class TestNoiseProcess:
     def test_disabled_floor_gives_zeros(self):
         p = ChainParams(noise_floor=0.0)
         assert np.all(noise_process(p, 1, 0.5, 10e3).samples == 0.0)
+
+
+class TestLatticeNoise:
+    """The stride draw has the full series' joint distribution on its lattice."""
+
+    N, RATE = 60, 2000.0
+
+    def full_covariance(self, p):
+        # the full-series noise as an explicit linear map of unit white noise:
+        # x sigma -> rfft -> x shape (DC zeroed) -> irfft
+        sigma = p.noise_floor * np.sqrt(self.RATE / 2.0)
+        f = np.fft.rfftfreq(self.N, 1.0 / self.RATE)
+        shape = np.zeros_like(f)
+        shape[1:] = np.sqrt(1.0 + p.flicker_corner / f[1:])
+        a = np.fft.irfft(np.fft.rfft(sigma * np.eye(self.N), axis=0) * shape[:, None],
+                         n=self.N, axis=0)
+        return a @ a.T
+
+    def stride_map(self, p, g):
+        # noise_process is linear in the m normals it draws: recover its map
+        # by least squares from 4m seeded draws and the normals behind them
+        # (a tall Gaussian system is well conditioned)
+        m = self.N // g
+        seeds = range(4 * m)
+        x = np.array([noise_process(p, np.random.default_rng(s), self.N / self.RATE,
+                                    self.RATE, g).samples for s in seeds])
+        z = np.array([np.random.default_rng(s).standard_normal(m) for s in seeds])
+        return np.linalg.lstsq(z, x, rcond=None)[0].T
+
+    @pytest.mark.parametrize("g", [1, 3, 6])
+    @pytest.mark.parametrize("corner", [100.0, 0.0])
+    def test_covariance_matches_full_series_on_the_lattice(self, g, corner):
+        p = ChainParams(flicker_corner=corner)
+        full = self.full_covariance(p)
+        b = self.stride_map(p, g)
+        assert np.max(np.abs(b @ b.T - full[::g, ::g])) <= 1e-12 * np.max(np.abs(full))
+
+    def test_output_rate_and_length(self):
+        s = noise_process(ChainParams(), 1, self.N / self.RATE, self.RATE, 6)
+        assert s.sample_rate == self.RATE / 6
+        assert len(s.samples) == self.N // 6
+
+    def test_stride_must_divide_the_series(self):
+        with pytest.raises(ValueError, match="stride"):
+            noise_process(ChainParams(), 1, self.N / self.RATE, self.RATE, 7)
+        with pytest.raises(ValueError, match="stride"):
+            baseband_output([(61, 1e-8)], QUIET, 1953.125, 1, stride=2)
+
+    @pytest.mark.parametrize("g", [1, 3, 6, 50])
+    def test_noise_free_output_is_the_full_output_sliced(self, g):
+        steps = [(300, 1e-8), (300, -2e-8)]
+        full = baseband_output(steps, QUIET, 1953.125, 1)
+        lattice = baseband_output(steps, QUIET, 1953.125, 1, rng_seed=5, stride=g)
+        assert lattice.sample_rate == QUIET.output_rate / g
+        assert lattice.samples.tobytes() == full.samples[::g].tobytes()
+        assert lattice.samples.flags.writeable

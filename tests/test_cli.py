@@ -100,17 +100,23 @@ class TestScenario:
         {"model": {"type": "time_varying", "base": {"type": "parallel_rc", "r": 100.0},
                    "schedule": [["r", 1]]}},
         {"gain": "11x"},
+        {"format": "xml"},
+        {"format": ["csv"]},
     ], ids=["missing_r", "negative_r", "nan_r", "nan_tau", "unknown_builtin",
             "negative_settle_time", "list_chain_value", "nan_chain_value",
             "removed_rf_oversampling", "fractional_lpf_order", "zero_output_rate",
             "lpf_cutoff_above_nyquist", "negative_tia_pole", "zero_compression_knee",
             "zero_lna_pole", "string_seed", "negative_seed", "string_taps", "fractional_taps",
             "string_frequencies", "time_varying_base_not_object",
-            "time_varying_schedule_not_object", "bad_gain_word"])
-    def test_malformed_scenario_one_line_error(self, tmp_path, capsys, overrides):
+            "time_varying_schedule_not_object", "bad_gain_word", "unknown_format",
+            "list_format"])
+    def test_malformed_scenario_one_line_error(self, tmp_path, capsys, monkeypatch, overrides):
+        calls = []
+        monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: calls.append(a))
         path = write_scenario(tmp_path, **{"frequencies": [1953.125], **overrides})
         rc = cli.main(["sweep", "--scenario", str(path), "--uncalibrated", "--repeats", "2"])
         captured = capsys.readouterr()
+        assert calls == []  # rejected at load, before any measurement
         assert rc == cli.EXIT_USAGE
         assert captured.out == ""
         assert "Traceback" not in captured.err
@@ -231,7 +237,11 @@ class TestCalibrate:
             "calibrate", "--scenario", str(scen), "--out", str(out),
             "--reference", "3000.0", "--created-at", "pinned",
         ])
+        captured = capsys.readouterr()
         assert rc == cli.EXIT_RANGE
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestSweep:

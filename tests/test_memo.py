@@ -111,3 +111,12 @@ def test_returned_samples_belong_to_the_caller():
     assert np.array_equal(again.samples, expected)
     again.samples[100:] = -5.0
     assert np.array_equal(afe.baseband_output(steps, quiet, 1953.125, 1).samples, expected)
+
+
+def test_rc_sweep_folds_the_noise_spectrum_once():
+    afe._folded_root_spectrum.cache_clear()
+    scenario = cli.Scenario(model=ParallelRC(r=150.0, c=2e-9), params=ChainParams(), seed=5)
+    cli.run_sweep(scenario, None, repeats=10)
+    info = afe._folded_root_spectrum.cache_info()
+    assert (info.misses, info.hits) == (1, 109)
+    assert not afe._folded_root_spectrum(ChainParams(), 5700, 50e3, 50).flags.writeable

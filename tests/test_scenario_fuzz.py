@@ -1,0 +1,112 @@
+"""Fuzzed scenario documents through `bioz sweep --uncalibrated --repeats 1`.
+
+Valid documents and documents with one field set to a junk value, removed
+or added must all end with a documented exit code, at most one `error:`
+line and no traceback, and never with a NaN in a record.  Bounded so the
+suite stays fast: at most 100 examples, one repeat, one or two
+frequencies.  Junk numbers stay within a few hundred, so no document asks
+for a series longer than a few MB.
+"""
+
+import contextlib
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from biozsim import cli
+from biozsim.waveforms import plan_frequencies
+
+EXIT_CODES = {cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_RANGE, cli.EXIT_BROWNOUT}
+
+
+def positive(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+parallel_rc = st.fixed_dictionaries(
+    {"type": st.just("parallel_rc"), "r": positive(1.0, 5000.0)},
+    optional={"c": positive(0.0, 1e-6), "r_interface": positive(0.0, 200.0)},
+)
+cole = st.builds(
+    lambda r_inf, spread, tau, alpha: {"type": "cole", "r_inf": r_inf, "r0": r_inf + spread,
+                                       "tau": tau, "alpha": alpha},
+    positive(1.0, 500.0), positive(1.0, 1000.0), positive(1e-8, 1e-3), positive(0.05, 1.0),
+)
+builtin = st.builds(lambda name: {"type": "builtin", "name": name},
+                    st.sampled_from(["blood", "muscle_transversal", "saline"]))
+time_varying = st.builds(
+    lambda base, r1, t: {"type": "time_varying", "base": base,
+                         "schedule": {"r": [[0.0, base["r"]], [10.0, r1]]}, "time": t},
+    parallel_rc, positive(1.0, 5000.0), positive(0.0, 20.0),
+)
+chains = st.fixed_dictionaries({}, optional={
+    "lna_pole": st.one_of(st.none(), positive(1e5, 1e7)),
+    "compression_knee": st.one_of(st.none(), positive(0.5, 3.0)),
+    "offset": positive(-0.05, 0.05),
+    "noise_floor": positive(0.0, 1e-4),
+    "carrier_noise_v": positive(0.0, 0.1),
+    "settle_time": positive(0.0, 0.05),
+    "lpf_cutoff": positive(10.0, 200.0),
+})
+documents = st.fixed_dictionaries(
+    {"model": st.one_of(parallel_rc, cole, builtin, time_varying),
+     "frequencies": st.lists(st.sampled_from(plan_frequencies()), min_size=1, max_size=2,
+                             unique=True)},
+    optional={"chain": chains, "seed": st.integers(0, 2**32), "taps": st.integers(1, 64),
+              "gain": st.sampled_from(["111", "101", "001", "000", "auto"]),
+              "format": st.sampled_from(cli.OUTPUT_FORMATS)},
+)
+junk = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 300), positive(-10.0, 10.0),
+    st.sampled_from([math.nan, math.inf, -math.inf]), st.text(max_size=4),
+    st.lists(st.integers(0, 3), max_size=2), st.just({}),
+)
+
+
+@st.composite
+def mutated(draw):
+    """A valid document with one field, top level or nested, junked, removed or added."""
+    doc = draw(documents)
+    owners = [doc] + [v for v in (doc["model"], doc.get("chain")) if isinstance(v, dict)]
+    owner = draw(st.sampled_from(owners))
+    key = draw(st.sampled_from(sorted(owner) + ["frequencies", "r"]))
+    if draw(st.booleans()):
+        owner.pop(key, None)
+    else:
+        owner[key] = draw(junk)
+    return doc
+
+
+def sweep(doc: dict) -> tuple:
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "scenario.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(["sweep", "--scenario", str(path), "--uncalibrated",
+                           "--repeats", "1"])
+    return rc, out.getvalue(), err.getvalue()
+
+
+def record_values(text: str, fmt: str) -> list:
+    if fmt == "json":
+        return [v for r in json.loads(text)["records"] for v in r.values()
+                if isinstance(v, float)]
+    rows = text.strip().splitlines()[1:]
+    return [float(x) for row in rows for x in row.split(",")[:6]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(documents, mutated()))
+def test_sweep_ends_cleanly(doc):
+    rc, out, err = sweep(doc)
+    assert rc in EXIT_CODES
+    assert "Traceback" not in err
+    assert err.count("error:") <= 1
+    if rc == cli.EXIT_OK:
+        values = record_values(out, doc.get("format", "csv"))
+        assert values and all(math.isfinite(v) for v in values)
