@@ -145,7 +145,7 @@ class TestTapLattice:
         monkeypatch.setattr(afe, "baseband_output", spy)
         return seen
 
-    @pytest.mark.parametrize("settle_time,stride", [(0.025, 50), (0.0251, 5)])
+    @pytest.mark.parametrize("settle_time,stride", [(0.025, 50), (0.0251, 5), (0.0, 50)])
     @pytest.mark.parametrize("idx", [0, 6, 10])
     def test_noise_free_taps_match_the_full_series(self, monkeypatch, settle_time, stride, idx):
         params = ChainParams(noise_floor=0.0, carrier_noise_v=0.0, settle_time=settle_time)
@@ -153,12 +153,4 @@ class TestTapLattice:
         strides = self.strides(monkeypatch)
         res = run_sequence(self.MODEL, cfg.fundamental, cfg, params, seed=3)
         assert strides == [stride]
-        assert [res.v_i_dc, res.v_q_dc] == self.full_series_read(params, cfg)
-
-    def test_zero_settle_reads_at_the_tap_spacing(self, monkeypatch):
-        params = ChainParams(noise_floor=0.0, carrier_noise_v=0.0, settle_time=0.0)
-        cfg = AfeConfig(freq_index=4)
-        strides = self.strides(monkeypatch)
-        res = run_sequence(self.MODEL, cfg.fundamental, cfg, params)
-        assert strides == [50]
         assert [res.v_i_dc, res.v_q_dc] == self.full_series_read(params, cfg)
