@@ -7,18 +7,7 @@ inductive-link configuration/communication protocol with its energy
 reservoir budget.
 """
 
-from .waveforms import (
-    FrequencyPlan,
-    IqClock,
-    Phase,
-    SampleSeries,
-    SteppedSine,
-    frequency_plan,
-    harmonic_coefficients,
-    plan_frequencies,
-    stepped_sine_levels,
-    synthesize,
-)
+from .waveforms import Phase, SampleSeries, plan_frequencies, stepped_sine_levels
 from .tissue import (
     ColeModel,
     ParallelRC,
@@ -28,13 +17,7 @@ from .tissue import (
     builtin_model,
     impedance_at,
 )
-from .afe import (
-    AfeConfig,
-    ChainParams,
-    analytic_dc_oracle,
-    apply_compression,
-    noise_process,
-)
+from .afe import AfeConfig, ChainParams, apply_compression, noise_process
 from .acquire import AdcSpec, SequenceResult, adc_sample, run_sequence
 from .calib import (
     CalibrationError,

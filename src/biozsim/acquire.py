@@ -41,10 +41,17 @@ class AdcSpec:
         return 2**self.bits
 
 
+class MeasurementRangeError(ValueError):
+    """The chain cannot represent a reading: its mixer DC is not finite."""
+
+
 def adc_sample(v: float, spec: AdcSpec = AdcSpec()):
-    """Round-to-nearest code, clamped at the rails (scalar or array)."""
-    code = np.rint(np.asarray(v) / spec.lsb).astype(int)
-    code = np.clip(code, 0, spec.codes - 1)
+    """Round-to-nearest code, clamped at the rails (scalar or array).
+
+    The clamp comes before the integer cast, so a voltage beyond any
+    integer (inf included) reads as a rail code.
+    """
+    code = np.clip(np.rint(np.asarray(v) / spec.lsb), 0, spec.codes - 1).astype(int)
     return int(code) if np.ndim(v) == 0 else code
 
 
@@ -102,7 +109,9 @@ def run_sequence(
     `f0` must be the plan frequency selected by config.freq_index.  The
     averaged result is exactly seed-invariant when the noise amplitudes
     are zero.  The saturated flag is set when at least 1% of the ADC taps
-    clamp at a rail.
+    clamp at a rail.  A mixer DC that is not finite (a load whose
+    impedance overflows a double) raises MeasurementRangeError before
+    anything is digitized.
     """
     if taps < 1:
         raise ValueError("taps must be >= 1")
@@ -114,6 +123,10 @@ def run_sequence(
         )
 
     dc_i, dc_q = afe.mixer_dc_pair(model, f0, config, params, include_interface)
+    if not (math.isfinite(dc_i) and math.isfinite(dc_q)):
+        raise MeasurementRangeError(
+            f"mixer DC is not finite at {f0:g} Hz ({dc_i!r}, {dc_q!r}): "
+            "the load's impedance overflows the chain")
 
     settle_n, spacing_n, phase_n = _phase_samples(params, taps, tap_spacing)
     # every tap index and the series length are multiples of g: render

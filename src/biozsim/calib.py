@@ -36,6 +36,9 @@ from .waveforms import plan_frequencies
 #: Derotation factor undoing the pi/8 source lag.
 DEROTATION = cmath.exp(1j * np.pi / 8)
 
+#: Taps averaged per offset sequence while building a calibration table.
+OFFSET_TAPS = 256
+
 #: Gain-range breakpoints (ohms) and the word for each range, highest gain
 #: first.  Ties resolve to the lower-gain word (safety against compression).
 GAIN_RANGES = (
@@ -305,7 +308,7 @@ def build_equalization(
         offsets = {}
         words = sorted({f"{a}{b}{c}" for a in "01" for b in "01" for c in "01"})
         for word, ss in zip(words, children[:8]):
-            offsets[word] = measure_offsets(setup, word, seed=ss, taps=256, repeats=4)
+            offsets[word] = measure_offsets(setup, word, seed=ss, taps=OFFSET_TAPS, repeats=4)
 
     ref_setup = setup.with_model(tissue.ParallelRC(r=reference_r, c=0.0))
     coeffs = {}

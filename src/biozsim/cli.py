@@ -11,7 +11,8 @@ Verbs:
 
 Exit codes: 0 success (also --help), 1 usage/parse error or an unreadable
 or unwritable file, 2 measurement range (saturation or out-of-range
-impedance under --strict), 3 brown-out.
+impedance under --strict, or a load whose mixer DC is not finite),
+3 brown-out.
 
 Scenario file (JSON): a load model plus instrument overrides::
 
@@ -62,6 +63,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RANGE = 2
 EXIT_BROWNOUT = 3
+
+#: Longest I-then-Q sequence, in output samples, that a scenario may ask
+#: for: 35x the 28 100 of calibrate's 256-tap offset sequence at the
+#: default chain, and 8 MB a series.
+MAX_SEQUENCE_SAMPLES = 1_000_000
 
 
 class ScenarioError(ValueError):
@@ -147,6 +153,14 @@ def build_model(spec: dict, base_dir: Path):
 
 
 def load_scenario(path) -> Scenario:
+    """Parse and check a scenario file; any fault raises ScenarioError.
+
+    Besides each field's own check, the longest sequence the scenario can
+    run (its taps, or calibrate's `calib.OFFSET_TAPS`, after
+    `chain.settle_time`) must fit in `MAX_SEQUENCE_SAMPLES` (1 000 000)
+    output samples, so a runaway settle time or tap count fails here,
+    before any measurement.
+    """
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -198,7 +212,7 @@ def load_scenario(path) -> Scenario:
     output_format = doc.get("format", "csv")
     if output_format not in OUTPUT_FORMATS:
         raise ScenarioError(f"unknown output format {output_format!r}")
-    return Scenario(
+    scenario = Scenario(
         model=model,
         params=params,
         seed=seed,
@@ -207,6 +221,19 @@ def load_scenario(path) -> Scenario:
         frequencies=tuple(float(f) for f in frequencies),
         output_format=output_format,
     )
+    setup = scenario.setup()
+    try:
+        _, _, phase_n = acquire._phase_samples(
+            params, max(taps, calib.OFFSET_TAPS), setup.tap_spacing)
+    except OverflowError:  # settle_time * output_rate is not a finite number
+        phase_n = math.inf
+    except ValueError as exc:
+        raise ScenarioError(f"bad chain parameters: {exc}") from None
+    if 2 * phase_n > MAX_SEQUENCE_SAMPLES:
+        raise ScenarioError(
+            f"a sequence would exceed {MAX_SEQUENCE_SAMPLES} output samples; "
+            "lower chain.settle_time or taps")
+    return scenario
 
 
 def _is_number(value) -> bool:
@@ -535,7 +562,7 @@ def main(argv=None) -> int:
     except (ScenarioError, tissue.TableRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except calib.CalibrationError as exc:
+    except (calib.CalibrationError, acquire.MeasurementRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RANGE
     return EXIT_USAGE

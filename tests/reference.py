@@ -1,0 +1,315 @@
+"""Independent reference engines for the tests: waveform rendering, the
+per-image oracle, the 256-sample rational route and a 50-digit evaluation
+of the RC mixer DC.
+
+None of this runs in a measurement.  Each engine computes what the
+program computes by another road, so a test can hold the program to it:
+
+* `synthesize` renders the stepped sine and the I/Q clocks sample by
+  sample; `harmonic_coefficients` gives their closed-form spectrum.
+* `analytic_dc_oracle` is the settled output DC from the per-image sum.
+* `gated_mean_exact` with `sense_tf` is the sampled-period rational route:
+  a transfer function in state space, ZOH-discretized, solved for the
+  full-period steady state over a rendered period.
+* `exact_mixer_dc` evaluates the RC mixer DC by partial fractions in
+  mpmath at 50 digits.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import mpmath
+import numpy as np
+from scipy import signal
+
+from biozsim import afe, tissue
+from biozsim.waveforms import (
+    N_PLAN,
+    N_STEPS,
+    PLL_MULTIPLIER,
+    REF_CLOCK_HZ,
+    SOURCE_LAG,
+    FUNDAMENTAL_GAIN,
+    Phase,
+    SampleSeries,
+    stepped_sine_levels,
+)
+
+#: Minimum oversampling relative to the fundamental (keeps the 9th image
+#: at least 3.5x below Nyquist).
+MIN_OVERSAMPLING = 64
+
+
+@dataclass(frozen=True)
+class FrequencyPlan:
+    """The fixed 11-point plan as its clock tree: the reference, the PLL
+    output divided by 2**k, and each divider output over the 8 steps."""
+
+    ref_clock: float = REF_CLOCK_HZ
+    pll_multiplier: int = PLL_MULTIPLIER
+    divider_outputs: tuple = field(
+        default_factory=lambda: tuple(16e6 / 2**k for k in range(N_PLAN))
+    )
+    sine_fundamentals: tuple = field(
+        default_factory=lambda: tuple(16e6 / 2**k / N_STEPS for k in range(N_PLAN))
+    )
+
+
+def frequency_plan() -> FrequencyPlan:
+    return FrequencyPlan()
+
+
+@dataclass(frozen=True)
+class SteppedSine:
+    """Differential stepped-sine excitation: `amplitude` scales the hold
+    levels; the render lags the reference clocks by `lag_radians`."""
+
+    amplitude: float = 0.1
+    fundamental: float = 1953.125
+    lag_radians: float = SOURCE_LAG
+
+    @property
+    def levels(self) -> np.ndarray:
+        return stepped_sine_levels(self.amplitude)
+
+
+@dataclass(frozen=True)
+class IqClock:
+    """50%-duty reference clock: I renders as sign(sin(2*pi*f*t)), Q as
+    sign(cos(2*pi*f*t))."""
+
+    fundamental: float
+    phase: Phase = Phase.I
+
+
+def times(series: SampleSeries) -> np.ndarray:
+    return np.arange(len(series.samples)) / series.sample_rate
+
+
+def _samples_per_step(fundamental: float, sample_rate: float) -> int:
+    """Validate commensurability and return integer samples per hold step."""
+    if fundamental <= 0:
+        raise ValueError("fundamental must be positive")
+    m = sample_rate / (N_STEPS * fundamental)
+    if abs(m - round(m)) > 1e-9 or round(m) < 1:
+        raise ValueError(
+            f"sample_rate {sample_rate} is not an integer multiple of "
+            f"8 x fundamental ({N_STEPS * fundamental})"
+        )
+    if sample_rate < MIN_OVERSAMPLING * fundamental:
+        raise ValueError(
+            f"sample_rate {sample_rate} below minimum oversampling "
+            f"{MIN_OVERSAMPLING} x fundamental"
+        )
+    return int(round(m))
+
+
+def synthesize(spec, sample_rate: float, duration: float) -> SampleSeries:
+    """Render a periodic zero-order-hold waveform.
+
+    SteppedSine renders as the 8-level staircase delayed by its lag
+    (half a step by default), IqClock as +/-1.  The sample rate must be an
+    integer multiple of 8 x fundamental, and of 16 x fundamental for the
+    lagged staircase so its shifted edges land on samples.
+    """
+    n = int(round(sample_rate * duration))
+    if n < 1:
+        raise ValueError("duration too short for one sample")
+    i = np.arange(n)
+
+    if isinstance(spec, SteppedSine):
+        m = _samples_per_step(spec.fundamental, sample_rate)
+        shift = spec.lag_radians / (2 * np.pi / N_STEPS) * m
+        if abs(shift - round(shift)) > 1e-9:
+            raise ValueError(
+                "sample_rate cannot place the lagged step edges on samples; "
+                f"use a multiple of {2 * N_STEPS} x fundamental"
+            )
+        idx = ((i - int(round(shift))) // m) % N_STEPS
+        return SampleSeries(sample_rate, spec.levels[idx])
+
+    if isinstance(spec, IqClock):
+        per = N_STEPS * _samples_per_step(spec.fundamental, sample_rate)
+        pos = i % per
+        if spec.phase == Phase.I:
+            samples = np.where(pos < per // 2, 1.0, -1.0)
+        else:
+            samples = np.where((pos < per // 4) | (pos >= 3 * per // 4), 1.0, -1.0)
+        return SampleSeries(sample_rate, samples)
+
+    raise TypeError(f"cannot synthesize {type(spec).__name__}")
+
+
+def harmonic_coefficients(
+    levels,
+    n_max: int,
+    samples_per_period: int | None = None,
+    lag_radians: float = 0.0,
+) -> np.ndarray:
+    """One-sided complex harmonic amplitudes of the held staircase.
+
+    The waveform is c[0] + sum_n Re{c[n] * exp(j*2*pi*n*f0*t)}.  With the
+    continuous hold (samples_per_period=None)
+
+        c[n] = (sinc(n/8)/4) * sum_k level[k] * exp(-j*2*pi*n*(k+0.5)/8),
+
+    nonzero for ideal levels only at n = 8k +/- 1, with magnitude
+    amplitude * sinc(1/8) / n.  With samples_per_period = M the exact DFT
+    coefficients of one rendered period are returned instead.
+    """
+    if n_max < 9:
+        raise ValueError("n_max must be at least 9 (first image pair)")
+    levels = np.asarray(levels, dtype=float)
+    if levels.shape != (N_STEPS,):
+        raise ValueError(f"expected {N_STEPS} levels, got shape {levels.shape}")
+
+    n = np.arange(n_max + 1)
+    if samples_per_period is None:
+        k = np.arange(N_STEPS)
+        dft = np.sum(
+            levels[None, :] * np.exp(-2j * np.pi * np.outer(n, k + 0.5) / N_STEPS),
+            axis=1,
+        )
+        coeffs = dft * np.sinc(n / N_STEPS) * (2.0 / N_STEPS)
+        coeffs[0] = levels.mean()
+    else:
+        if samples_per_period % (2 * N_STEPS) and lag_radians:
+            raise ValueError("samples_per_period must be a multiple of 16 for a lagged render")
+        m = samples_per_period // N_STEPS
+        if m * N_STEPS != samples_per_period:
+            raise ValueError("samples_per_period must be a multiple of 8")
+        period = levels[(np.arange(samples_per_period) // m) % N_STEPS]
+        bins = np.fft.rfft(period) / samples_per_period
+        if n_max >= len(bins):
+            raise ValueError("n_max exceeds the Nyquist bin of the rendered period")
+        coeffs = 2.0 * bins[: n_max + 1]
+        coeffs[0] = bins[0].real
+
+    if lag_radians:
+        coeffs = coeffs * np.exp(-1j * n * lag_radians)
+        coeffs[0] = coeffs[0].real
+    return coeffs
+
+
+def analytic_dc_oracle(model, f0, config, params, n_max=63, include_interface=False) -> float:
+    """Settled output DC (volts) with noise and compression disabled: the
+    per-image sum up to `n_max`, times the TIA and low-pass gains, plus the
+    offset."""
+    tissue.require_frozen(model)
+    if not config.source_enable:
+        return params.offset
+    dc_i, dc_q = afe._image_dc(model, f0, config, params, n_max, include_interface)
+    dc = dc_i if config.iq_select == Phase.I else dc_q
+    return float(dc * params.tia_gain * params.lpf_gain + params.offset)
+
+
+def sense_tf(model, params, include_interface: bool):
+    """s-domain numerator/denominator of Z_sense(s) * LNA(s)."""
+    r_ser = model.r_interface if include_interface else 0.0
+    if model.c == 0:
+        num, den = [model.r + r_ser], [1.0]
+    else:
+        tau = model.r * model.c
+        num = [tau * r_ser, model.r + r_ser] if r_ser else [model.r]
+        den = [tau, 1.0]
+    if params.lna_pole is not None:
+        den = np.convolve(den, [1.0 / (2 * np.pi * params.lna_pole), 1.0])
+    return num, den
+
+
+def gated_mean_exact(num, den, u: np.ndarray, gates, dt: float, period: int):
+    """Exact period means of gate(t) * y(t) for a rational filter.
+
+    `u` is one period of a piecewise-constant input, `period` segments of
+    `dt`; each gate is +/-1 over the same segments.  num/den is realized in
+    state space with an output integrator and ZOH-discretized, and the
+    state is solved for the full-period steady state, so the means are the
+    exact continuous cycle means up to rounding.
+    """
+    if len(u) != period:
+        raise ValueError("u must be exactly one period")
+    num = np.atleast_1d(np.asarray(num, dtype=float))
+    den = np.atleast_1d(np.asarray(den, dtype=float))
+    if len(den) == 1:  # pure gain: y piecewise constant, plain means are exact
+        y = (num[-1] / den[0]) * u
+        return [float(np.mean(y * gate)) for gate in gates]
+
+    a, b, c, d = signal.tf2ss(num, den)
+    n = a.shape[0]
+    a_aug = np.zeros((n + 1, n + 1))
+    a_aug[:n, :n] = a
+    a_aug[n, :n] = c[0]
+    b_aug = np.vstack([b, [[d.item() if np.ndim(d) else float(d)]]])
+    ad, bd, *_ = signal.cont2discrete(
+        (a_aug, b_aug, np.zeros((1, n + 1)), [[0.0]]), dt, method="zoh"
+    )
+    adp, bdp, crow, dint = ad[:n, :n], bd[:n, 0], ad[n, :n], bd[n, 0]
+
+    x = np.zeros(n)
+    for uk in u:
+        x = adp @ x + bdp * uk
+    x = np.linalg.solve(np.eye(n) - np.linalg.matrix_power(adp, period), x)
+
+    inc = np.empty(period)
+    for k, uk in enumerate(u):
+        inc[k] = crow @ x + dint * uk
+        x = adp @ x + bdp * uk
+    return [float(np.sum(inc * gate) / (period * dt)) for gate in gates]
+
+
+def sampled_mixer_dc(model, f0, config, params, include_interface=False, per_period=256):
+    """Post-mixer DC (I, Q) of an RC load from `per_period` rendered samples."""
+    rate = per_period * f0
+    u = synthesize(SteppedSine(config.current_amplitude / FUNDAMENTAL_GAIN, f0),
+                   rate, 1 / f0).samples
+    gates = [synthesize(IqClock(f0, ph), rate, 1 / f0).samples for ph in (Phase.I, Phase.Q)]
+    num, den = sense_tf(model, params, include_interface)
+    dc_i, dc_q = gated_mean_exact(num, den, u, gates, 1 / rate, per_period)
+    return config.gm * dc_i, config.gm * dc_q
+
+
+def exact_mixer_dc(model, f0, config, params, include_interface=False, dps=50):
+    """Post-mixer DC (I, Q) of an RC load, evaluated in mpmath at `dps` digits.
+
+    Z_sense * LNA is split into partial fractions, each a weight times a
+    first-order section 1/(1 + s*t) or a direct term (t = 0).  A section
+    driven by the staircase relaxes exponentially over each sixteenth of a
+    period, so its periodic steady state and every segment integral have
+    closed forms; the gated segment integrals over one period give the DC.
+    Distinct load and LNA time constants are assumed.
+    """
+    mp = mpmath.mp
+    with mpmath.workdps(dps):
+        r = mp.mpf(model.r)
+        r_ser = mp.mpf(model.r_interface) if include_interface else mp.mpf(0)
+        tau = r * mp.mpf(model.c)
+        terms = [(r_ser, mp.mpf(0)), (r, tau)]
+        if params.lna_pole is not None:
+            tp = 1 / (2 * mp.pi * mp.mpf(params.lna_pole))
+            split = []
+            for w, t in terms:
+                if t == 0:
+                    split.append((w, tp))
+                else:  # 1/((1+st)(1+s tp)) = (t/(1+st) - tp/(1+s tp)) / (t - tp)
+                    split += [(w * t / (t - tp), t), (-w * tp / (t - tp), tp)]
+            terms = split
+
+        amplitude = mp.mpf(config.current_amplitude) / (mp.sin(mp.pi / 8) / (mp.pi / 8))
+        u = [amplitude * mp.sin(2 * mp.pi * (((j - 1) // 2) % 8 + mp.mpf(1) / 2) / 8)
+             for j in range(16)]
+        dt = 1 / (16 * mp.mpf(f0))
+        integrals = [u_j * dt * sum(w for w, t in terms if t == 0) for u_j in u]
+        for w, t in terms:
+            if t == 0:
+                continue
+            e = mp.exp(-dt / t)
+            x = sum(e ** (15 - j) * (1 - e) * u_j for j, u_j in enumerate(u)) / (1 - e**16)
+            for j, u_j in enumerate(u):
+                integrals[j] += w * (u_j * dt + (x - u_j) * t * (1 - e))
+                x = u_j + (x - u_j) * e
+        gate_i = [1 if j < 8 else -1 for j in range(16)]
+        gate_q = [1 if j < 4 or j >= 12 else -1 for j in range(16)]
+        scale = mp.mpf(config.gm) * mp.mpf(f0)  # gm / period
+        return tuple(float(scale * sum(g * s for g, s in zip(gate, integrals)))
+                     for gate in (gate_i, gate_q))

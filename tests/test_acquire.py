@@ -3,9 +3,10 @@ import pytest
 
 from biozsim import afe
 from biozsim.acquire import AdcSpec, SequenceResult, adc_sample, run_sequence
-from biozsim.afe import AfeConfig, ChainParams, analytic_dc_oracle, baseband_output, mixer_dc_pair
+from biozsim.afe import AfeConfig, ChainParams, baseband_output, mixer_dc_pair
 from biozsim.tissue import ParallelRC
 from biozsim.waveforms import plan_frequencies
+from reference import analytic_dc_oracle
 
 QUIET = ChainParams(noise_floor=0.0, carrier_noise_v=0.0)
 

@@ -1,25 +1,25 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy import signal as sps
 
 from biozsim import afe, tissue
-from biozsim._dsp import gated_mean_exact
 from biozsim.afe import (
     AfeConfig,
     ChainParams,
-    analytic_dc_oracle,
     apply_compression,
     baseband_output,
     mixer_dc_pair,
     noise_process,
 )
 from biozsim.tissue import ColeModel, ParallelRC, builtin_model
-from biozsim.waveforms import (
-    FUNDAMENTAL_GAIN,
+from biozsim.waveforms import FUNDAMENTAL_GAIN, Phase, plan_frequencies
+from reference import (
     IqClock,
-    Phase,
     SteppedSine,
-    plan_frequencies,
+    analytic_dc_oracle,
+    exact_mixer_dc,
+    sampled_mixer_dc,
     synthesize,
 )
 
@@ -249,10 +249,10 @@ class TestOracleEquivalence:
 
 
 class TestRationalSegments:
-    """The 16-segment rational route against the 256-sample render it replaced."""
+    """The half-period rational route against the 256-sample render."""
 
     #: The reference's own rounding grows with tau * f0 (its 256-step
-    #: steady-state recursion); these loads keep tau * f0 <= 200.
+    #: full-period steady-state recursion); these loads keep tau * f0 <= 200.
     LOADS = [
         (ParallelRC(r=100.0, c=0.0), False),
         (ParallelRC(r=150.0, c=0.0, r_interface=50.0), True),
@@ -262,22 +262,19 @@ class TestRationalSegments:
         (ParallelRC(r=2000.0, c=2e-10, r_interface=50.0), True),
     ]
 
-    @staticmethod
-    def reference_pair(model, f0, config, params, include_interface):
-        rate = 256 * f0
-        u = synthesize(SteppedSine(config.current_amplitude / FUNDAMENTAL_GAIN, f0),
-                       rate, 1 / f0).samples
-        gates = [synthesize(IqClock(f0, ph), rate, 1 / f0).samples for ph in (Phase.I, Phase.Q)]
-        num, den = afe._sense_tf(model, params, include_interface)
-        dc_i, dc_q = gated_mean_exact(num, den, u, gates, 1 / rate, 256)
-        return config.gm * dc_i, config.gm * dc_q
-
     @pytest.mark.parametrize("f0", plan_frequencies())
     def test_segments_repeat_to_the_256_sample_render(self, f0):
-        for spec in (SteppedSine(1e-5, f0), IqClock(f0, Phase.I), IqClock(f0, Phase.Q)):
-            seg = afe._period_segments(spec, f0)
-            assert len(seg) == 16
-            np.testing.assert_array_equal(np.repeat(seg, 16), synthesize(spec, 256 * f0, 1 / f0).samples)
+        # the rendered period holds still over each sixteenth: the first 8
+        # are the route's segments, the last 8 their negatives (to the few
+        # ulps by which the rounded sin of the larger angle misses them)
+        segments = (afe._half_period_levels(1e-5), *afe._HALF_PERIOD_GATES)
+        specs = (SteppedSine(1e-5, f0), IqClock(f0, Phase.I), IqClock(f0, Phase.Q))
+        for seg, spec in zip(segments, specs):
+            assert len(seg) == 8
+            period = synthesize(spec, 256 * f0, 1 / f0).samples.reshape(16, 16)
+            np.testing.assert_array_equal(period, period[:, :1].repeat(16, axis=1))
+            np.testing.assert_array_equal(period[:8, 0], seg)
+            np.testing.assert_allclose(period[8:, 0], -seg, rtol=2e-15, atol=0)
 
     @pytest.mark.parametrize("chain", ["default", "ideal"])
     def test_matches_256_sample_reference(self, chain):
@@ -286,9 +283,70 @@ class TestRationalSegments:
             for idx, f0 in enumerate(plan_frequencies()):
                 config = AfeConfig(freq_index=idx)
                 got = mixer_dc_pair(model, f0, config, params, include_interface)
-                want = self.reference_pair(model, f0, config, params, include_interface)
+                want = sampled_mixer_dc(model, f0, config, params, include_interface)
                 for g, w in zip(got, want):
                     assert abs(g - w) <= 1e-10 * abs(w)
+
+
+class TestExactReference:
+    """The rational route against a 50-digit evaluation of the same DC."""
+
+    LOADS = TestRationalSegments.LOADS + [
+        (ParallelRC(r=1e4, c=1e-6), False),  # tau * f0 = 2e4 at 2 MHz
+        (ParallelRC(r=9746.0, c=7.34e-6), False),  # tau * f0 = 1.4e5 at 2 MHz
+        (ParallelRC(r=9746.0, c=7.34e-6, r_interface=30.0), True),
+        (ParallelRC(r=100.0, c=1e-20), False),
+        (ParallelRC(r=100.0, c=1e-26), False),
+        (ParallelRC(r=1.0, c=2.78e-177), False),
+    ]
+
+    @pytest.mark.parametrize("chain", ["default", "ideal"])
+    @pytest.mark.parametrize("load", range(len(LOADS)))
+    def test_within_1e_11_of_mpmath(self, load, chain):
+        model, include_interface = self.LOADS[load]
+        params = ChainParams() if chain == "default" else ChainParams().ideal()
+        for idx, f0 in enumerate(plan_frequencies()):
+            config = AfeConfig(freq_index=idx)
+            got = afe._rc_mixer_dc(model, f0, config, params, include_interface)
+            want = exact_mixer_dc(model, f0, config, params, include_interface)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-11 * abs(complex(*want))
+
+    @pytest.mark.parametrize("chain", ["default", "ideal"])
+    @pytest.mark.parametrize("c", [1e-30, 1e-60, 2.78e-177, 5e-324])
+    def test_stiff_capacitor_reads_as_the_resistor(self, c, chain):
+        params = ChainParams() if chain == "default" else ChainParams().ideal()
+        for idx, f0 in enumerate(plan_frequencies()):
+            config = AfeConfig(freq_index=idx)
+            got = afe._rc_mixer_dc(ParallelRC(r=100.0, c=c), f0, config, params, False)
+            want = afe._rc_mixer_dc(ParallelRC(r=100.0), f0, config, params, False)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-14 * abs(complex(*want))
+
+    @pytest.mark.parametrize("c", [0.0, 1e-210])
+    def test_huge_resistance_scales_the_dc(self, c):
+        params = ChainParams()
+        for idx, f0 in enumerate(plan_frequencies()):
+            config = AfeConfig(freq_index=idx)
+            got = afe._rc_mixer_dc(ParallelRC(r=1e200, c=c), f0, config, params, False)
+            want = afe._rc_mixer_dc(ParallelRC(r=100.0, c=c * 1e198), f0, config, params, False)
+            assert all(np.isfinite(got))
+            for g, w in zip(got, want):
+                assert abs(g - 1e198 * w) <= 1e-12 * abs(1e198 * complex(*want))
+
+    def test_segment_exponential_is_exact_entrywise(self):
+        # a slow load beside a fast LNA pole, then nearly coincident poles:
+        # a plain difference of exponentials loses digits on both
+        for k, p in [(7e-6, 6.9), (2.7e-9, 5.9), (3.0, 3.0000001), (5.0, 1e-9), (1e18, 442.0)]:
+            gen = np.zeros((4, 4))
+            gen[1, :2] = k, -k
+            gen[2, :3] = 0.3 * p, 0.7 * p, -p
+            gen[3, 2] = 1.0
+            with mpmath.workdps(50):
+                exact = mpmath.expm(mpmath.matrix(gen.tolist()))
+                want = np.array([[float(exact[i, j]) for j in range(4)] for i in range(4)])
+            got = afe._expm_lower(gen)
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
 
 class TestDemodulateTimeDomain:
@@ -383,6 +441,15 @@ class TestCompression:
             y = apply_compression(scalar, p)
             assert type(y) is float
             assert abs(y - scalar / (1.0 + (scalar / vs) ** 4) ** 0.25) <= 1e-15 * abs(scalar)
+
+    def test_saturates_however_large_the_input(self):
+        # x^4 overflows beyond |x| ~ 1e77: the output must stay at the rail
+        p = ChainParams()
+        vs = p.compression_knee / afe._KNEE_X
+        v = np.array([1e80, -1e80, 1e300, -1e300, 1.7e308, -1.7e308])
+        np.testing.assert_array_equal(apply_compression(v, p), np.copysign(vs, v))
+        for scalar in v:
+            assert apply_compression(float(scalar), p) == np.copysign(vs, scalar)
 
     def breakpoint_deviation(self, r_ohm, word):
         """|Z|-domain compressive deviation of a resistor at a gain word."""

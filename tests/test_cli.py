@@ -102,6 +102,10 @@ class TestScenario:
         {"gain": "11x"},
         {"format": "xml"},
         {"format": ["csv"]},
+        {"chain": {"settle_time": 1e308}},
+        {"chain": {"settle_time": 1e3}},
+        {"taps": 1e6},
+        {"chain": {"output_rate": 150.0}},
     ], ids=["missing_r", "negative_r", "nan_r", "nan_tau", "unknown_builtin",
             "negative_settle_time", "list_chain_value", "nan_chain_value",
             "removed_rf_oversampling", "fractional_lpf_order", "zero_output_rate",
@@ -109,7 +113,8 @@ class TestScenario:
             "zero_lna_pole", "string_seed", "negative_seed", "string_taps", "fractional_taps",
             "string_frequencies", "time_varying_base_not_object",
             "time_varying_schedule_not_object", "bad_gain_word", "unknown_format",
-            "list_format"])
+            "list_format", "overflowing_settle_time", "hour_long_settle_time",
+            "million_taps", "output_rate_below_tap_rate"])
     def test_malformed_scenario_one_line_error(self, tmp_path, capsys, monkeypatch, overrides):
         calls = []
         monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: calls.append(a))
@@ -313,6 +318,41 @@ class TestSweep:
             "--repeats", "1", "--strict",
         ])
         assert rc == cli.EXIT_RANGE
+
+    @pytest.mark.parametrize("r0", [1e85, 1.7e308])
+    def test_huge_cole_load_saturates(self, tmp_path, capsys, r0):
+        # the output stage saturates toward its rails, however large the load
+        scen = write_scenario(tmp_path, model={"type": "cole", "r_inf": 50.0, "r0": r0,
+                                               "tau": 1e-5}, frequencies=[1953.125])
+        rc = cli.main(["sweep", "--scenario", str(scen), "--uncalibrated", "--repeats", "1"])
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_OK
+        assert captured.err == ""
+        assert captured.out.strip().splitlines()[1].split(",")[7] == "saturated"
+
+    def test_non_finite_mixer_dc_exits_range(self, tmp_path, capsys, recwarn):
+        table = tmp_path / "huge.z21"
+        table.write_text("100 1.5e308 1.5e308\n1e9 1.5e308 1.5e308\n")
+        scen = write_scenario(tmp_path, model={"type": "table", "path": str(table)},
+                              frequencies=[1953.125])
+        out = tmp_path / "records.csv"
+        rc = cli.main(["sweep", "--scenario", str(scen), "--uncalibrated", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_RANGE
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "not finite" in captured.err
+        assert not out.exists()
+        assert not [w for w in recwarn if "cast" in str(w.message)]
+
+    def test_vanishing_capacitor_reads_as_its_resistor(self, tmp_path, capsys):
+        outputs = []
+        for c in (2.78e-177, 0.0):
+            scen = write_scenario(tmp_path, model={"type": "parallel_rc", "r": 1.0, "c": c})
+            rc = cli.main(["sweep", "--scenario", str(scen), "--uncalibrated", "--repeats", "2"])
+            assert rc == cli.EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_auto_gain_ranges(self, tmp_path, capsys):
         scen = write_scenario(

@@ -27,7 +27,7 @@ def count_calls(monkeypatch, owner, name):
 
 def test_rc_sweep_computes_mixer_dc_once_per_frequency(monkeypatch):
     afe._mixer_dc.cache_clear()
-    calls = count_calls(monkeypatch, afe, "gated_mean_exact")
+    calls = count_calls(monkeypatch, afe, "_rc_mixer_dc")
     scenario = cli.Scenario(model=ParallelRC(r=150.0, c=2e-9), params=ChainParams(), seed=5)
     records = cli.run_sweep(scenario, None, repeats=10)
     assert len(records) == 11

@@ -2,17 +2,22 @@
 
 Valid documents and documents with one field set to a junk value, removed
 or added must all end with a documented exit code, at most one `error:`
-line and no traceback, and never with a NaN in a record.  Bounded so the
-suite stays fast: at most 100 examples, one repeat, one or two
-frequencies.  Junk numbers stay within a few hundred, so no document asks
-for a series longer than a few MB.
+line and no traceback, never with a NaN in a record, and never with a
+NaN or infinity cast to an ADC code.  Model fields (r, c, r_interface,
+the Cole fields) and chain and schedule times are drawn over the whole
+finite float range; `load_scenario` rejects any document whose sequence
+would pass `cli.MAX_SEQUENCE_SAMPLES`, so none asks for more than a few
+MB.  Bounded so the suite stays fast: at most 100 examples, one repeat,
+one or two frequencies.
 """
 
 import contextlib
 import io
 import json
 import math
+import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
@@ -27,21 +32,25 @@ def positive(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
 
+#: Any finite non-negative double, and any finite positive one.
+anything = positive(0.0, sys.float_info.max)
+above_zero = st.floats(0.0, sys.float_info.max, exclude_min=True, allow_infinity=False)
+
 parallel_rc = st.fixed_dictionaries(
-    {"type": st.just("parallel_rc"), "r": positive(1.0, 5000.0)},
-    optional={"c": positive(0.0, 1e-6), "r_interface": positive(0.0, 200.0)},
+    {"type": st.just("parallel_rc"), "r": above_zero},
+    optional={"c": anything, "r_interface": anything},
 )
 cole = st.builds(
     lambda r_inf, spread, tau, alpha: {"type": "cole", "r_inf": r_inf, "r0": r_inf + spread,
                                        "tau": tau, "alpha": alpha},
-    positive(1.0, 500.0), positive(1.0, 1000.0), positive(1e-8, 1e-3), positive(0.05, 1.0),
+    above_zero, above_zero, above_zero, st.floats(0.0, 1.0, exclude_min=True),
 )
 builtin = st.builds(lambda name: {"type": "builtin", "name": name},
                     st.sampled_from(["blood", "muscle_transversal", "saline"]))
 time_varying = st.builds(
     lambda base, r1, t: {"type": "time_varying", "base": base,
                          "schedule": {"r": [[0.0, base["r"]], [10.0, r1]]}, "time": t},
-    parallel_rc, positive(1.0, 5000.0), positive(0.0, 20.0),
+    parallel_rc, above_zero, anything,
 )
 chains = st.fixed_dictionaries({}, optional={
     "lna_pole": st.one_of(st.none(), positive(1e5, 1e7)),
@@ -49,7 +58,7 @@ chains = st.fixed_dictionaries({}, optional={
     "offset": positive(-0.05, 0.05),
     "noise_floor": positive(0.0, 1e-4),
     "carrier_noise_v": positive(0.0, 0.1),
-    "settle_time": positive(0.0, 0.05),
+    "settle_time": anything,
     "lpf_cutoff": positive(10.0, 200.0),
 })
 documents = st.fixed_dictionaries(
@@ -86,10 +95,13 @@ def sweep(doc: dict) -> tuple:
         path = Path(workdir) / "scenario.json"
         path.write_text(json.dumps(doc))
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             rc = cli.main(["sweep", "--scenario", str(path), "--uncalibrated",
                            "--repeats", "1"])
-    return rc, out.getvalue(), err.getvalue()
+    casts = [w for w in caught if "cast" in str(w.message)]
+    return rc, out.getvalue(), err.getvalue(), casts
 
 
 def record_values(text: str, fmt: str) -> list:
@@ -103,7 +115,8 @@ def record_values(text: str, fmt: str) -> list:
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(documents, mutated()))
 def test_sweep_ends_cleanly(doc):
-    rc, out, err = sweep(doc)
+    rc, out, err, casts = sweep(doc)
+    assert casts == []
     assert rc in EXIT_CODES
     assert "Traceback" not in err
     assert err.count("error:") <= 1

