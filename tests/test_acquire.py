@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,13 @@ class TestAdc:
         spec = AdcSpec()
         assert adc_sample(-0.5, spec) == 0
         assert adc_sample(2.5, spec) == 1023
+
+    def test_voltages_beyond_any_integer_clamp_without_a_cast_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert adc_sample(1e300) == 1023
+            assert adc_sample(float("-inf")) == 0
+            assert adc_sample(np.array([np.inf, -1e300, 0.9])).tolist() == [1023, 0, 512]
 
 
 class TestRunSequence:

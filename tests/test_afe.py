@@ -334,6 +334,16 @@ class TestExactReference:
             for g, w in zip(got, want):
                 assert abs(g - 1e198 * w) <= 1e-12 * abs(1e198 * complex(*want))
 
+    def test_negligible_lna_pole_is_dropped(self):
+        # a pole this far above f0 cannot move a double; 2*pi times it overflows
+        model = ParallelRC(r=330.0, c=10e-9)
+        for pole in (1e300, 1.7e308):
+            params = ChainParams(lna_pole=pole)
+            for idx, f0 in enumerate(plan_frequencies()):
+                config = AfeConfig(freq_index=idx)
+                assert afe._rc_mixer_dc(model, f0, config, params, False) == afe._rc_mixer_dc(
+                    model, f0, config, ChainParams(lna_pole=None), False)
+
     def test_segment_exponential_is_exact_entrywise(self):
         # a slow load beside a fast LNA pole, then nearly coincident poles:
         # a plain difference of exponentials loses digits on both
