@@ -3,7 +3,7 @@ transconductance amplification, square-wave I/Q mixing, filtering,
 compression, offset, and noise.
 
 Chain order.  The RF stage up to the mixer is reduced to its steady-state
-post-mixer DC (`mixer_dc_pair`), the baseband stage runs in the time
+post-mixer DC (`mixer_dc_pair`); the baseband stage runs in the time
 domain:
 
     sensed voltage -> LNA transconductance (single parasitic pole)
@@ -28,13 +28,14 @@ formulas Re{Z} = (pi/2) V_I / (|I| G), Im{Z} = (pi/2) V_Q / (|I| G) exact
 at the fundamental with no hold-gain correction.
 
 Mixer DC routes.  An RC load takes one direct realization of
-Z_sense * LNA (at most two states, the load state at unity DC) solved
-exactly over the 8 sixteenth-period segments of half a period, which the
-antiperiodic staircase and clocks allow; it is within 1e-11 of |I + jQ|
-of a 50-digit evaluation in the tests (1e-15 measured), and a time
-constant below 1e-20 / f0 is dropped as one no double can see, so a
-vanishing capacitor reads as its resistor.  Cole and tabulated loads
-take the per-image sum over n = 8k +/- 1 <= 255, within 2e-5 of |I + jQ|.
+Z_sense * LNA (at most two states, the load state at unity DC), solved
+exactly over the 8 segments of half a period: the staircase and both
+clocks are antiperiodic, so half a period suffices.  Tests hold it within
+1e-11 of |I + jQ| of a 50-digit evaluation (about 1e-15 measured).  A
+time constant below 1e-20 / f0 cannot move a double of the DC and is
+dropped, so a vanishing capacitor reads as its resistor.  Cole and
+tabulated loads take the per-image sum over n = 8k +/- 1 <= 255, within
+2e-5 of |I + jQ|.
 
 Stateless apart from filter states threaded explicitly; independent
 measurements may run concurrently with independent seeds.

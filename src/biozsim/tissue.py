@@ -202,7 +202,7 @@ def is_rational(model) -> bool:
 # Representative electrode-referred transfer impedances for the bundled
 # scenarios.  Magnitudes at low frequency: blood ~107 ohm, transversal
 # skeletal muscle ~2491 ohm, physiological saline ~47 ohm with its
-# dispersion knee near 30 MHz.  The curves are synthesized from Cole fits
+# dispersion knee near 30 MHz.  The curves are computed from Cole fits
 # over a wide span so the image harmonics of the highest plan frequency
 # stay inside the table; replace with solver output for real electrodes.
 _BUILTIN_COLE = {

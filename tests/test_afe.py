@@ -291,19 +291,24 @@ class TestRationalSegments:
 class TestExactReference:
     """The rational route against a 50-digit evaluation of the same DC."""
 
-    LOADS = TestRationalSegments.LOADS + [
-        (ParallelRC(r=1e4, c=1e-6), False),  # tau * f0 = 2e4 at 2 MHz
-        (ParallelRC(r=9746.0, c=7.34e-6), False),  # tau * f0 = 1.4e5 at 2 MHz
-        (ParallelRC(r=9746.0, c=7.34e-6, r_interface=30.0), True),
-        (ParallelRC(r=100.0, c=1e-20), False),
-        (ParallelRC(r=100.0, c=1e-26), False),
-        (ParallelRC(r=1.0, c=2.78e-177), False),
+    MODELS = [
+        ParallelRC(r=100.0, c=0.0),
+        ParallelRC(r=150.0, c=0.0, r_interface=50.0),
+        ParallelRC(r=330.0, c=10e-9, r_interface=25.0),
+        ParallelRC(r=1e3, c=0.1e-6),
+        ParallelRC(r=2000.0, c=2e-10, r_interface=50.0),
+        ParallelRC(r=1e4, c=1e-6),  # tau * f0 = 2e4 at 2 MHz
+        ParallelRC(r=9746.0, c=7.34e-6, r_interface=30.0),  # tau * f0 = 1.4e5 at 2 MHz
+        ParallelRC(r=100.0, c=1e-20),
+        ParallelRC(r=100.0, c=1e-26),
+        ParallelRC(r=1.0, c=2.78e-177),
     ]
 
+    @pytest.mark.parametrize("include_interface", [False, True])
     @pytest.mark.parametrize("chain", ["default", "ideal"])
-    @pytest.mark.parametrize("load", range(len(LOADS)))
-    def test_within_1e_11_of_mpmath(self, load, chain):
-        model, include_interface = self.LOADS[load]
+    @pytest.mark.parametrize("load", range(len(MODELS)))
+    def test_within_1e_11_of_mpmath(self, load, chain, include_interface):
+        model = self.MODELS[load]
         params = ChainParams() if chain == "default" else ChainParams().ideal()
         for idx, f0 in enumerate(plan_frequencies()):
             config = AfeConfig(freq_index=idx)
