@@ -37,19 +37,30 @@ dropped, so a vanishing capacitor reads as its resistor.  Cole and
 tabulated loads take the per-image sum over n = 8k +/- 1 <= 255, within
 2e-5 of |I + jQ|.
 
-Stateless apart from filter states threaded explicitly; independent
-measurements may run concurrently with independent seeds.
+Baseband.  The TIA pole and the Chebyshev low-pass are first- and
+second-order sections, each at unity DC gain and each defined by its
+pole; the Chebyshev poles come from the analog prototype, pre-warped and
+bilinear-mapped in numpy (`_cheby1_zpk`).  The chain is linear and starts
+at rest, and its input is piecewise constant, so its output is a sum of
+copies of one unit-step response, one per change of the mixer DC.  That
+response is computed once per chain, from a recursion in rotation-scaling
+form that stays within 1e-13 of a 50-digit evaluation even for
+slow, high-order filters, and it is evaluated only on the lattice of
+samples the ADC reads.
+
+Stateless apart from per-process caches of seed-independent results;
+independent measurements may run concurrently with independent seeds.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy import linalg, signal
 
 from .waveforms import (
     FUNDAMENTAL_GAIN,
@@ -407,7 +418,12 @@ def _expm_lower(gen: np.ndarray) -> np.ndarray:
     diags = np.exp(h)
     subs = np.outer(scales, np.diag(gen, -1)) * np.exp(hi) * ratio
     n = len(gen)
-    e = linalg.expm(gen * scales[0])
+    # exp of the scaled generator, whose norm is at most 1, by its Taylor
+    # polynomial of degree 18 (Horner): the terms left out sum below 1e-17
+    x = gen * scales[0]
+    e = np.eye(n)
+    for k in range(18, 0, -1):
+        e = np.eye(n) + x @ e / k
     for t in range(s + 1):
         if t:
             e = e @ e
@@ -458,39 +474,162 @@ def _rc_mixer_dc(model, f0, config, params, include_interface) -> tuple:
 # Baseband stage: post-mixer DC steps -> settling output series
 # ---------------------------------------------------------------------------
 
+def _cheby1_zpk(order: int, ripple_db: float, cutoff: float, fs: float) -> tuple:
+    """Zeros, poles and gain of the digital Chebyshev type I low-pass.
+
+    The analog prototype's poles -sinh(mu + j*theta) lie on an ellipse.
+    They are scaled to the cutoff pre-warped on the Nyquist-normalized
+    axis, 4 tan(pi * cutoff / fs), and taken through the bilinear map
+    z = (4 + s) / (4 - s), which sends the N zeros at infinity to z = -1.
+    An even order has the passband's lower edge, 10^(-ripple/20), as its
+    DC gain.  These are the steps of `scipy.signal.cheby1(..., output="zpk")`
+    in the same order.
+    """
+    eps = math.sqrt(10 ** (0.1 * ripple_db) - 1.0)
+    mu = 1.0 / order * math.asinh(1 / eps)
+    p = -np.sinh(mu + 1j * (np.pi * np.arange(-order + 1, order, 2) / (2 * order)))
+    k = np.prod(-p).real
+    if order % 2 == 0:
+        k = k / math.sqrt(1 + eps * eps)
+    warped = 4.0 * math.tan(math.pi * (cutoff / (fs / 2)) / 2.0)
+    p = warped * p
+    k = k * warped**order * (1.0 / np.prod(4.0 - p)).real
+    return -np.ones(order), (4.0 + p) / (4.0 - p), k
+
+
 @functools.lru_cache(maxsize=32)
-def _baseband_filters(params: ChainParams) -> tuple:
-    """(b, a) of the TIA pole (bilinear, k = 2 fs) and of the Chebyshev
-    low-pass, each numerator scaled to unity DC gain; read-only."""
-    fs = params.output_rate
+def _baseband_sections(params: ChainParams) -> np.ndarray:
+    """The pole of each section of the TIA + Chebyshev cascade, read-only.
+
+    A section is first order, a real pole q with its zero at -1, or second
+    order, a pole pair p, p* with a double zero at -1; either is scaled to
+    unity DC gain, so its pole defines it.  The TIA pole comes first, its
+    bilinear map at k = 2 fs, (k - wp) / (k + wp); then the Chebyshev
+    low-pass's upper-half-plane poles and, at odd order, its real one.
+    """
     wp = 2 * np.pi * params.tia_pole
-    k = 2 * fs
-    tia = (np.array([wp, wp]) / (wp + k), np.array([1.0, (wp - k) / (wp + k)]))
-    cheby = signal.cheby1(params.lpf_order, params.lpf_ripple_db, params.lpf_cutoff, fs=fs)
-    coeffs = []
-    for b, a in (tia, cheby):
-        coeffs += [b * (np.sum(a) / np.sum(b)), a]
-    for c in coeffs:
-        c.setflags(write=False)
-    return tuple(coeffs)
+    k = 2 * params.output_rate
+    _, p, _ = _cheby1_zpk(params.lpf_order, params.lpf_ripple_db, params.lpf_cutoff,
+                          params.output_rate)
+    poles = np.concatenate([[(k - wp) / (k + wp)], p[: (params.lpf_order + 1) // 2]])
+    poles.setflags(write=False)
+    return poles
+
+
+def _section_recursion(poles) -> tuple:
+    """(a, c, x0) of the section cascade driven by a unit step: the state
+    update, the output row and the initial state, all in deviation from
+    the settled state, so that sample t of the step response is
+    1 + c a^t x0.
+
+    A real pole q keeps one state w, a pair keeps the real and imaginary
+    parts of one complex state w, with w' = p w + (1 - p) v for section
+    input v.  A pair's diagonal block is then the rotation-scaling
+    [[Re p, -Im p], [Im p, Re p]], whose powers never grow, so a slow
+    cascade runs long without the cancellation of a direct form.  The
+    output y = D v + Re(kappa w) has D = (1 - q) / 2, kappa = (1 + q) / 2
+    for a real pole and D = |1 - p|^2 / 4,
+    kappa = (1 - p*) (1 + p)^2 / (4j Im p) for a pair.  At unity DC gain
+    every section's input, output and Re w settle at 1, so the deviation
+    starts at -1 in each Re w and runs free.
+    """
+    n = len(poles) + int(np.count_nonzero(np.imag(poles)))
+    a, c, x0 = np.zeros((n, n)), np.zeros(n), np.zeros(n)
+    i = 0
+    for p in poles:
+        if p.imag:
+            kappa = (1 - p.conjugate()) * (1 + p) ** 2 / (4j * p.imag)
+            block, gain_in = [[p.real, -p.imag], [p.imag, p.real]], [1 - p.real, -p.imag]
+            gain_out, direct = [kappa.real, -kappa.imag], abs(1 - p) ** 2 / 4
+        else:
+            q = p.real
+            block, gain_in, gain_out, direct = [[q]], [1 - q], [(1 + q) / 2], (1 - q) / 2
+        j = i + len(block)
+        a[i:j] = np.outer(gain_in, c)  # driven by the output so far
+        a[i:j, i:j] = block
+        c *= direct
+        c[i:j] = gain_out
+        x0[i] = -1.0
+        i = j
+    return a, c, x0
+
+
+#: Samples per block of a step response (see `_cascade_step_response`).
+_STEP_BLOCK = 128
+
+
+def _cascade_step_response(poles, n: int) -> np.ndarray:
+    """Unit-step response of the section cascade at rest, n samples or a
+    few more (whole blocks).
+
+    The deviation from the settled value 1 runs free, x' = a x (see
+    `_section_recursion`).  One block's output rows c a^j and its map
+    a^block come from `_STEP_BLOCK` single steps of that recursion, the
+    block-start states x0, a^block x0, ... from one product each, and
+    every sample is its row times its block's start.  A sample's
+    arithmetic depends on its index alone, so a shorter response is a
+    prefix of a longer one, bit for bit.
+    """
+    a, c, x0 = _section_recursion(poles)
+    walk = np.vstack([c, np.eye(len(a))])  # [c; I] a^j
+    rows = np.empty((_STEP_BLOCK, len(a)))
+    for j in range(_STEP_BLOCK):
+        rows[j] = walk[0]
+        walk = walk @ a
+    starts = np.empty((-(-n // _STEP_BLOCK), len(a)))
+    x = x0
+    for b in range(len(starts)):
+        starts[b] = x
+        x = walk[1:] @ x
+    deviation = np.zeros((len(starts), _STEP_BLOCK))
+    for k in range(len(a)):  # a fixed order of summation, whatever n is
+        deviation += np.outer(starts[:, k], rows[:, k])
+    return 1.0 + deviation.ravel()
+
+
+#: The longest step response computed so far per chain, read-only; a
+#: shorter sequence reads its prefix.  Cleared when it would hold more
+#: than `_STEP_RESPONSE_CHAINS` chains.
+_STEP_RESPONSES: dict = {}
+_STEP_RESPONSE_CHAINS = 8
+_STEP_RESPONSE_LOCK = threading.Lock()
+
+
+def _step_response(params: ChainParams, n: int) -> np.ndarray:
+    """Unit-step response of the TIA + Chebyshev chain (unity DC gain), at
+    least n samples, read-only."""
+    with _STEP_RESPONSE_LOCK:
+        s = _STEP_RESPONSES.get(params)
+        if s is None or len(s) < n:
+            s = _cascade_step_response(_baseband_sections(params), n)
+            s.setflags(write=False)
+            if params not in _STEP_RESPONSES and len(_STEP_RESPONSES) >= _STEP_RESPONSE_CHAINS:
+                _STEP_RESPONSES.clear()
+            _STEP_RESPONSES[params] = s
+        return s
 
 
 #: Noise-free trajectories kept per process.  The repeats of a reading
-#: run back to back, so a few entries suffice.  An entry holds the full
-#: output-rate series, which the filters need; the repeats read only its
-#: every stride-th sample.  The largest default entry (a 256-tap
-#: source-off sequence, 28 100 samples) is 225 KB.
+#: run back to back, so a few entries suffice.  An entry holds only the
+#: lattice of samples the ADC reads: 114 floats for a default 32-tap
+#: reading, 562 for a 256-tap source-off sequence.
 _TRAJECTORY_CACHE_SIZE = 4
 
 
 @functools.lru_cache(maxsize=_TRAJECTORY_CACHE_SIZE)
-def _trajectory(steps: tuple, params: ChainParams) -> np.ndarray:
-    """Compressed, offset, noise-free output for ((n, dc), ...) steps, read-only."""
-    u = np.concatenate([np.full(n, dc) for n, dc in steps])
-    tb, ta, cb, ca = _baseband_filters(params)
-    y = signal.lfilter(tb, ta, u) * params.tia_gain
-    y = signal.lfilter(cb, ca, y) * params.lpf_gain
-    y = apply_compression(y, params) + params.offset
+def _trajectory(steps: tuple, params: ChainParams, stride: int) -> np.ndarray:
+    """Compressed, offset, noise-free output at every stride-th sample for
+    ((n, dc), ...) steps, read-only."""
+    total = sum(n for n, _ in steps)
+    y = np.zeros(total // stride)
+    start, level = 0, 0.0
+    for n, dc in steps:
+        if dc != level:  # add the jump's step response from the first lattice sample on
+            first = -(-start // stride)
+            s = _step_response(params, total)
+            y[first:] += (dc - level) * s[first * stride - start : total - start : stride]
+        start, level = start + n, dc
+    y = apply_compression(y * params.tia_gain * params.lpf_gain, params) + params.offset
     y.setflags(write=False)
     return y
 
@@ -506,34 +645,50 @@ def baseband_output(
     """Drive the TIA + Chebyshev chain with piecewise-constant mixer DC.
 
     `steps` is a list of (n_samples, dc_amps) intervals at the output
-    rate.  Filter states start at rest and are carried across all steps,
-    so the settling transients (about 25 ms to 1% at the default 50 Hz
-    cutoff) emerge from the discretized filters themselves.  Compression,
-    offset, and seeded noise are applied at the output.
+    rate.  The chain starts at rest and is linear, so before compression
+    its output is the superposition
+
+        sum_k (dc_k - dc_{k-1}) * G * s[t - start_k]    (dc_{-1} = 0)
+
+    of its unit-step response s, started at each step's first sample,
+    with G = tia_gain * lpf_gain.  The settling transients (about 25 ms to
+    1% at the default 50 Hz cutoff) are those of the discretized filters:
+    s is the step response of the bilinear TIA pole and the Chebyshev
+    low-pass realized as first- and second-order sections, each at unity
+    DC gain (`_section_recursion`).  Tests hold s within 1e-13 of its
+    settled value of a 50-digit evaluation of the same design over
+    28 100 samples, for orders 1-6 at cutoffs down to 5 Hz (1e-14
+    measured); the (b, a) polynomial form of a whole filter is 2e-12 off
+    at the default chain and loses the filter at high order or low
+    cutoff.  Compression, offset, and seeded noise are applied at the
+    output.
 
     The result holds every `stride`-th output sample (rate
     output_rate / stride; the total length must be a multiple of the
     stride), so a caller that reads only a lattice of samples, such as
-    the ADC taps, draws noise only there.  Both noise terms are exact on
-    that lattice: `noise_process` draws the 1/f noise from its folded
-    spectrum, and the carrier term is white per sample.
+    the ADC taps, evaluates the chain and draws noise only there.  Both
+    noise terms are exact on that lattice: `noise_process` draws the 1/f
+    noise from its folded spectrum, and the carrier term is white per
+    sample.
 
-    Only the noise depends on the seed.  The noise-free trajectory (the
-    filters, compression and offset) is memoized per process in an LRU
-    cache of `_TRAJECTORY_CACHE_SIZE` entries keyed on the steps and the
-    frozen ChainParams, so the repeats of a reading render it once; the
-    TIA and Chebyshev coefficients are designed once per `params`.  The
+    Only the noise depends on the seed.  The noise-free lattice (the
+    superposition, compression and offset) is memoized per process in an
+    LRU cache of `_TRAJECTORY_CACHE_SIZE` entries keyed on the steps, the
+    frozen ChainParams and the stride, so the repeats of a reading
+    compute it once.  s is computed once per `params`, at the longest
+    length asked for so far; a shorter sequence reads its prefix.  The
     noise is added into a fresh array, and the noise-free chain returns a
     copy, so the caller always owns the samples.
     """
     fs = params.output_rate
-    full = _trajectory(tuple((int(n), float(dc)) for n, dc in steps), params)
-    if len(full) % stride:
-        raise ValueError(f"{len(full)} samples do not divide into stride {stride}")
-    y = full[::stride]
+    steps = tuple((int(n), float(dc)) for n, dc in steps)
+    total = sum(n for n, _ in steps)
+    if total % stride:
+        raise ValueError(f"{total} samples do not divide into stride {stride}")
+    y = _trajectory(steps, params, stride)
     if params.noise_floor or params.carrier_noise_v:
         rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
-        y = y + noise_process(params, rng, len(full) / fs, fs, stride).samples
+        y = y + noise_process(params, rng, total / fs, fs, stride).samples
         sig = _carrier_noise_sigma(params, f0, g2)
         if sig:
             y = y + sig * rng.standard_normal(len(y))

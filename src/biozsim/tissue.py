@@ -159,6 +159,10 @@ def impedance_at(model, freq):
     tables (no extrapolation).  For ParallelRC the series interface
     resistance is included: this is the impedance seen from the injection
     port.
+
+    Where w*r*c (RC) or w*tau (Cole) overflows a double, the closed form
+    is taken divided through by that product instead, which tends to the
+    limit r_interface or r_inf; elsewhere it is evaluated as written.
     """
     require_frozen(model)
     freq = np.asarray(freq, dtype=float)
@@ -166,10 +170,25 @@ def impedance_at(model, freq):
         raise ValueError("freq must be positive")
     if isinstance(model, ParallelRC):
         w = 2 * np.pi * freq
-        z = model.r / (1 + 1j * w * model.r * model.c) + model.r_interface
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            z = model.r / (1 + 1j * w * model.r * model.c) + model.r_interface
+            # where w r c overflows: r / (1 + j w r c) = u / (u / r + j) with
+            # u = 1 / (w c), which is 0 once w c overflows too; c = 0 leaves r
+            u = 1 / (w * model.c) if model.c else None
+            far = (model.r if u is None else u / (u / model.r + 1j)) + model.r_interface
+        z = np.where(np.isfinite(z), z, far)
     elif isinstance(model, ColeModel):
         w = 2 * np.pi * freq
-        z = model.r_inf + (model.r0 - model.r_inf) / (1 + (1j * w * model.tau) ** model.alpha)
+        with np.errstate(over="ignore", invalid="ignore"):
+            near = np.isfinite(w * model.tau)
+            # Python's complex power raises past overflow, so a scalar takes it only where finite
+            z = (model.r_inf + (model.r0 - model.r_inf) / (1 + (1j * w * model.tau) ** model.alpha)
+                 if np.ndim(w) or near else np.nan)
+            # where w tau overflows: divide through by (w tau)^alpha, that is multiply by
+            # q = (w tau)^-alpha, which underflows to 0 in the limit r_inf
+            q = np.exp(-model.alpha * (np.log(w) + math.log(model.tau)))
+            far = model.r_inf + (model.r0 - model.r_inf) * q / (q + np.exp(0.5j * np.pi * model.alpha))
+        z = np.where(near, z, far)
     elif isinstance(model, TabulatedTwoPort):
         z = model.interp(freq)
     else:

@@ -13,6 +13,8 @@ program computes by another road, so a test can hold the program to it:
   full-period steady state over a rendered period.
 * `exact_mixer_dc` evaluates the RC mixer DC by partial fractions in
   mpmath at 50 digits.
+* `cascade_step_reference` evaluates the baseband chain's unit-step
+  response by partial fractions in mpmath at 50 digits.
 """
 
 from __future__ import annotations
@@ -313,3 +315,31 @@ def exact_mixer_dc(model, f0, config, params, include_interface=False, dps=50):
         scale = mp.mpf(config.gm) * mp.mpf(f0)  # gm / period
         return tuple(float(scale * sum(g * s for g, s in zip(gate, integrals)))
                      for gate in (gate_i, gate_q))
+
+
+def cascade_step_reference(poles, times, dps=50) -> np.ndarray:
+    """Unit-step response, at the given increasing sample times, of the
+    cascade with these distinct poles, one zero at -1 per pole and unity
+    DC gain, evaluated by partial fractions in mpmath at `dps` digits.
+
+    H(z) = G (z + 1)^N / prod_i (z - p_i) with G = prod_i (1 - p_i) / 2^N.
+    Started at rest, its response to a unit step is, for t >= 0,
+
+        y[t] = 1 + sum_i G (p_i + 1)^N p_i^t / ((p_i - 1) prod_{l != i} (p_i - p_l)).
+
+    Each term is carried from one requested time to the next by
+    multiplication with p_i^(t' - t).  A complex pole pair is listed as both its poles.
+    """
+    with mpmath.workdps(dps):
+        p = [mpmath.mpc(complex(q)) for q in poles]
+        gain = mpmath.fprod(1 - q for q in p) / mpmath.mpf(2) ** len(p)
+        weights = [gain * (q + 1) ** len(p)
+                   / ((q - 1) * mpmath.fprod(q - r for r in p if r is not q)) for q in p]
+        terms, advance, out, last = weights, {}, [], 0
+        for t in times:
+            if t - last not in advance:
+                advance[t - last] = [q ** (t - last) for q in p]
+            terms = [c * a for c, a in zip(terms, advance[t - last])]
+            last = t
+            out.append(float(mpmath.re(1 + mpmath.fsum(terms))))
+    return np.array(out)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import mpmath
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from reference import (
     IqClock,
     SteppedSine,
     analytic_dc_oracle,
+    cascade_step_reference,
     exact_mixer_dc,
     sampled_mixer_dc,
     synthesize,
@@ -418,6 +421,52 @@ class TestDemodulateTimeDomain:
         a = baseband_output([(3000, dc_i)], ChainParams(), 1953.125, 1, rng_seed=11)
         b = baseband_output([(3000, dc_i)], ChainParams(), 1953.125, 1, rng_seed=11)
         assert np.array_equal(a.samples, b.samples)
+
+
+class TestBasebandChain:
+    """The numpy Chebyshev design against scipy's, and the chain's unit-step
+    response against a 50-digit evaluation of scipy's design."""
+
+    N = 28100  # samples in a default 256-tap source-off sequence
+    TIMES = sorted(set(range(300)) | set(range(0, N, 61)) | {N - 1})
+
+    @staticmethod
+    def scipy_poles(params):
+        # the TIA pole (bilinear at k = 2 fs), then every pole of scipy's design
+        k, wp = 2 * params.output_rate, 2 * np.pi * params.tia_pole
+        _, p, _ = sps.cheby1(params.lpf_order, params.lpf_ripple_db, params.lpf_cutoff,
+                             fs=params.output_rate, output="zpk")
+        return [(k - wp) / (k + wp), *p]
+
+    @pytest.mark.parametrize("order", range(1, 9))
+    @pytest.mark.parametrize("ripple, cutoff", [(0.5, 5.0), (0.5, 50.0), (3.0, 1000.0),
+                                                (0.1, 20e3)])
+    def test_design_matches_scipy_zpk(self, order, ripple, cutoff):
+        z, p, k = afe._cheby1_zpk(order, ripple, cutoff, 50e3)
+        zs, ps, ks = sps.cheby1(order, ripple, cutoff, fs=50e3, output="zpk")
+        assert np.array_equal(z, zs)
+        assert np.max(np.abs(p - ps)) <= 1e-14
+        assert abs(k - ks) <= 1e-14 * abs(ks)
+
+    @pytest.mark.parametrize("order", range(1, 7))
+    @pytest.mark.parametrize("cutoff", [5.0, 20.0, 50.0])
+    def test_step_response_within_1e_13_of_the_settled_value(self, order, cutoff):
+        params = ChainParams(lpf_order=order, lpf_cutoff=cutoff)
+        s = afe._step_response(params, self.N)
+        want = cascade_step_reference(self.scipy_poles(params), self.TIMES)
+        assert np.max(np.abs(s[self.TIMES] - want)) <= 1e-13
+
+    @pytest.mark.parametrize("order, cutoff", [(6, 5.0), (5, 20.0), (4, 50.0)])
+    def test_a_long_step_follows_the_design(self, order, cutoff):
+        # lfilter on the whole filter's (b, a) ended this step at 6.9e193x,
+        # 0.9797x and 1 + 2.6e-8 of its settled value
+        params = replace(BARE, lpf_order=order, lpf_cutoff=cutoff)
+        n = 200_000
+        out = baseband_output([(n, 1e-8)], params, 1953.125, 1).samples
+        settled = 1e-8 * params.tia_gain * params.lpf_gain
+        times = [0, 999, n // 2, n - 1]
+        want = settled * cascade_step_reference(self.scipy_poles(params), times)
+        assert np.max(np.abs(out[times] - want)) <= 1e-13 * settled
 
 
 class TestCompression:

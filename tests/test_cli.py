@@ -330,6 +330,17 @@ class TestSweep:
         assert captured.err == ""
         assert captured.out.strip().splitlines()[1].split(",")[7] == "saturated"
 
+    def test_overflowing_cole_load_sweeps_without_a_warning(self, tmp_path, capsys, recwarn):
+        # w tau overflows at every image: the load reads its r_inf
+        scen = write_scenario(tmp_path, model={"type": "cole", "r_inf": 50.0, "r0": 100.0,
+                                               "tau": 1e308}, frequencies=[1953.125, 2e6])
+        rc = cli.main(["sweep", "--scenario", str(scen), "--uncalibrated", "--repeats", "1"])
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_OK
+        assert captured.err == ""
+        assert not recwarn.list
+        assert len(captured.out.strip().splitlines()) == 3
+
     def test_non_finite_mixer_dc_exits_range(self, tmp_path, capsys, recwarn):
         table = tmp_path / "huge.z21"
         table.write_text("100 1.5e308 1.5e308\n1e9 1.5e308 1.5e308\n")

@@ -1,11 +1,20 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and none
+imports scipy.
 
 No linter ships with the project, so this walks each module's syntax tree:
 a name bound by `import` or `from ... import` must appear as a name
 somewhere else in the module.  `__init__.py` re-exports and is skipped.
+
+numpy is the one runtime dependency: importing scipy would cost a `bioz`
+process about a second before it measures anything.  scipy stays a test
+dependency, as an independent cross-check.
 """
 
 import ast
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -29,3 +38,38 @@ def unused_imports(path: Path) -> list:
                                           if p.name != "__init__.py"))
 def test_no_unused_imports(module):
     assert unused_imports(PACKAGE / module) == []
+
+
+def imported_modules(path: Path) -> set:
+    tree = ast.parse(path.read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return names
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_scipy_import(module):
+    assert not {m for m in imported_modules(PACKAGE / module) if m.split(".")[0] == "scipy"}
+
+
+def test_calibrate_and_sweep_never_load_scipy(tmp_path):
+    # a fresh interpreter, as a `bioz` process is
+    script = textwrap.dedent(f"""
+        import json, sys
+        from biozsim import cli
+        scenario = {str(tmp_path / "scenario.json")!r}
+        with open(scenario, "w") as f:
+            json.dump({{"model": {{"type": "parallel_rc", "r": 150.0, "c": 2e-9}}, "seed": 5}}, f)
+        table = {str(tmp_path / "cal.json")!r}
+        assert cli.main(["calibrate", "--scenario", scenario, "--out", table]) == 0
+        assert cli.main(["sweep", "--scenario", scenario, "--cal", table, "--repeats", "1",
+                         "--out", {str(tmp_path / "sweep.csv")!r}]) == 0
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)), timeout=120, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "[]"

@@ -1,5 +1,7 @@
+import warnings
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -84,6 +86,64 @@ class TestImpedanceAt:
     def test_cole_rejects_non_finite(self, field, value):
         with pytest.raises(ValueError):
             ColeModel(**{"r_inf": 50.0, "r0": 100.0, "tau": 1e-6, "alpha": 0.8, field: value})
+
+
+class TestOverflowingProducts:
+    """Where w r c or w tau overflows a double, the impedance takes its limit;
+    elsewhere the closed form is evaluated as written, bit for bit."""
+
+    FREQS = [1e3, np.array([1e3, 2e6, 5e8])]
+
+    @staticmethod
+    def quiet(model, freq):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.asarray(impedance_at(model, freq))
+
+    @pytest.mark.parametrize("freq", FREQS)
+    @pytest.mark.parametrize("model, want", [
+        (ParallelRC(r=1e308, c=1e308), 0.0),
+        (ParallelRC(r=1e308, c=1e308, r_interface=3.0), 3.0),
+        (ParallelRC(r=1e308, c=0.0, r_interface=3.0), 1e308),
+        (ColeModel(50.0, 100.0, tau=1e308), 50.0),
+    ])
+    def test_limit(self, model, want, freq):
+        z = self.quiet(model, freq)
+        assert np.all(np.abs(z - want) <= 1e-15 * want + 1e-300)
+
+    @pytest.mark.parametrize("freq", FREQS)
+    def test_a_huge_resistor_leaves_its_capacitor(self, freq):
+        z = self.quiet(ParallelRC(r=1e308, c=1.0), freq)
+        want = 1 / (2j * np.pi * np.asarray(freq))
+        assert np.all(np.abs(z - want) <= 1e-15 * np.abs(want))
+
+    @pytest.mark.parametrize("freq", FREQS)
+    def test_a_fractional_cole_keeps_its_remainder(self, freq):
+        # (w tau)^0.01 is only about 1e3 at w tau = 1e311
+        cole = ColeModel(50.0, 100.0, tau=1e308, alpha=0.01)
+        z = self.quiet(cole, freq)
+        with mpmath.workdps(40):
+            want = np.array([complex(50 + 50 / (1 + (2j * mpmath.pi * mpmath.mpf(float(f))
+                                                      * mpmath.mpf(1e308)) ** mpmath.mpf(0.01)))
+                             for f in np.atleast_1d(freq)])
+        assert np.all(np.abs(z - want) <= 1e-13 * np.abs(want))
+
+    @pytest.mark.parametrize("model", [
+        ParallelRC(r=330.0, c=4.7e-9, r_interface=20.0), ParallelRC(r=1e6, c=1e-12),
+        ColeModel(55.0, 107.0, tau=6.4e-8, alpha=0.85), ColeModel(1.0, 47.0, tau=1e290),
+    ])
+    def test_finite_products_keep_the_closed_form(self, model):
+        def closed_form(freq):
+            w = 2 * np.pi * np.asarray(freq)  # a numpy scalar for a scalar frequency
+            if isinstance(model, ParallelRC):
+                return model.r / (1 + 1j * w * model.r * model.c) + model.r_interface
+            return model.r_inf + (model.r0 - model.r_inf) / (1 + (1j * w * model.tau) ** model.alpha)
+
+        freqs = np.array([1953.125, 2e6, 5.1e8])
+        assert impedance_at(model, freqs).tobytes() == closed_form(freqs).tobytes()
+        for f in freqs:
+            z = impedance_at(model, f)
+            assert (z.real, z.imag) == (closed_form(f).real, closed_form(f).imag)
 
 
 class TestTabulatedTwoPort:
