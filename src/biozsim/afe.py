@@ -61,6 +61,10 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
+# numpy loads these on first use; loading them with the package keeps
+# module loading out of the first measurement's time
+from numpy.fft import fftfreq, irfft, rfft
+from numpy.random import Generator, default_rng
 
 from .waveforms import (
     FUNDAMENTAL_GAIN,
@@ -260,7 +264,7 @@ def noise_process(
     is the full series, exactly zero-mean; n must be a multiple of the
     stride.  The returned series runs at sample_rate / stride.
     """
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
+    rng = rng_seed if isinstance(rng_seed, Generator) else default_rng(rng_seed)
     n = int(round(duration * sample_rate))
     if n % stride:
         raise ValueError(f"{n} samples do not divide into stride {stride}")
@@ -269,13 +273,13 @@ def noise_process(
         return SampleSeries(sample_rate / stride, np.zeros(m))
     root = _folded_root_spectrum(params, n, sample_rate, stride)
     return SampleSeries(sample_rate / stride,
-                        np.fft.irfft(np.fft.rfft(rng.standard_normal(m)) * root, n=m))
+                        irfft(rfft(rng.standard_normal(m)) * root, n=m))
 
 
 @functools.lru_cache(maxsize=8)
 def _folded_root_spectrum(params: ChainParams, n: int, sample_rate: float, stride: int):
     """Square root of the noise PSD folded to n/stride bins (rfft half), read-only."""
-    f = np.abs(np.fft.fftfreq(n, 1.0 / sample_rate))
+    f = np.abs(fftfreq(n, 1.0 / sample_rate))
     psd = np.zeros(n)
     psd[1:] = params.noise_floor**2 * (sample_rate / 2.0) * (1.0 + params.flicker_corner / f[1:])
     m = n // stride
@@ -400,7 +404,9 @@ def _half_period_levels(amplitude: float) -> np.ndarray:
 def _expm_lower(gen: np.ndarray) -> np.ndarray:
     """exp(gen) of a lower-triangular generator, by scaling and squaring.
 
-    Every squaring recomputes the diagonal and the first subdiagonal from
+    gen is scaled by 2^-s to norm at most 1, where a Taylor polynomial of
+    degree 18 gives its exponential; s squarings undo the scaling.  Every
+    squaring recomputes the diagonal and the first subdiagonal from
     their closed forms (Al-Mohy and Higham 2009, Code Fragment 2.1), the
     divided difference of exp taken through expm1 so that close diagonal
     entries lose no digits.  `scipy.linalg.expm` does the same with a plain
@@ -418,8 +424,7 @@ def _expm_lower(gen: np.ndarray) -> np.ndarray:
     diags = np.exp(h)
     subs = np.outer(scales, np.diag(gen, -1)) * np.exp(hi) * ratio
     n = len(gen)
-    # exp of the scaled generator, whose norm is at most 1, by its Taylor
-    # polynomial of degree 18 (Horner): the terms left out sum below 1e-17
+    # Horner's rule; the terms left out sum below 1/19! < 1e-17
     x = gen * scales[0]
     e = np.eye(n)
     for k in range(18, 0, -1):
@@ -687,7 +692,7 @@ def baseband_output(
         raise ValueError(f"{total} samples do not divide into stride {stride}")
     y = _trajectory(steps, params, stride)
     if params.noise_floor or params.carrier_noise_v:
-        rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
+        rng = rng_seed if isinstance(rng_seed, Generator) else default_rng(rng_seed)
         y = y + noise_process(params, rng, total / fs, fs, stride).samples
         sig = _carrier_noise_sigma(params, f0, g2)
         if sig:

@@ -328,7 +328,8 @@ def cascade_step_reference(poles, times, dps=50) -> np.ndarray:
         y[t] = 1 + sum_i G (p_i + 1)^N p_i^t / ((p_i - 1) prod_{l != i} (p_i - p_l)).
 
     Each term is carried from one requested time to the next by
-    multiplication with p_i^(t' - t).  A complex pole pair is listed as both its poles.
+    multiplication with p_i^(t' - t).  A complex pole pair is listed as
+    both its poles.
     """
     with mpmath.workdps(dps):
         p = [mpmath.mpc(complex(q)) for q in poles]
