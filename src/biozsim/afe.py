@@ -44,9 +44,9 @@ bilinear-mapped in numpy (`_cheby1_zpk`).  The chain is linear and starts
 at rest, and its input is piecewise constant, so its output is a sum of
 copies of one unit-step response, one per change of the mixer DC.  That
 response is computed once per chain, from a recursion in rotation-scaling
-form that stays within 1e-13 of a 50-digit evaluation even for
-slow, high-order filters, and it is evaluated only on the lattice of
-samples the ADC reads.
+form that stays within 1e-13 of a 50-digit evaluation even for slow,
+high-order filters, and it is evaluated only on the lattice of samples
+the ADC reads.
 
 Stateless apart from per-process caches of seed-independent results;
 independent measurements may run concurrently with independent seeds.

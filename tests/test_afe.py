@@ -628,6 +628,20 @@ class TestLatticeNoise:
         with pytest.raises(ValueError, match="stride"):
             baseband_output([(61, 1e-8)], QUIET, 1953.125, 1, stride=2)
 
+    @pytest.mark.parametrize("g", [3, 6, 50])
+    def test_steps_between_lattice_samples(self, g):
+        # each jump's response starts at its own sample, between lattice points
+        steps = [(301, 1e-8), (0, 5e-8), (248, -2e-8), (1, 0.0), (50, 3e-8)]
+        full = baseband_output(steps, QUIET, 1953.125, 1)
+        lattice = baseband_output(steps, QUIET, 1953.125, 1, stride=g)
+        assert lattice.samples.tobytes() == full.samples[::g].tobytes()
+        bare = baseband_output(steps, BARE, 1953.125, 1).samples
+        s = afe._step_response(BARE, 600)
+        want = np.zeros(600)
+        for start, jump in [(0, 1e-8), (301, -3e-8), (549, 2e-8), (550, 3e-8)]:
+            want[start:] += jump * s[: 600 - start]
+        assert np.allclose(bare, want * BARE.tia_gain * BARE.lpf_gain, rtol=0, atol=1e-15)
+
     @pytest.mark.parametrize("g", [1, 3, 6, 50])
     def test_noise_free_output_is_the_full_output_sliced(self, g):
         steps = [(300, 1e-8), (300, -2e-8)]

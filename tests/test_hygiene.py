@@ -56,11 +56,13 @@ def test_no_scipy_import(module):
     assert not {m for m in imported_modules(PACKAGE / module) if m.split(".")[0] == "scipy"}
 
 
-def test_calibrate_and_sweep_never_load_scipy(tmp_path):
-    # a fresh interpreter, as a `bioz` process is
+def test_calibrate_and_sweep_load_no_scipy_and_no_numpy_submodule(tmp_path):
+    # a fresh interpreter, as a `bioz` process is; numpy's lazily loaded
+    # submodules must load with the package, not inside a measurement
     script = textwrap.dedent(f"""
         import json, sys
         from biozsim import cli
+        loaded = set(sys.modules)
         scenario = {str(tmp_path / "scenario.json")!r}
         with open(scenario, "w") as f:
             json.dump({{"model": {{"type": "parallel_rc", "r": 150.0, "c": 2e-9}}, "seed": 5}}, f)
@@ -68,8 +70,9 @@ def test_calibrate_and_sweep_never_load_scipy(tmp_path):
         assert cli.main(["calibrate", "--scenario", scenario, "--out", table]) == 0
         assert cli.main(["sweep", "--scenario", scenario, "--cal", table, "--repeats", "1",
                          "--out", {str(tmp_path / "sweep.csv")!r}]) == 0
+        print(sorted(m for m in set(sys.modules) - loaded if m.split(".")[0] == "numpy"))
         print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     """)
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)), timeout=120, check=True)
-    assert out.stdout.strip().splitlines()[-1] == "[]"
+    assert out.stdout.strip().splitlines()[-2:] == ["[]", "[]"]
