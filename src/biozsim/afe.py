@@ -40,10 +40,10 @@ tabulated loads take the per-image sum over n = 8k +/- 1 <= 255, within
 Baseband.  The TIA pole and the Chebyshev low-pass are first- and
 second-order sections, each at unity DC gain and each defined by its
 pole; the Chebyshev poles come from the analog prototype, pre-warped and
-bilinear-mapped in numpy (`_cheby1_zpk`).  The chain is linear and starts
+bilinear-mapped in numpy (`_cheby1_poles`).  The chain is linear and starts
 at rest, and its input is piecewise constant, so its output is a sum of
 copies of one unit-step response, one per change of the mixer DC.  That
-response is computed once per chain, from a recursion in rotation-scaling
+response is computed once per chain and length, from a recursion in rotation-scaling
 form that stays within 1e-13 of a 50-digit evaluation even for slow,
 high-order filters, and it is evaluated only on the lattice of samples
 the ADC reads.
@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -479,32 +478,25 @@ def _rc_mixer_dc(model, f0, config, params, include_interface) -> tuple:
 # Baseband stage: post-mixer DC steps -> settling output series
 # ---------------------------------------------------------------------------
 
-def _cheby1_zpk(order: int, ripple_db: float, cutoff: float, fs: float) -> tuple:
-    """Zeros, poles and gain of the digital Chebyshev type I low-pass.
+def _cheby1_poles(order: int, ripple_db: float, cutoff: float, fs: float) -> np.ndarray:
+    """Poles of the digital Chebyshev type I low-pass.
 
     The analog prototype's poles -sinh(mu + j*theta) lie on an ellipse.
     They are scaled to the cutoff pre-warped on the Nyquist-normalized
     axis, 4 tan(pi * cutoff / fs), and taken through the bilinear map
     z = (4 + s) / (4 - s), which sends the N zeros at infinity to z = -1.
-    An even order has the passband's lower edge, 10^(-ripple/20), as its
-    DC gain.  These are the steps of `scipy.signal.cheby1(..., output="zpk")`
-    in the same order.
+    These are the steps, and the pole order, of
+    `scipy.signal.cheby1(..., output="zpk")`.
     """
     eps = math.sqrt(10 ** (0.1 * ripple_db) - 1.0)
     mu = 1.0 / order * math.asinh(1 / eps)
     p = -np.sinh(mu + 1j * (np.pi * np.arange(-order + 1, order, 2) / (2 * order)))
-    k = np.prod(-p).real
-    if order % 2 == 0:
-        k = k / math.sqrt(1 + eps * eps)
-    warped = 4.0 * math.tan(math.pi * (cutoff / (fs / 2)) / 2.0)
-    p = warped * p
-    k = k * warped**order * (1.0 / np.prod(4.0 - p)).real
-    return -np.ones(order), (4.0 + p) / (4.0 - p), k
+    p = 4.0 * math.tan(math.pi * (cutoff / (fs / 2)) / 2.0) * p
+    return (4.0 + p) / (4.0 - p)
 
 
-@functools.lru_cache(maxsize=32)
 def _baseband_sections(params: ChainParams) -> np.ndarray:
-    """The pole of each section of the TIA + Chebyshev cascade, read-only.
+    """The pole of each section of the TIA + Chebyshev cascade.
 
     A section is first order, a real pole q with its zero at -1, or second
     order, a pole pair p, p* with a double zero at -1; either is scaled to
@@ -514,11 +506,9 @@ def _baseband_sections(params: ChainParams) -> np.ndarray:
     """
     wp = 2 * np.pi * params.tia_pole
     k = 2 * params.output_rate
-    _, p, _ = _cheby1_zpk(params.lpf_order, params.lpf_ripple_db, params.lpf_cutoff,
-                          params.output_rate)
-    poles = np.concatenate([[(k - wp) / (k + wp)], p[: (params.lpf_order + 1) // 2]])
-    poles.setflags(write=False)
-    return poles
+    order = int(params.lpf_order)  # a scenario's JSON may give 4.0
+    p = _cheby1_poles(order, params.lpf_ripple_db, params.lpf_cutoff, params.output_rate)
+    return np.concatenate([[(k - wp) / (k + wp)], p[: (order + 1) // 2]])
 
 
 def _section_recursion(poles) -> tuple:
@@ -592,26 +582,13 @@ def _cascade_step_response(poles, n: int) -> np.ndarray:
     return 1.0 + deviation.ravel()
 
 
-#: The longest step response computed so far per chain, read-only; a
-#: shorter sequence reads its prefix.  Cleared when it would hold more
-#: than `_STEP_RESPONSE_CHAINS` chains.
-_STEP_RESPONSES: dict = {}
-_STEP_RESPONSE_CHAINS = 8
-_STEP_RESPONSE_LOCK = threading.Lock()
-
-
+@functools.lru_cache(maxsize=8)
 def _step_response(params: ChainParams, n: int) -> np.ndarray:
     """Unit-step response of the TIA + Chebyshev chain (unity DC gain), at
     least n samples, read-only."""
-    with _STEP_RESPONSE_LOCK:
-        s = _STEP_RESPONSES.get(params)
-        if s is None or len(s) < n:
-            s = _cascade_step_response(_baseband_sections(params), n)
-            s.setflags(write=False)
-            if params not in _STEP_RESPONSES and len(_STEP_RESPONSES) >= _STEP_RESPONSE_CHAINS:
-                _STEP_RESPONSES.clear()
-            _STEP_RESPONSES[params] = s
-        return s
+    s = _cascade_step_response(_baseband_sections(params), n)
+    s.setflags(write=False)
+    return s
 
 
 #: Noise-free trajectories kept per process.  The repeats of a reading
@@ -680,8 +657,7 @@ def baseband_output(
     superposition, compression and offset) is memoized per process in an
     LRU cache of `_TRAJECTORY_CACHE_SIZE` entries keyed on the steps, the
     frozen ChainParams and the stride, so the repeats of a reading
-    compute it once.  s is computed once per `params`, at the longest
-    length asked for so far; a shorter sequence reads its prefix.  The
+    compute it once.  s is memoized per `params` and length.  The
     noise is added into a fresh array, and the noise-free chain returns a
     copy, so the caller always owns the samples.
     """

@@ -442,11 +442,22 @@ class TestBasebandChain:
     @pytest.mark.parametrize("ripple, cutoff", [(0.5, 5.0), (0.5, 50.0), (3.0, 1000.0),
                                                 (0.1, 20e3)])
     def test_design_matches_scipy_zpk(self, order, ripple, cutoff):
-        z, p, k = afe._cheby1_zpk(order, ripple, cutoff, 50e3)
-        zs, ps, ks = sps.cheby1(order, ripple, cutoff, fs=50e3, output="zpk")
-        assert np.array_equal(z, zs)
-        assert np.max(np.abs(p - ps)) <= 1e-14
-        assert abs(k - ks) <= 1e-14 * abs(ks)
+        # the sections put every zero at -1 and renormalize to unity DC
+        # gain, so the poles are all they take from the design
+        zs, ps, _ = sps.cheby1(order, ripple, cutoff, fs=50e3, output="zpk")
+        assert np.array_equal(zs, -np.ones(order))
+        assert np.max(np.abs(afe._cheby1_poles(order, ripple, cutoff, 50e3) - ps)) <= 1e-14
+
+    def test_an_integral_float_order_runs_as_its_integer(self):
+        # a scenario's JSON gives the order as a float, such as 2.0
+        steps = [(2000, 1e-8), (3000, -1e-8)]
+        runs = []
+        for order in (2.0, 2):
+            afe._trajectory.cache_clear()
+            afe._step_response.cache_clear()
+            runs.append(baseband_output(steps, ChainParams(lpf_order=order), 1953.125, 1,
+                                        rng_seed=3).samples)
+        assert np.array_equal(runs[0], runs[1])
 
     @pytest.mark.parametrize("order", range(1, 7))
     @pytest.mark.parametrize("cutoff", [5.0, 20.0, 50.0])

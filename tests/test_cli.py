@@ -71,6 +71,14 @@ class TestScenario:
         )
         assert cli.main(["sweep", "--scenario", str(path), "--uncalibrated"]) == cli.EXIT_OK
 
+    @pytest.mark.parametrize("verb", ["sweep", "calibrate"])
+    def test_integral_float_lpf_order_runs(self, tmp_path, capsys, verb):
+        path = write_scenario(tmp_path, chain={"lpf_order": 4.0}, frequencies=[1953.125])
+        args = {"sweep": ["--uncalibrated", "--repeats", "1"],
+                "calibrate": ["--out", str(tmp_path / "t.json"), "--created-at", "pinned"]}[verb]
+        assert cli.main([verb, "--scenario", str(path), *args]) == cli.EXIT_OK
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_non_plan_frequency_rejected(self, tmp_path):
         path = write_scenario(tmp_path, frequencies=[1234.5])
         assert cli.main(["sweep", "--scenario", str(path), "--uncalibrated"]) == cli.EXIT_USAGE

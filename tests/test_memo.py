@@ -4,9 +4,6 @@ Counted by monkeypatching the computation behind each cache, never by
 timing.  Each test clears the caches it counts first.
 """
 
-import sys
-import threading
-
 import pytest
 
 import numpy as np
@@ -38,32 +35,23 @@ def test_rc_sweep_computes_mixer_dc_once_per_frequency(monkeypatch):
 
 
 def test_chebyshev_designed_once_per_chain(monkeypatch):
-    afe._baseband_sections.cache_clear()
-    afe._STEP_RESPONSES.clear()
-    calls = count_calls(monkeypatch, afe, "_cheby1_zpk")
+    afe._step_response.cache_clear()
+    afe._trajectory.cache_clear()
+    calls = count_calls(monkeypatch, afe, "_cheby1_poles")
     chains = [ChainParams(), ChainParams(lpf_cutoff=40.0), ChainParams(), ChainParams(lpf_cutoff=40.0)]
     for seed, params in enumerate(chains):
         afe.baseband_output([(100, 1e-8)], params, 1953.125, 1, seed)
     assert len(calls) == 2
-    assert not afe._baseband_sections(ChainParams()).flags.writeable
 
 
 def test_calibration_computes_one_step_response_per_chain(monkeypatch):
     # the 256-tap source-off sequences superpose no step, and the 110
     # 32-tap reads at 11 frequencies share one response
-    afe._STEP_RESPONSES.clear()
+    afe._step_response.cache_clear()
     calls = count_calls(monkeypatch, afe, "_cascade_step_response")
     calib.build_equalization(calib.MeasurementSetup(model=None), seed=4, created_at="pinned")
     assert len(calls) == 1
-    assert not afe._STEP_RESPONSES[ChainParams()].flags.writeable
-
-
-def test_step_response_is_kept_at_the_longest_length(monkeypatch):
-    afe._STEP_RESPONSES.clear()
-    calls = count_calls(monkeypatch, afe, "_cascade_step_response")
-    for n in (28100, 5700, 28100, 1, 30000, 5700):
-        assert len(afe._step_response(ChainParams(), n)) >= n
-    assert [args[1] for args in calls] == [28100, 30000]
+    assert not afe._step_response(ChainParams(), calls[0][1]).flags.writeable
 
 
 def test_a_shorter_step_response_is_a_prefix_of_a_longer_one():
@@ -150,31 +138,3 @@ def test_rc_sweep_folds_the_noise_spectrum_once():
     info = afe._folded_root_spectrum.cache_info()
     assert (info.misses, info.hits) == (1, 109)
     assert not afe._folded_root_spectrum(ChainParams(), 5700, 50e3, 50).flags.writeable
-
-
-def test_concurrent_step_responses_are_prefixes_of_one_response():
-    # threads asking for mixed lengths always get a full, identical prefix
-    params = ChainParams(lpf_order=3)
-    want = afe._cascade_step_response(afe._baseband_sections(params), 20000)
-    lengths = [5700, 28100 // 2, 1, 20000, 300] * 8
-    bad = []
-
-    def ask():
-        for n in lengths:
-            s = afe._step_response(params, n)
-            if len(s) < n or s[:n].tobytes() != want[:n].tobytes():
-                bad.append(n)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        afe._STEP_RESPONSES.clear()
-        workers = [threading.Thread(target=ask) for _ in range(6)]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join(timeout=60)
-        assert not any(w.is_alive() for w in workers)
-    finally:
-        sys.setswitchinterval(interval)
-    assert bad == []
