@@ -35,7 +35,12 @@ clocks are antiperiodic, so half a period suffices.  Tests hold it within
 time constant below 1e-20 / f0 cannot move a double of the DC and is
 dropped, so a vanishing capacitor reads as its resistor.  Cole and
 tabulated loads take the per-image sum over n = 8k +/- 1 <= 255, within
-2e-5 of |I + jQ|.
+2e-5 of |I + jQ|.  Both routes take a vector of frequencies and evaluate
+it as one numpy stack, each row bit for bit its frequency's value alone.
+A load's DC at all 11 plan frequencies is computed in one such pass the
+first time any of them is measured, and kept per process as a read-only
+11 x 2 table (`_plan_dc`): a sweep or a link session on one load pays
+for one stacked evaluation, not eleven.
 
 Baseband.  The TIA pole and the Chebyshev low-pass are first- and
 second-order sections, each at unity DC gain and each defined by its
@@ -304,8 +309,9 @@ def _carrier_noise_sigma(params: ChainParams, f0: float, g2: int) -> float:
 _SPECTRAL_N_CUT = 255
 
 
-def _image_dc(model, f0, config, params, n_max, include_interface) -> tuple:
-    """Post-mixer DC (amps, after the LNA gm) for I and Q, summed per image.
+def _image_dc(model, f0s, config, params, n_max, include_interface) -> np.ndarray:
+    """Post-mixer DC (amps, after the LNA gm), one (I, Q) row per frequency
+    in `f0s`, summed per image.
 
     The stepped current carries images only at n = 8k +/- 1 with
     fundamental-relative amplitude 1/n; each is scaled by W = Z_sense * LNA
@@ -317,17 +323,19 @@ def _image_dc(model, f0, config, params, n_max, include_interface) -> tuple:
         T_n(I) = cos(phi_n - n*pi/8)
         T_n(Q) = (-1)^((n-1)/2) * sin(phi_n - n*pi/8)
 
-    with phi_n the phase of W(n f0).  W is evaluated once for both phases.
+    with phi_n the phase of W(n f0).  W is evaluated once for both phases,
+    on the frequencies-by-images grid at once.
     """
     n = np.arange(1, n_max + 1)
     n = n[(n % 8 == 1) | (n % 8 == 7)]
-    w = tissue._sense_z(model, n * f0, include_interface) * _lna_response(params, n * f0)
+    f = np.outer(np.asarray(f0s, dtype=float), n)
+    w = tissue._sense_z(model, f, include_interface) * _lna_response(params, f)
     phi = np.angle(w) - n * SOURCE_LAG
     mag = np.abs(w) / n**2
     scale = config.gm * (2 / np.pi) * config.current_amplitude
-    dc_i = scale * np.sum(mag * np.cos(phi))
-    dc_q = scale * np.sum(mag * np.where(n % 8 == 1, 1.0, -1.0) * np.sin(phi))
-    return float(dc_i), float(dc_q)
+    dc_i = scale * np.sum(mag * np.cos(phi), axis=1)
+    dc_q = scale * np.sum(mag * np.where(n % 8 == 1, 1.0, -1.0) * np.sin(phi), axis=1)
+    return np.stack([dc_i, dc_q], axis=1)
 
 
 def mixer_dc_pair(
@@ -339,12 +347,19 @@ def mixer_dc_pair(
 ) -> tuple:
     """Steady-state post-mixer DC (amps, after the LNA gm) for I and Q.
 
-    The result does not depend on the seed, so it is memoized per process
-    in an LRU cache of 256 entries keyed on (model, f0, config, params,
-    include_interface): the repeats of a reading compute it once.  Frozen
-    models and parameters key by value; a TabulatedTwoPort keys by
-    identity.  A disabled source returns (0.0, 0.0) without a lookup.  A
-    TimeVaryingModel raises TypeError: pass `model.at_time(t)`.
+    The result does not depend on the seed, the clock select or the
+    frequency index, so a load's DC is computed for all 11 plan
+    frequencies in one stacked pass and memoized per process as a
+    read-only 11 x 2 table (`_plan_dc`, an LRU cache of `_PLAN_CACHE_SIZE`
+    tables keyed on (model, gain word, params, include_interface)): the
+    repeats of a reading, and the other frequencies of a sweep or a link
+    session on the same load, read a row of it.  Frozen models and
+    parameters key by value; a TabulatedTwoPort keys by identity.  An f0
+    that is not exactly a plan frequency, or a table whose range misses
+    some plan frequency's images, is evaluated alone, as a one-row stack
+    through the same route, and not cached.  A disabled source returns
+    (0.0, 0.0) without a lookup.  A TimeVaryingModel raises TypeError:
+    pass `model.at_time(t)`.
 
     Rational (RC) loads: Z_sense * LNA is realized directly from r, c,
     r_interface and `lna_pole` with at most two states, the load state
@@ -367,18 +382,44 @@ def mixer_dc_pair(
     n = 8k +/- 1 <= 255.  Truncating it there moves the DC by at most 2e-5
     of |I + jQ|, which tests check on Cole alpha = 1 loads against the
     exact RC route.
+
+    Either route gives each row of a stack bit for bit the value it gives
+    that frequency alone.
     """
     tissue.require_frozen(model)
     if not config.source_enable:
         return 0.0, 0.0
-    return _mixer_dc(model, f0, config, params, include_interface)
+    if f0 in _PLAN_ROW:
+        try:
+            dc = _plan_dc(model, config.gain_word, params, include_interface)[_PLAN_ROW[f0]]
+            return float(dc[0]), float(dc[1])
+        except tissue.TableRangeError:  # the table may still cover this f0's images
+            pass
+    dc = _stacked_dc(model, [f0], config, params, include_interface)[0]
+    return float(dc[0]), float(dc[1])
 
 
-@functools.lru_cache(maxsize=256)
-def _mixer_dc(model, f0, config, params, include_interface) -> tuple:
+#: Row of each plan frequency in a `_plan_dc` table.
+_PLAN_ROW = {f: row for row, f in enumerate(plan_frequencies())}
+
+#: Plan tables kept per process: one per (load, gain word, chain) measured.
+_PLAN_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _plan_dc(model, gain_word: str, params: ChainParams, include_interface: bool) -> np.ndarray:
+    """(I, Q) mixer DC at every plan frequency, 11 x 2, read-only."""
+    config = AfeConfig.from_gain_word(gain_word)
+    dc = _stacked_dc(model, plan_frequencies(), config, params, include_interface)
+    dc.setflags(write=False)
+    return dc
+
+
+def _stacked_dc(model, f0s, config, params, include_interface) -> np.ndarray:
+    """(I, Q) mixer DC per frequency in `f0s`, (m, 2), by the load's route."""
     if not tissue.is_rational(model):
-        return _image_dc(model, f0, config, params, _SPECTRAL_N_CUT, include_interface)
-    return _rc_mixer_dc(model, f0, config, params, include_interface)
+        return _image_dc(model, f0s, config, params, _SPECTRAL_N_CUT, include_interface)
+    return _rc_mixer_dc(model, f0s, config, params, include_interface)
 
 
 #: A time constant tau with tau * f0 below this moves the mixer DC by
@@ -401,77 +442,91 @@ def _half_period_levels(amplitude: float) -> np.ndarray:
 
 
 def _expm_lower(gen: np.ndarray) -> np.ndarray:
-    """exp(gen) of a lower-triangular generator, by scaling and squaring.
+    """exp of each lower-triangular generator in a stack (m, n, n), by
+    scaling and squaring.
 
-    gen is scaled by 2^-s to norm at most 1, where a Taylor polynomial of
-    degree 18 gives its exponential; s squarings undo the scaling.  Every
-    squaring recomputes the diagonal and the first subdiagonal from
-    their closed forms (Al-Mohy and Higham 2009, Code Fragment 2.1), the
-    divided difference of exp taken through expm1 so that close diagonal
-    entries lose no digits.  `scipy.linalg.expm` does the same with a plain
-    difference of exponentials, which is 5e-12 off for a load pole 7e-6
-    of a segment away from the input's.
+    Each gen is scaled by its own 2^-s to norm at most 1, where a Taylor
+    polynomial of degree 18 gives its exponential; s squarings undo the
+    scaling.  Every squaring recomputes the diagonal and the first
+    subdiagonal from their closed forms (Al-Mohy and Higham 2009, Code
+    Fragment 2.1), the divided difference of exp taken through expm1 so
+    that close diagonal entries lose no digits.  `scipy.linalg.expm` does
+    the same with a plain difference of exponentials, which is 5e-12 off
+    for a load pole 7e-6 of a segment away from the input's.
+
+    The stack runs as one: a matrix with s squarings joins at step
+    top - s of the steps 0..top, where every matrix is at the same scale
+    2^-(top - step), so each one's arithmetic is that of a stack of one.
     """
-    norm = np.abs(gen).sum(axis=0).max()
-    s = max(0, math.ceil(math.log2(norm))) if norm > 1 else 0
-    # the closed forms at each scale gen / 2**t, t = s .. 0
-    scales = 2.0 ** -np.arange(s, -1, -1)
-    h = np.outer(scales, np.diag(gen))
-    hi, lo = np.maximum(h[:, 1:], h[:, :-1]), np.minimum(h[:, 1:], h[:, :-1])
+    n = gen.shape[-1]
+    norms = np.abs(gen).sum(axis=1).max(axis=1)
+    s = np.array([max(0, math.ceil(math.log2(x))) if x > 1 else 0 for x in norms.tolist()])
+    top = int(s.max())
+    # the closed forms at each scale gen / 2**t, t = top .. 0: (m, top + 1, n)
+    scales = 2.0 ** -np.arange(top, -1, -1)
+    h = scales[:, None] * np.diagonal(gen, axis1=1, axis2=2)[:, None, :]
+    hi, lo = np.maximum(h[..., 1:], h[..., :-1]), np.minimum(h[..., 1:], h[..., :-1])
     gap = hi - lo
     ratio = np.divide(-np.expm1(-gap), gap, out=np.ones_like(gap), where=gap > 0)
     diags = np.exp(h)
-    subs = np.outer(scales, np.diag(gen, -1)) * np.exp(hi) * ratio
-    n = len(gen)
+    subs = scales[:, None] * np.diagonal(gen, -1, axis1=1, axis2=2)[:, None, :] * np.exp(hi) * ratio
     # Horner's rule; the terms left out sum below 1/19! < 1e-17
-    x = gen * scales[0]
+    x = gen * (2.0 ** -s)[:, None, None]
     e = np.eye(n)
     for k in range(18, 0, -1):
         e = np.eye(n) + x @ e / k
-    for t in range(s + 1):
+    on, below = np.arange(n), np.arange(1, n)
+    for t in range(top + 1):
         if t:
-            e = e @ e
-        e.flat[:: n + 1] = diags[t]
-        e.flat[n :: n + 1] = subs[t]
+            squared = s > top - t
+            e[squared] = e[squared] @ e[squared]
+        live = np.flatnonzero(s >= top - t)
+        e[live[:, None], on, on] = diags[live, t]
+        e[live[:, None], below, below - 1] = subs[live, t]
     return e
 
 
-def _rc_mixer_dc(model, f0, config, params, include_interface) -> tuple:
-    """Exact post-mixer DC of a parallel RC load (see `mixer_dc_pair`)."""
+def _rc_mixer_dc(model, f0s, config, params, include_interface) -> np.ndarray:
+    """Exact post-mixer DC of a parallel RC load, one (I, Q) row per
+    frequency in `f0s` (see `mixer_dc_pair`)."""
+    f0s = np.asarray(f0s, dtype=float)
     r_ser = model.r_interface if include_interface else 0.0
     scale = model.r + r_ser
     tau = model.r * model.c
-    seg = 1.0 / (16 * f0)
+    seg = 1.0 / (16 * f0s)
     # Lower-triangular generator of (u, x1, x2, z) over one segment, in
     # units of the segment: the held input, the unity-DC load state, the
     # LNA state and the running mean of y / scale.
-    gen = np.zeros((4, 4))
-    if tau * f0 < _NEGLIGIBLE_TAU_F0:
-        w_load, w_direct = 0.0, 1.0
-    else:
-        w_load, w_direct = model.r / scale, r_ser / scale
-        gen[1, :2] = seg / tau, -seg / tau
+    gen = np.zeros((len(f0s), 4, 4))
+    load = ~(tau * f0s < _NEGLIGIBLE_TAU_F0)
+    w_load = np.where(load, model.r / scale, 0.0)
+    w_direct = np.where(load, r_ser / scale, 1.0)
+    gen[load, 1, 0] = seg[load] / tau
+    gen[load, 1, 1] = -seg[load] / tau
     pole = params.lna_pole
-    if pole is None or f0 / (2 * np.pi * pole) < _NEGLIGIBLE_TAU_F0:
-        gen[3, :2] = w_direct, w_load
-    else:
-        p = 2 * np.pi * pole * seg
-        gen[2, :3] = p * w_direct, p * w_load, -p
-        gen[3, 2] = 1.0
+    lna = np.zeros(len(f0s), dtype=bool)
+    if pole is not None:
+        lna = ~(f0s / (2 * np.pi * pole) < _NEGLIGIBLE_TAU_F0)
+        p = 2 * np.pi * pole * seg[lna]
+        gen[lna, 2, 0], gen[lna, 2, 1], gen[lna, 2, 2] = p * w_direct[lna], p * w_load[lna], -p
+        gen[lna, 3, 2] = 1.0
+    gen[~lna, 3, 0], gen[~lna, 3, 1] = w_direct[~lna], w_load[~lna]
     step = _expm_lower(gen)
-    a, b, c, d = step[1:3, 1:3], step[1:3, 0], step[3, 1:3], step[3, 0]
+    a, b, c, d = step[:, 1:3, 1:3], step[:, 1:3, :1], step[:, 3:, 1:3], step[:, 3:, :1]
 
     u = _half_period_levels(config.current_amplitude / FUNDAMENTAL_GAIN)
-    x = np.zeros(2)
+    x = np.zeros((len(f0s), 2, 1))
     for u_j in u:
         x = a @ x + b * u_j
     x = -np.linalg.solve(np.eye(2) + np.linalg.matrix_power(a, 8), x)
-    means = np.empty(8)
+    means = np.empty((len(f0s), 8, 1))
     for j, u_j in enumerate(u):
-        means[j] = c @ x + d * u_j
+        means[:, j] = (c @ x + d * u_j)[:, 0]
         x = a @ x + b * u_j
+    # gates @ each item's column of means sums the 8 terms in the order of
+    # a stack of one; means @ gates.T would not
     dc = config.gm * scale * (_HALF_PERIOD_GATES @ means) / 8
-    return float(dc[0]), float(dc[1])
+    return dc[:, :, 0]
 
 
 # ---------------------------------------------------------------------------

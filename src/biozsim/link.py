@@ -337,42 +337,51 @@ def session(
 
     bit_t = 1.0 / channel.bit_rate
     tau = channel.r_source * power.reservoir_cap
+    clamp, floor = channel.clamp_voltage, channel.brownout_voltage
+    # every tx bit recharges by one factor or discharges by one step
+    bit_decay = math.exp(-bit_t / tau) if tau > 0 else None
+    bit_drop = power.load_current * bit_t / power.reservoir_cap
     t = 0.0
-    v = min(power.reservoir_voltage, channel.clamp_voltage)
+    v = min(power.reservoir_voltage, clamp)
     trace = [(t, v, "start")]
     events = []
     responses = []
 
-    def advance(dt: float, harvesting: bool, tag: str):
+    def advance(dt: float, tag: str, decay: float | None = None, drop: float | None = None):
+        """Step dt on: with `drop`, discharge by it (tank shorted); else
+        harvest, the gap to the clamp scaled by `decay` (default
+        exp(-dt / tau))."""
         nonlocal t, v
-        if harvesting:
-            if tau > 0:
-                v = channel.clamp_voltage + (v - channel.clamp_voltage) * math.exp(-dt / tau)
-            else:
-                v = channel.clamp_voltage
+        if drop is not None:
+            v = v - drop
+        elif tau > 0:
+            v = clamp + (v - clamp) * (math.exp(-dt / tau) if decay is None else decay)
         else:
-            v = v - power.load_current * dt / power.reservoir_cap
-        v = min(max(v, 0.0), channel.clamp_voltage)
+            v = clamp
+        v = min(max(v, 0.0), clamp)
         t += dt
         trace.append((t, v, tag))
-        if v < channel.brownout_voltage:
+        if v < floor:
             raise BrownOutError(
                 f"brown-out at t={t * 1e3:.2f} ms, reservoir {v:.3f} V", trace
             )
 
     for cmd in commands:
         wire = cmd.to_bytes()
-        advance(len(wire) * 10 * bit_t, True, "rx")
+        advance(len(wire) * 10 * bit_t, "rx")
         response, busy = device.handle(wire)
         if busy:
-            advance(busy, True, "measure")
+            advance(busy, "measure")
         events.append(
             f"rx {cmd.hex()} -> tx {response.hex()}"
             + (" [checksum rejected]" if response.opcode == OP_NAK and
                response.payload == bytes([NAK_CHECKSUM]) else "")
         )
         for bit in _uart_bits(response.to_bytes()):
-            advance(bit_t, bit == 1, "tx")  # zero bit shorts the tank
+            if bit:
+                advance(bit_t, "tx", bit_decay)
+            else:  # a zero bit shorts the tank
+                advance(bit_t, "tx", None, bit_drop)
         responses.append(response)
 
     return SessionResult(responses=responses, trace=trace, events=events)

@@ -201,7 +201,7 @@ def analytic_dc_oracle(model, f0, config, params, n_max=63, include_interface=Fa
     tissue.require_frozen(model)
     if not config.source_enable:
         return params.offset
-    dc_i, dc_q = afe._image_dc(model, f0, config, params, n_max, include_interface)
+    dc_i, dc_q = afe._image_dc(model, [f0], config, params, n_max, include_interface)[0]
     dc = dc_i if config.iq_select == Phase.I else dc_q
     return float(dc * params.tia_gain * params.lpf_gain + params.offset)
 

@@ -30,6 +30,11 @@ QUIET = ChainParams(noise_floor=0.0, carrier_noise_v=0.0)
 BARE = ChainParams(noise_floor=0.0, carrier_noise_v=0.0, compression_knee=None, offset=0.0)
 
 
+def rc_mixer_dc(model, f0, config, params, include_interface):
+    """The rational route's (I, Q) at one frequency: a one-row stack."""
+    return tuple(afe._rc_mixer_dc(model, [f0], config, params, include_interface)[0].tolist())
+
+
 def settled_dc(model, f0, config, params):
     """Pre-ADC settled output DC from the engine's mixer DC."""
     dc_i, dc_q = mixer_dc_pair(model, f0, config, params)
@@ -315,7 +320,7 @@ class TestExactReference:
         params = ChainParams() if chain == "default" else ChainParams().ideal()
         for idx, f0 in enumerate(plan_frequencies()):
             config = AfeConfig(freq_index=idx)
-            got = afe._rc_mixer_dc(model, f0, config, params, include_interface)
+            got = rc_mixer_dc(model, f0, config, params, include_interface)
             want = exact_mixer_dc(model, f0, config, params, include_interface)
             for g, w in zip(got, want):
                 assert abs(g - w) <= 1e-11 * abs(complex(*want))
@@ -326,8 +331,8 @@ class TestExactReference:
         params = ChainParams() if chain == "default" else ChainParams().ideal()
         for idx, f0 in enumerate(plan_frequencies()):
             config = AfeConfig(freq_index=idx)
-            got = afe._rc_mixer_dc(ParallelRC(r=100.0, c=c), f0, config, params, False)
-            want = afe._rc_mixer_dc(ParallelRC(r=100.0), f0, config, params, False)
+            got = rc_mixer_dc(ParallelRC(r=100.0, c=c), f0, config, params, False)
+            want = rc_mixer_dc(ParallelRC(r=100.0), f0, config, params, False)
             for g, w in zip(got, want):
                 assert abs(g - w) <= 1e-14 * abs(complex(*want))
 
@@ -336,8 +341,8 @@ class TestExactReference:
         params = ChainParams()
         for idx, f0 in enumerate(plan_frequencies()):
             config = AfeConfig(freq_index=idx)
-            got = afe._rc_mixer_dc(ParallelRC(r=1e200, c=c), f0, config, params, False)
-            want = afe._rc_mixer_dc(ParallelRC(r=100.0, c=c * 1e198), f0, config, params, False)
+            got = rc_mixer_dc(ParallelRC(r=1e200, c=c), f0, config, params, False)
+            want = rc_mixer_dc(ParallelRC(r=100.0, c=c * 1e198), f0, config, params, False)
             assert all(np.isfinite(got))
             for g, w in zip(got, want):
                 assert abs(g - 1e198 * w) <= 1e-12 * abs(1e198 * complex(*want))
@@ -349,7 +354,7 @@ class TestExactReference:
             params = ChainParams(lna_pole=pole)
             for idx, f0 in enumerate(plan_frequencies()):
                 config = AfeConfig(freq_index=idx)
-                assert afe._rc_mixer_dc(model, f0, config, params, False) == afe._rc_mixer_dc(
+                assert rc_mixer_dc(model, f0, config, params, False) == rc_mixer_dc(
                     model, f0, config, ChainParams(lna_pole=None), False)
 
     def test_segment_exponential_is_exact_entrywise(self):
@@ -363,8 +368,90 @@ class TestExactReference:
             with mpmath.workdps(50):
                 exact = mpmath.expm(mpmath.matrix(gen.tolist()))
                 want = np.array([[float(exact[i, j]) for j in range(4)] for i in range(4)])
-            got = afe._expm_lower(gen)
+            got = afe._expm_lower(gen[None])[0]
             assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+class TestPlanStack:
+    """A load's DC for the whole plan in one stacked pass is, row by row, bit
+    for bit the DC of that frequency alone; mixer_dc_pair serves plan
+    frequencies from the cached table and nothing else."""
+
+    PLAN = plan_frequencies()
+
+    @staticmethod
+    def rc_loads():
+        rng = np.random.default_rng(2024)
+        for k in range(40):
+            model = ParallelRC(r=float(10 ** rng.uniform(0, 5)), c=float(10 ** rng.uniform(-12, -5)),
+                               r_interface=float(rng.uniform(0, 100)))
+            yield model, ChainParams(lna_pole=float(10 ** rng.uniform(2, 8))), bool(k % 2)
+        for model in (ParallelRC(r=330.0, c=10e-9, r_interface=25.0), ParallelRC(r=100.0, c=0.0),
+                      ParallelRC(r=100.0, c=1e-26), ParallelRC(r=1e200, c=0.0),
+                      ParallelRC(r=1e200, c=1e-210), ParallelRC(r=9746.0, c=7.34e-6)):
+            for params in (ChainParams(), ChainParams(lna_pole=None)):
+                for include_interface in (False, True):
+                    yield model, params, include_interface
+
+    def assert_rows_are_single_evaluations(self, route, model, params, include_interface, *extra):
+        config = AfeConfig.from_gain_word("101")
+        stack = route(model, self.PLAN, config, params, *extra, include_interface)
+        assert stack.shape == (11, 2)
+        for f0, row in zip(self.PLAN, stack):
+            alone = route(model, [f0], config, params, *extra, include_interface)
+            assert row.tobytes() == alone[0].tobytes()
+
+    def test_rational_rows_equal_single_evaluations(self):
+        for model, params, include_interface in self.rc_loads():
+            self.assert_rows_are_single_evaluations(afe._rc_mixer_dc, model, params, include_interface)
+
+    @pytest.mark.parametrize("name", ["blood", "muscle", "saline", "cole"])
+    def test_spectral_rows_equal_single_evaluations(self, name):
+        model = TestOracleEquivalence.MODELS[name]
+        for params in (ChainParams(), ChainParams(lna_pole=None)):
+            self.assert_rows_are_single_evaluations(
+                afe._image_dc, model, params, False, afe._SPECTRAL_N_CUT)
+
+    def test_stacked_exponential_equals_each_matrix_alone(self):
+        # decaying, as the route's generators are; norms from 1e-3 to 1e7
+        # take 0 to 23 squarings
+        rng = np.random.default_rng(5)
+        gens = np.tril(rng.standard_normal((30, 4, 4)))
+        gens[:, range(4), range(4)] = -np.abs(gens[:, range(4), range(4)])
+        gens *= (10.0 ** rng.uniform(-3, 7, 30))[:, None, None]
+        gens[3] = 0.0
+        stack = afe._expm_lower(gens)
+        for gen, got in zip(gens, stack):
+            assert got.tobytes() == afe._expm_lower(gen[None])[0].tobytes()
+
+    def test_plan_frequencies_read_the_table(self):
+        model = ParallelRC(r=270.0, c=3e-9)
+        for idx, f0 in enumerate(self.PLAN):
+            config = AfeConfig(g0=0, freq_index=idx, iq_select=Phase.Q)
+            table = afe._plan_dc(model, config.gain_word, ChainParams(), False)
+            assert mixer_dc_pair(model, f0, config, ChainParams()) == tuple(table[idx].tolist())
+        assert not table.flags.writeable
+
+    def test_off_plan_frequency_is_evaluated_alone(self):
+        afe._plan_dc.cache_clear()
+        model, config = ParallelRC(r=270.0, c=3e-9), AfeConfig(freq_index=4)
+        f0 = self.PLAN[4] * (1 + 1e-9)
+        got = mixer_dc_pair(model, f0, config, ChainParams())
+        assert got == tuple(afe._rc_mixer_dc(model, [f0], config, ChainParams(), False)[0].tolist())
+        assert got != mixer_dc_pair(model, self.PLAN[4], config, ChainParams())
+        assert afe._plan_dc.cache_info().misses == 1
+
+    def test_table_short_of_the_top_images_still_serves_low_frequencies(self):
+        # images of 1953.125 Hz reach 498 kHz; those of 2 MHz pass 1 MHz
+        full = builtin_model("blood")
+        short = tissue.TabulatedTwoPort(full.freqs_hz[full.freqs_hz <= 1e6],
+                                        full.z21[full.freqs_hz <= 1e6])
+        config = AfeConfig(freq_index=10)
+        got = mixer_dc_pair(short, self.PLAN[10], config, ChainParams())
+        want = afe._image_dc(short, [self.PLAN[10]], config, ChainParams(), afe._SPECTRAL_N_CUT, False)
+        assert got == tuple(want[0].tolist())
+        with pytest.raises(tissue.TableRangeError):
+            mixer_dc_pair(short, self.PLAN[0], AfeConfig(freq_index=0), ChainParams())
 
 
 class TestDemodulateTimeDomain:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,46 @@ class TestSession:
         payload = result.responses[2].payload
         assert int.from_bytes(payload[:2], "big") == 7
         assert int.from_bytes(payload[2:], "big") == 0b001
+
+
+class TestRecordedSessions:
+    """Traces and event logs equal, bit for bit, those recorded from the
+    session loop that evaluated exp(-bit_t / tau) and I * bit_t / C per bit."""
+
+    @staticmethod
+    def frames():
+        frames = [Frame(OP_PING, b"\x5a"), Frame(OP_PING, b"\x00", corrupt=True)]
+        for idx in (0, 10):
+            frames += [set_config_frame(freq_sel=idx, source_enable=1, gain=5),
+                       Frame(OP_START_MEASURE), Frame(OP_READ_RESULT)]
+        return frames
+
+    @staticmethod
+    def device():
+        return ImplantDevice(measure_backend=lambda w: (0x155, 0x2AA), measure_time=0.114)
+
+    @staticmethod
+    def digest(trace, events=()):
+        text = "\n".join(f"{t.hex()} {v.hex()} {tag}" for t, v, tag in trace)
+        return hashlib.sha256((text + "\n" + "\n".join(events)).encode()).hexdigest()
+
+    @pytest.mark.parametrize("r_source, digest", [
+        (0.0, "f3f1dd0d8be9f86430f9bbd4d4169a5885ec7e4b7bebe0fa8809fdd4a7fa7a6d"),
+        (2500.0, "3ec1f66406ac438f3ad3bb57d43bcd65865185fe9a769dee092b7b4068a8dad0"),
+    ])
+    def test_session_matches_its_recording(self, r_source, digest):
+        result = session(self.frames(), ChannelParams(r_source=r_source),
+                         PowerState(reservoir_voltage=2.5), self.device())
+        assert len(result.trace) == 391
+        assert self.digest(result.trace, result.events) == digest
+
+    def test_brownout_matches_its_recording(self):
+        with pytest.raises(BrownOutError) as err:
+            session(self.frames(), ChannelParams(), PowerState(reservoir_cap=0.2e-6), self.device())
+        trace = err.value.trace
+        assert len(trace) == 159
+        assert trace[-1] == (0.14660416666666626, 1.8760826928050616, "tx")
+        assert self.digest(trace) == "48b10ac7c3fc281165a85bb8331ae5e82f28d80fd591895b604b09e931de8692"
 
 
 class TestMeasureTime:

@@ -8,9 +8,10 @@ import pytest
 
 import numpy as np
 
-from biozsim import afe, calib, cli
+from biozsim import acquire, afe, calib, cli, link
 from biozsim.afe import AfeConfig, ChainParams
 from biozsim.tissue import ParallelRC, TimeVaryingModel
+from biozsim.waveforms import plan_frequencies
 
 
 def count_calls(monkeypatch, owner, name):
@@ -25,13 +26,41 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
-def test_rc_sweep_computes_mixer_dc_once_per_frequency(monkeypatch):
-    afe._mixer_dc.cache_clear()
+def test_rc_sweep_computes_the_mixer_dc_once_per_load(monkeypatch):
+    afe._plan_dc.cache_clear()
     calls = count_calls(monkeypatch, afe, "_rc_mixer_dc")
     scenario = cli.Scenario(model=ParallelRC(r=150.0, c=2e-9), params=ChainParams(), seed=5)
     records = cli.run_sweep(scenario, None, repeats=10)
     assert len(records) == 11
-    assert len(calls) == 11
+    assert len(calls) == 1
+    assert list(calls[0][1]) == list(plan_frequencies())
+
+
+def test_link_sessions_compute_one_stack_per_load(monkeypatch):
+    # as `bioz link-demo` measures, a different RC load in each session
+    afe._plan_dc.cache_clear()
+    calls = count_calls(monkeypatch, afe, "_stacked_dc")
+    params = ChainParams()
+    rng = np.random.default_rng(12)
+    for k in range(12):
+        model = ParallelRC(r=float(rng.uniform(100.0, 390.0)), c=float(rng.uniform(1e-10, 1e-8)))
+
+        def backend(word, model=model, seed=k):
+            config = word.to_afe_config()
+            res = acquire.run_sequence(model, plan_frequencies()[word.freq_sel], config, params,
+                                       seed=seed)
+            return tuple(acquire.adc_sample(0.9 + v / 2.0, acquire.AdcSpec())
+                         for v in (res.v_i_dc, res.v_q_dc))
+
+        frames = []
+        for idx in range(11):
+            word = link.ConfigWord(freq_sel=idx, source_enable=1, gain=0b111)
+            frames += [link.Frame(link.OP_SET_CONFIG, link.encode_config(word).to_bytes(2, "big")),
+                       link.Frame(link.OP_START_MEASURE), link.Frame(link.OP_READ_RESULT)]
+        result = link.session(frames, device=link.ImplantDevice(measure_backend=backend))
+        assert [r.opcode for r in result.responses[2::3]] == [link.OP_RESULT] * 11
+    assert len(calls) == 12
+    assert all(len(args[1]) == 11 for args in calls)
 
 
 def test_chebyshev_designed_once_per_chain(monkeypatch):
@@ -64,18 +93,18 @@ def test_a_shorter_step_response_is_a_prefix_of_a_longer_one():
 
 
 def test_equal_models_share_one_mixer_entry():
-    afe._mixer_dc.cache_clear()
+    afe._plan_dc.cache_clear()
     config = AfeConfig(freq_index=6)
     f0 = config.fundamental
     first = afe.mixer_dc_pair(ParallelRC(r=120.0, c=1e-9), f0, config, ChainParams())
     second = afe.mixer_dc_pair(ParallelRC(r=120.0, c=1e-9), f0, config, ChainParams())
-    info = afe._mixer_dc.cache_info()
+    info = afe._plan_dc.cache_info()
     assert first == second
     assert (info.currsize, info.hits) == (1, 1)
 
 
 def test_time_varying_model_keys_by_the_snapshot_value():
-    afe._mixer_dc.cache_clear()
+    afe._plan_dc.cache_clear()
     base = ParallelRC(r=120.0, c=1e-9)
     moving = TimeVaryingModel(base=base, schedule={"r": [(0.0, 120.0), (1.0, 240.0)]})
     config = AfeConfig(freq_index=3)
@@ -84,16 +113,16 @@ def test_time_varying_model_keys_by_the_snapshot_value():
         afe.mixer_dc_pair(moving, f0, config, ChainParams())
     assert afe.mixer_dc_pair(moving.at_time(0.0), f0, config, ChainParams()) == afe.mixer_dc_pair(
         base, f0, config, ChainParams())
-    assert afe._mixer_dc.cache_info().currsize == 1
+    assert afe._plan_dc.cache_info().currsize == 1
     afe.mixer_dc_pair(moving.at_time(1.0), f0, config, ChainParams())
-    assert afe._mixer_dc.cache_info().currsize == 2
+    assert afe._plan_dc.cache_info().currsize == 2
 
 
 def test_disabled_source_bypasses_the_cache():
-    afe._mixer_dc.cache_clear()
+    afe._plan_dc.cache_clear()
     config = AfeConfig(source_enable=0)
     assert afe.mixer_dc_pair(ParallelRC(r=100.0), config.fundamental, config, ChainParams()) == (0.0, 0.0)
-    assert afe._mixer_dc.cache_info().currsize == 0
+    assert afe._plan_dc.cache_info().currsize == 0
 
 
 def count_trajectory_renders(monkeypatch):
