@@ -7,7 +7,7 @@ inductive-link configuration/communication protocol with its energy
 reservoir budget.
 """
 
-from .waveforms import Phase, SampleSeries, plan_frequencies, stepped_sine_levels
+from .waveforms import SampleSeries, plan_frequencies, stepped_sine_levels
 from .tissue import (
     ColeModel,
     ParallelRC,

@@ -41,11 +41,18 @@ class AdcSpec:
         return 2**self.bits
 
 
+#: The one ADC every sequence digitizes with.
+ADC = AdcSpec()
+
+#: Seconds between successive ADC taps of a select phase.
+TAP_SPACING = 1e-3
+
+
 class MeasurementRangeError(ValueError):
     """The chain cannot represent a reading: its mixer DC is not finite."""
 
 
-def adc_sample(v: float, spec: AdcSpec = AdcSpec()):
+def adc_sample(v: float, spec: AdcSpec = ADC):
     """Round-to-nearest code, clamped at the rails (scalar or array).
 
     The clamp comes before the integer cast, so a voltage beyond any
@@ -65,32 +72,31 @@ class SequenceResult:
     saturated: bool = False
 
 
-def _phase_taps(series, start_n: int, settle_n: int, spacing_n: int, taps: int,
-                adc: AdcSpec):
+def _phase_taps(series, start_n: int, settle_n: int, spacing_n: int, taps: int):
     """Digitize `taps` samples of one select phase (indices in samples of
     `series`); return (mean_v, codes)."""
     idx = start_n + settle_n + spacing_n * np.arange(taps)
     pin = 0.9 + series.samples[idx] / 2.0
-    codes = adc_sample(pin, adc)
-    v = 2.0 * (codes * adc.lsb - 0.9)
+    codes = adc_sample(pin)
+    v = 2.0 * (codes * ADC.lsb - 0.9)
     return float(np.mean(v)), codes
 
 
-def _phase_samples(params: afe.ChainParams, taps: int, tap_spacing: float) -> tuple:
+def _phase_samples(params: afe.ChainParams, taps: int) -> tuple:
     """(settle_n, spacing_n, phase_n): output samples to settle, between
     taps, and in one select phase (settling plus the averaging window)."""
     fs = params.output_rate
     settle_n = int(round(params.settle_time * fs))
-    spacing_n = int(round(tap_spacing * fs))
+    spacing_n = int(round(TAP_SPACING * fs))
     if spacing_n < 1:
-        raise ValueError("tap_spacing below the output sample period")
+        raise ValueError(f"output_rate {fs:g} Hz is below the 1 kHz tap rate")
     return settle_n, spacing_n, settle_n + spacing_n * taps
 
 
-def sequence_duration(params: afe.ChainParams, taps: int = 32, tap_spacing: float = 1e-3) -> float:
+def sequence_duration(params: afe.ChainParams, taps: int = 32) -> float:
     """Seconds one I-then-Q sequence occupies: two settle-plus-averaging
     windows (0.114 s at the default chain and 32 taps)."""
-    return 2 * _phase_samples(params, taps, tap_spacing)[2] / params.output_rate
+    return 2 * _phase_samples(params, taps)[2] / params.output_rate
 
 
 def run_sequence(
@@ -100,9 +106,6 @@ def run_sequence(
     params: afe.ChainParams,
     taps: int = 32,
     seed=None,
-    adc: AdcSpec = AdcSpec(),
-    tap_spacing: float = 1e-3,
-    include_interface: bool = False,
 ) -> SequenceResult:
     """Run the I-then-Q time-multiplexed sequence and average the taps.
 
@@ -122,13 +125,13 @@ def run_sequence(
             f"of freq_index {config.freq_index}"
         )
 
-    dc_i, dc_q = afe.mixer_dc_pair(model, f0, config, params, include_interface)
+    dc_i, dc_q = afe.mixer_dc_pair(model, f0, config, params)
     if not (math.isfinite(dc_i) and math.isfinite(dc_q)):
         raise MeasurementRangeError(
             f"mixer DC is not finite at {f0:g} Hz ({dc_i!r}, {dc_q!r}): "
             "the load's impedance overflows the chain")
 
-    settle_n, spacing_n, phase_n = _phase_samples(params, taps, tap_spacing)
+    settle_n, spacing_n, phase_n = _phase_samples(params, taps)
     # every tap index and the series length are multiples of g: render
     # only that lattice of output samples
     g = math.gcd(settle_n, spacing_n)
@@ -136,11 +139,11 @@ def run_sequence(
         [(phase_n, dc_i), (phase_n, dc_q)], params, f0, config.g2, seed, stride=g
     )
 
-    v_i, codes_i = _phase_taps(series, 0, settle_n // g, spacing_n // g, taps, adc)
-    v_q, codes_q = _phase_taps(series, phase_n // g, settle_n // g, spacing_n // g, taps, adc)
+    v_i, codes_i = _phase_taps(series, 0, settle_n // g, spacing_n // g, taps)
+    v_q, codes_q = _phase_taps(series, phase_n // g, settle_n // g, spacing_n // g, taps)
 
     codes = np.concatenate([codes_i, codes_q])
-    clamped = np.count_nonzero((codes == 0) | (codes == adc.codes - 1))
+    clamped = np.count_nonzero((codes == 0) | (codes == ADC.codes - 1))
     saturated = clamped >= max(1, int(np.ceil(0.01 * len(codes))))
 
     return SequenceResult(

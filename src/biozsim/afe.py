@@ -27,10 +27,13 @@ fundamental component of the stepped waveform; the raw staircase is
 formulas Re{Z} = (pi/2) V_I / (|I| G), Im{Z} = (pi/2) V_Q / (|I| G) exact
 at the fundamental with no hold-gain correction.
 
-Mixer DC routes.  An RC load takes one direct realization of
-Z_sense * LNA (at most two states, the load state at unity DC), solved
-exactly over the 8 segments of half a period: the staircase and both
-clocks are antiperiodic, so half a period suffices.  Tests hold it within
+Mixer DC routes.  Both see Z_sense, the impedance between the sense
+electrodes: a ParallelRC's r_interface lies outside them, on the
+injection side, and only `tissue.impedance_at` includes it.  An RC load
+takes one direct realization of Z_sense * LNA (at most two states, the
+load state at unity DC), solved exactly over the 8 segments of half a
+period: the staircase and both clocks are antiperiodic, so half a period
+suffices.  Tests hold it within
 1e-11 of |I + jQ| of a 50-digit evaluation (about 1e-15 measured).  A
 time constant below 1e-20 / f0 cannot move a double of the DC and is
 dropped, so a vanishing capacitor reads as its resistor.  Cole and
@@ -73,7 +76,6 @@ from numpy.random import Generator, default_rng
 from .waveforms import (
     FUNDAMENTAL_GAIN,
     N_STEPS,
-    Phase,
     SampleSeries,
     SOURCE_LAG,
     plan_frequencies,
@@ -98,12 +100,13 @@ _KNEE_X = float((0.99**-4 - 1.0) ** 0.25)
 
 @dataclass(frozen=True)
 class AfeConfig:
-    """Front-end configuration: gain word bits, clock select, frequency index."""
+    """Front-end configuration: gain word bits, source enable, frequency
+    index.  A sequence measures I and then Q (`acquire.run_sequence`), so
+    no clock select is held here."""
 
     g0: int = 1
     g1: int = 1
     g2: int = 1
-    iq_select: Phase = Phase.I
     source_enable: int = 1
     freq_index: int = 10
 
@@ -309,7 +312,7 @@ def _carrier_noise_sigma(params: ChainParams, f0: float, g2: int) -> float:
 _SPECTRAL_N_CUT = 255
 
 
-def _image_dc(model, f0s, config, params, n_max, include_interface) -> np.ndarray:
+def _image_dc(model, f0s, config, params, n_max) -> np.ndarray:
     """Post-mixer DC (amps, after the LNA gm), one (I, Q) row per frequency
     in `f0s`, summed per image.
 
@@ -329,7 +332,7 @@ def _image_dc(model, f0s, config, params, n_max, include_interface) -> np.ndarra
     n = np.arange(1, n_max + 1)
     n = n[(n % 8 == 1) | (n % 8 == 7)]
     f = np.outer(np.asarray(f0s, dtype=float), n)
-    w = tissue._sense_z(model, f, include_interface) * _lna_response(params, f)
+    w = tissue._sense_z(model, f) * _lna_response(params, f)
     phi = np.angle(w) - n * SOURCE_LAG
     mag = np.abs(w) / n**2
     scale = config.gm * (2 / np.pi) * config.current_amplitude
@@ -338,22 +341,15 @@ def _image_dc(model, f0s, config, params, n_max, include_interface) -> np.ndarra
     return np.stack([dc_i, dc_q], axis=1)
 
 
-def mixer_dc_pair(
-    model,
-    f0: float,
-    config: AfeConfig,
-    params: ChainParams,
-    include_interface: bool = False,
-) -> tuple:
+def mixer_dc_pair(model, f0: float, config: AfeConfig, params: ChainParams) -> tuple:
     """Steady-state post-mixer DC (amps, after the LNA gm) for I and Q.
 
-    The result does not depend on the seed, the clock select or the
-    frequency index, so a load's DC is computed for all 11 plan
-    frequencies in one stacked pass and memoized per process as a
-    read-only 11 x 2 table (`_plan_dc`, an LRU cache of `_PLAN_CACHE_SIZE`
-    tables keyed on (model, gain word, params, include_interface)): the
-    repeats of a reading, and the other frequencies of a sweep or a link
-    session on the same load, read a row of it.  Frozen models and
+    The result does not depend on the seed or the frequency index, so a
+    load's DC is computed for all 11 plan frequencies in one stacked pass
+    and memoized per process as a read-only 11 x 2 table (`_plan_dc`, an
+    LRU cache of `_PLAN_CACHE_SIZE` tables keyed on (model, gain word,
+    params)): the repeats of a reading, and the other frequencies of a
+    sweep or a link session on the same load, read a row of it.  Frozen models and
     parameters key by value; a TabulatedTwoPort keys by identity.  An f0
     that is not exactly a plan frequency, or a table whose range misses
     some plan frequency's images, is evaluated alone, as a one-row stack
@@ -361,14 +357,17 @@ def mixer_dc_pair(
     (0.0, 0.0) without a lookup.  A TimeVaryingModel raises TypeError:
     pass `model.at_time(t)`.
 
-    Rational (RC) loads: Z_sense * LNA is realized directly from r, c,
-    r_interface and `lna_pole` with at most two states, the load state
-    scaled to unity DC so that the resistances enter only as weights and
-    the load's scale stays out of the generator.  The lagged staircase and
-    both clocks hold still over each sixteenth of a period and are
-    antiperiodic in half a period, so the steady state is solved over 8
-    exact segments: x0 = -(I + A^8)^-1 x_forced, with no cancellation
-    however slow the load.  The segment exponential of the triangular
+    Both routes see Z_sense, which leaves out a ParallelRC's r_interface:
+    it lies outside the sense electrodes (see `tissue.ParallelRC`).
+
+    Rational (RC) loads: Z_sense * LNA is realized directly from r, c and
+    `lna_pole` with at most two states, the load state scaled to unity DC
+    so that r only scales the result and the load's scale stays out of
+    the generator.  The lagged staircase and both clocks hold still over
+    each sixteenth of a period and are antiperiodic in half a period, so
+    the steady state is solved over 8 exact segments:
+    x0 = -(I + A^8)^-1 x_forced, with no cancellation however slow the
+    load.  The segment exponential of the triangular
     generator, an output integrator appended, is taken by `_expm_lower`,
     accurate entry by entry on stiff and on nearly coincident poles, so
     the gated mean is the continuous mixer DC, every hold image included.
@@ -391,11 +390,11 @@ def mixer_dc_pair(
         return 0.0, 0.0
     if f0 in _PLAN_ROW:
         try:
-            dc = _plan_dc(model, config.gain_word, params, include_interface)[_PLAN_ROW[f0]]
+            dc = _plan_dc(model, config.gain_word, params)[_PLAN_ROW[f0]]
             return float(dc[0]), float(dc[1])
         except tissue.TableRangeError:  # the table may still cover this f0's images
             pass
-    dc = _stacked_dc(model, [f0], config, params, include_interface)[0]
+    dc = _stacked_dc(model, [f0], config, params)[0]
     return float(dc[0]), float(dc[1])
 
 
@@ -407,19 +406,19 @@ _PLAN_CACHE_SIZE = 32
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _plan_dc(model, gain_word: str, params: ChainParams, include_interface: bool) -> np.ndarray:
+def _plan_dc(model, gain_word: str, params: ChainParams) -> np.ndarray:
     """(I, Q) mixer DC at every plan frequency, 11 x 2, read-only."""
     config = AfeConfig.from_gain_word(gain_word)
-    dc = _stacked_dc(model, plan_frequencies(), config, params, include_interface)
+    dc = _stacked_dc(model, plan_frequencies(), config, params)
     dc.setflags(write=False)
     return dc
 
 
-def _stacked_dc(model, f0s, config, params, include_interface) -> np.ndarray:
+def _stacked_dc(model, f0s, config, params) -> np.ndarray:
     """(I, Q) mixer DC per frequency in `f0s`, (m, 2), by the load's route."""
     if not tissue.is_rational(model):
-        return _image_dc(model, f0s, config, params, _SPECTRAL_N_CUT, include_interface)
-    return _rc_mixer_dc(model, f0s, config, params, include_interface)
+        return _image_dc(model, f0s, config, params, _SPECTRAL_N_CUT)
+    return _rc_mixer_dc(model, f0s, config, params)
 
 
 #: A time constant tau with tau * f0 below this moves the mixer DC by
@@ -486,21 +485,21 @@ def _expm_lower(gen: np.ndarray) -> np.ndarray:
     return e
 
 
-def _rc_mixer_dc(model, f0s, config, params, include_interface) -> np.ndarray:
+def _rc_mixer_dc(model, f0s, config, params) -> np.ndarray:
     """Exact post-mixer DC of a parallel RC load, one (I, Q) row per
     frequency in `f0s` (see `mixer_dc_pair`)."""
     f0s = np.asarray(f0s, dtype=float)
-    r_ser = model.r_interface if include_interface else 0.0
-    scale = model.r + r_ser
     tau = model.r * model.c
     seg = 1.0 / (16 * f0s)
     # Lower-triangular generator of (u, x1, x2, z) over one segment, in
     # units of the segment: the held input, the unity-DC load state, the
-    # LNA state and the running mean of y / scale.
+    # LNA state and the running mean of y / r.  The LNA, or the mean where
+    # the pole is dropped, reads the load state, or the held input itself
+    # where the load's time constant is dropped.
+    rows = np.arange(len(f0s))
     gen = np.zeros((len(f0s), 4, 4))
     load = ~(tau * f0s < _NEGLIGIBLE_TAU_F0)
-    w_load = np.where(load, model.r / scale, 0.0)
-    w_direct = np.where(load, r_ser / scale, 1.0)
+    sensed = load.astype(int)  # column of the sensed voltage: x1, else u
     gen[load, 1, 0] = seg[load] / tau
     gen[load, 1, 1] = -seg[load] / tau
     pole = params.lna_pole
@@ -508,9 +507,9 @@ def _rc_mixer_dc(model, f0s, config, params, include_interface) -> np.ndarray:
     if pole is not None:
         lna = ~(f0s / (2 * np.pi * pole) < _NEGLIGIBLE_TAU_F0)
         p = 2 * np.pi * pole * seg[lna]
-        gen[lna, 2, 0], gen[lna, 2, 1], gen[lna, 2, 2] = p * w_direct[lna], p * w_load[lna], -p
+        gen[rows[lna], 2, sensed[lna]], gen[lna, 2, 2] = p, -p
         gen[lna, 3, 2] = 1.0
-    gen[~lna, 3, 0], gen[~lna, 3, 1] = w_direct[~lna], w_load[~lna]
+    gen[rows[~lna], 3, sensed[~lna]] = 1.0
     step = _expm_lower(gen)
     a, b, c, d = step[:, 1:3, 1:3], step[:, 1:3, :1], step[:, 3:, 1:3], step[:, 3:, :1]
 
@@ -525,7 +524,7 @@ def _rc_mixer_dc(model, f0s, config, params, include_interface) -> np.ndarray:
         x = a @ x + b * u_j
     # gates @ each item's column of means sums the 8 terms in the order of
     # a stack of one; means @ gates.T would not
-    dc = config.gm * scale * (_HALF_PERIOD_GATES @ means) / 8
+    dc = config.gm * model.r * (_HALF_PERIOD_GATES @ means) / 8
     return dc[:, :, 0]
 
 

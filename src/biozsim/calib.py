@@ -221,10 +221,7 @@ class MeasurementSetup:
 
     model: object
     params: afe.ChainParams = afe.ChainParams()
-    adc: acquire.AdcSpec = acquire.AdcSpec()
     taps: int = 32
-    tap_spacing: float = 1e-3
-    include_interface: bool = False
 
     def with_model(self, model) -> "MeasurementSetup":
         return replace(self, model=model)
@@ -237,9 +234,7 @@ class MeasurementSetup:
         f0 = plan_frequencies()[freq_index]
         return acquire.run_sequence(
             self.model, f0, config, self.params,
-            taps=self.taps if taps is None else taps,
-            seed=seed, adc=self.adc, tap_spacing=self.tap_spacing,
-            include_interface=self.include_interface,
+            taps=self.taps if taps is None else taps, seed=seed,
         )
 
 
@@ -249,12 +244,11 @@ def measure_offsets(
     seed=None,
     taps: int | None = None,
     repeats: int = 1,
-    freq_index: int = 0,
 ) -> tuple:
     """Averaged I/Q output with the source disabled (the clock stays active).
 
     The chain offset is frequency independent, so the clock is parked at
-    the top plan frequency by default, where the least front-end noise
+    the top plan frequency (index 0), where the least front-end noise
     folds down onto the reading.  Every later reading subtracts this
     stored value, so any residual offset error biases all of them;
     average generously (offsets are measured once).
@@ -262,14 +256,14 @@ def measure_offsets(
     vi = vq = 0.0
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     for ss in root.spawn(repeats):
-        res = setup.run(freq_index=freq_index, gain_word=gain_word,
+        res = setup.run(freq_index=0, gain_word=gain_word,
                         source_enable=0, seed=ss, taps=taps)
         vi += res.v_i_dc / repeats
         vq += res.v_q_dc / repeats
     return (vi, vq)
 
 
-def _raw_reading(setup, result, gain_word: str, offsets) -> complex:
+def _raw_reading(params: afe.ChainParams, result, offsets) -> complex:
     config = result.config
     v_i, v_q = result.v_i_dc, result.v_q_dc
     if offsets is not None:
@@ -279,7 +273,7 @@ def _raw_reading(setup, result, gain_word: str, offsets) -> complex:
         v_i_dc=v_i,
         v_q_dc=v_q,
         i_amplitude=config.current_amplitude,
-        gain_G=setup.params.total_gain(config.g2),
+        gain_G=params.total_gain(config.g2),
         freq=config.fundamental,
     )
     return extract_impedance(raw)
@@ -290,13 +284,12 @@ def build_equalization(
     reference_r: float = 100.0,
     gain_word: str = "111",
     seed=None,
-    offsets: dict | None = None,
     created_at: str | None = None,
     repeats: int = 10,
 ) -> CalibrationTable:
     """Measure the reference resistor at every plan frequency.
 
-    Offsets for all gain words are measured first (unless supplied), then
+    Offsets for all gain words are measured first, then
     each frequency is measured `repeats` times and averaged (calibration
     happens once, so spending acquisition time here keeps its noise out of
     every later reading) and coeff = reference_r / z_measured.  The
@@ -304,11 +297,9 @@ def build_equalization(
     the reference sweep aborts the calibration.
     """
     children = np.random.SeedSequence(seed).spawn(8 + 11)
-    if offsets is None:
-        offsets = {}
-        words = sorted({f"{a}{b}{c}" for a in "01" for b in "01" for c in "01"})
-        for word, ss in zip(words, children[:8]):
-            offsets[word] = measure_offsets(setup, word, seed=ss, taps=OFFSET_TAPS, repeats=4)
+    words = sorted({f"{a}{b}{c}" for a in "01" for b in "01" for c in "01"})
+    offsets = {word: measure_offsets(setup, word, seed=ss, taps=OFFSET_TAPS, repeats=4)
+               for word, ss in zip(words, children[:8])}
 
     ref_setup = setup.with_model(tissue.ParallelRC(r=reference_r, c=0.0))
     coeffs = {}
@@ -321,7 +312,7 @@ def build_equalization(
                     f"reference measurement saturated at {f0:g} Hz "
                     f"(gain word {gain_word}); calibration aborted"
                 )
-            readings.append(_raw_reading(ref_setup, res, gain_word, offsets.get(gain_word)))
+            readings.append(_raw_reading(setup.params, res, offsets.get(gain_word)))
         z_meas = derotate(np.mean(readings))
         if z_meas == 0:
             raise CalibrationError(f"zero reading for the reference at {f0:g} Hz")
@@ -367,17 +358,13 @@ def measure_impedance(
     freq_index: int,
     gain_word: str,
     table: CalibrationTable | None = None,
-    offsets: dict | None = None,
     seed=None,
 ) -> ImpedanceReading:
-    """One full reading: sequence, offset subtraction, extraction, correction."""
+    """One full reading: sequence, offset subtraction (the table's offset
+    for the gain word; none without a table), extraction, correction."""
     res = setup.run(freq_index=freq_index, gain_word=gain_word, seed=seed)
-    off = None
-    if table is not None:
-        off = table.offset_for(gain_word)
-    if offsets is not None:
-        off = offsets.get(gain_word)
-    z_raw = _raw_reading(setup, res, gain_word, off)
+    off = None if table is None else table.offset_for(gain_word)
+    z_raw = _raw_reading(setup.params, res, off)
     freq = plan_frequencies()[freq_index]
     if table is not None:
         reading = apply_calibration(z_raw, table, freq, gain_word)

@@ -7,7 +7,7 @@ Verbs:
   bioz sweep      --scenario f.json --cal table.json [--uncalibrated]
                   [--repeats N] [--seed N] [--format csv|json]
                   [--out file] [--strict]
-  bioz link-demo  --script script.json [--cap uF]
+  bioz link-demo  --script script.json [--cap uF] [--seed N] [--trace]
 
 Exit codes: 0 success (also --help), 1 usage/parse error or an unreadable
 or unwritable file, 2 measurement range (saturation or out-of-range
@@ -30,7 +30,10 @@ Scenario file (JSON): a load model plus instrument overrides::
 Model types: parallel_rc (r, c, r_interface), cole (r_inf, r0, tau,
 alpha), table (path to a text file with `freq_hz re_ohm im_ohm` rows),
 builtin (name: blood | muscle_transversal | saline), and time_varying
-(base model plus {"schedule": {param: [[t, value], ...]}}).
+(base model plus {"schedule": {param: [[t, value], ...]}}).  A
+parallel_rc's r_interface lies on the injection side, outside the sense
+electrodes: a sweep measures r || c, and only `tissue.impedance_at`
+includes it.
 
 Sweep output (CSV) has the frozen header
 `freq_hz,re_ohm,im_ohm,mag_ohm,phase_deg,stderr_ohm,gain_word,flags`;
@@ -221,10 +224,8 @@ def load_scenario(path) -> Scenario:
         frequencies=tuple(float(f) for f in frequencies),
         output_format=output_format,
     )
-    setup = scenario.setup()
     try:
-        _, _, phase_n = acquire._phase_samples(
-            params, max(taps, calib.OFFSET_TAPS), setup.tap_spacing)
+        _, _, phase_n = acquire._phase_samples(params, max(taps, calib.OFFSET_TAPS))
     except OverflowError:  # settle_time * output_rate is not a finite number
         phase_n = math.inf
     except ValueError as exc:
@@ -274,27 +275,18 @@ class SweepRecord:
     flags: tuple = ()
 
     def csv_row(self) -> str:
-        mag = abs(self.z)
-        phase = float(np.degrees(np.angle(self.z))) if mag else 0.0
-        fields = [
-            repr(float(self.freq)),
-            repr(self.z.real),
-            repr(self.z.imag),
-            repr(mag),
-            repr(phase),
-            repr(float(self.stderr_ohm)),
-            self.gain_word,
-            ";".join(self.flags),
-        ]
-        return ",".join(fields)
+        d = self.as_dict()
+        numbers = [repr(float(d[k])) for k in CSV_HEADER.split(",")[:6]]
+        return ",".join(numbers + [self.gain_word, ";".join(self.flags)])
 
     def as_dict(self) -> dict:
+        mag = abs(self.z)
         return {
             "freq_hz": self.freq,
             "re_ohm": self.z.real,
             "im_ohm": self.z.imag,
-            "mag_ohm": abs(self.z),
-            "phase_deg": float(np.degrees(np.angle(self.z))) if abs(self.z) else 0.0,
+            "mag_ohm": mag,
+            "phase_deg": float(np.degrees(np.angle(self.z))) if mag else 0.0,
             "stderr_ohm": self.stderr_ohm,
             "gain_word": self.gain_word,
             "flags": list(self.flags),
@@ -359,14 +351,12 @@ def run_sweep(
     return records
 
 
-def format_records(records, fmt: str, scenario_doc: dict | None = None) -> str:
+def format_records(records, fmt: str) -> str:
     if fmt == "csv":
         lines = [CSV_HEADER] + [r.csv_row() for r in records]
         return "\n".join(lines) + "\n"
     if fmt == "json":
         doc = {"records": [r.as_dict() for r in records]}
-        if scenario_doc:
-            doc["scenario"] = scenario_doc
         return json.dumps(doc, indent=2) + "\n"
     raise ScenarioError(f"unknown output format {fmt!r}")
 
@@ -375,7 +365,7 @@ def format_records(records, fmt: str, scenario_doc: dict | None = None) -> str:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_plan(args) -> int:
+def cmd_plan() -> int:
     plan = plan_frequencies()
     print("index  divider_hz      sine_hz")
     for i, f in enumerate(plan):
@@ -480,14 +470,17 @@ def cmd_link_demo(args) -> int:
 
     model = tissue.ParallelRC(r=100.0, c=0.0)
     params = afe.ChainParams()
-    adc = acquire.AdcSpec()
     taps = 32
+    measured = [0] * len(plan_frequencies())  # measurements so far per plan index
 
     def backend(word: link.ConfigWord):
         config = word.to_afe_config()
-        f0 = plan_frequencies()[word.freq_sel]
-        res = acquire.run_sequence(model, f0, config, params, taps=taps, seed=args.seed)
-        to_code = lambda v: acquire.adc_sample(0.9 + v / 2.0, adc)
+        # the r-th measurement at plan index i draws the stream of a sweep's repeat r
+        idx = config.freq_index
+        seed = _measure_seed(args.seed, idx, measured[idx])
+        measured[idx] += 1
+        res = acquire.run_sequence(model, config.fundamental, config, params, taps=taps, seed=seed)
+        to_code = lambda v: acquire.adc_sample(0.9 + v / 2.0)
         return to_code(res.v_i_dc), to_code(res.v_q_dc)
 
     device = link.ImplantDevice(measure_backend=backend,
@@ -552,7 +545,7 @@ def main(argv=None) -> int:
             if not 0 < getattr(args, name, 1.0) < math.inf:
                 raise ScenarioError(f"--{name} must be a positive number, got {getattr(args, name)}")
         if args.command == "plan":
-            return cmd_plan(args)
+            return cmd_plan()
         if args.command == "calibrate":
             return cmd_calibrate(args)
         if args.command == "sweep":

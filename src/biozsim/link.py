@@ -106,8 +106,9 @@ class ConfigWord:
 
     Layout, MSB first: pll_cal (2 bits, charge-pump trim, carried but not
     modeled), freq_sel (4 bits; 0..10 select plan frequencies, 11..15 are
-    reserved), source_enable (1), iq_sel (1; 0 = I, 1 = Q), gain (3 bits
-    g0 g1 g2).
+    reserved), source_enable (1), iq_sel (1; 0 = I, 1 = Q; carried but
+    not modeled either, since a measurement takes I and then Q), gain
+    (3 bits g0 g1 g2).
     """
 
     pll_cal: int = 0
@@ -137,14 +138,12 @@ class ConfigWord:
 
     def to_afe_config(self):
         from . import afe
-        from .waveforms import Phase
 
         self.require_usable()
         return afe.AfeConfig(
             g0=(self.gain >> 2) & 1,
             g1=(self.gain >> 1) & 1,
             g2=self.gain & 1,
-            iq_select=Phase.Q if self.iq_sel else Phase.I,
             source_enable=self.source_enable,
             freq_index=self.freq_sel,
         )
@@ -233,7 +232,6 @@ class PowerState:
     reservoir_voltage: float = 3.0
     reservoir_cap: float = 20e-6
     load_current: float = 165.5e-6
-    harvesting: bool = True
 
 
 class BrownOutError(RuntimeError):
@@ -332,8 +330,6 @@ def session(
         power = PowerState()
     if device is None:
         device = ImplantDevice()
-    if not power.harvesting:
-        raise ValueError("session requires harvesting at start")
 
     bit_t = 1.0 / channel.bit_rate
     tau = channel.r_source * power.reservoir_cap

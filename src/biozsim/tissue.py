@@ -3,7 +3,8 @@
 Three model families cover the bench and tissue scenarios:
 
 * ParallelRC -- Debye-type parallel resistor/capacitor with an optional
-  series electrode interface resistance, Z = r/(1 + jwrc) + r_interface.
+  series electrode interface resistance on the injection side,
+  Z = r/(1 + jwrc) + r_interface.
 * ColeModel  -- Z = r_inf + (r0 - r_inf)/(1 + (jw*tau)^alpha), the standard
   fractional-order generalization (alpha = 1 reduces to the RC form).
 * TabulatedTwoPort -- transfer impedance vs frequency from an external
@@ -33,7 +34,11 @@ class TableRangeError(ValueError):
 
 @dataclass(frozen=True)
 class ParallelRC:
-    """Parallel r || c with a series injection-side interface resistance."""
+    """Parallel r || c with a series injection-side interface resistance.
+
+    r_interface lies outside the sense electrodes: `impedance_at` includes
+    it, the sensed (measured) impedance does not.
+    """
 
     r: float
     c: float = 0.0
@@ -158,7 +163,7 @@ def impedance_at(model, freq):
     Closed form for ParallelRC and Cole; log-frequency interpolation for
     tables (no extrapolation).  For ParallelRC the series interface
     resistance is included: this is the impedance seen from the injection
-    port.
+    port.  It lies outside the sense electrodes, so no mixer DC sees it.
 
     Where w*r*c (RC) or w*tau (Cole) overflows a double, the closed form
     is taken divided through by that product instead, which tends to the
@@ -204,12 +209,12 @@ def require_frozen(model) -> None:
         raise TypeError("a TimeVaryingModel has no single impedance; pass model.at_time(t)")
 
 
-def _sense_z(model, freq, include_interface: bool):
-    """Impedance applied on the sense path (interface excluded by default)."""
-    z = impedance_at(model, freq)
-    if isinstance(model, ParallelRC) and not include_interface:
-        z = z - model.r_interface
-    return z
+def _sense_z(model, freq):
+    """Impedance between the sense electrodes: a ParallelRC's r_interface
+    lies outside them, so the model is evaluated without it."""
+    if isinstance(model, ParallelRC):
+        model = replace(model, r_interface=0.0)
+    return impedance_at(model, freq)
 
 
 def is_rational(model) -> bool:

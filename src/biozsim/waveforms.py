@@ -27,7 +27,6 @@ functions are pure (safe for concurrent use).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -45,13 +44,6 @@ FUNDAMENTAL_GAIN = float(np.sin(np.pi / 8) / (np.pi / 8))
 _FUNDAMENTALS = tuple(
     REF_CLOCK_HZ * PLL_MULTIPLIER / 2**k / N_STEPS for k in range(N_PLAN)
 )
-
-
-class Phase(str, Enum):
-    """Reference clock selection."""
-
-    I = "I"
-    Q = "Q"
 
 
 def plan_frequencies() -> tuple:

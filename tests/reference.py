@@ -20,6 +20,7 @@ program computes by another road, so a test can hold the program to it:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from enum import Enum
 
 import mpmath
 import numpy as np
@@ -33,7 +34,6 @@ from biozsim.waveforms import (
     REF_CLOCK_HZ,
     SOURCE_LAG,
     FUNDAMENTAL_GAIN,
-    Phase,
     SampleSeries,
     stepped_sine_levels,
 )
@@ -74,6 +74,13 @@ class SteppedSine:
     @property
     def levels(self) -> np.ndarray:
         return stepped_sine_levels(self.amplitude)
+
+
+class Phase(str, Enum):
+    """Reference clock selection."""
+
+    I = "I"
+    Q = "Q"
 
 
 @dataclass(frozen=True)
@@ -194,27 +201,24 @@ def harmonic_coefficients(
     return coeffs
 
 
-def analytic_dc_oracle(model, f0, config, params, n_max=63, include_interface=False) -> float:
-    """Settled output DC (volts) with noise and compression disabled: the
-    per-image sum up to `n_max`, times the TIA and low-pass gains, plus the
-    offset."""
+def analytic_dc_oracle(model, f0, config, params, n_max=63, phase=Phase.I) -> float:
+    """Settled output DC (volts) of the `phase` clock with noise and
+    compression disabled: the per-image sum up to `n_max`, times the TIA
+    and low-pass gains, plus the offset."""
     tissue.require_frozen(model)
     if not config.source_enable:
         return params.offset
-    dc_i, dc_q = afe._image_dc(model, [f0], config, params, n_max, include_interface)[0]
-    dc = dc_i if config.iq_select == Phase.I else dc_q
+    dc_i, dc_q = afe._image_dc(model, [f0], config, params, n_max)[0]
+    dc = dc_i if phase == Phase.I else dc_q
     return float(dc * params.tia_gain * params.lpf_gain + params.offset)
 
 
-def sense_tf(model, params, include_interface: bool):
-    """s-domain numerator/denominator of Z_sense(s) * LNA(s)."""
-    r_ser = model.r_interface if include_interface else 0.0
+def sense_tf(model, params):
+    """s-domain numerator/denominator of Z_sense(s) * LNA(s), r || c."""
     if model.c == 0:
-        num, den = [model.r + r_ser], [1.0]
+        num, den = [model.r], [1.0]
     else:
-        tau = model.r * model.c
-        num = [tau * r_ser, model.r + r_ser] if r_ser else [model.r]
-        den = [tau, 1.0]
+        num, den = [model.r], [model.r * model.c, 1.0]
     if params.lna_pole is not None:
         den = np.convolve(den, [1.0 / (2 * np.pi * params.lna_pole), 1.0])
     return num, den
@@ -260,21 +264,22 @@ def gated_mean_exact(num, den, u: np.ndarray, gates, dt: float, period: int):
     return [float(np.sum(inc * gate) / (period * dt)) for gate in gates]
 
 
-def sampled_mixer_dc(model, f0, config, params, include_interface=False, per_period=256):
+def sampled_mixer_dc(model, f0, config, params, per_period=256):
     """Post-mixer DC (I, Q) of an RC load from `per_period` rendered samples."""
     rate = per_period * f0
     u = synthesize(SteppedSine(config.current_amplitude / FUNDAMENTAL_GAIN, f0),
                    rate, 1 / f0).samples
     gates = [synthesize(IqClock(f0, ph), rate, 1 / f0).samples for ph in (Phase.I, Phase.Q)]
-    num, den = sense_tf(model, params, include_interface)
+    num, den = sense_tf(model, params)
     dc_i, dc_q = gated_mean_exact(num, den, u, gates, 1 / rate, per_period)
     return config.gm * dc_i, config.gm * dc_q
 
 
-def exact_mixer_dc(model, f0, config, params, include_interface=False, dps=50):
+def exact_mixer_dc(model, f0, config, params, dps=50):
     """Post-mixer DC (I, Q) of an RC load, evaluated in mpmath at `dps` digits.
 
-    Z_sense * LNA is split into partial fractions, each a weight times a
+    Z_sense = r || c (the interface lies outside the sense electrodes) times
+    the LNA is split into partial fractions, each a weight times a
     first-order section 1/(1 + s*t) or a direct term (t = 0).  A section
     driven by the staircase relaxes exponentially over each sixteenth of a
     period, so its periodic steady state and every segment integral have
@@ -284,9 +289,8 @@ def exact_mixer_dc(model, f0, config, params, include_interface=False, dps=50):
     mp = mpmath.mp
     with mpmath.workdps(dps):
         r = mp.mpf(model.r)
-        r_ser = mp.mpf(model.r_interface) if include_interface else mp.mpf(0)
         tau = r * mp.mpf(model.c)
-        terms = [(r_ser, mp.mpf(0)), (r, tau)]
+        terms = [(r, tau)]
         if params.lna_pole is not None:
             tp = 1 / (2 * mp.pi * mp.mpf(params.lna_pole))
             split = []

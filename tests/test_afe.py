@@ -15,9 +15,10 @@ from biozsim.afe import (
     noise_process,
 )
 from biozsim.tissue import ColeModel, ParallelRC, builtin_model
-from biozsim.waveforms import FUNDAMENTAL_GAIN, Phase, plan_frequencies
+from biozsim.waveforms import FUNDAMENTAL_GAIN, plan_frequencies
 from reference import (
     IqClock,
+    Phase,
     SteppedSine,
     analytic_dc_oracle,
     cascade_step_reference,
@@ -30,15 +31,14 @@ QUIET = ChainParams(noise_floor=0.0, carrier_noise_v=0.0)
 BARE = ChainParams(noise_floor=0.0, carrier_noise_v=0.0, compression_knee=None, offset=0.0)
 
 
-def rc_mixer_dc(model, f0, config, params, include_interface):
+def rc_mixer_dc(model, f0, config, params):
     """The rational route's (I, Q) at one frequency: a one-row stack."""
-    return tuple(afe._rc_mixer_dc(model, [f0], config, params, include_interface)[0].tolist())
+    return tuple(afe._rc_mixer_dc(model, [f0], config, params)[0].tolist())
 
 
 def settled_dc(model, f0, config, params):
-    """Pre-ADC settled output DC from the engine's mixer DC."""
-    dc_i, dc_q = mixer_dc_pair(model, f0, config, params)
-    dc = dc_i if config.iq_select == Phase.I else dc_q
+    """Pre-ADC settled output I DC from the engine's mixer DC."""
+    dc, _ = mixer_dc_pair(model, f0, config, params)
     v = apply_compression(dc * params.tia_gain * params.lpf_gain, params)
     return v + params.offset
 
@@ -55,7 +55,7 @@ def spectral_reference(model, f0, config, params):
     bins = np.arange(len(spec))
     live = (bins > 0) & (bins <= 255)
     h = np.zeros(len(spec), dtype=complex)
-    h[live] = (tissue._sense_z(model, freqs[live], False) * np.sinc(freqs[live] / rate)
+    h[live] = (tissue._sense_z(model, freqs[live]) * np.sinc(freqs[live] / rate)
                * afe._lna_response(params, freqs[live]))
     v = config.gm * np.fft.irfft(spec * h, n=len(x))
     return tuple(float(np.mean(v * synthesize(IqClock(f0, ph), rate, 1 / f0).samples))
@@ -125,15 +125,14 @@ class TestOracle:
         model = ParallelRC(r=r, c=0.0)
         p = ChainParams(lna_pole=None, noise_floor=0.0, carrier_noise_v=0.0,
                         compression_knee=None, offset=0.0)
-        cfg_i = AfeConfig(freq_index=10, iq_select=Phase.I)
-        cfg_q = AfeConfig(freq_index=10, iq_select=Phase.Q)
+        cfg = AfeConfig(freq_index=10)
         base = 700.0 * (2 / np.pi) * 10e-6 * r
-        assert analytic_dc_oracle(model, 1953.125, cfg_i, p, n_max=1) == pytest.approx(
+        assert analytic_dc_oracle(model, 1953.125, cfg, p, n_max=1) == pytest.approx(
             base * np.cos(np.pi / 8), rel=1e-12
         )
         # Q reads negative for a resistor: the source lags the references,
         # so derotation by +pi/8 restores zero phase
-        assert analytic_dc_oracle(model, 1953.125, cfg_q, p, n_max=1) == pytest.approx(
+        assert analytic_dc_oracle(model, 1953.125, cfg, p, n_max=1, phase=Phase.Q) == pytest.approx(
             -base * np.sin(np.pi / 8), rel=1e-12
         )
 
@@ -198,11 +197,7 @@ class TestOracleEquivalence:
             for word in ("111", "101", "001", "000"):
                 cfg = AfeConfig.from_gain_word(word, freq_index=idx)
                 oi = analytic_dc_oracle(model, f0, cfg, BARE)
-                oq = analytic_dc_oracle(
-                    model, f0,
-                    AfeConfig.from_gain_word(word, freq_index=idx, iq_select=Phase.Q),
-                    BARE,
-                )
+                oq = analytic_dc_oracle(model, f0, cfg, BARE, phase=Phase.Q)
                 di, dq = mixer_dc_pair(model, f0, cfg, BARE)
                 z_td = complex(di * g_post, dq * g_post)
                 z_or = complex(oi, oq)
@@ -221,8 +216,8 @@ class TestOracleEquivalence:
             want = spectral_reference(model, f0, AfeConfig(freq_index=idx), params)
             for dc, ref, phase in zip(got, want, (Phase.I, Phase.Q)):
                 assert abs(dc - ref) <= 1e-6 * abs(ref)
-                cfg = AfeConfig(freq_index=idx, iq_select=phase)
-                oracle = analytic_dc_oracle(model, f0, cfg, params, n_max=255) - params.offset
+                oracle = analytic_dc_oracle(model, f0, AfeConfig(freq_index=idx), params,
+                                            n_max=255, phase=phase) - params.offset
                 assert abs(oracle - ref * g_post) <= 1e-6 * abs(ref * g_post)
 
     def test_all_eight_gain_words(self):
@@ -262,12 +257,11 @@ class TestRationalSegments:
     #: The reference's own rounding grows with tau * f0 (its 256-step
     #: full-period steady-state recursion); these loads keep tau * f0 <= 200.
     LOADS = [
-        (ParallelRC(r=100.0, c=0.0), False),
-        (ParallelRC(r=150.0, c=0.0, r_interface=50.0), True),
-        (ParallelRC(r=330.0, c=10e-9, r_interface=25.0), False),
-        (ParallelRC(r=330.0, c=10e-9, r_interface=25.0), True),
-        (ParallelRC(r=1e3, c=0.1e-6), False),
-        (ParallelRC(r=2000.0, c=2e-10, r_interface=50.0), True),
+        ParallelRC(r=100.0, c=0.0),
+        ParallelRC(r=150.0, c=0.0, r_interface=50.0),
+        ParallelRC(r=330.0, c=10e-9, r_interface=25.0),
+        ParallelRC(r=1e3, c=0.1e-6),
+        ParallelRC(r=2000.0, c=2e-10, r_interface=50.0),
     ]
 
     @pytest.mark.parametrize("f0", plan_frequencies())
@@ -287,11 +281,11 @@ class TestRationalSegments:
     @pytest.mark.parametrize("chain", ["default", "ideal"])
     def test_matches_256_sample_reference(self, chain):
         params = ChainParams() if chain == "default" else ChainParams().ideal()
-        for model, include_interface in self.LOADS:
+        for model in self.LOADS:
             for idx, f0 in enumerate(plan_frequencies()):
                 config = AfeConfig(freq_index=idx)
-                got = mixer_dc_pair(model, f0, config, params, include_interface)
-                want = sampled_mixer_dc(model, f0, config, params, include_interface)
+                got = mixer_dc_pair(model, f0, config, params)
+                want = sampled_mixer_dc(model, f0, config, params)
                 for g, w in zip(got, want):
                     assert abs(g - w) <= 1e-10 * abs(w)
 
@@ -312,16 +306,19 @@ class TestExactReference:
         ParallelRC(r=1.0, c=2.78e-177),
     ]
 
-    @pytest.mark.parametrize("include_interface", [False, True])
+    @pytest.mark.parametrize("interface", [False, True])
     @pytest.mark.parametrize("chain", ["default", "ideal"])
     @pytest.mark.parametrize("load", range(len(MODELS)))
-    def test_within_1e_11_of_mpmath(self, load, chain, include_interface):
+    def test_within_1e_11_of_mpmath(self, load, chain, interface):
+        # with `interface`, the load gains 1 kohm on the injection side,
+        # outside the sense electrodes: the route must still read r || c
         model = self.MODELS[load]
+        tested = replace(model, r_interface=model.r_interface + 1e3) if interface else model
         params = ChainParams() if chain == "default" else ChainParams().ideal()
         for idx, f0 in enumerate(plan_frequencies()):
             config = AfeConfig(freq_index=idx)
-            got = rc_mixer_dc(model, f0, config, params, include_interface)
-            want = exact_mixer_dc(model, f0, config, params, include_interface)
+            got = rc_mixer_dc(tested, f0, config, params)
+            want = exact_mixer_dc(model, f0, config, params)
             for g, w in zip(got, want):
                 assert abs(g - w) <= 1e-11 * abs(complex(*want))
 
@@ -331,8 +328,8 @@ class TestExactReference:
         params = ChainParams() if chain == "default" else ChainParams().ideal()
         for idx, f0 in enumerate(plan_frequencies()):
             config = AfeConfig(freq_index=idx)
-            got = rc_mixer_dc(ParallelRC(r=100.0, c=c), f0, config, params, False)
-            want = rc_mixer_dc(ParallelRC(r=100.0), f0, config, params, False)
+            got = rc_mixer_dc(ParallelRC(r=100.0, c=c), f0, config, params)
+            want = rc_mixer_dc(ParallelRC(r=100.0), f0, config, params)
             for g, w in zip(got, want):
                 assert abs(g - w) <= 1e-14 * abs(complex(*want))
 
@@ -341,8 +338,8 @@ class TestExactReference:
         params = ChainParams()
         for idx, f0 in enumerate(plan_frequencies()):
             config = AfeConfig(freq_index=idx)
-            got = rc_mixer_dc(ParallelRC(r=1e200, c=c), f0, config, params, False)
-            want = rc_mixer_dc(ParallelRC(r=100.0, c=c * 1e198), f0, config, params, False)
+            got = rc_mixer_dc(ParallelRC(r=1e200, c=c), f0, config, params)
+            want = rc_mixer_dc(ParallelRC(r=100.0, c=c * 1e198), f0, config, params)
             assert all(np.isfinite(got))
             for g, w in zip(got, want):
                 assert abs(g - 1e198 * w) <= 1e-12 * abs(1e198 * complex(*want))
@@ -354,8 +351,8 @@ class TestExactReference:
             params = ChainParams(lna_pole=pole)
             for idx, f0 in enumerate(plan_frequencies()):
                 config = AfeConfig(freq_index=idx)
-                assert rc_mixer_dc(model, f0, config, params, False) == rc_mixer_dc(
-                    model, f0, config, ChainParams(lna_pole=None), False)
+                assert rc_mixer_dc(model, f0, config, params) == rc_mixer_dc(
+                    model, f0, config, ChainParams(lna_pole=None))
 
     def test_segment_exponential_is_exact_entrywise(self):
         # a slow load beside a fast LNA pole, then nearly coincident poles:
@@ -385,32 +382,31 @@ class TestPlanStack:
         for k in range(40):
             model = ParallelRC(r=float(10 ** rng.uniform(0, 5)), c=float(10 ** rng.uniform(-12, -5)),
                                r_interface=float(rng.uniform(0, 100)))
-            yield model, ChainParams(lna_pole=float(10 ** rng.uniform(2, 8))), bool(k % 2)
+            yield model, ChainParams(lna_pole=float(10 ** rng.uniform(2, 8)))
         for model in (ParallelRC(r=330.0, c=10e-9, r_interface=25.0), ParallelRC(r=100.0, c=0.0),
                       ParallelRC(r=100.0, c=1e-26), ParallelRC(r=1e200, c=0.0),
                       ParallelRC(r=1e200, c=1e-210), ParallelRC(r=9746.0, c=7.34e-6)):
             for params in (ChainParams(), ChainParams(lna_pole=None)):
-                for include_interface in (False, True):
-                    yield model, params, include_interface
+                yield model, params
 
-    def assert_rows_are_single_evaluations(self, route, model, params, include_interface, *extra):
+    def assert_rows_are_single_evaluations(self, route, model, params, *extra):
         config = AfeConfig.from_gain_word("101")
-        stack = route(model, self.PLAN, config, params, *extra, include_interface)
+        stack = route(model, self.PLAN, config, params, *extra)
         assert stack.shape == (11, 2)
         for f0, row in zip(self.PLAN, stack):
-            alone = route(model, [f0], config, params, *extra, include_interface)
+            alone = route(model, [f0], config, params, *extra)
             assert row.tobytes() == alone[0].tobytes()
 
     def test_rational_rows_equal_single_evaluations(self):
-        for model, params, include_interface in self.rc_loads():
-            self.assert_rows_are_single_evaluations(afe._rc_mixer_dc, model, params, include_interface)
+        for model, params in self.rc_loads():
+            self.assert_rows_are_single_evaluations(afe._rc_mixer_dc, model, params)
 
     @pytest.mark.parametrize("name", ["blood", "muscle", "saline", "cole"])
     def test_spectral_rows_equal_single_evaluations(self, name):
         model = TestOracleEquivalence.MODELS[name]
         for params in (ChainParams(), ChainParams(lna_pole=None)):
             self.assert_rows_are_single_evaluations(
-                afe._image_dc, model, params, False, afe._SPECTRAL_N_CUT)
+                afe._image_dc, model, params, afe._SPECTRAL_N_CUT)
 
     def test_stacked_exponential_equals_each_matrix_alone(self):
         # decaying, as the route's generators are; norms from 1e-3 to 1e7
@@ -427,8 +423,8 @@ class TestPlanStack:
     def test_plan_frequencies_read_the_table(self):
         model = ParallelRC(r=270.0, c=3e-9)
         for idx, f0 in enumerate(self.PLAN):
-            config = AfeConfig(g0=0, freq_index=idx, iq_select=Phase.Q)
-            table = afe._plan_dc(model, config.gain_word, ChainParams(), False)
+            config = AfeConfig(g0=0, freq_index=idx)
+            table = afe._plan_dc(model, config.gain_word, ChainParams())
             assert mixer_dc_pair(model, f0, config, ChainParams()) == tuple(table[idx].tolist())
         assert not table.flags.writeable
 
@@ -437,7 +433,7 @@ class TestPlanStack:
         model, config = ParallelRC(r=270.0, c=3e-9), AfeConfig(freq_index=4)
         f0 = self.PLAN[4] * (1 + 1e-9)
         got = mixer_dc_pair(model, f0, config, ChainParams())
-        assert got == tuple(afe._rc_mixer_dc(model, [f0], config, ChainParams(), False)[0].tolist())
+        assert got == tuple(afe._rc_mixer_dc(model, [f0], config, ChainParams())[0].tolist())
         assert got != mixer_dc_pair(model, self.PLAN[4], config, ChainParams())
         assert afe._plan_dc.cache_info().misses == 1
 
@@ -448,7 +444,7 @@ class TestPlanStack:
                                         full.z21[full.freqs_hz <= 1e6])
         config = AfeConfig(freq_index=10)
         got = mixer_dc_pair(short, self.PLAN[10], config, ChainParams())
-        want = afe._image_dc(short, [self.PLAN[10]], config, ChainParams(), afe._SPECTRAL_N_CUT, False)
+        want = afe._image_dc(short, [self.PLAN[10]], config, ChainParams(), afe._SPECTRAL_N_CUT)
         assert got == tuple(want[0].tolist())
         with pytest.raises(tissue.TableRangeError):
             mixer_dc_pair(short, self.PLAN[0], AfeConfig(freq_index=0), ChainParams())
@@ -465,10 +461,10 @@ class TestDemodulateTimeDomain:
         # the exact route carries every hold image; compare against a deep sum
         g_post = self.FLAT.tia_gain * self.FLAT.lpf_gain
         for idx, f0 in enumerate(plan_frequencies()):
-            dc_i, dc_q = mixer_dc_pair(self.R100, f0, AfeConfig(freq_index=idx), self.FLAT)
-            cfg = AfeConfig(freq_index=idx, iq_select=phase)
+            cfg = AfeConfig(freq_index=idx)
+            dc_i, dc_q = mixer_dc_pair(self.R100, f0, cfg, self.FLAT)
             yield (dc_i if phase == Phase.I else dc_q) * g_post, analytic_dc_oracle(
-                self.R100, f0, cfg, self.FLAT, n_max=2001)
+                self.R100, f0, cfg, self.FLAT, n_max=2001, phase=phase)
 
     def test_flat_resistor_settles_to_quadrature_value(self):
         for got, want in self.exact_and_deep_oracle(Phase.I):

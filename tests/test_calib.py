@@ -20,7 +20,7 @@ from biozsim.calib import (
     measure_offsets,
 )
 from biozsim.tissue import ParallelRC, impedance_at
-from biozsim.waveforms import Phase, plan_frequencies
+from biozsim.waveforms import plan_frequencies
 
 QUIET = ChainParams(noise_floor=0.0, carrier_noise_v=0.0)
 
@@ -320,8 +320,7 @@ class TestRoundTrip:
             p = ChainParams(offset=off, noise_floor=0.0, carrier_noise_v=0.0)
             setup = MeasurementSetup(model=ParallelRC(r=100.0, c=0.0), params=p)
             offs = {w: measure_offsets(setup, w, seed=0) for w in ("111",)}
-            readings.append(
-                measure_impedance(setup, 10, "111", offsets=offs, seed=0).z
-            )
+            table = CalibrationTable(reference_r=100.0, gain_word="111", offsets=offs, eq_coeffs={})
+            readings.append(measure_impedance(setup, 10, "111", table=table, seed=0).z)
         lsb_ohm = 2 * (1.8 / 1024) * (np.pi / 2) / (10e-6 * 700.0)
         assert abs(readings[0] - readings[1]) <= np.sqrt(2) * lsb_ohm

@@ -432,6 +432,22 @@ class TestLinkDemo:
         assert "<< a582" in out  # result frame
         assert "min" in out
 
+    def test_each_measurement_draws_its_own_noise(self, tmp_path, capsys):
+        # measured twice at one configuration: two noise draws, two RESULT
+        # frames; the same --seed replays the session byte for byte
+        measure = [{"op": "start_measure"}, {"op": "read_result"}]
+        path = self.script(tmp_path, [
+            {"op": "set_config", "freq_sel": 10, "source_enable": 1, "gain": 7},
+            *measure, *measure,
+        ])
+        outs = []
+        for _ in range(2):
+            assert cli.main(["link-demo", "--script", str(path), "--seed", "3"]) == cli.EXIT_OK
+            outs.append(capsys.readouterr().out)
+        results = [line for line in outs[0].splitlines() if line.startswith("<< a582")]
+        assert len(results) == 2 and results[0] != results[1]
+        assert outs[0] == outs[1]
+
     def test_corrupted_checksum_naks(self, tmp_path, capsys):
         path = self.script(tmp_path, [{"op": "ping", "corrupt": True}])
         assert cli.main(["link-demo", "--script", str(path)]) == cli.EXIT_OK

@@ -1,9 +1,11 @@
-"""Every module of the package uses each name it imports, and none
-imports scipy.
+"""Every module of the package uses each name it imports, every function
+reads each parameter it takes, and no module imports scipy.
 
 No linter ships with the project, so this walks each module's syntax tree:
 a name bound by `import` or `from ... import` must appear as a name
 somewhere else in the module.  `__init__.py` re-exports and is skipped.
+A function parameter other than `self` and `cls` must be read somewhere
+in the function's body, nested functions included.
 
 numpy is the one runtime dependency: importing scipy would cost a `bioz`
 process about a second before it measures anything.  scipy stays a test
@@ -38,6 +40,25 @@ def unused_imports(path: Path) -> list:
                                           if p.name != "__init__.py"))
 def test_no_unused_imports(module):
     assert unused_imports(PACKAGE / module) == []
+
+
+def unused_parameters(path: Path) -> list:
+    tree = ast.parse(path.read_text())
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unused += [f"{node.name}({p})" for p in params if p not in ("self", "cls") and p not in read]
+    return unused
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_unused_parameters(module):
+    assert unused_parameters(PACKAGE / module) == []
 
 
 def imported_modules(path: Path) -> set:

@@ -63,7 +63,6 @@ class TestConfigCodec:
         cfg = w.to_afe_config()
         assert cfg.freq_index == 4
         assert cfg.gain_word == "101"
-        assert cfg.iq_select.value == "Q"
         assert cfg.source_enable == 1
 
     def test_field_validation(self):
@@ -206,10 +205,6 @@ class TestSession:
         b = session(frames)
         assert a.trace == b.trace
         assert [r.to_bytes() for r in a.responses] == [r.to_bytes() for r in b.responses]
-
-    def test_requires_harvesting_at_start(self):
-        with pytest.raises(ValueError):
-            session([Frame(OP_PING, b"\x00")], power=PowerState(harvesting=False))
 
     def test_device_config_applied(self):
         device = ImplantDevice(measure_backend=lambda w: (int(w.freq_sel), int(w.gain)))

@@ -229,40 +229,37 @@ class TestSenseVoltage:
     per-image (phasor) sum against the exact state-space (filter) route."""
 
     @staticmethod
-    def dc(model, idx, params=ChainParams(), include_interface=False):
+    def dc(model, idx, params=ChainParams()):
         f0 = plan_frequencies()[idx]
-        return complex(*mixer_dc_pair(model, f0, AfeConfig(freq_index=idx), params,
-                                      include_interface))
+        return complex(*mixer_dc_pair(model, f0, AfeConfig(freq_index=idx), params))
 
-    @staticmethod
-    def cole_as_rc(cole):
-        """alpha = 1: r_inf in series with (r0 - r_inf) || c, c = tau / (r0 - r_inf)."""
+    @classmethod
+    def cole_as_rc(cls, cole, idx, params=ChainParams()):
+        """alpha = 1: r_inf in series with (r0 - r_inf) || c, c = tau / (r0 - r_inf).
+        The mixer DC is linear in the sensed impedance: the sum of two RC DCs."""
         r = cole.r0 - cole.r_inf
-        return ParallelRC(r=r, c=cole.tau / r, r_interface=cole.r_inf)
+        return (cls.dc(ParallelRC(r=cole.r_inf), idx, params)
+                + cls.dc(ParallelRC(r=r, c=cole.tau / r), idx, params))
 
     def test_resistor_is_memoryless(self):
         freqs = 1953.125 * np.arange(1, 256)
-        assert np.array_equal(_sense_z(ParallelRC(r=100.0, c=0.0), freqs, False),
+        assert np.array_equal(_sense_z(ParallelRC(r=100.0, c=0.0), freqs),
                               np.full(len(freqs), 100.0 + 0j))
 
     def test_interface_excluded_by_default(self):
-        for idx in (0, 10):
-            assert self.dc(ParallelRC(r=100.0, c=0.0, r_interface=50.0), idx) == self.dc(
-                ParallelRC(r=100.0, c=0.0), idx)
-
-    def test_interface_flag_restores_ohms_law_on_150(self):
-        # 100 + 50 ohm seen whole is a 150 ohm resistor
-        for idx in (0, 10):
-            got = self.dc(ParallelRC(r=100.0, c=0.0, r_interface=50.0), idx,
-                          include_interface=True)
-            assert got == pytest.approx(self.dc(ParallelRC(r=150.0, c=0.0), idx), rel=1e-12)
+        # the interface lies outside the sense electrodes: bit for bit no DC moves
+        for r, c in ((100.0, 0.0), (270.0, 3e-9)):
+            for params in (ChainParams(), ChainParams().ideal()):
+                for idx in range(11):
+                    assert self.dc(ParallelRC(r=r, c=c, r_interface=50.0), idx, params) == (
+                        self.dc(ParallelRC(r=r, c=c), idx, params))
 
     def test_capacitive_asymptote(self):
         # far above the corner the sensed impedance approaches 1/(2 pi f c)
         m = ParallelRC(r=1e3, c=0.1e-6)
         freqs = 1e6 * np.array([1, 7, 9])
         expect = 1 / (2 * np.pi * freqs * 0.1e-6)
-        assert np.abs(_sense_z(m, freqs, False)) == pytest.approx(expect, rel=1e-3)
+        assert np.abs(_sense_z(m, freqs)) == pytest.approx(expect, rel=1e-3)
 
     def test_phasor_and_filter_routes_agree_per_harmonic(self):
         # a Cole load with alpha = 1 is an RC: its image sum, truncated at
@@ -273,7 +270,7 @@ class TestSenseVoltage:
         for params in (ChainParams(), ChainParams().ideal()):
             for cole in coles:
                 for idx in range(11):
-                    exact = self.dc(self.cole_as_rc(cole), idx, params, include_interface=True)
+                    exact = self.cole_as_rc(cole, idx, params)
                     assert abs(self.dc(cole, idx, params) - exact) <= 2e-5 * abs(exact)
 
     def test_filter_route_rms_agreement_smooth_load(self):
@@ -281,7 +278,7 @@ class TestSenseVoltage:
         # small r_inf attenuates the truncated images: 1e-6 holds
         for idx, f0 in enumerate(plan_frequencies()):
             cole = ColeModel(r_inf=1.0, r0=1000.0, tau=1 / (2 * np.pi * f0))
-            exact = self.dc(self.cole_as_rc(cole), idx, include_interface=True)
+            exact = self.cole_as_rc(cole, idx)
             assert abs(self.dc(cole, idx) - exact) <= 1e-6 * abs(exact)
 
     def test_filter_route_rejects_nonrational(self):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from biozsim.waveforms import FUNDAMENTAL_GAIN, Phase, plan_frequencies, stepped_sine_levels
+from biozsim.waveforms import FUNDAMENTAL_GAIN, plan_frequencies, stepped_sine_levels
 from reference import (
     IqClock,
+    Phase,
     SteppedSine,
     frequency_plan,
     harmonic_coefficients,
