@@ -72,16 +72,6 @@ class SequenceResult:
     saturated: bool = False
 
 
-def _phase_taps(series, start_n: int, settle_n: int, spacing_n: int, taps: int):
-    """Digitize `taps` samples of one select phase (indices in samples of
-    `series`); return (mean_v, codes)."""
-    idx = start_n + settle_n + spacing_n * np.arange(taps)
-    pin = 0.9 + series.samples[idx] / 2.0
-    codes = adc_sample(pin)
-    v = 2.0 * (codes * ADC.lsb - 0.9)
-    return float(np.mean(v)), codes
-
-
 def _phase_samples(params: afe.ChainParams, taps: int) -> tuple:
     """(settle_n, spacing_n, phase_n): output samples to settle, between
     taps, and in one select phase (settling plus the averaging window)."""
@@ -90,6 +80,9 @@ def _phase_samples(params: afe.ChainParams, taps: int) -> tuple:
     spacing_n = int(round(TAP_SPACING * fs))
     if spacing_n < 1:
         raise ValueError(f"output_rate {fs:g} Hz is below the 1 kHz tap rate")
+    if abs(TAP_SPACING * fs - spacing_n) > 1e-9 * spacing_n:
+        raise ValueError(f"output_rate {fs:g} Hz does not place the 1 ms taps on "
+                         "whole output samples")
     return settle_n, spacing_n, settle_n + spacing_n * taps
 
 
@@ -106,7 +99,7 @@ def run_sequence(
     params: afe.ChainParams,
     taps: int = 32,
     seed=None,
-) -> SequenceResult:
+) -> SequenceResult | list:
     """Run the I-then-Q time-multiplexed sequence and average the taps.
 
     `f0` must be the plan frequency selected by config.freq_index.  The
@@ -114,7 +107,14 @@ def run_sequence(
     are zero.  The saturated flag is set when at least 1% of the ADC taps
     clamp at a rail.  A mixer DC that is not finite (a load whose
     impedance overflows a double) raises MeasurementRangeError before
-    anything is digitized.
+    anything is drawn or digitized.
+
+    A list of seeds is a stack of repeats: they share the mixer DC and
+    the noise-free output, their noise is drawn per seed and shaped,
+    digitized and averaged as arrays over the stack, and a list of
+    results comes back, one per seed, each bit for bit (saturated flag
+    included) the result of that seed alone.  Any other seed is one
+    sequence.
     """
     if taps < 1:
         raise ValueError("taps must be >= 1")
@@ -135,20 +135,21 @@ def run_sequence(
     # every tap index and the series length are multiples of g: render
     # only that lattice of output samples
     g = math.gcd(settle_n, spacing_n)
-    series = afe.baseband_output(
-        [(phase_n, dc_i), (phase_n, dc_q)], params, f0, config.g2, seed, stride=g
-    )
+    stack = isinstance(seed, list)
+    y = afe.baseband_output(
+        [(phase_n, dc_i), (phase_n, dc_q)], params, f0, config.g2,
+        seed if stack else [seed], stride=g,
+    ).samples
 
-    v_i, codes_i = _phase_taps(series, 0, settle_n // g, spacing_n // g, taps)
-    v_q, codes_q = _phase_taps(series, phase_n // g, settle_n // g, spacing_n // g, taps)
+    # (row, I or Q, tap): each select phase is half of a row
+    first, step = settle_n // g, spacing_n // g
+    tapped = y.reshape(len(y), 2, phase_n // g)[:, :, first : first + step * taps : step]
+    codes = adc_sample(0.9 + tapped / 2.0)
+    # C-ordered, each phase's taps sum in the order of a 1-D mean
+    means = np.ascontiguousarray(2.0 * (codes * ADC.lsb - 0.9)).mean(axis=2)
+    clamped = ((codes == 0) | (codes == ADC.codes - 1)).sum(axis=(1, 2))
+    saturated = clamped >= max(1, math.ceil(0.01 * (2 * taps)))
 
-    codes = np.concatenate([codes_i, codes_q])
-    clamped = np.count_nonzero((codes == 0) | (codes == ADC.codes - 1))
-    saturated = clamped >= max(1, int(np.ceil(0.01 * len(codes))))
-
-    return SequenceResult(
-        v_i_dc=v_i,
-        v_q_dc=v_q,
-        config=config,
-        saturated=saturated,
-    )
+    results = [SequenceResult(v_i_dc=v_i, v_q_dc=v_q, config=config, saturated=s)
+               for (v_i, v_q), s in zip(means.tolist(), saturated.tolist())]
+    return results if stack else results[0]

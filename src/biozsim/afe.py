@@ -54,7 +54,10 @@ copies of one unit-step response, one per change of the mixer DC.  That
 response is computed once per chain and length, from a recursion in rotation-scaling
 form that stays within 1e-13 of a 50-digit evaluation even for slow,
 high-order filters, and it is evaluated only on the lattice of samples
-the ADC reads.
+the ADC reads.  The repeats of one reading run as one stack of seeds:
+each seed draws its noise from its own generator, and the noise shaping
+and the sum with the shared noise-free output run as arrays over the
+stack, each row bit for bit that seed's output alone.
 
 Stateless apart from per-process caches of seed-independent results;
 independent measurements may run concurrently with independent seeds.
@@ -248,6 +251,19 @@ def apply_compression(v, params: ChainParams):
     return y if np.ndim(v) else float(y)
 
 
+def _generators(seeds) -> list:
+    """One Generator per seed of a stack (a Generator is used as it is)."""
+    return [s if isinstance(s, Generator) else default_rng(s) for s in seeds]
+
+
+def _normals(rngs, m: int) -> np.ndarray:
+    """(len(rngs), m) standard normals, row r the next m draws of rngs[r]."""
+    out = np.empty((len(rngs), m))
+    for r, rng in enumerate(rngs):
+        rng.standard_normal(out=out[r])
+    return out
+
+
 def noise_process(
     params: ChainParams, rng_seed, duration: float, sample_rate: float, stride: int = 1
 ) -> SampleSeries:
@@ -258,7 +274,10 @@ def noise_process(
     series of n = duration * sample_rate samples (DC bin zeroed), then
     read at samples 0, stride, 2*stride, ...  Deterministic for a fixed
     seed.  At the default floor and corner the 1-100 Hz integral is
-    1.3 mVrms.
+    1.3 mVrms.  A list of seeds (or Generators) is a stack: the samples
+    are then one row per seed, each drawn from that seed's own generator
+    and shaped along the rows in one pass, each row bit for bit the
+    series of its seed alone.  Nothing is drawn at a zero floor.
 
     The full series is never built.  It is circular-stationary with
     covariance c = irfft(S), S the per-bin power noise_floor^2 *
@@ -271,16 +290,18 @@ def noise_process(
     is the full series, exactly zero-mean; n must be a multiple of the
     stride.  The returned series runs at sample_rate / stride.
     """
-    rng = rng_seed if isinstance(rng_seed, Generator) else default_rng(rng_seed)
     n = int(round(duration * sample_rate))
     if n % stride:
         raise ValueError(f"{n} samples do not divide into stride {stride}")
     m = n // stride
+    stack = isinstance(rng_seed, list)
+    seeds = rng_seed if stack else [rng_seed]
     if params.noise_floor == 0.0 or n == 0:
-        return SampleSeries(sample_rate / stride, np.zeros(m))
-    root = _folded_root_spectrum(params, n, sample_rate, stride)
-    return SampleSeries(sample_rate / stride,
-                        irfft(rfft(rng.standard_normal(m)) * root, n=m))
+        rows = np.zeros((len(seeds), m))
+    else:
+        root = _folded_root_spectrum(params, n, sample_rate, stride)
+        rows = irfft(rfft(_normals(_generators(seeds), m), axis=1) * root, n=m, axis=1)
+    return SampleSeries(sample_rate / stride, rows if stack else rows[0])
 
 
 @functools.lru_cache(maxsize=8)
@@ -348,9 +369,9 @@ def mixer_dc_pair(model, f0: float, config: AfeConfig, params: ChainParams) -> t
     load's DC is computed for all 11 plan frequencies in one stacked pass
     and memoized per process as a read-only 11 x 2 table (`_plan_dc`, an
     LRU cache of `_PLAN_CACHE_SIZE` tables keyed on (model, gain word,
-    params)): the repeats of a reading, and the other frequencies of a
-    sweep or a link session on the same load, read a row of it.  Frozen models and
-    parameters key by value; a TabulatedTwoPort keys by identity.  An f0
+    params)): every reading of a sweep or a link session on the same load
+    reads a row of it.  Frozen models and parameters key by value; a
+    TabulatedTwoPort keys by identity.  An f0
     that is not exactly a plan frequency, or a table whose range misses
     some plan frequency's images, is evaluated alone, as a one-row stack
     through the same route, and not cached.  A disabled source returns
@@ -646,7 +667,8 @@ def _step_response(params: ChainParams, n: int) -> np.ndarray:
 
 
 #: Noise-free trajectories kept per process.  The repeats of a reading
-#: run back to back, so a few entries suffice.  An entry holds only the
+#: share one render as a stack; the source-off sequences of every gain
+#: word render alike, so a few entries suffice.  An entry holds only the
 #: lattice of samples the ADC reads: 114 floats for a default 32-tap
 #: reading, 562 for a 256-tap source-off sequence.
 _TRAJECTORY_CACHE_SIZE = 4
@@ -707,26 +729,31 @@ def baseband_output(
     noise from its folded spectrum, and the carrier term is white per
     sample.
 
-    Only the noise depends on the seed.  The noise-free lattice (the
+    Only the noise depends on the seed.  A list of seeds is a stack: the
+    samples are then one row per seed, each seed's generator drawing its
+    1/f normals and then its carrier normals, and each row is bit for bit
+    the output of that seed alone.  The noise-free lattice (the
     superposition, compression and offset) is memoized per process in an
     LRU cache of `_TRAJECTORY_CACHE_SIZE` entries keyed on the steps, the
-    frozen ChainParams and the stride, so the repeats of a reading
-    compute it once.  s is memoized per `params` and length.  The
-    noise is added into a fresh array, and the noise-free chain returns a
-    copy, so the caller always owns the samples.
+    frozen ChainParams and the stride, and a stack adds its noise to that
+    one lattice.  s is memoized per `params` and length.  The noise is
+    added into a fresh array, and the noise-free chain returns a copy, so
+    the caller always owns the samples.
     """
     fs = params.output_rate
     steps = tuple((int(n), float(dc)) for n, dc in steps)
     total = sum(n for n, _ in steps)
     if total % stride:
         raise ValueError(f"{total} samples do not divide into stride {stride}")
+    stack = isinstance(rng_seed, list)
+    seeds = rng_seed if stack else [rng_seed]
     y = _trajectory(steps, params, stride)
     if params.noise_floor or params.carrier_noise_v:
-        rng = rng_seed if isinstance(rng_seed, Generator) else default_rng(rng_seed)
-        y = y + noise_process(params, rng, total / fs, fs, stride).samples
+        rngs = _generators(seeds)
+        y = y + noise_process(params, rngs, total / fs, fs, stride).samples
         sig = _carrier_noise_sigma(params, f0, g2)
         if sig:
-            y = y + sig * rng.standard_normal(len(y))
+            y = y + sig * _normals(rngs, y.shape[1])
     else:
-        y = y.copy()
-    return SampleSeries(fs / stride, y)
+        y = np.repeat(y[None], len(seeds), axis=0)
+    return SampleSeries(fs / stride, y if stack else y[0])

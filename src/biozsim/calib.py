@@ -227,7 +227,9 @@ class MeasurementSetup:
         return replace(self, model=model)
 
     def run(self, freq_index: int, gain_word: str, source_enable: int = 1,
-            seed=None, taps: int | None = None) -> acquire.SequenceResult:
+            seed=None, taps: int | None = None):
+        """One sequence, or a list of them for a list of seeds (one stack,
+        see `acquire.run_sequence`)."""
         config = afe.AfeConfig.from_gain_word(
             gain_word, freq_index=freq_index, source_enable=source_enable
         )
@@ -255,9 +257,8 @@ def measure_offsets(
     """
     vi = vq = 0.0
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    for ss in root.spawn(repeats):
-        res = setup.run(freq_index=0, gain_word=gain_word,
-                        source_enable=0, seed=ss, taps=taps)
+    for res in setup.run(freq_index=0, gain_word=gain_word, source_enable=0,
+                         seed=root.spawn(repeats), taps=taps):
         vi += res.v_i_dc / repeats
         vq += res.v_q_dc / repeats
     return (vi, vq)
@@ -305,8 +306,8 @@ def build_equalization(
     coeffs = {}
     for idx, f0 in enumerate(plan_frequencies()):
         readings = []
-        for rep_seed in children[8 + idx].spawn(repeats):
-            res = ref_setup.run(freq_index=idx, gain_word=gain_word, seed=rep_seed)
+        for res in ref_setup.run(freq_index=idx, gain_word=gain_word,
+                                 seed=children[8 + idx].spawn(repeats)):
             if res.saturated:
                 raise CalibrationError(
                     f"reference measurement saturated at {f0:g} Hz "
@@ -359,17 +360,25 @@ def measure_impedance(
     gain_word: str,
     table: CalibrationTable | None = None,
     seed=None,
-) -> ImpedanceReading:
+) -> ImpedanceReading | list:
     """One full reading: sequence, offset subtraction (the table's offset
-    for the gain word; none without a table), extraction, correction."""
-    res = setup.run(freq_index=freq_index, gain_word=gain_word, seed=seed)
+    for the gain word; none without a table), extraction, correction.
+
+    A list of seeds is a stack of repeats, measured in one pass (see
+    `acquire.run_sequence`): a list of readings comes back, one per seed.
+    """
+    stack = isinstance(seed, list)
+    results = setup.run(freq_index=freq_index, gain_word=gain_word, seed=seed if stack else [seed])
     off = None if table is None else table.offset_for(gain_word)
-    z_raw = _raw_reading(setup.params, res, off)
     freq = plan_frequencies()[freq_index]
-    if table is not None:
-        reading = apply_calibration(z_raw, table, freq, gain_word)
-    else:
-        reading = ImpedanceReading(z=derotate(z_raw), freq=freq, gain_word=gain_word)
-    if res.saturated:
-        reading = replace(reading, flags=reading.flags + ("saturated",))
-    return reading
+    readings = []
+    for res in results:
+        z_raw = _raw_reading(setup.params, res, off)
+        if table is not None:
+            reading = apply_calibration(z_raw, table, freq, gain_word)
+        else:
+            reading = ImpedanceReading(z=derotate(z_raw), freq=freq, gain_word=gain_word)
+        if res.saturated:
+            reading = replace(reading, flags=reading.flags + ("saturated",))
+        readings.append(reading)
+    return readings if stack else readings[0]

@@ -298,7 +298,8 @@ def run_sweep(
     table: calib.CalibrationTable | None,
     repeats: int = 10,
 ) -> list:
-    """Measure every scenario frequency `repeats` times; one record each.
+    """Measure every scenario frequency `repeats` times, as one stack of
+    seeds (see `acquire.run_sequence`); one record each.
 
     In auto gain mode a pilot measurement at the widest range (word 000)
     picks the word per frequency.  When a calibration table is supplied
@@ -332,11 +333,8 @@ def run_sweep(
             flags = flags + ("gain_mismatch",)
 
         zs = []
-        for rep in range(repeats):
-            reading = calib.measure_impedance(
-                setup, idx, word, table=use_table,
-                seed=_measure_seed(scenario.seed, idx, rep),
-            )
+        seeds = [_measure_seed(scenario.seed, idx, rep) for rep in range(repeats)]
+        for reading in calib.measure_impedance(setup, idx, word, table=use_table, seed=seeds):
             zs.append(reading.z)
             for f in reading.flags:
                 if f not in flags:

@@ -3,10 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
-from biozsim import afe
-from biozsim.acquire import AdcSpec, SequenceResult, adc_sample, run_sequence
+from biozsim import acquire, afe
+from biozsim.acquire import AdcSpec, _phase_samples, adc_sample, run_sequence
 from biozsim.afe import AfeConfig, ChainParams, baseband_output, mixer_dc_pair
-from biozsim.tissue import ParallelRC
+from biozsim.tissue import ParallelRC, TabulatedTwoPort
 from biozsim.waveforms import plan_frequencies
 from reference import analytic_dc_oracle
 
@@ -121,6 +121,13 @@ class TestRunSequence:
         with pytest.raises(ValueError):
             run_sequence(self.MODEL, 2e6, cfg, QUIET)
 
+    def test_taps_fall_on_whole_output_samples(self):
+        assert _phase_samples(ChainParams(output_rate=20e3), 32) == (500, 20, 1140)
+        # 1 ms is 1.4 or 0.6 samples here: rounding would move the taps
+        for rate in (1400.0, 600.0):
+            with pytest.raises(ValueError, match="whole output samples"):
+                _phase_samples(ChainParams(output_rate=rate), 32)
+
 
 class TestTapLattice:
     """A sequence renders only the output samples its taps read."""
@@ -164,3 +171,63 @@ class TestTapLattice:
         res = run_sequence(self.MODEL, cfg.fundamental, cfg, params, seed=3)
         assert strides == [stride]
         assert [res.v_i_dc, res.v_q_dc] == self.full_series_read(params, cfg)
+
+
+class TestSeedStack:
+    """A list of seeds runs a reading's repeats as one stack; every row is,
+    bit for bit, that seed run alone.  Row identity of the stacked FFT is a
+    property of this numpy, not a guarantee, so this pins it."""
+
+    MODEL = ParallelRC(r=270.0, c=3e-9)
+    # the carrier-only chain draws no 1/f normals, so its carrier normals
+    # are each generator's first draw
+    CHAINS = {"default": ChainParams(), "quiet": QUIET, "carrier_only": ChainParams(noise_floor=0.0)}
+
+    @staticmethod
+    def key(res):
+        return np.array([res.v_i_dc, res.v_q_dc]).tobytes(), res.saturated
+
+    def assert_rows_are_single_runs(self, model, cfg, params, taps, seeds):
+        stack = run_sequence(model, cfg.fundamental, cfg, params, taps=taps, seed=seeds)
+        assert len(stack) == len(seeds)
+        for seed, row in zip(seeds, stack):
+            alone = run_sequence(model, cfg.fundamental, cfg, params, taps=taps, seed=seed)
+            assert self.key(row) == self.key(alone)
+        return stack
+
+    @pytest.mark.parametrize("chain", list(CHAINS))
+    @pytest.mark.parametrize("taps", [32, 256])
+    @pytest.mark.parametrize("k", [1, 4, 10])
+    def test_rows_equal_single_runs(self, chain, taps, k):
+        params = self.CHAINS[chain]
+        seeds = np.random.SeedSequence([k, taps]).spawn(k)
+        for cfg in (AfeConfig(freq_index=7), AfeConfig(freq_index=7, source_enable=0)):
+            stack = self.assert_rows_are_single_runs(self.MODEL, cfg, params, taps, seeds)
+            distinct = len({self.key(res) for res in stack})
+            assert distinct == (1 if chain == "quiet" else k)
+
+    def test_saturated_flag_stays_per_row(self):
+        cfg = AfeConfig(freq_index=10)
+        seeds = np.random.SeedSequence(9).spawn(10)
+        stack = self.assert_rows_are_single_runs(ParallelRC(r=430.0, c=0.0), cfg, ChainParams(),
+                                                 32, seeds)
+        assert 0 < sum(res.saturated for res in stack) < len(stack)
+
+    def test_noise_rows_equal_single_draws(self):
+        params = ChainParams()
+        seeds = [3, np.random.SeedSequence(4), np.random.default_rng(5)]
+        stack = afe.noise_process(params, seeds, 0.114, 50e3, 50).samples
+        assert stack.shape == (3, 114)
+        for seed, row in zip([3, np.random.SeedSequence(4), np.random.default_rng(5)], stack):
+            assert row.tobytes() == afe.noise_process(params, seed, 0.114, 50e3, 50).samples.tobytes()
+
+    def test_out_of_range_raises_before_any_draw(self, monkeypatch):
+        rendered = []
+        monkeypatch.setattr(afe, "baseband_output", lambda *args, **kw: rendered.append(args))
+        huge = TabulatedTwoPort([100.0, 1e9], [1.5e308 + 1.5e308j] * 2)
+        cfg = AfeConfig(freq_index=10)
+        # the overflow inside the image sum warns; the raise is what is checked
+        with np.errstate(all="ignore"), pytest.raises(acquire.MeasurementRangeError,
+                                                      match="not finite"):
+            run_sequence(huge, cfg.fundamental, cfg, ChainParams(), seed=[1, 2, 3])
+        assert rendered == []

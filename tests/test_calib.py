@@ -4,7 +4,6 @@ import json
 import numpy as np
 import pytest
 
-from biozsim import afe
 from biozsim.afe import AfeConfig, ChainParams, apply_compression, mixer_dc_pair
 from biozsim.calib import (
     CalibrationError,

@@ -114,6 +114,7 @@ class TestScenario:
         {"chain": {"settle_time": 1e3}},
         {"taps": 1e6},
         {"chain": {"output_rate": 150.0}},
+        {"chain": {"output_rate": 1400.0}},
     ], ids=["missing_r", "negative_r", "nan_r", "nan_tau", "unknown_builtin",
             "negative_settle_time", "list_chain_value", "nan_chain_value",
             "removed_rf_oversampling", "fractional_lpf_order", "zero_output_rate",
@@ -122,7 +123,7 @@ class TestScenario:
             "string_frequencies", "time_varying_base_not_object",
             "time_varying_schedule_not_object", "bad_gain_word", "unknown_format",
             "list_format", "overflowing_settle_time", "hour_long_settle_time",
-            "million_taps", "output_rate_below_tap_rate"])
+            "million_taps", "output_rate_below_tap_rate", "output_rate_off_tap_lattice"])
     def test_malformed_scenario_one_line_error(self, tmp_path, capsys, monkeypatch, overrides):
         calls = []
         monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: calls.append(a))

@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, every function
-reads each parameter it takes, and no module imports scipy.
+"""Every module of the package and of the tests uses each name it
+imports, every function of the package reads each parameter it takes, and
+no module of the package imports scipy.
 
 No linter ships with the project, so this walks each module's syntax tree:
 a name bound by `import` or `from ... import` must appear as a name
@@ -22,6 +23,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "biozsim"
+TESTS = Path(__file__).resolve().parent
 
 
 def unused_imports(path: Path) -> list:
@@ -37,9 +39,11 @@ def unused_imports(path: Path) -> list:
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")
-                                          if p.name != "__init__.py"))
+                                          if p.name != "__init__.py")
+                         + sorted(f"tests/{p.name}" for p in TESTS.glob("*.py")))
 def test_no_unused_imports(module):
-    assert unused_imports(PACKAGE / module) == []
+    path = TESTS.parent / module if module.startswith("tests/") else PACKAGE / module
+    assert unused_imports(path) == []
 
 
 def unused_parameters(path: Path) -> list:

@@ -1,6 +1,5 @@
 import hashlib
 
-import numpy as np
 import pytest
 
 from biozsim.acquire import sequence_duration

@@ -165,5 +165,18 @@ def test_rc_sweep_folds_the_noise_spectrum_once():
     scenario = cli.Scenario(model=ParallelRC(r=150.0, c=2e-9), params=ChainParams(), seed=5)
     cli.run_sweep(scenario, None, repeats=10)
     info = afe._folded_root_spectrum.cache_info()
-    assert (info.misses, info.hits) == (1, 109)
+    assert (info.misses, info.hits) == (1, 10)
     assert not afe._folded_root_spectrum(ChainParams(), 5700, 50e3, 50).flags.writeable
+
+
+def test_a_reading_shapes_its_repeats_noise_in_one_pass(monkeypatch):
+    # one stack per plan frequency in a sweep; in a calibration, one per
+    # gain word's offset sequences and one per frequency's reference reads
+    calls = count_calls(monkeypatch, afe, "noise_process")
+    scenario = cli.Scenario(model=ParallelRC(r=150.0, c=2e-9), params=ChainParams(), seed=5)
+    cli.run_sweep(scenario, None, repeats=10)
+    assert len(calls) == 11
+    assert all(len(args[1]) == 10 for args in calls)
+    calls.clear()
+    calib.build_equalization(calib.MeasurementSetup(model=None), seed=4, created_at="pinned")
+    assert [len(args[1]) for args in calls] == [4] * 8 + [10] * 11
