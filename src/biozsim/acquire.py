@@ -56,8 +56,13 @@ def adc_sample(v: float, spec: AdcSpec = ADC):
     """Round-to-nearest code, clamped at the rails (scalar or array).
 
     The clamp comes before the integer cast, so a voltage beyond any
-    integer (inf included) reads as a rail code.
+    integer (inf included) reads as a rail code.  A finite float takes
+    plain Python arithmetic: clamping before `round` (round-half-even, as
+    `np.rint`) gives the same code and keeps a quotient that overflows to
+    inf at a rail.  Every other input takes the numpy path.
     """
+    if isinstance(v, float) and math.isfinite(v):
+        return round(min(max(float(v) / spec.lsb, 0.0), spec.codes - 1))
     code = np.clip(np.rint(np.asarray(v) / spec.lsb), 0, spec.codes - 1).astype(int)
     return int(code) if np.ndim(v) == 0 else code
 

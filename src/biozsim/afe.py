@@ -353,12 +353,15 @@ def _image_dc(model, f0s, config, params, n_max) -> np.ndarray:
     n = np.arange(1, n_max + 1)
     n = n[(n % 8 == 1) | (n % 8 == 7)]
     f = np.outer(np.asarray(f0s, dtype=float), n)
-    w = tissue._sense_z(model, f) * _lna_response(params, f)
-    phi = np.angle(w) - n * SOURCE_LAG
-    mag = np.abs(w) / n**2
-    scale = config.gm * (2 / np.pi) * config.current_amplitude
-    dc_i = scale * np.sum(mag * np.cos(phi), axis=1)
-    dc_q = scale * np.sum(mag * np.where(n % 8 == 1, 1.0, -1.0) * np.sin(phi), axis=1)
+    # a load too large for doubles gives a non-finite DC, which the caller
+    # reports as MeasurementRangeError, so its overflow is not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = tissue._sense_z(model, f) * _lna_response(params, f)
+        phi = np.angle(w) - n * SOURCE_LAG
+        mag = np.abs(w) / n**2
+        scale = config.gm * (2 / np.pi) * config.current_amplitude
+        dc_i = scale * np.sum(mag * np.cos(phi), axis=1)
+        dc_q = scale * np.sum(mag * np.where(n % 8 == 1, 1.0, -1.0) * np.sin(phi), axis=1)
     return np.stack([dc_i, dc_q], axis=1)
 
 

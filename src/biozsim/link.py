@@ -34,7 +34,10 @@ The power side is an energy-reservoir budget: the rectifier recharges the
 reservoir first-order toward the 3.0 V diode-chain clamp with time
 constant r_source * C; while the tank is shorted the reservoir discharges
 by I_load * dt / C.  The session aborts with a brown-out error when the
-reservoir drops below the 1.9 V regulator dropout margin.
+reservoir drops below the 1.9 V regulator dropout margin.  `session`
+records the reservoir at every uplink bit boundary in one flat loop over
+the frame's line bits, read from `UART_BITS`, the constant table of the 10
+8N1 bits of each byte value.
 
 A session owns the reader and implant state machines exclusively; the
 module is otherwise stateless, and a session is deterministic given the
@@ -249,13 +252,12 @@ class SessionResult:
     events: list         # human-readable protocol log
 
 
-def _uart_bits(data: bytes):
-    """8N1 bit sequence, LSB first: start(0), data, stop(1)."""
-    for byte in data:
-        yield 0
-        for k in range(8):
-            yield (byte >> k) & 1
-        yield 1
+#: The 10 line bits of each byte value in 8N1, LSB first: start(0), data, stop(1).
+UART_BITS = tuple(bytes([0, *((byte >> k) & 1 for k in range(8)), 1]) for byte in range(256))
+
+
+def _brownout(t: float, v: float, trace: list) -> BrownOutError:
+    return BrownOutError(f"brown-out at t={t * 1e3:.2f} ms, reservoir {v:.3f} V", trace)
 
 
 class ImplantDevice:
@@ -320,11 +322,20 @@ def session(
 ) -> SessionResult:
     """Run a half-duplex exchange: one response per reader command.
 
-    Downlink frames ride the carrier with shallow modulation, so
-    harvesting continues; uplink load modulation shorts the tank for every
-    zero bit, pausing harvesting for that bit time.  The reservoir trace
-    is recorded at every bit boundary.  Brown-out raises BrownOutError
-    carrying the trace; checksum failures produce NAK responses.
+    Each command is three steps: an `"rx"` step while the downlink frame
+    arrives (shallow modulation, so harvesting continues), a `"measure"`
+    step for the device's busy time if it has one, and one `"tx"` step per
+    uplink bit.  A one bit harvests for a bit time; a zero bit shorts the
+    tank, so the reservoir discharges by I * bit_t / C instead.  The
+    reservoir is clamped to [0, clamp] and recorded after every step, so
+    the trace holds every bit boundary.
+
+    Brown-out raises BrownOutError carrying the trace up to and including
+    the step that fell below the floor.  Harvesting moves the reservoir
+    monotonically toward the clamp, so a `"measure"` step or a one bit
+    never browns out: only a zero bit can, or the first `"rx"` step of a
+    session that starts below the floor.  Checksum failures produce NAK
+    responses.
     """
     if power is None:
         power = PowerState()
@@ -340,44 +351,53 @@ def session(
     t = 0.0
     v = min(power.reservoir_voltage, clamp)
     trace = [(t, v, "start")]
+    record = trace.append
     events = []
     responses = []
 
-    def advance(dt: float, tag: str, decay: float | None = None, drop: float | None = None):
-        """Step dt on: with `drop`, discharge by it (tank shorted); else
-        harvest, the gap to the clamp scaled by `decay` (default
-        exp(-dt / tau))."""
+    def harvest(dt: float, tag: str):
+        """Step dt on with the tank open: the gap to the clamp decays."""
         nonlocal t, v
-        if drop is not None:
-            v = v - drop
-        elif tau > 0:
-            v = clamp + (v - clamp) * (math.exp(-dt / tau) if decay is None else decay)
-        else:
+        v = clamp + (v - clamp) * math.exp(-dt / tau) if tau > 0 else clamp
+        if v < 0.0:
+            v = 0.0
+        if v > clamp:
             v = clamp
-        v = min(max(v, 0.0), clamp)
         t += dt
-        trace.append((t, v, tag))
+        record((t, v, tag))
         if v < floor:
-            raise BrownOutError(
-                f"brown-out at t={t * 1e3:.2f} ms, reservoir {v:.3f} V", trace
-            )
+            raise _brownout(t, v, trace)
 
     for cmd in commands:
-        wire = cmd.to_bytes()
-        advance(len(wire) * 10 * bit_t, "rx")
-        response, busy = device.handle(wire)
+        rx = cmd.to_bytes()
+        harvest(len(rx) * 10 * bit_t, "rx")
+        response, busy = device.handle(rx)
         if busy:
-            advance(busy, "measure")
+            harvest(busy, "measure")
+        tx = response.to_bytes()
         events.append(
-            f"rx {cmd.hex()} -> tx {response.hex()}"
+            f"rx {rx.hex()} -> tx {tx.hex()}"
             + (" [checksum rejected]" if response.opcode == OP_NAK and
                response.payload == bytes([NAK_CHECKSUM]) else "")
         )
-        for bit in _uart_bits(response.to_bytes()):
-            if bit:
-                advance(bit_t, "tx", bit_decay)
-            else:  # a zero bit shorts the tank
-                advance(bit_t, "tx", None, bit_drop)
+        # the per-bit step, inlined: the same arithmetic as `harvest` with
+        # the factor precomputed, or a discharge; clamped by comparisons,
+        # which keep -0.0 and NaN as min/max would
+        for bit in b"".join([UART_BITS[byte] for byte in tx]):
+            if not bit:  # a zero bit shorts the tank
+                v -= bit_drop
+            elif bit_decay is None:
+                v = clamp
+            else:
+                v = clamp + (v - clamp) * bit_decay
+            if v < 0.0:
+                v = 0.0
+            if v > clamp:
+                v = clamp
+            t += bit_t
+            record((t, v, "tx"))
+            if v < floor:
+                raise _brownout(t, v, trace)
         responses.append(response)
 
     return SessionResult(responses=responses, trace=trace, events=events)

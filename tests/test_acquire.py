@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from biozsim import acquire, afe
 from biozsim.acquire import AdcSpec, _phase_samples, adc_sample, run_sequence
@@ -43,6 +44,57 @@ class TestAdc:
             assert adc_sample(1e300) == 1023
             assert adc_sample(float("-inf")) == 0
             assert adc_sample(np.array([np.inf, -1e300, 0.9])).tolist() == [1023, 0, 512]
+
+
+def numpy_code(v, spec=acquire.ADC):
+    """The numpy expression every input took before scalars had their own path."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return int(np.clip(np.rint(np.asarray(v) / spec.lsb), 0, spec.codes - 1).astype(int))
+
+
+class TestScalarAdc:
+    """A scalar reads the same code, as the same type, as the numpy path gives it."""
+
+    @staticmethod
+    def check(v):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = adc_sample(v)
+        assert type(code) is int
+        assert code == numpy_code(v)
+
+    def test_half_lsb_ties_round_half_even(self):
+        lsb = acquire.ADC.lsb
+        for k in range(-3, 2 * 1024 + 3):  # every tie between codes, both rails beyond
+            self.check(k * lsb / 2)
+
+    @pytest.mark.parametrize("v", [0.0, -0.0, 1.8, -1e-300, 1e300, -1e300,
+                                   1.7e308, -1.7e308, np.nextafter(1023.5 * 1.8 / 1024, 0)])
+    def test_rails_and_extremes(self, v):
+        self.check(v)
+
+    @pytest.mark.parametrize("v", [np.float64(0.45), np.float64(-2.0), np.float64(1e300), 3, -1, 0])
+    def test_numpy_floats_and_ints(self, v):
+        self.check(v)
+
+    @pytest.mark.parametrize("v", [float("inf"), float("-inf"), np.float64(np.inf)])
+    def test_infinities_read_as_rails(self, v):
+        self.check(v)
+
+    def test_nan_keeps_the_numpy_cast(self):
+        with pytest.warns(RuntimeWarning, match="cast"):
+            assert adc_sample(float("nan")) == numpy_code(float("nan"))
+
+    def test_arrays_keep_their_types(self):
+        zero_d = adc_sample(np.array(0.9))
+        assert type(zero_d) is int and zero_d == 512
+        codes = adc_sample(np.array([0.9, 2.0]))
+        assert isinstance(codes, np.ndarray) and codes.tolist() == [512, 1023]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=False) | st.floats(-0.1, 1.9) | st.integers(-10**6, 10**6))
+    def test_any_scalar_matches_numpy(self, v):
+        self.check(v)
 
 
 class TestRunSequence:

@@ -363,7 +363,7 @@ class TestSweep:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "not finite" in captured.err
         assert not out.exists()
-        assert not [w for w in recwarn if "cast" in str(w.message)]
+        assert not recwarn.list
 
     def test_vanishing_capacitor_reads_as_its_resistor(self, tmp_path, capsys):
         outputs = []

@@ -1,4 +1,5 @@
-"""Golden outputs: the exact bytes of `bioz calibrate` tables and sweep CSVs.
+"""Golden outputs: the exact bytes of `bioz calibrate` tables, sweep CSVs
+and `bioz link-demo --trace` stdout.
 
 A change that claims only speed must leave every seeded output
 byte-identical; these files pin them at two seeds.  A change that moves
@@ -9,6 +10,8 @@ seeded outputs on purpose regenerates them with
 and states why in its description.
 """
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
@@ -50,7 +53,14 @@ SWEEPS = {
 }
 
 
-def _write(path: Path, doc: dict) -> Path:
+#: A reader script: PING, then configure, measure and read at two plan indices.
+LINK_SCRIPT = [{"op": "ping"}] + [
+    op for idx in (0, 10)
+    for op in ({"op": "set_config", "freq_sel": idx}, {"op": "start_measure"}, {"op": "read_result"})
+]
+
+
+def _write(path: Path, doc) -> Path:
     path.write_text(json.dumps(doc))
     return path
 
@@ -81,6 +91,16 @@ def sweep_bytes(workdir: Path, name: str, seed: int) -> bytes:
     return out.read_bytes()
 
 
+def link_demo_bytes(workdir: Path, seed: int) -> bytes:
+    """stdout of `bioz link-demo --trace`: frames, reservoir summary, full trace."""
+    script = _write(workdir / "link_script.json", LINK_SCRIPT)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(["link-demo", "--script", str(script), "--seed", str(seed), "--trace"])
+    assert rc == cli.EXIT_OK
+    return out.getvalue().encode()
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     """One directory holding the calibration table of every seed."""
@@ -102,6 +122,11 @@ def test_sweep_csv_bytes(workdir, name, seed):
     assert sweep_bytes(workdir, name, seed) == (GOLDEN / f"sweep_{name}_s{seed}.csv").read_bytes()
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_link_demo_bytes(tmp_path, seed):
+    assert link_demo_bytes(tmp_path, seed) == (GOLDEN / f"link_demo_s{seed}.txt").read_bytes()
+
+
 def main():
     import tempfile
 
@@ -112,6 +137,7 @@ def main():
             (GOLDEN / f"calibrate_s{seed}.json").write_bytes(calibrate_bytes(workdir, seed))
             for name in sorted(SWEEPS):
                 (GOLDEN / f"sweep_{name}_s{seed}.csv").write_bytes(sweep_bytes(workdir, name, seed))
+            (GOLDEN / f"link_demo_s{seed}.txt").write_bytes(link_demo_bytes(workdir, seed))
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ from biozsim.link import (
     NAK_RESERVED_FREQ,
     PowerState,
     ReservedFrequencyError,
+    UART_BITS,
     decode_config,
     encode_config,
     power_budget,
@@ -256,6 +257,21 @@ class TestRecordedSessions:
         assert len(trace) == 159
         assert trace[-1] == (0.14660416666666626, 1.8760826928050616, "tx")
         assert self.digest(trace) == "48b10ac7c3fc281165a85bb8331ae5e82f28d80fd591895b604b09e931de8692"
+
+    def test_start_below_the_floor_browns_out_at_the_first_rx(self):
+        with pytest.raises(BrownOutError) as err:
+            session(self.frames(), ChannelParams(), PowerState(reservoir_voltage=1.0), self.device())
+        trace = err.value.trace
+        assert len(trace) == 2
+        assert trace[-1] == (0.004166666666666667, 1.1599111707413534, "rx")
+        assert str(err.value) == "brown-out at t=4.17 ms, reservoir 1.160 V"
+        assert self.digest(trace) == "0c76a196bc63521cdc1b5745a2dfe95b639fb911c4c19279416e9ad4c53bcf67"
+
+
+def test_uart_bits_are_8n1_lsb_first():
+    assert len(UART_BITS) == 256
+    for byte, bits in enumerate(UART_BITS):
+        assert tuple(bits) == (0, *map(int, reversed(f"{byte:08b}")), 1)
 
 
 class TestMeasureTime:
