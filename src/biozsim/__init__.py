@@ -13,7 +13,6 @@ from .tissue import (
     ParallelRC,
     TableRangeError,
     TabulatedTwoPort,
-    TimeVaryingModel,
     builtin_model,
     impedance_at,
 )

@@ -373,13 +373,12 @@ def mixer_dc_pair(model, f0: float, config: AfeConfig, params: ChainParams) -> t
     and memoized per process as a read-only 11 x 2 table (`_plan_dc`, an
     LRU cache of `_PLAN_CACHE_SIZE` tables keyed on (model, gain word,
     params)): every reading of a sweep or a link session on the same load
-    reads a row of it.  Frozen models and parameters key by value; a
-    TabulatedTwoPort keys by identity.  An f0
-    that is not exactly a plan frequency, or a table whose range misses
-    some plan frequency's images, is evaluated alone, as a one-row stack
-    through the same route, and not cached.  A disabled source returns
-    (0.0, 0.0) without a lookup.  A TimeVaryingModel raises TypeError:
-    pass `model.at_time(t)`.
+    reads a row of it.  ParallelRC and Cole models and the parameters key
+    by value; a TabulatedTwoPort keys by identity.  An f0 that is not
+    exactly a plan frequency, or a table whose range misses some plan
+    frequency's images, is evaluated alone, as a one-row stack through
+    the same route, and not cached.  A disabled source returns (0.0, 0.0)
+    without a lookup.
 
     Both routes see Z_sense, which leaves out a ParallelRC's r_interface:
     it lies outside the sense electrodes (see `tissue.ParallelRC`).
@@ -409,7 +408,6 @@ def mixer_dc_pair(model, f0: float, config: AfeConfig, params: ChainParams) -> t
     Either route gives each row of a stack bit for bit the value it gives
     that frequency alone.
     """
-    tissue.require_frozen(model)
     if not config.source_enable:
         return 0.0, 0.0
     if f0 in _PLAN_ROW:

@@ -36,6 +36,9 @@ from .waveforms import plan_frequencies
 #: Derotation factor undoing the pi/8 source lag.
 DEROTATION = cmath.exp(1j * np.pi / 8)
 
+#: Format version written to and required of a saved calibration table.
+TABLE_VERSION = 1
+
 #: Taps averaged per offset sequence while building a calibration table.
 OFFSET_TAPS = 256
 
@@ -72,14 +75,6 @@ class ImpedanceReading:
     freq: float
     gain_word: str
     flags: tuple = ()
-
-    @property
-    def magnitude(self) -> float:
-        return abs(self.z)
-
-    @property
-    def phase_deg(self) -> float:
-        return float(np.degrees(cmath.phase(self.z)))
 
 
 def extract_impedance(raw: RawIq) -> complex:
@@ -130,7 +125,6 @@ class CalibrationTable:
     offsets: dict
     eq_coeffs: dict
     created_at: str = ""
-    version: int = 1
 
     def __post_init__(self):
         for f, c in self.eq_coeffs.items():
@@ -151,7 +145,7 @@ class CalibrationTable:
 
     def to_json(self) -> str:
         doc = {
-            "version": self.version,
+            "version": TABLE_VERSION,
             "reference_r": self.reference_r,
             "gain_word": self.gain_word,
             "created_at": self.created_at,
@@ -172,7 +166,7 @@ class CalibrationTable:
             raise CalibrationError(f"calibration table is not valid JSON: {exc}") from None
         if not isinstance(doc, dict):
             raise CalibrationError("a calibration table must be a JSON object")
-        if doc.get("version") != 1:
+        if doc.get("version") != TABLE_VERSION:
             raise CalibrationError(f"unsupported calibration table version {doc.get('version')}")
         try:
             reference_r = _number(doc["reference_r"])
@@ -187,7 +181,6 @@ class CalibrationTable:
                 eq_coeffs={_number(e["freq_hz"]): complex(_number(e["re"]), _number(e["im"]))
                            for e in doc["eq_coeffs"]},
                 created_at=doc.get("created_at", ""),
-                version=doc["version"],
             )
         except KeyError as exc:
             raise CalibrationError(f"calibration table is missing key {exc}") from None
@@ -222,9 +215,6 @@ class MeasurementSetup:
     model: object
     params: afe.ChainParams = afe.ChainParams()
     taps: int = 32
-
-    def with_model(self, model) -> "MeasurementSetup":
-        return replace(self, model=model)
 
     def run(self, freq_index: int, gain_word: str, source_enable: int = 1,
             seed=None, taps: int | None = None):
@@ -302,7 +292,7 @@ def build_equalization(
     offsets = {word: measure_offsets(setup, word, seed=ss, taps=OFFSET_TAPS, repeats=4)
                for word, ss in zip(words, children[:8])}
 
-    ref_setup = setup.with_model(tissue.ParallelRC(r=reference_r, c=0.0))
+    ref_setup = replace(setup, model=tissue.ParallelRC(r=reference_r, c=0.0))
     coeffs = {}
     for idx, f0 in enumerate(plan_frequencies()):
         readings = []

@@ -23,17 +23,24 @@ Scenario file (JSON): a load model plus instrument overrides::
       "taps": 32,
       "gain": "111",                         # 3-bit word or "auto"
       "frequencies": [1953.125, 125000.0],   # optional plan subset
-      "format": "csv",                       # sweep output: csv | json
-      "time": 0.0                            # for time-varying models
+      "format": "csv"                        # sweep output: csv | json
     }
 
 Model types: parallel_rc (r, c, r_interface), cole (r_inf, r0, tau,
 alpha), table (path to a text file with `freq_hz re_ohm im_ohm` rows),
-builtin (name: blood | muscle_transversal | saline), and time_varying
-(base model plus {"schedule": {param: [[t, value], ...]}}).  A
-parallel_rc's r_interface lies on the injection side, outside the sense
-electrodes: a sweep measures r || c, and only `tissue.impedance_at`
-includes it.
+builtin (name: blood | muscle_transversal | saline), and time_varying,
+a parallel_rc or cole base at one time::
+
+    "model": {"type": "time_varying",
+              "base": {"type": "parallel_rc", "r": 100.0, "c": 0.0},
+              "schedule": {"r": [[0.0, 100.0], [10.0, 200.0]]},
+              "time": 5.0}                   # seconds, default 0.0
+
+`time` is read from the model object only.  Each scheduled field takes
+its piecewise-linear value at that time (breakpoint times strictly
+increasing; held past the first and last).  A parallel_rc's r_interface
+lies on the injection side, outside the sense electrodes: a sweep
+measures r || c, and only `tissue.impedance_at` includes it.
 
 Sweep output (CSV) has the frozen header
 `freq_hz,re_ohm,im_ohm,mag_ohm,phase_deg,stderr_ohm,gain_word,flags`;
@@ -51,7 +58,7 @@ import math
 import os
 import sys
 import typing
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -146,12 +153,24 @@ def build_model(spec: dict, base_dir: Path):
         base = build_model(spec["base"], base_dir)
         if not isinstance(spec["schedule"], dict):
             raise ScenarioError("a time_varying schedule must be an object")
+        if not isinstance(base, (tissue.ParallelRC, tissue.ColeModel)):
+            raise ScenarioError(
+                f"a time_varying base must be parallel_rc or cole, got {spec['base']['type']!r}")
         schedule = {
             name: [(float(t), float(v)) for t, v in points]
             for name, points in spec["schedule"].items()
         }
-        model = tissue.TimeVaryingModel(base=base, schedule=schedule)
-        return model.at_time(float(spec.get("time", 0.0)))
+        names = {f.name for f in fields(base)}
+        t = float(spec.get("time", 0.0))
+        values = {}
+        for name, points in schedule.items():
+            times = [p[0] for p in points]
+            if not all(b > a for a, b in zip(times, times[1:])):  # a NaN time fails too
+                raise ValueError(f"schedule times for {name!r} must be strictly increasing")
+            if name not in names:
+                raise ValueError(f"base model has no parameter {name!r}")
+            values[name] = float(np.interp(t, times, [p[1] for p in points]))
+        return replace(base, **values)
     raise ScenarioError(f"unknown model type {kind!r}")
 
 

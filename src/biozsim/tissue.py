@@ -12,16 +12,13 @@ Three model families cover the bench and tissue scenarios:
   real and imaginary parts separately.  No extrapolation: the table is the
   only authority for electrode behavior.
 
-`impedance_at` evaluates any frozen model at a frequency.  A
-TimeVaryingModel has no single impedance: freeze it with `at_time(t)`
-first; passing it unfrozen raises TypeError.
+`impedance_at` evaluates any model at a frequency.
 
 Models are immutable; concurrent reads are safe.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, replace
 
@@ -107,13 +104,6 @@ class TabulatedTwoPort:
             raise ValueError("expected 3 columns: freq_hz re_ohm im_ohm")
         return cls(rows[:, 0], rows[:, 1] + 1j * rows[:, 2])
 
-    def to_text(self) -> str:
-        buf = io.StringIO()
-        buf.write("# freq_hz re_ohm im_ohm\n")
-        for f, z in zip(self.freqs_hz, self.z21):
-            buf.write(f"{float(f)!r} {float(z.real)!r} {float(z.imag)!r}\n")
-        return buf.getvalue()
-
     def interp(self, freq) -> np.ndarray:
         freq = np.asarray(freq, dtype=float)
         if np.any(freq < self.freqs_hz[0]) or np.any(freq > self.freqs_hz[-1]):
@@ -125,36 +115,6 @@ class TabulatedTwoPort:
         re = np.interp(lf, self._logf, self.z21.real)
         im = np.interp(lf, self._logf, self.z21.imag)
         return re + 1j * im
-
-
-@dataclass(frozen=True)
-class TimeVaryingModel:
-    """A base model whose numeric parameters follow a piecewise-linear schedule.
-
-    `schedule` maps a parameter name to a sequence of (time_s, value)
-    breakpoints with strictly increasing times.  The model is piecewise
-    frozen: a measurement evaluates `at_time` once and uses the frozen
-    snapshot throughout.
-    """
-
-    base: object
-    schedule: dict
-
-    def __post_init__(self):
-        for name, points in self.schedule.items():
-            times = [t for t, _ in points]
-            if any(b <= a for a, b in zip(times, times[1:])):
-                raise ValueError(f"schedule times for {name!r} must be strictly increasing")
-            if not hasattr(self.base, name):
-                raise ValueError(f"base model has no parameter {name!r}")
-
-    def at_time(self, t: float):
-        updates = {}
-        for name, points in self.schedule.items():
-            times = np.array([p[0] for p in points])
-            vals = np.array([p[1] for p in points])
-            updates[name] = float(np.interp(t, times, vals))
-        return replace(self.base, **updates)
 
 
 def impedance_at(model, freq):
@@ -169,7 +129,6 @@ def impedance_at(model, freq):
     is taken divided through by that product instead, which tends to the
     limit r_interface or r_inf; elsewhere it is evaluated as written.
     """
-    require_frozen(model)
     freq = np.asarray(freq, dtype=float)
     if np.any(freq <= 0):
         raise ValueError("freq must be positive")
@@ -203,12 +162,6 @@ def impedance_at(model, freq):
     return z
 
 
-def require_frozen(model) -> None:
-    """Reject a TimeVaryingModel, whose impedance depends on the time."""
-    if isinstance(model, TimeVaryingModel):
-        raise TypeError("a TimeVaryingModel has no single impedance; pass model.at_time(t)")
-
-
 def _sense_z(model, freq):
     """Impedance between the sense electrodes: a ParallelRC's r_interface
     lies outside them, so the model is evaluated without it."""
@@ -219,7 +172,6 @@ def _sense_z(model, freq):
 
 def is_rational(model) -> bool:
     """True when the model has an exact lumped (state-space) realization."""
-    require_frozen(model)
     return isinstance(model, ParallelRC)
 
 

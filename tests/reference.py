@@ -26,7 +26,7 @@ import mpmath
 import numpy as np
 from scipy import signal
 
-from biozsim import afe, tissue
+from biozsim import afe
 from biozsim.waveforms import (
     N_PLAN,
     N_STEPS,
@@ -205,7 +205,6 @@ def analytic_dc_oracle(model, f0, config, params, n_max=63, phase=Phase.I) -> fl
     """Settled output DC (volts) of the `phase` clock with noise and
     compression disabled: the per-image sum up to `n_max`, times the TIA
     and low-pass gains, plus the offset."""
-    tissue.require_frozen(model)
     if not config.source_enable:
         return params.offset
     dc_i, dc_q = afe._image_dc(model, [f0], config, params, n_max)[0]

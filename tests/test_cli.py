@@ -5,6 +5,7 @@ import pytest
 
 from biozsim import cli
 from biozsim.calib import CalibrationTable
+from biozsim.tissue import ParallelRC
 
 
 def write_scenario(tmp_path, name="scen.json", **overrides):
@@ -107,6 +108,16 @@ class TestScenario:
         {"model": {"type": "time_varying", "base": 5, "schedule": {}}},
         {"model": {"type": "time_varying", "base": {"type": "parallel_rc", "r": 100.0},
                    "schedule": [["r", 1]]}},
+        {"model": {"type": "time_varying", "base": {"type": "parallel_rc", "r": 100.0},
+                   "schedule": {"r": [[1.0, 100.0], [1.0, 200.0]]}}},
+        {"model": {"type": "time_varying", "base": {"type": "parallel_rc", "r": 100.0},
+                   "schedule": {"r": [[0.0, 100.0], [float("nan"), 200.0]]}}},
+        {"model": {"type": "time_varying", "base": {"type": "parallel_rc", "r": 100.0},
+                   "schedule": {"x": [[0.0, 1.0]]}}},
+        {"model": {"type": "time_varying", "base": {"type": "parallel_rc", "r": 100.0},
+                   "schedule": {"tau": [[0.0, 1e-6], [1.0, 2e-6]]}}},
+        {"model": {"type": "time_varying", "base": {"type": "builtin", "name": "blood"},
+                   "schedule": {}}},
         {"gain": "11x"},
         {"format": "xml"},
         {"format": ["csv"]},
@@ -121,7 +132,10 @@ class TestScenario:
             "lpf_cutoff_above_nyquist", "negative_tia_pole", "zero_compression_knee",
             "zero_lna_pole", "string_seed", "negative_seed", "string_taps", "fractional_taps",
             "string_frequencies", "time_varying_base_not_object",
-            "time_varying_schedule_not_object", "bad_gain_word", "unknown_format",
+            "time_varying_schedule_not_object", "time_varying_times_not_increasing",
+            "time_varying_nan_time", "time_varying_unknown_parameter",
+            "time_varying_property_not_field", "time_varying_builtin_base", "bad_gain_word",
+            "unknown_format",
             "list_format", "overflowing_settle_time", "hour_long_settle_time",
             "million_taps", "output_rate_below_tap_rate", "output_rate_off_tap_lattice"])
     def test_malformed_scenario_one_line_error(self, tmp_path, capsys, monkeypatch, overrides):
@@ -148,6 +162,41 @@ class TestScenario:
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+class TestTimeVarying:
+    """A time_varying model is its base with each scheduled field taken,
+    piecewise linearly, at the model object's `time`."""
+
+    def model(self, tmp_path, **spec):
+        return cli.build_model({"type": "time_varying",
+                                "base": {"type": "parallel_rc", "r": 120.0, "c": 1e-9},
+                                "schedule": {"r": [[0.0, 1000.0], [10.0, 2000.0]]}, **spec},
+                               tmp_path)
+
+    @pytest.mark.parametrize("spec, r", [({}, 1000.0), ({"time": 0.0}, 1000.0),
+                                         ({"time": 5.0}, 1500.0), ({"time": 20.0}, 2000.0)],
+                             ids=["default_time", "start", "midpoint", "held_past_the_end"])
+    def test_schedule_interpolation(self, tmp_path, spec, r):
+        assert self.model(tmp_path, **spec) == ParallelRC(r=r, c=1e-9)
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"schedule": {"r": [[1.0, 100.0], [1.0, 200.0]]}},
+         "bad model: schedule times for 'r' must be strictly increasing"),
+        ({"schedule": {"x": [[0.0, 1.0]]}}, "bad model: base model has no parameter 'x'"),
+        ({"schedule": {"tau": [[0.0, 1e-6]]}}, "bad model: base model has no parameter 'tau'"),
+        ({"base": {"type": "builtin", "name": "blood"}, "schedule": {}},
+         "a time_varying base must be parallel_rc or cole, got 'builtin'"),
+        ({"base": {"type": "table", "path": "electrode.z21"}, "schedule": {}},
+         "a time_varying base must be parallel_rc or cole, got 'table'"),
+    ], ids=["times_not_increasing", "unknown_parameter", "property_not_field", "builtin_base",
+            "table_base"])
+    def test_schedule_errors(self, tmp_path, spec, message):
+        (tmp_path / "electrode.z21").write_text("1e3 100.0 0.0\n1e7 90.0 -5.0\n")
+        model = {"type": "time_varying", "base": {"type": "parallel_rc", "r": 100.0}, **spec}
+        with pytest.raises(cli.ScenarioError) as exc:
+            cli.load_scenario(write_scenario(tmp_path, model=model))
+        assert str(exc.value) == message
 
 
 class TestCommandLine:

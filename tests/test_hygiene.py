@@ -8,6 +8,9 @@ somewhere else in the module.  `__init__.py` re-exports and is skipped.
 A function parameter other than `self` and `cls` must be read somewhere
 in the function's body, nested functions included.
 
+The package's public settable values are counted and pinned, so a new
+option cannot slip in unnoticed.
+
 numpy is the one runtime dependency: importing scipy would cost a `bioz`
 process about a second before it measures anything.  scipy stays a test
 dependency, as an independent cross-check.
@@ -101,3 +104,32 @@ def test_calibrate_and_sweep_load_no_scipy_and_no_numpy_submodule(tmp_path):
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)), timeout=120, check=True)
     assert out.stdout.strip().splitlines()[-2:] == ["[]", "[]"]
+
+
+def public_settable_values(path: Path) -> int:
+    """Fields of the module's public dataclasses plus defaulted parameters
+    of its public functions and of public methods of its public classes."""
+    def defaulted(fn):
+        return len(fn.args.defaults) + sum(d is not None for d in fn.args.kw_defaults)
+
+    def is_dataclass(cls):
+        return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                   for d in cls.decorator_list)
+
+    count = 0
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            count += defaulted(node)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            if is_dataclass(node):
+                count += sum(isinstance(s, ast.AnnAssign) for s in node.body)
+            count += sum(defaulted(s) for s in node.body
+                         if isinstance(s, ast.FunctionDef) and not s.name.startswith("_"))
+    return count
+
+
+def test_public_settable_values():
+    """Every field and defaulted parameter is a value a caller can set.  A
+    new one must be justified in CHANGES.md, and this pin updated there."""
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    assert sum(public_settable_values(p) for p in modules) == 108

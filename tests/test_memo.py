@@ -4,13 +4,11 @@ Counted by monkeypatching the computation behind each cache, never by
 timing.  Each test clears the caches it counts first.
 """
 
-import pytest
-
 import numpy as np
 
 from biozsim import acquire, afe, calib, cli, link
 from biozsim.afe import AfeConfig, ChainParams
-from biozsim.tissue import ParallelRC, TimeVaryingModel
+from biozsim.tissue import ParallelRC
 from biozsim.waveforms import plan_frequencies
 
 
@@ -101,21 +99,6 @@ def test_equal_models_share_one_mixer_entry():
     info = afe._plan_dc.cache_info()
     assert first == second
     assert (info.currsize, info.hits) == (1, 1)
-
-
-def test_time_varying_model_keys_by_the_snapshot_value():
-    afe._plan_dc.cache_clear()
-    base = ParallelRC(r=120.0, c=1e-9)
-    moving = TimeVaryingModel(base=base, schedule={"r": [(0.0, 120.0), (1.0, 240.0)]})
-    config = AfeConfig(freq_index=3)
-    f0 = config.fundamental
-    with pytest.raises(TypeError, match="at_time"):
-        afe.mixer_dc_pair(moving, f0, config, ChainParams())
-    assert afe.mixer_dc_pair(moving.at_time(0.0), f0, config, ChainParams()) == afe.mixer_dc_pair(
-        base, f0, config, ChainParams())
-    assert afe._plan_dc.cache_info().currsize == 1
-    afe.mixer_dc_pair(moving.at_time(1.0), f0, config, ChainParams())
-    assert afe._plan_dc.cache_info().currsize == 2
 
 
 def test_disabled_source_bypasses_the_cache():
