@@ -7,7 +7,7 @@ inductive-link configuration/communication protocol with its energy
 reservoir budget.
 """
 
-from .waveforms import SampleSeries, plan_frequencies, stepped_sine_levels
+from .waveforms import plan_frequencies, stepped_sine_levels
 from .tissue import (
     ColeModel,
     ParallelRC,
@@ -42,7 +42,6 @@ from .link import (
     ReservedFrequencyError,
     decode_config,
     encode_config,
-    power_budget,
     session,
 )
 

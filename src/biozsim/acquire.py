@@ -59,17 +59,23 @@ def adc_sample(v: float, spec: AdcSpec = ADC):
     integer (inf included) reads as a rail code.  A finite float takes
     plain Python arithmetic: clamping before `round` (round-half-even, as
     `np.rint`) gives the same code and keeps a quotient that overflows to
-    inf at a rail.  Every other input takes the numpy path.
+    inf at a rail.  Every other input takes the numpy path.  A NaN has no
+    code: it raises ValueError.
     """
     if isinstance(v, float) and math.isfinite(v):
         return round(min(max(float(v) / spec.lsb, 0.0), spec.codes - 1))
-    code = np.clip(np.rint(np.asarray(v) / spec.lsb), 0, spec.codes - 1).astype(int)
+    x = np.asarray(v) / spec.lsb
+    if np.isnan(x).any():
+        raise ValueError("ADC input is NaN")
+    code = np.clip(np.rint(x), 0, spec.codes - 1).astype(int)
     return int(code) if np.ndim(v) == 0 else code
 
 
 @dataclass(frozen=True)
 class SequenceResult:
-    """Averaged I/Q DC readings of one measurement sequence."""
+    """Averaged I/Q DC readings of one measurement sequence, or of a stack
+    of them: then `v_i_dc`, `v_q_dc` and `saturated` are arrays with one
+    entry per seed."""
 
     v_i_dc: float
     v_q_dc: float
@@ -104,7 +110,7 @@ def run_sequence(
     params: afe.ChainParams,
     taps: int = 32,
     seed=None,
-) -> SequenceResult | list:
+) -> SequenceResult:
     """Run the I-then-Q time-multiplexed sequence and average the taps.
 
     `f0` must be the plan frequency selected by config.freq_index.  The
@@ -116,10 +122,10 @@ def run_sequence(
 
     A list of seeds is a stack of repeats: they share the mixer DC and
     the noise-free output, their noise is drawn per seed and shaped,
-    digitized and averaged as arrays over the stack, and a list of
-    results comes back, one per seed, each bit for bit (saturated flag
-    included) the result of that seed alone.  Any other seed is one
-    sequence.
+    digitized and averaged as arrays over the stack, and one record comes
+    back whose `v_i_dc`, `v_q_dc` and `saturated` are arrays with one
+    entry per seed, each bit for bit the result of that seed alone.  Any
+    other seed is one sequence: Python floats and a bool.
     """
     if taps < 1:
         raise ValueError("taps must be >= 1")
@@ -144,7 +150,7 @@ def run_sequence(
     y = afe.baseband_output(
         [(phase_n, dc_i), (phase_n, dc_q)], params, f0, config.g2,
         seed if stack else [seed], stride=g,
-    ).samples
+    )
 
     # (row, I or Q, tap): each select phase is half of a row
     first, step = settle_n // g, spacing_n // g
@@ -155,6 +161,7 @@ def run_sequence(
     clamped = ((codes == 0) | (codes == ADC.codes - 1)).sum(axis=(1, 2))
     saturated = clamped >= max(1, math.ceil(0.01 * (2 * taps)))
 
-    results = [SequenceResult(v_i_dc=v_i, v_q_dc=v_q, config=config, saturated=s)
-               for (v_i, v_q), s in zip(means.tolist(), saturated.tolist())]
-    return results if stack else results[0]
+    if stack:
+        return SequenceResult(means[:, 0], means[:, 1], config, saturated)
+    v_i, v_q = means[0].tolist()
+    return SequenceResult(v_i, v_q, config, bool(saturated[0]))

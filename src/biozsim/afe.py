@@ -54,10 +54,11 @@ copies of one unit-step response, one per change of the mixer DC.  That
 response is computed once per chain and length, from a recursion in rotation-scaling
 form that stays within 1e-13 of a 50-digit evaluation even for slow,
 high-order filters, and it is evaluated only on the lattice of samples
-the ADC reads.  The repeats of one reading run as one stack of seeds:
-each seed draws its noise from its own generator, and the noise shaping
-and the sum with the shared noise-free output run as arrays over the
-stack, each row bit for bit that seed's output alone.
+the ADC reads.  `noise_process` and `baseband_output` take a list of
+seeds, the repeats of one reading, and return a 2-D array, one row per
+seed: each seed draws its noise from its own generator, and the noise
+shaping and the sum with the shared noise-free output run as arrays over
+the stack, each row bit for bit that seed's output alone.
 
 Stateless apart from per-process caches of seed-independent results;
 independent measurements may run concurrently with independent seeds.
@@ -79,7 +80,6 @@ from numpy.random import Generator, default_rng
 from .waveforms import (
     FUNDAMENTAL_GAIN,
     N_STEPS,
-    SampleSeries,
     SOURCE_LAG,
     plan_frequencies,
     stepped_sine_levels,
@@ -265,19 +265,19 @@ def _normals(rngs, m: int) -> np.ndarray:
 
 
 def noise_process(
-    params: ChainParams, rng_seed, duration: float, sample_rate: float, stride: int = 1
-) -> SampleSeries:
-    """Output-referred baseband noise at every `stride`-th sample.
+    params: ChainParams, seeds: list, duration: float, sample_rate: float, stride: int = 1
+) -> np.ndarray:
+    """Output-referred baseband noise at every `stride`-th sample, one row
+    per seed of the list (a seed or a Generator).
 
     One-sided PSD noise_floor^2 * (1 + flicker_corner/f): seeded white
     Gaussian noise at `sample_rate`, spectrally shaped over the circular
     series of n = duration * sample_rate samples (DC bin zeroed), then
     read at samples 0, stride, 2*stride, ...  Deterministic for a fixed
     seed.  At the default floor and corner the 1-100 Hz integral is
-    1.3 mVrms.  A list of seeds (or Generators) is a stack: the samples
-    are then one row per seed, each drawn from that seed's own generator
-    and shaped along the rows in one pass, each row bit for bit the
-    series of its seed alone.  Nothing is drawn at a zero floor.
+    1.3 mVrms.  Each row is drawn from its seed's own generator, and the
+    rows are shaped in one pass, each bit for bit the series of its seed
+    alone.  Nothing is drawn at a zero floor.
 
     The full series is never built.  It is circular-stationary with
     covariance c = irfft(S), S the per-bin power noise_floor^2 *
@@ -288,20 +288,16 @@ def noise_process(
     draw shapes n/stride standard normals by that spectrum's square root:
     exactly the full series' distribution at the samples read.  Stride 1
     is the full series, exactly zero-mean; n must be a multiple of the
-    stride.  The returned series runs at sample_rate / stride.
+    stride.  The rows run at sample_rate / stride.
     """
     n = int(round(duration * sample_rate))
     if n % stride:
         raise ValueError(f"{n} samples do not divide into stride {stride}")
     m = n // stride
-    stack = isinstance(rng_seed, list)
-    seeds = rng_seed if stack else [rng_seed]
     if params.noise_floor == 0.0 or n == 0:
-        rows = np.zeros((len(seeds), m))
-    else:
-        root = _folded_root_spectrum(params, n, sample_rate, stride)
-        rows = irfft(rfft(_normals(_generators(seeds), m), axis=1) * root, n=m, axis=1)
-    return SampleSeries(sample_rate / stride, rows if stack else rows[0])
+        return np.zeros((len(seeds), m))
+    root = _folded_root_spectrum(params, n, sample_rate, stride)
+    return irfft(rfft(_normals(_generators(seeds), m), axis=1) * root, n=m, axis=1)
 
 
 @functools.lru_cache(maxsize=8)
@@ -698,10 +694,11 @@ def baseband_output(
     params: ChainParams,
     f0: float,
     g2: int,
-    rng_seed=None,
+    seeds: list,
     stride: int = 1,
-) -> SampleSeries:
-    """Drive the TIA + Chebyshev chain with piecewise-constant mixer DC.
+) -> np.ndarray:
+    """Drive the TIA + Chebyshev chain with piecewise-constant mixer DC,
+    one output row per seed of the list.
 
     `steps` is a list of (n_samples, dc_amps) intervals at the output
     rate.  The chain starts at rest and is linear, so before compression
@@ -722,7 +719,7 @@ def baseband_output(
     cutoff.  Compression, offset, and seeded noise are applied at the
     output.
 
-    The result holds every `stride`-th output sample (rate
+    Each row holds every `stride`-th output sample (rate
     output_rate / stride; the total length must be a multiple of the
     stride), so a caller that reads only a lattice of samples, such as
     the ADC taps, evaluates the chain and draws noise only there.  Both
@@ -730,8 +727,7 @@ def baseband_output(
     noise from its folded spectrum, and the carrier term is white per
     sample.
 
-    Only the noise depends on the seed.  A list of seeds is a stack: the
-    samples are then one row per seed, each seed's generator drawing its
+    Only the noise depends on the seed: each seed's generator draws its
     1/f normals and then its carrier normals, and each row is bit for bit
     the output of that seed alone.  The noise-free lattice (the
     superposition, compression and offset) is memoized per process in an
@@ -746,15 +742,12 @@ def baseband_output(
     total = sum(n for n, _ in steps)
     if total % stride:
         raise ValueError(f"{total} samples do not divide into stride {stride}")
-    stack = isinstance(rng_seed, list)
-    seeds = rng_seed if stack else [rng_seed]
     y = _trajectory(steps, params, stride)
-    if params.noise_floor or params.carrier_noise_v:
-        rngs = _generators(seeds)
-        y = y + noise_process(params, rngs, total / fs, fs, stride).samples
-        sig = _carrier_noise_sigma(params, f0, g2)
-        if sig:
-            y = y + sig * _normals(rngs, y.shape[1])
-    else:
-        y = np.repeat(y[None], len(seeds), axis=0)
-    return SampleSeries(fs / stride, y if stack else y[0])
+    if not (params.noise_floor or params.carrier_noise_v):
+        return np.repeat(y[None], len(seeds), axis=0)
+    rngs = _generators(seeds)
+    y = y + noise_process(params, rngs, total / fs, fs, stride)
+    sig = _carrier_noise_sigma(params, f0, g2)
+    if sig:
+        y = y + sig * _normals(rngs, y.shape[1])
+    return y

@@ -58,7 +58,8 @@ class CalibrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class RawIq:
-    """Offset-corrected averaged I/Q voltages plus the scaling context."""
+    """Offset-corrected averaged I/Q voltages plus the scaling context; the
+    voltages may be arrays, one entry per repeat of a stack."""
 
     v_i_dc: float
     v_q_dc: float
@@ -69,7 +70,9 @@ class RawIq:
 
 @dataclass(frozen=True)
 class ImpedanceReading:
-    """A corrected complex impedance with bookkeeping flags."""
+    """A corrected complex impedance with bookkeeping flags.  For a stack
+    of repeats `z` is a complex array, one entry per seed, and the flags
+    are those of any entry."""
 
     z: complex
     freq: float
@@ -77,17 +80,36 @@ class ImpedanceReading:
     flags: tuple = ()
 
 
-def extract_impedance(raw: RawIq) -> complex:
-    """Uncorrected complex impedance from the averaged I/Q voltages."""
+def _complex(re, im):
+    """re + j*im assembled without rounding: a complex from scalars, a
+    complex array from arrays."""
+    if np.ndim(re) == 0:
+        return complex(re, im)
+    z = np.empty(np.shape(re), complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def _mul(z, c: complex):
+    """z * c, z a complex or a complex array, in real arithmetic in the
+    order of CPython's complex product.  numpy's array complex multiply
+    rounds differently in about half of the entries, and every entry of a
+    stack must equal, bit for bit, its reading alone."""
+    return _complex(z.real * c.real - z.imag * c.imag, z.real * c.imag + z.imag * c.real)
+
+
+def extract_impedance(raw: RawIq):
+    """Uncorrected complex impedance from the averaged I/Q voltages (a
+    complex array for arrays of voltages)."""
     if raw.i_amplitude <= 0 or raw.gain_G <= 0:
         raise ValueError("i_amplitude and gain_G must be positive")
     scale = (np.pi / 2) / (raw.i_amplitude * raw.gain_G)
-    return complex(scale * raw.v_i_dc, scale * raw.v_q_dc)
+    return _complex(scale * raw.v_i_dc, scale * raw.v_q_dc)
 
 
-def derotate(z: complex) -> complex:
+def derotate(z):
     """Rotate the constellation back by +pi/8 (source lags the references)."""
-    return z * DEROTATION
+    return _mul(z, DEROTATION)
 
 
 def auto_gain(z_estimate: float) -> str:
@@ -166,7 +188,7 @@ class CalibrationTable:
             raise CalibrationError(f"calibration table is not valid JSON: {exc}") from None
         if not isinstance(doc, dict):
             raise CalibrationError("a calibration table must be a JSON object")
-        if doc.get("version") != TABLE_VERSION:
+        if type(doc.get("version")) is not int or doc["version"] != TABLE_VERSION:
             raise CalibrationError(f"unsupported calibration table version {doc.get('version')}")
         try:
             reference_r = _number(doc["reference_r"])
@@ -218,8 +240,8 @@ class MeasurementSetup:
 
     def run(self, freq_index: int, gain_word: str, source_enable: int = 1,
             seed=None, taps: int | None = None):
-        """One sequence, or a list of them for a list of seeds (one stack,
-        see `acquire.run_sequence`)."""
+        """One sequence, or one stacked record for a list of seeds (see
+        `acquire.run_sequence`)."""
         config = afe.AfeConfig.from_gain_word(
             gain_word, freq_index=freq_index, source_enable=source_enable
         )
@@ -243,23 +265,22 @@ def measure_offsets(
     the top plan frequency (index 0), where the least front-end noise
     folds down onto the reading.  Every later reading subtracts this
     stored value, so any residual offset error biases all of them;
-    average generously (offsets are measured once).
+    average generously (offsets are measured once).  The repeats run as
+    one stack, summed by `np.sum`: in row order below 8 repeats, pairwise
+    from 8 on.
     """
-    vi = vq = 0.0
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    for res in setup.run(freq_index=0, gain_word=gain_word, source_enable=0,
-                         seed=root.spawn(repeats), taps=taps):
-        vi += res.v_i_dc / repeats
-        vq += res.v_q_dc / repeats
-    return (vi, vq)
+    res = setup.run(freq_index=0, gain_word=gain_word, source_enable=0,
+                    seed=root.spawn(repeats), taps=taps)
+    return (float(np.sum(res.v_i_dc / repeats)), float(np.sum(res.v_q_dc / repeats)))
 
 
-def _raw_reading(params: afe.ChainParams, result, offsets) -> complex:
+def _raw_reading(params: afe.ChainParams, result, offsets):
     config = result.config
     v_i, v_q = result.v_i_dc, result.v_q_dc
     if offsets is not None:
-        v_i -= offsets[0]
-        v_q -= offsets[1]
+        v_i = v_i - offsets[0]
+        v_q = v_q - offsets[1]
     raw = RawIq(
         v_i_dc=v_i,
         v_q_dc=v_q,
@@ -295,19 +316,19 @@ def build_equalization(
     ref_setup = replace(setup, model=tissue.ParallelRC(r=reference_r, c=0.0))
     coeffs = {}
     for idx, f0 in enumerate(plan_frequencies()):
-        readings = []
-        for res in ref_setup.run(freq_index=idx, gain_word=gain_word,
-                                 seed=children[8 + idx].spawn(repeats)):
-            if res.saturated:
-                raise CalibrationError(
-                    f"reference measurement saturated at {f0:g} Hz "
-                    f"(gain word {gain_word}); calibration aborted"
-                )
-            readings.append(_raw_reading(setup.params, res, offsets.get(gain_word)))
-        z_meas = derotate(np.mean(readings))
+        res = ref_setup.run(freq_index=idx, gain_word=gain_word,
+                            seed=children[8 + idx].spawn(repeats))
+        if res.saturated.any():
+            raise CalibrationError(
+                f"reference measurement saturated at {f0:g} Hz "
+                f"(gain word {gain_word}); calibration aborted"
+            )
+        z_meas = derotate(np.mean(_raw_reading(setup.params, res, offsets.get(gain_word))))
         if z_meas == 0:
             raise CalibrationError(f"zero reading for the reference at {f0:g} Hz")
-        coeffs[f0] = reference_r / z_meas
+        # numpy's complex division, which saved tables were built with:
+        # CPython's rounds about half of all quotients differently
+        coeffs[f0] = reference_r / np.complex128(z_meas)
 
     if created_at is None:
         created_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
@@ -341,7 +362,7 @@ def apply_calibration(
     coeff = table.coeff(freq)
     if coeff is None:
         return ImpedanceReading(z=z, freq=freq, gain_word=gain_word, flags=("out_of_table",))
-    return ImpedanceReading(z=z * coeff, freq=freq, gain_word=gain_word)
+    return ImpedanceReading(z=_mul(z, coeff), freq=freq, gain_word=gain_word)
 
 
 def measure_impedance(
@@ -350,25 +371,23 @@ def measure_impedance(
     gain_word: str,
     table: CalibrationTable | None = None,
     seed=None,
-) -> ImpedanceReading | list:
+) -> ImpedanceReading:
     """One full reading: sequence, offset subtraction (the table's offset
     for the gain word; none without a table), extraction, correction.
 
     A list of seeds is a stack of repeats, measured in one pass (see
-    `acquire.run_sequence`): a list of readings comes back, one per seed.
+    `acquire.run_sequence`): one reading comes back whose `z` has one
+    entry per seed, each bit for bit that seed's reading alone, flagged
+    `saturated` when any entry saturated.
     """
-    stack = isinstance(seed, list)
-    results = setup.run(freq_index=freq_index, gain_word=gain_word, seed=seed if stack else [seed])
+    res = setup.run(freq_index=freq_index, gain_word=gain_word, seed=seed)
     off = None if table is None else table.offset_for(gain_word)
     freq = plan_frequencies()[freq_index]
-    readings = []
-    for res in results:
-        z_raw = _raw_reading(setup.params, res, off)
-        if table is not None:
-            reading = apply_calibration(z_raw, table, freq, gain_word)
-        else:
-            reading = ImpedanceReading(z=derotate(z_raw), freq=freq, gain_word=gain_word)
-        if res.saturated:
-            reading = replace(reading, flags=reading.flags + ("saturated",))
-        readings.append(reading)
-    return readings if stack else readings[0]
+    z_raw = _raw_reading(setup.params, res, off)
+    if table is not None:
+        reading = apply_calibration(z_raw, table, freq, gain_word)
+    else:
+        reading = ImpedanceReading(z=derotate(z_raw), freq=freq, gain_word=gain_word)
+    if np.any(res.saturated):
+        reading = replace(reading, flags=reading.flags + ("saturated",))
+    return reading

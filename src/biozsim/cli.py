@@ -165,7 +165,9 @@ def build_model(spec: dict, base_dir: Path):
         values = {}
         for name, points in schedule.items():
             times = [p[0] for p in points]
-            if not all(b > a for a, b in zip(times, times[1:])):  # a NaN time fails too
+            if not all(math.isfinite(t) for t in times):
+                raise ValueError(f"schedule times for {name!r} must be finite")
+            if not all(b > a for a, b in zip(times, times[1:])):
                 raise ValueError(f"schedule times for {name!r} must be strictly increasing")
             if name not in names:
                 raise ValueError(f"base model has no parameter {name!r}")
@@ -318,7 +320,8 @@ def run_sweep(
     repeats: int = 10,
 ) -> list:
     """Measure every scenario frequency `repeats` times, as one stack of
-    seeds (see `acquire.run_sequence`); one record each.
+    seeds (see `calib.measure_impedance`); one record each, the mean of
+    the stack's impedances, flagged as the stack's reading is.
 
     In auto gain mode a pilot measurement at the widest range (word 000)
     picks the word per frequency.  When a calibration table is supplied
@@ -331,8 +334,6 @@ def run_sweep(
     records = []
     for idx in scenario.freq_indices():
         freq = plan_frequencies()[idx]
-        flags: tuple = ()
-
         if scenario.gain == "auto":
             pilot = calib.measure_impedance(
                 setup, idx, "000",
@@ -346,25 +347,18 @@ def run_sweep(
         else:
             word = scenario.gain
 
-        use_table = table
+        use_table, flags = table, ()
         if table is not None and word != table.gain_word:
-            use_table = None
-            flags = flags + ("gain_mismatch",)
+            use_table, flags = None, ("gain_mismatch",)
 
-        zs = []
         seeds = [_measure_seed(scenario.seed, idx, rep) for rep in range(repeats)]
-        for reading in calib.measure_impedance(setup, idx, word, table=use_table, seed=seeds):
-            zs.append(reading.z)
-            for f in reading.flags:
-                if f not in flags:
-                    flags = flags + (f,)
-        z_mean = complex(np.mean(zs))
+        reading = calib.measure_impedance(setup, idx, word, table=use_table, seed=seeds)
+        z_mean = complex(np.mean(reading.z))
         if repeats > 1:
-            mags = np.abs(zs)
-            stderr = float(np.std(mags, ddof=1) / np.sqrt(repeats))
+            stderr = float(np.std(np.abs(reading.z), ddof=1) / np.sqrt(repeats))
         else:
             stderr = 0.0
-        records.append(SweepRecord(freq, z_mean, stderr, word, flags))
+        records.append(SweepRecord(freq, z_mean, stderr, word, flags + reading.flags))
     return records
 
 

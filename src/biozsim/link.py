@@ -88,16 +88,6 @@ BLOCK_CURRENTS_UA = {
     "buffers": 12.0,
 }
 
-ALL_BLOCKS = frozenset(BLOCK_CURRENTS_UA)
-
-
-def power_budget(active_blocks=ALL_BLOCKS) -> float:
-    """Total current draw in microamps for the active block set."""
-    unknown = set(active_blocks) - ALL_BLOCKS
-    if unknown:
-        raise KeyError(f"unknown blocks: {sorted(unknown)}")
-    return float(sum(BLOCK_CURRENTS_UA[b] for b in active_blocks))
-
 
 class ReservedFrequencyError(ValueError):
     """Config word selects one of the reserved frequency codes (11..15)."""
@@ -234,7 +224,7 @@ class PowerState:
 
     reservoir_voltage: float = 3.0
     reservoir_cap: float = 20e-6
-    load_current: float = 165.5e-6
+    load_current: float = 165.5e-6  # the sum of BLOCK_CURRENTS_UA, in amps
 
 
 class BrownOutError(RuntimeError):

@@ -26,8 +26,6 @@ functions are pure (safe for concurrent use).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 REF_CLOCK_HZ = 500e3
@@ -70,14 +68,3 @@ def stepped_sine_levels(amplitude: float) -> np.ndarray:
     if amplitude < 0:
         raise ValueError(f"amplitude must be >= 0, got {amplitude}")
     return amplitude * np.sin(2 * np.pi * (np.arange(N_STEPS) + 0.5) / N_STEPS)
-
-
-@dataclass(frozen=True)
-class SampleSeries:
-    """Uniformly sampled real-valued signal."""
-
-    sample_rate: float
-    samples: np.ndarray
-
-    def __len__(self):
-        return len(self.samples)

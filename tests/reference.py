@@ -34,7 +34,6 @@ from biozsim.waveforms import (
     REF_CLOCK_HZ,
     SOURCE_LAG,
     FUNDAMENTAL_GAIN,
-    SampleSeries,
     stepped_sine_levels,
 )
 
@@ -90,6 +89,17 @@ class IqClock:
 
     fundamental: float
     phase: Phase = Phase.I
+
+
+@dataclass(frozen=True)
+class SampleSeries:
+    """Uniformly sampled real-valued signal."""
+
+    sample_rate: float
+    samples: np.ndarray
+
+    def __len__(self):
+        return len(self.samples)
 
 
 def times(series: SampleSeries) -> np.ndarray:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from biozsim import acquire, afe
-from biozsim.acquire import AdcSpec, _phase_samples, adc_sample, run_sequence
+from biozsim.acquire import AdcSpec, SequenceResult, _phase_samples, adc_sample, run_sequence
 from biozsim.afe import AfeConfig, ChainParams, baseband_output, mixer_dc_pair
 from biozsim.tissue import ParallelRC, TabulatedTwoPort
 from biozsim.waveforms import plan_frequencies
@@ -81,9 +81,12 @@ class TestScalarAdc:
     def test_infinities_read_as_rails(self, v):
         self.check(v)
 
-    def test_nan_keeps_the_numpy_cast(self):
-        with pytest.warns(RuntimeWarning, match="cast"):
-            assert adc_sample(float("nan")) == numpy_code(float("nan"))
+    def test_nan_is_a_value_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for v in (float("nan"), np.float64("nan"), np.array([0.9, np.nan])):
+                with pytest.raises(ValueError, match="NaN"):
+                    adc_sample(v)
 
     def test_arrays_keep_their_types(self):
         zero_d = adc_sample(np.array(0.9))
@@ -194,12 +197,12 @@ class TestTapLattice:
         phase_n = settle_n + spacing_n * taps
         dc_i, dc_q = mixer_dc_pair(self.MODEL, cfg.fundamental, cfg, params)
         series = baseband_output([(phase_n, dc_i), (phase_n, dc_q)], params,
-                                 cfg.fundamental, cfg.g2)
+                                 cfg.fundamental, cfg.g2, [None])[0]
         spec = AdcSpec()
         means = []
         for start in (0, phase_n):
             idx = start + settle_n + spacing_n * np.arange(taps)
-            codes = adc_sample(0.9 + series.samples[idx] / 2.0, spec)
+            codes = adc_sample(0.9 + series[idx] / 2.0, spec)
             means.append(float(np.mean(2.0 * (codes * spec.lsb - 0.9))))
         return means
 
@@ -240,7 +243,9 @@ class TestSeedStack:
         return np.array([res.v_i_dc, res.v_q_dc]).tobytes(), res.saturated
 
     def assert_rows_are_single_runs(self, model, cfg, params, taps, seeds):
-        stack = run_sequence(model, cfg.fundamental, cfg, params, taps=taps, seed=seeds)
+        record = run_sequence(model, cfg.fundamental, cfg, params, taps=taps, seed=seeds)
+        stack = [SequenceResult(v_i, v_q, cfg, s) for v_i, v_q, s in zip(
+            record.v_i_dc.tolist(), record.v_q_dc.tolist(), record.saturated.tolist(), strict=True)]
         assert len(stack) == len(seeds)
         for seed, row in zip(seeds, stack):
             alone = run_sequence(model, cfg.fundamental, cfg, params, taps=taps, seed=seed)
@@ -268,10 +273,10 @@ class TestSeedStack:
     def test_noise_rows_equal_single_draws(self):
         params = ChainParams()
         seeds = [3, np.random.SeedSequence(4), np.random.default_rng(5)]
-        stack = afe.noise_process(params, seeds, 0.114, 50e3, 50).samples
+        stack = afe.noise_process(params, seeds, 0.114, 50e3, 50)
         assert stack.shape == (3, 114)
         for seed, row in zip([3, np.random.SeedSequence(4), np.random.default_rng(5)], stack):
-            assert row.tobytes() == afe.noise_process(params, seed, 0.114, 50e3, 50).samples.tobytes()
+            assert row.tobytes() == afe.noise_process(params, [seed], 0.114, 50e3, 50)[0].tobytes()
 
     def test_out_of_range_raises_before_any_draw(self, monkeypatch):
         rendered = []

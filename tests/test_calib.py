@@ -230,6 +230,14 @@ class TestApplyCalibration:
         with pytest.raises(CalibrationError):
             CalibrationTable.from_json('{"version": 2}')
 
+    @pytest.mark.parametrize("version", [True, 1.0], ids=["boolean", "float"])
+    def test_version_must_be_the_integer_1(self, version):
+        # True == 1.0 == 1, so an equality test alone accepts both
+        doc = json.loads(self.make_table().to_json())
+        doc["version"] = version
+        with pytest.raises(CalibrationError, match="version"):
+            CalibrationTable.from_json(json.dumps(doc))
+
     def test_non_json_text_rejected(self):
         with pytest.raises(CalibrationError, match="not valid JSON"):
             CalibrationTable.from_json("not json")
@@ -260,6 +268,62 @@ class TestApplyCalibration:
         path.write_bytes(b"\xff\xfe\x00garbage")
         with pytest.raises(CalibrationError, match="UTF-8"):
             CalibrationTable.load(path)
+
+
+class TestStackedReading:
+    """A list of seeds gives one reading whose `z` has one entry per seed,
+    each by `tobytes` that seed's reading alone, and whose flags are those
+    of any entry, in the order a single reading lists them."""
+
+    SETUP = MeasurementSetup(model=ParallelRC(r=270.0, c=3e-9))
+    SEEDS = np.random.SeedSequence(21).spawn(10)
+
+    @pytest.fixture(scope="class")
+    def built(self):
+        ref = MeasurementSetup(model=ParallelRC(r=100.0, c=0.0))
+        return build_equalization(ref, 100.0, "111", seed=5, created_at="t")
+
+    @staticmethod
+    def without(table, idx):
+        """The table with plan frequency `idx` left out."""
+        f0 = plan_frequencies()[idx]
+        return CalibrationTable(reference_r=100.0, gain_word="111", offsets=table.offsets,
+                                eq_coeffs={f: c for f, c in table.eq_coeffs.items() if f != f0})
+
+    def assert_entries_are_single_readings(self, setup, idx, table, seeds):
+        stacked = measure_impedance(setup, idx, "111", table=table, seed=seeds)
+        alone = [measure_impedance(setup, idx, "111", table=table, seed=s) for s in seeds]
+        assert stacked.z.shape == (len(seeds),)
+        for z, single in zip(stacked.z, alone):
+            assert np.complex128(z).tobytes() == np.complex128(single.z).tobytes()
+        assert (stacked.freq, stacked.gain_word) == (alone[0].freq, alone[0].gain_word)
+        union = tuple(f for f in ("out_of_table", "saturated")
+                      if any(f in single.flags for single in alone))
+        assert stacked.flags == union
+        return alone
+
+    @pytest.mark.parametrize("table", ["none", "built", "loaded"])
+    @pytest.mark.parametrize("idx", [0, 5, 10])
+    def test_entries_equal_single_readings(self, built, table, idx):
+        # a built table holds numpy coefficients, a loaded one Python complexes
+        table = {"none": None, "built": built,
+                 "loaded": CalibrationTable.from_json(built.to_json())}[table]
+        alone = self.assert_entries_are_single_readings(self.SETUP, idx, table, self.SEEDS)
+        assert all(single.flags == () for single in alone)
+
+    def test_out_of_table(self, built):
+        alone = self.assert_entries_are_single_readings(self.SETUP, 5, self.without(built, 5),
+                                                        self.SEEDS)
+        assert all(single.flags == ("out_of_table",) for single in alone)
+
+    @pytest.mark.parametrize("in_table", [True, False])
+    def test_some_rows_saturate(self, built, in_table):
+        # 430 ohm at 1953 Hz clamps a few taps on some seeds only
+        table = built if in_table else self.without(built, 10)
+        setup = MeasurementSetup(model=ParallelRC(r=430.0, c=0.0))
+        seeds = np.random.SeedSequence(9).spawn(10)
+        alone = self.assert_entries_are_single_readings(setup, 10, table, seeds)
+        assert 0 < sum("saturated" in single.flags for single in alone) < len(seeds)
 
 
 class TestRoundTrip:

@@ -112,6 +112,9 @@ class TestScenario:
                    "schedule": {"r": [[1.0, 100.0], [1.0, 200.0]]}}},
         {"model": {"type": "time_varying", "base": {"type": "parallel_rc", "r": 100.0},
                    "schedule": {"r": [[0.0, 100.0], [float("nan"), 200.0]]}}},
+        # the JSON number 1e309 parses to inf, as this override's Infinity does
+        {"model": {"type": "time_varying", "base": {"type": "parallel_rc", "r": 100.0},
+                   "schedule": {"r": [[0, 100], [float("inf"), 200]]}, "time": 5.0}},
         {"model": {"type": "time_varying", "base": {"type": "parallel_rc", "r": 100.0},
                    "schedule": {"x": [[0.0, 1.0]]}}},
         {"model": {"type": "time_varying", "base": {"type": "parallel_rc", "r": 100.0},
@@ -133,7 +136,7 @@ class TestScenario:
             "zero_lna_pole", "string_seed", "negative_seed", "string_taps", "fractional_taps",
             "string_frequencies", "time_varying_base_not_object",
             "time_varying_schedule_not_object", "time_varying_times_not_increasing",
-            "time_varying_nan_time", "time_varying_unknown_parameter",
+            "time_varying_nan_time", "time_varying_infinite_time", "time_varying_unknown_parameter",
             "time_varying_property_not_field", "time_varying_builtin_base", "bad_gain_word",
             "unknown_format",
             "list_format", "overflowing_settle_time", "hour_long_settle_time",

@@ -5,7 +5,7 @@ import pytest
 from biozsim.acquire import sequence_duration
 from biozsim.afe import ChainParams
 from biozsim.link import (
-    ALL_BLOCKS,
+    BLOCK_CURRENTS_UA,
     BrownOutError,
     ChannelParams,
     ConfigWord,
@@ -27,7 +27,6 @@ from biozsim.link import (
     UART_BITS,
     decode_config,
     encode_config,
-    power_budget,
     session,
 )
 
@@ -74,21 +73,8 @@ class TestConfigCodec:
 
 class TestPowerBudget:
     def test_total(self):
-        assert power_budget() == pytest.approx(165.5)
-
-    def test_single_block(self):
-        assert power_budget({"lpf"}) == pytest.approx(58.5)
-
-    def test_empty(self):
-        assert power_budget(set()) == 0.0
-
-    def test_sum_matches_total(self):
-        total = sum(power_budget({b}) for b in ALL_BLOCKS)
-        assert total == pytest.approx(power_budget())
-
-    def test_unknown_block(self):
-        with pytest.raises(KeyError):
-            power_budget({"antenna"})
+        # the reservoir's default load is every block on, bit for bit
+        assert sum(BLOCK_CURRENTS_UA.values()) / 1e6 == PowerState().load_current
 
 
 class TestFrames:

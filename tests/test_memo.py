@@ -67,7 +67,7 @@ def test_chebyshev_designed_once_per_chain(monkeypatch):
     calls = count_calls(monkeypatch, afe, "_cheby1_poles")
     chains = [ChainParams(), ChainParams(lpf_cutoff=40.0), ChainParams(), ChainParams(lpf_cutoff=40.0)]
     for seed, params in enumerate(chains):
-        afe.baseband_output([(100, 1e-8)], params, 1953.125, 1, seed)
+        afe.baseband_output([(100, 1e-8)], params, 1953.125, 1, [seed])
     assert len(calls) == 2
 
 
@@ -133,14 +133,14 @@ def test_returned_samples_belong_to_the_caller():
     afe._trajectory.cache_clear()
     quiet = ChainParams(noise_floor=0.0, carrier_noise_v=0.0)
     steps = [(200, 1e-8), (200, -1e-8)]
-    first = afe.baseband_output(steps, quiet, 1953.125, 1)
-    expected = first.samples.copy()
-    first.samples[:] = 99.0
-    again = afe.baseband_output(steps, quiet, 1953.125, 1)
+    first = afe.baseband_output(steps, quiet, 1953.125, 1, [None])
+    expected = first.copy()
+    first[:] = 99.0
+    again = afe.baseband_output(steps, quiet, 1953.125, 1, [None])
     assert afe._trajectory.cache_info().hits == 1
-    assert np.array_equal(again.samples, expected)
-    again.samples[100:] = -5.0
-    assert np.array_equal(afe.baseband_output(steps, quiet, 1953.125, 1).samples, expected)
+    assert np.array_equal(again, expected)
+    again[:, 100:] = -5.0
+    assert np.array_equal(afe.baseband_output(steps, quiet, 1953.125, 1, [None]), expected)
 
 
 def test_rc_sweep_folds_the_noise_spectrum_once():
