@@ -36,11 +36,12 @@ a parallel_rc or cole base at one time::
               "schedule": {"r": [[0.0, 100.0], [10.0, 200.0]]},
               "time": 5.0}                   # seconds, default 0.0
 
-`time` is read from the model object only.  Each scheduled field takes
-its piecewise-linear value at that time (breakpoint times strictly
-increasing; held past the first and last).  A parallel_rc's r_interface
-lies on the injection side, outside the sense electrodes: a sweep
-measures r || c, and only `tissue.impedance_at` includes it.
+`time`, a finite number, is read from the model object only.  Each
+scheduled field takes its piecewise-linear value at that time
+(breakpoint times strictly increasing; held past the first and last).
+A parallel_rc's r_interface lies on the injection side, outside the
+sense electrodes: a sweep measures r || c, and only
+`tissue.impedance_at` includes it.
 
 Sweep output (CSV) has the frozen header
 `freq_hz,re_ohm,im_ohm,mag_ohm,phase_deg,stderr_ohm,gain_word,flags`;
@@ -161,7 +162,9 @@ def build_model(spec: dict, base_dir: Path):
             for name, points in spec["schedule"].items()
         }
         names = {f.name for f in fields(base)}
-        t = float(spec.get("time", 0.0))
+        t = spec.get("time", 0.0)
+        if not _finite_number(t):
+            raise ScenarioError(f"a time_varying time must be a finite number, got {t!r}")
         values = {}
         for name, points in schedule.items():
             times = [p[0] for p in points]
@@ -208,7 +211,7 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError("chain must be an object of parameter overrides")
     hints = typing.get_type_hints(afe.ChainParams)
     for name, value in chain.items():
-        numeric = _is_number(value) and math.isfinite(value)
+        numeric = _finite_number(value)
         nullable = value is None and type(None) in typing.get_args(hints.get(name))
         if name in hints and not (numeric or nullable):
             raise ScenarioError(
@@ -262,10 +265,19 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _finite_number(value) -> bool:
+    """A JSON number that is a finite double: not a bool, a string, an
+    infinity, a NaN or an integer beyond the float range."""
+    try:
+        return _is_number(value) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _integer(doc: dict, name: str, default: int) -> int:
     """A whole-number scenario field (2 or 2.0, not "2", 2.5 or true)."""
     value = doc.get(name, default)
-    if not (_is_number(value) and math.isfinite(value) and value == int(value)):
+    if not (_finite_number(value) and value == int(value)):
         raise ScenarioError(f"{name} must be an integer, got {value!r}")
     return int(value)
 

@@ -171,8 +171,9 @@ def _sense_z(model, freq):
 
 
 def is_rational(model) -> bool:
-    """True when the model has an exact lumped (state-space) realization."""
-    return isinstance(model, ParallelRC)
+    """True when the model has an exact lumped (state-space) realization:
+    a ParallelRC, or a Cole load at alpha = 1, r_inf in series with an RC."""
+    return isinstance(model, ParallelRC) or (isinstance(model, ColeModel) and model.alpha == 1.0)
 
 
 # Representative electrode-referred transfer impedances for the bundled

@@ -13,12 +13,16 @@ program computes by another road, so a test can hold the program to it:
   full-period steady state over a rendered period.
 * `exact_mixer_dc` evaluates the RC mixer DC by partial fractions in
   mpmath at 50 digits.
+* `expm_mixer_dc` is the RC mixer DC by a general matrix exponential:
+  each frequency's 4 x 4 segment generator taken by scaling and squaring
+  (`expm_lower`), its steady state by a linear solve.
 * `cascade_step_reference` evaluates the baseband chain's unit-step
   response by partial fractions in mpmath at 50 digits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -329,6 +333,90 @@ def exact_mixer_dc(model, f0, config, params, dps=50):
         return tuple(float(scale * sum(g * s for g, s in zip(gate, integrals)))
                      for gate in (gate_i, gate_q))
 
+
+
+def expm_lower(gen: np.ndarray) -> np.ndarray:
+    """exp of each lower-triangular generator in a stack (m, n, n), by
+    scaling and squaring.
+
+    Each gen is scaled by its own 2^-s to norm at most 1, where a Taylor
+    polynomial of degree 18 gives its exponential; s squarings undo the
+    scaling.  Every squaring recomputes the diagonal and the first
+    subdiagonal from their closed forms (Al-Mohy and Higham 2009, Code
+    Fragment 2.1), the divided difference of exp taken through expm1 so
+    that close diagonal entries lose no digits.  `scipy.linalg.expm` does
+    the same with a plain difference of exponentials, which is 5e-12 off
+    for a load pole 7e-6 of a segment away from the input's.
+    """
+    n = gen.shape[-1]
+    norms = np.abs(gen).sum(axis=1).max(axis=1)
+    s = np.array([max(0, math.ceil(math.log2(x))) if x > 1 else 0 for x in norms.tolist()])
+    top = int(s.max())
+    # the closed forms at each scale gen / 2**t, t = top .. 0: (m, top + 1, n)
+    scales = 2.0 ** -np.arange(top, -1, -1)
+    h = scales[:, None] * np.diagonal(gen, axis1=1, axis2=2)[:, None, :]
+    hi, lo = np.maximum(h[..., 1:], h[..., :-1]), np.minimum(h[..., 1:], h[..., :-1])
+    gap = hi - lo
+    ratio = np.divide(-np.expm1(-gap), gap, out=np.ones_like(gap), where=gap > 0)
+    diags = np.exp(h)
+    subs = scales[:, None] * np.diagonal(gen, -1, axis1=1, axis2=2)[:, None, :] * np.exp(hi) * ratio
+    # Horner's rule; the terms left out sum below 1/19! < 1e-17
+    x = gen * (2.0 ** -s)[:, None, None]
+    e = np.eye(n)
+    for k in range(18, 0, -1):
+        e = np.eye(n) + x @ e / k
+    on, below = np.arange(n), np.arange(1, n)
+    for t in range(top + 1):
+        if t:
+            squared = s > top - t
+            e[squared] = e[squared] @ e[squared]
+        live = np.flatnonzero(s >= top - t)
+        e[live[:, None], on, on] = diags[live, t]
+        e[live[:, None], below, below - 1] = subs[live, t]
+    return e
+
+
+def expm_mixer_dc(model, f0s, config, params) -> np.ndarray:
+    """Post-mixer DC (I, Q) of an RC load per frequency in `f0s`, (m, 2),
+    from the matrix exponential of each segment's generator.
+
+    The generator of (u, x1, x2, z) over one segment, in its units: the
+    held input, the unity-DC load state, the LNA state and the running
+    mean of y / r; a lag with tau * f0 below `afe._NEGLIGIBLE_TAU_F0` is
+    dropped, as the program drops it.  The antiperiodic steady state over
+    the 8 segments of half a period is x0 = -(I + A^8)^-1 x_forced.
+    """
+    f0s = np.asarray(f0s, dtype=float)
+    tau = model.r * model.c
+    seg = 1.0 / (16 * f0s)
+    rows = np.arange(len(f0s))
+    gen = np.zeros((len(f0s), 4, 4))
+    load = ~(tau * f0s < afe._NEGLIGIBLE_TAU_F0)
+    sensed = load.astype(int)  # column of the sensed voltage: x1, else u
+    gen[load, 1, 0] = seg[load] / tau
+    gen[load, 1, 1] = -seg[load] / tau
+    pole = params.lna_pole
+    lna = np.zeros(len(f0s), dtype=bool)
+    if pole is not None:
+        lna = ~(f0s / (2 * np.pi * pole) < afe._NEGLIGIBLE_TAU_F0)
+        p = 2 * np.pi * pole * seg[lna]
+        gen[rows[lna], 2, sensed[lna]], gen[lna, 2, 2] = p, -p
+        gen[lna, 3, 2] = 1.0
+    gen[rows[~lna], 3, sensed[~lna]] = 1.0
+    step = expm_lower(gen)
+    a, b, c, d = step[:, 1:3, 1:3], step[:, 1:3, :1], step[:, 3:, 1:3], step[:, 3:, :1]
+
+    u = config.current_amplitude / FUNDAMENTAL_GAIN * np.array(afe._HALF_PERIOD_LEVELS)
+    x = np.zeros((len(f0s), 2, 1))
+    for u_j in u:
+        x = a @ x + b * u_j
+    x = -np.linalg.solve(np.eye(2) + np.linalg.matrix_power(a, 8), x)
+    means = np.empty((len(f0s), 8, 1))
+    for j, u_j in enumerate(u):
+        means[:, j] = (c @ x + d * u_j)[:, 0]
+        x = a @ x + b * u_j
+    dc = config.gm * model.r * (np.array(afe._HALF_PERIOD_GATES) @ means) / 8
+    return dc[:, :, 0]
 
 def cascade_step_reference(poles, times, dps=50) -> np.ndarray:
     """Unit-step response, at the given increasing sample times, of the

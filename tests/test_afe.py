@@ -23,6 +23,7 @@ from reference import (
     analytic_dc_oracle,
     cascade_step_reference,
     exact_mixer_dc,
+    expm_mixer_dc,
     sampled_mixer_dc,
     synthesize,
 )
@@ -269,7 +270,8 @@ class TestRationalSegments:
         # the rendered period holds still over each sixteenth: the first 8
         # are the route's segments, the last 8 their negatives (to the few
         # ulps by which the rounded sin of the larger angle misses them)
-        segments = (afe._half_period_levels(1e-5), *afe._HALF_PERIOD_GATES)
+        segments = np.array([afe._HALF_PERIOD_LEVELS, *afe._HALF_PERIOD_GATES])
+        segments[0] *= 1e-5
         specs = (SteppedSine(1e-5, f0), IqClock(f0, Phase.I), IqClock(f0, Phase.Q))
         for seg, spec in zip(segments, specs):
             assert len(seg) == 8
@@ -354,19 +356,93 @@ class TestExactReference:
                 assert rc_mixer_dc(model, f0, config, params) == rc_mixer_dc(
                     model, f0, config, ChainParams(lna_pole=None))
 
+    #: Cole loads at alpha = 1: the builtins' fits, one whose corner sits on
+    #: a plan frequency, and a narrow one.
+    COLES = [*(replace(c, alpha=1.0) for c in tissue._BUILTIN_COLE.values()),
+             ColeModel(r_inf=50.0, r0=500.0, tau=1 / (2 * np.pi * plan_frequencies()[6])),
+             ColeModel(r_inf=90.0, r0=100.0, tau=1e-7)]
+
+    @pytest.mark.parametrize("chain", ["default", "ideal"])
+    @pytest.mark.parametrize("load", range(len(COLES)))
+    def test_cole_at_alpha_1_within_1e_11_of_mpmath(self, load, chain):
+        # r_inf in series with (r0 - r_inf) || c: the sum of the two RC DCs
+        cole = self.COLES[load]
+        r = cole.r0 - cole.r_inf
+        parts = (ParallelRC(r=cole.r_inf), ParallelRC(r=r, c=cole.tau / r))
+        params = ChainParams() if chain == "default" else ChainParams().ideal()
+        for idx, f0 in enumerate(plan_frequencies()):
+            config = AfeConfig(freq_index=idx)
+            got = mixer_dc_pair(cole, f0, config, params)
+            want = [sum(pair) for pair in zip(*(exact_mixer_dc(m, f0, config, params)
+                                                 for m in parts))]
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-11 * abs(complex(*want))
+
+    def test_cole_whose_capacitor_overflows_reads_as_r_inf(self):
+        # c = tau / (r0 - r_inf) = 1e300 / 1e-9 overflows a double; that
+        # branch is shorted at every plan frequency, leaving r_inf
+        cole = ColeModel(r_inf=100.0, r0=100.0 + 1e-9, tau=1e300)
+        for idx, f0 in enumerate(plan_frequencies()):
+            config = AfeConfig(freq_index=idx)
+            got = mixer_dc_pair(cole, f0, config, ChainParams())
+            want = mixer_dc_pair(ParallelRC(r=100.0), f0, config, ChainParams())
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-14 * abs(complex(*want))
+
+    @staticmethod
+    def segment_map_matrix(a, p):
+        """The route's segment map over (u, x1, x2, z), 4 x 4."""
+        e1, b1, k, b2, e2, c1, c2, d = afe._segment_map(a, p)
+        return np.array([[1.0, 0, 0, 0], [b1, e1, 0, 0], [b2, k, e2, 0], [d, c1, c2, 1.0]])
+
+    @staticmethod
+    def mp_expm(gen):
+        with mpmath.workdps(50):
+            exact = mpmath.expm(mpmath.matrix(gen.tolist()))
+            return np.array([[float(exact[i, j]) for j in range(len(gen))]
+                             for i in range(len(gen))])
+
     def test_segment_exponential_is_exact_entrywise(self):
-        # a slow load beside a fast LNA pole, then nearly coincident poles:
-        # a plain difference of exponentials loses digits on both
-        for k, p in [(7e-6, 6.9), (2.7e-9, 5.9), (3.0, 3.0000001), (5.0, 1e-9), (1e18, 442.0)]:
+        # a slow load beside a fast LNA pole, then nearly coincident poles,
+        # then both rates below one, where a Taylor series takes the map:
+        # a plain difference of exponentials loses digits on all of them
+        for a, p in [(7e-6, 6.9), (2.7e-9, 5.9), (3.0, 3.0000001), (5.0, 1e-9), (1e18, 442.0),
+                     (0.3, 0.3000001), (0.9999, 0.999), (1e-9, 0.7), (0.43, 4e-3), (1e-4, 0.01),
+                     (2e-6, 1e-6)]:
             gen = np.zeros((4, 4))
-            gen[1, :2] = k, -k
-            gen[2, :3] = 0.3 * p, 0.7 * p, -p
+            gen[1, :2] = a, -a
+            gen[2, 1:3] = p, -p  # the LNA reads the load state
             gen[3, 2] = 1.0
-            with mpmath.workdps(50):
-                exact = mpmath.expm(mpmath.matrix(gen.tolist()))
-                want = np.array([[float(exact[i, j]) for j in range(4)] for i in range(4)])
-            got = afe._expm_lower(gen[None])[0]
+            got, want = self.segment_map_matrix(a, p), self.mp_expm(gen)
             assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+    def test_one_lag_map_is_exact_entrywise(self):
+        # a dropped load or LNA pole leaves one lag between u and the mean
+        for r in (0.0, 1e-12, 7e-6, 0.5, 0.9999, 1.0, 6.9, 442.0, 1e18):
+            e, b, c, d = afe._lag_map(r)
+            got = np.array([[1.0, 0, 0], [b, e, 0], [d, c, 1.0]])
+            want = self.mp_expm(np.array([[0.0, 0, 0], [r, -r, 0], [0, 1.0, 0]]))
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+    def test_matches_the_matrix_exponential_on_random_loads(self):
+        # 240 loads, r 1-1e5 ohm, c 1e-12-1e-5 F, LNA pole none or
+        # 1e2-1e8 Hz; in a third of those with a pole the load's rate is
+        # within 1e-7 of the pole's, where exact_mixer_dc (distinct poles
+        # only) cannot go
+        rng = np.random.default_rng(17)
+        config, plan = AfeConfig.from_gain_word("101"), plan_frequencies()
+        for k in range(240):
+            r = float(10 ** rng.uniform(0, 5))
+            pole = None if k % 4 == 0 else float(10 ** rng.uniform(2, 8))
+            if pole is not None and k % 3 == 0:
+                c = 1 / (2 * np.pi * pole * (1 + rng.uniform(-1e-7, 1e-7))) / r
+            else:
+                c = float(10 ** rng.uniform(-12, -5))
+            model = ParallelRC(r=r, c=c, r_interface=float(rng.uniform(0, 100)))
+            params = ChainParams(lna_pole=pole)
+            got = afe._rc_mixer_dc(model, plan, config, params)
+            want = expm_mixer_dc(model, plan, config, params)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.hypot(*want.T)[:, None])
 
 
 class TestPlanStack:
@@ -407,18 +483,6 @@ class TestPlanStack:
         for params in (ChainParams(), ChainParams(lna_pole=None)):
             self.assert_rows_are_single_evaluations(
                 afe._image_dc, model, params, afe._SPECTRAL_N_CUT)
-
-    def test_stacked_exponential_equals_each_matrix_alone(self):
-        # decaying, as the route's generators are; norms from 1e-3 to 1e7
-        # take 0 to 23 squarings
-        rng = np.random.default_rng(5)
-        gens = np.tril(rng.standard_normal((30, 4, 4)))
-        gens[:, range(4), range(4)] = -np.abs(gens[:, range(4), range(4)])
-        gens *= (10.0 ** rng.uniform(-3, 7, 30))[:, None, None]
-        gens[3] = 0.0
-        stack = afe._expm_lower(gens)
-        for gen, got in zip(gens, stack):
-            assert got.tobytes() == afe._expm_lower(gen[None])[0].tobytes()
 
     def test_plan_frequencies_read_the_table(self):
         model = ParallelRC(r=270.0, c=3e-9)

@@ -129,6 +129,13 @@ class TestScenario:
         {"taps": 1e6},
         {"chain": {"output_rate": 150.0}},
         {"chain": {"output_rate": 1400.0}},
+        # the model's own time: JSON 1e309 and -1e309 parse to +/-inf
+        *({"model": {"type": "time_varying", "base": {"type": "parallel_rc", "r": 100.0},
+                     "schedule": {"r": [[0.0, 100.0], [10.0, 200.0]]}, "time": t}}
+          for t in (float("inf"), -float("inf"), float("nan"), "5", True)),
+        # a JSON integer beyond the float range
+        {"chain": {"offset": 10**400}},
+        {"taps": 10**400},
     ], ids=["missing_r", "negative_r", "nan_r", "nan_tau", "unknown_builtin",
             "negative_settle_time", "list_chain_value", "nan_chain_value",
             "removed_rf_oversampling", "fractional_lpf_order", "zero_output_rate",
@@ -140,7 +147,11 @@ class TestScenario:
             "time_varying_property_not_field", "time_varying_builtin_base", "bad_gain_word",
             "unknown_format",
             "list_format", "overflowing_settle_time", "hour_long_settle_time",
-            "million_taps", "output_rate_below_tap_rate", "output_rate_off_tap_lattice"])
+            "million_taps", "output_rate_below_tap_rate", "output_rate_off_tap_lattice",
+            "time_varying_infinite_model_time", "time_varying_negative_infinite_model_time",
+            "time_varying_nan_model_time", "time_varying_string_model_time",
+            "time_varying_bool_model_time", "integer_beyond_float_chain_value",
+            "integer_beyond_float_taps"])
     def test_malformed_scenario_one_line_error(self, tmp_path, capsys, monkeypatch, overrides):
         calls = []
         monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: calls.append(a))

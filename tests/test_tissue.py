@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from biozsim import afe
 from biozsim.tissue import (
     ColeModel,
     ParallelRC,
@@ -205,6 +206,13 @@ class TestSenseVoltage:
         f0 = plan_frequencies()[idx]
         return complex(*mixer_dc_pair(model, f0, AfeConfig(freq_index=idx), params))
 
+    @staticmethod
+    def image_dc(model, idx, params=ChainParams()):
+        """The per-image sum at n <= 255, whatever route the load takes."""
+        f0 = plan_frequencies()[idx]
+        config = AfeConfig(freq_index=idx)
+        return complex(*afe._image_dc(model, [f0], config, params, afe._SPECTRAL_N_CUT)[0])
+
     @classmethod
     def cole_as_rc(cls, cole, idx, params=ChainParams()):
         """alpha = 1: r_inf in series with (r0 - r_inf) || c, c = tau / (r0 - r_inf).
@@ -234,8 +242,9 @@ class TestSenseVoltage:
         assert np.abs(_sense_z(m, freqs)) == pytest.approx(expect, rel=1e-3)
 
     def test_phasor_and_filter_routes_agree_per_harmonic(self):
-        # a Cole load with alpha = 1 is an RC: its image sum, truncated at
-        # the 255th, must stay within the stated 2e-5 of the exact route
+        # a Cole load with alpha = 1 is an RC and takes the exact route; the
+        # image sum that alpha < 1 takes, truncated at the 255th, must stay
+        # within the stated 2e-5 of it
         coles = [ColeModel(r_inf=50.0, r0=500.0, tau=1e-5),
                  ColeModel(r_inf=90.0, r0=100.0, tau=1e-7),
                  *(replace(c, alpha=1.0) for c in _BUILTIN_COLE.values())]
@@ -243,7 +252,7 @@ class TestSenseVoltage:
             for cole in coles:
                 for idx in range(11):
                     exact = self.cole_as_rc(cole, idx, params)
-                    assert abs(self.dc(cole, idx, params) - exact) <= 2e-5 * abs(exact)
+                    assert abs(self.image_dc(cole, idx, params) - exact) <= 2e-5 * abs(exact)
 
     def test_filter_route_rms_agreement_smooth_load(self):
         # a load whose corner sits at the fundamental and that falls to a
@@ -251,11 +260,12 @@ class TestSenseVoltage:
         for idx, f0 in enumerate(plan_frequencies()):
             cole = ColeModel(r_inf=1.0, r0=1000.0, tau=1 / (2 * np.pi * f0))
             exact = self.cole_as_rc(cole, idx)
-            assert abs(self.dc(cole, idx) - exact) <= 1e-6 * abs(exact)
+            assert abs(self.image_dc(cole, idx) - exact) <= 1e-6 * abs(exact)
 
     def test_filter_route_rejects_nonrational(self):
-        # only ParallelRC takes the exact route; the rest take the image sum
+        # ParallelRC and Cole at alpha = 1 (the default) take the exact
+        # route; the rest take the image sum
         assert is_rational(ParallelRC(r=100.0, c=1e-9))
         assert not is_rational(ColeModel(r_inf=10.0, r0=100.0, tau=1e-5, alpha=0.8))
-        assert not is_rational(ColeModel(r_inf=10.0, r0=100.0, tau=1e-5))
+        assert is_rational(ColeModel(r_inf=10.0, r0=100.0, tau=1e-5))
         assert not is_rational(builtin_model("blood"))
