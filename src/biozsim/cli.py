@@ -452,32 +452,46 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+#: Each link-script op: its opcode and the integer fields it reads, with
+#: their defaults.  Every op also reads `corrupt` (a JSON bool).
+_LINK_OPS = {
+    "ping": (link.OP_PING, {"token": 0x5A}),
+    "set_config": (link.OP_SET_CONFIG, {"pll_cal": 0, "freq_sel": 10, "source_enable": 1,
+                                        "iq_sel": 0, "gain": 0b111}),
+    "start_measure": (link.OP_START_MEASURE, {}),
+    "read_result": (link.OP_READ_RESULT, {}),
+}
+
+
 def _link_script_frames(doc):
+    """The frames of a link script: a list of objects, each an `op` and
+    only the fields that op reads, integers as JSON integers and
+    `corrupt` as a JSON bool."""
     if not isinstance(doc, list):
         raise ScenarioError("a link script must be a list of operations")
     frames = []
     for entry in doc:
         op = entry["op"]
-        corrupt = bool(entry.get("corrupt", False))
-        if op == "ping":
-            token = int(entry.get("token", 0x5A))
-            frames.append(link.Frame(link.OP_PING, bytes([token]), corrupt=corrupt))
-        elif op == "set_config":
-            w = link.ConfigWord(
-                pll_cal=int(entry.get("pll_cal", 0)),
-                freq_sel=int(entry.get("freq_sel", 10)),
-                source_enable=int(entry.get("source_enable", 1)),
-                iq_sel=int(entry.get("iq_sel", 0)),
-                gain=int(entry.get("gain", 0b111)),
-            )
-            payload = link.encode_config(w).to_bytes(2, "big")
-            frames.append(link.Frame(link.OP_SET_CONFIG, payload, corrupt=corrupt))
-        elif op == "start_measure":
-            frames.append(link.Frame(link.OP_START_MEASURE, corrupt=corrupt))
-        elif op == "read_result":
-            frames.append(link.Frame(link.OP_READ_RESULT, corrupt=corrupt))
-        else:
+        if op not in _LINK_OPS:
             raise ScenarioError(f"unknown link op {op!r}")
+        opcode, defaults = _LINK_OPS[op]
+        unread = sorted(set(entry) - {"op", "corrupt", *defaults})
+        if unread:
+            raise ScenarioError(f"link op {op!r} has no field {unread[0]!r}")
+        corrupt = entry.get("corrupt", False)
+        if not isinstance(corrupt, bool):
+            raise ScenarioError(f"corrupt must be true or false, got {json.dumps(corrupt)}")
+        values = {name: entry.get(name, default) for name, default in defaults.items()}
+        for name, value in values.items():
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ScenarioError(f"{name} must be an integer, got {json.dumps(value)}")
+        if op == "ping":
+            payload = bytes([values["token"]])
+        elif op == "set_config":
+            payload = link.encode_config(link.ConfigWord(**values)).to_bytes(2, "big")
+        else:
+            payload = b""
+        frames.append(link.Frame(opcode, payload, corrupt=corrupt))
     return frames
 
 
@@ -520,7 +534,7 @@ def cmd_link_demo(args) -> int:
     for cmd, rsp in zip(frames, result.responses):
         print(f">> {cmd.hex()}")
         print(f"<< {rsp.hex()}")
-    vmin = min(v for _, v, _ in result.trace)
+    vmin = min(result.trace.volts)
     print(f"reservoir: start 3.000 V, min {vmin:.4f} V over {result.trace[-1][0] * 1e3:.2f} ms")
     if args.trace:
         for t, v, tag in result.trace:
@@ -564,9 +578,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ScenarioError(f"--seed must be >= 0, got {args.seed}")
-        for name in ("reference", "cap"):
-            if not 0 < getattr(args, name, 1.0) < math.inf:
-                raise ScenarioError(f"--{name} must be a positive number, got {getattr(args, name)}")
+        # checked in SI units: a positive --cap below ~2.5e-318 uF is 0 F
+        for name, unit, scale in (("reference", "ohm", 1.0), ("cap", "F", 1e-6)):
+            value = getattr(args, name, 1.0)
+            if not 0 < value * scale < math.inf:
+                raise ScenarioError(
+                    f"--{name} must be a positive number, got {value} ({value * scale:g} {unit})")
         if args.command == "plan":
             return cmd_plan()
         if args.command == "calibrate":

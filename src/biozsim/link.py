@@ -35,9 +35,14 @@ reservoir first-order toward the 3.0 V diode-chain clamp with time
 constant r_source * C; while the tank is shorted the reservoir discharges
 by I_load * dt / C.  The session aborts with a brown-out error when the
 reservoir drops below the 1.9 V regulator dropout margin.  `session`
-records the reservoir at every uplink bit boundary in one flat loop over
-the frame's line bits, read from `UART_BITS`, the constant table of the 10
-8N1 bits of each byte value.
+records the reservoir after every step, every uplink bit boundary
+included, in one flat loop over the frame's line bits, read from
+`UART_BITS`, the constant table of the 10 8N1 bits of each byte value.
+The record is a packed `Trace`: each step's volts as one double, and a
+start time, a time step and a tag once per run of steps (the start step,
+each `rx` or `measure` step, one uplink frame's bits), about 10 B a step.
+A step's time is replayed from its run by the additions the session
+made, so it is bit for bit the time the session reached.
 
 A session owns the reader and implant state machines exclusively; the
 module is otherwise stateless, and a session is deterministic given the
@@ -47,7 +52,11 @@ command list and channel parameters.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import index
 from typing import Callable, Optional
 
 SYNC = 0xA5
@@ -227,8 +236,85 @@ class PowerState:
     load_current: float = 165.5e-6  # the sum of BLOCK_CURRENTS_UA, in amps
 
 
+class Trace(Sequence):
+    """A session's reservoir record: a read-only sequence of
+    `(time_s, reservoir_voltage, tag)` steps, in the order they happened.
+
+    `volts` is the array of each step's voltage, one double a step.  The
+    steps fall in runs that share a tag and a time step dt: the start
+    step, each `"rx"` or `"measure"` step, and the bits of one uplink
+    frame (`"tx"`).  A run keeps the time before its first step, dt and
+    its tag once, so a step costs 8 B plus a share of its run's 32 B.  A
+    step's time is the run's time plus dt, added once per step up to it,
+    in the session's order: bit for bit the time the session reached.
+    Indexing replays the run that holds the step; iteration replays each
+    run once and yields one step at a time.  A slice is a list of steps,
+    and a trace equals another trace, or a list of triples, with the same
+    steps.
+    """
+
+    __slots__ = ("volts", "_starts", "_t0", "_dt", "_tags")
+
+    def __init__(self):
+        self.volts = array("d")
+        self._starts = array("q")  # index of each run's first step
+        self._t0 = array("d")      # time before each run's first step
+        self._dt = array("d")
+        self._tags = []
+
+    def _run(self, t0: float, dt: float, tag: str):
+        """Open a run; the steps appended to `volts` from now on belong to it."""
+        self._starts.append(len(self.volts))
+        self._t0.append(t0)
+        self._dt.append(dt)
+        self._tags.append(tag)
+
+    def _steps(self, lo: int, hi: int):
+        """Yield steps lo..hi-1, replaying each run's times from its start."""
+        starts, volts = self._starts, self.volts
+        r = bisect_right(starts, lo) - 1
+        while lo < hi:
+            stop = min(hi, starts[r + 1]) if r + 1 < len(starts) else hi
+            t, dt, tag = self._t0[r], self._dt[r], self._tags[r]
+            for _ in range(starts[r], lo):
+                t += dt
+            for k in range(lo, stop):
+                t += dt
+                yield t, volts[k], tag
+            lo = stop
+            r += 1
+
+    def __len__(self):
+        return len(self.volts)
+
+    def __iter__(self):
+        return self._steps(0, len(self.volts))
+
+    def __getitem__(self, key):
+        n = len(self.volts)
+        if isinstance(key, slice):
+            wanted = range(n)[key]
+            if not wanted:
+                return []
+            lo = min(wanted[0], wanted[-1])
+            block = list(self._steps(lo, max(wanted[0], wanted[-1]) + 1))
+            return [block[k - lo] for k in wanted]
+        k = index(key)
+        if k < 0:
+            k += n
+        if not 0 <= k < n:
+            raise IndexError("trace index out of range")
+        return next(self._steps(k, k + 1))
+
+    def __eq__(self, other):
+        if not isinstance(other, (Trace, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 class BrownOutError(RuntimeError):
-    """Reservoir dropped below the regulator dropout margin."""
+    """Reservoir dropped below the regulator dropout margin; `trace` is
+    the session's `Trace` up to and including the step that fell."""
 
     def __init__(self, message, trace):
         super().__init__(message)
@@ -237,16 +323,23 @@ class BrownOutError(RuntimeError):
 
 @dataclass
 class SessionResult:
+    """A session's outcome.
+
+    `responses` holds the implant's response `Frame` to each command, and
+    `events` one line of protocol log per command.  `trace` is the
+    reservoir after every step, as a `Trace` of (time_s, volts, tag).
+    """
+
     responses: list
-    trace: list          # (time_s, reservoir_voltage, tag)
-    events: list         # human-readable protocol log
+    trace: Trace
+    events: list
 
 
 #: The 10 line bits of each byte value in 8N1, LSB first: start(0), data, stop(1).
 UART_BITS = tuple(bytes([0, *((byte >> k) & 1 for k in range(8)), 1]) for byte in range(256))
 
 
-def _brownout(t: float, v: float, trace: list) -> BrownOutError:
+def _brownout(t: float, v: float, trace: Trace) -> BrownOutError:
     return BrownOutError(f"brown-out at t={t * 1e3:.2f} ms, reservoir {v:.3f} V", trace)
 
 
@@ -318,7 +411,12 @@ def session(
     uplink bit.  A one bit harvests for a bit time; a zero bit shorts the
     tank, so the reservoir discharges by I * bit_t / C instead.  The
     reservoir is clamped to [0, clamp] and recorded after every step, so
-    the trace holds every bit boundary.
+    the trace holds every bit boundary.  The `Trace` stores each step's
+    volts as one double and each run's time, dt and tag once (a run is
+    the start step, an `"rx"` or `"measure"` step, or one frame's `"tx"`
+    bits); it replays the times by the additions of the session's own
+    clock, so they equal it bit for bit.  A 200-PING session holds about
+    15 B a step, its responses and event log included.
 
     Brown-out raises BrownOutError carrying the trace up to and including
     the step that fell below the floor.  Harvesting moves the reservoir
@@ -340,8 +438,11 @@ def session(
     bit_drop = power.load_current * bit_t / power.reservoir_cap
     t = 0.0
     v = min(power.reservoir_voltage, clamp)
-    trace = [(t, v, "start")]
-    record = trace.append
+    trace = Trace()
+    run = trace._run
+    record = trace.volts.append
+    run(t, 0.0, "start")
+    record(v)
     events = []
     responses = []
 
@@ -353,8 +454,9 @@ def session(
             v = 0.0
         if v > clamp:
             v = clamp
+        run(t, dt, tag)
         t += dt
-        record((t, v, tag))
+        record(v)
         if v < floor:
             raise _brownout(t, v, trace)
 
@@ -373,6 +475,7 @@ def session(
         # the per-bit step, inlined: the same arithmetic as `harvest` with
         # the factor precomputed, or a discharge; clamped by comparisons,
         # which keep -0.0 and NaN as min/max would
+        run(t, bit_t, "tx")
         for bit in b"".join([UART_BITS[byte] for byte in tx]):
             if not bit:  # a zero bit shorts the tank
                 v -= bit_drop
@@ -385,7 +488,7 @@ def session(
             if v > clamp:
                 v = clamp
             t += bit_t
-            record((t, v, "tx"))
+            record(v)
             if v < floor:
                 raise _brownout(t, v, trace)
         responses.append(response)

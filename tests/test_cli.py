@@ -238,7 +238,7 @@ class TestCommandLine:
         assert exc.value.code == cli.EXIT_OK
         assert "usage:" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("value", ["0", "-5", "nan", "inf"])
+    @pytest.mark.parametrize("value", ["0", "-5", "nan", "inf", "1e-319"])
     def test_link_demo_cap_must_be_positive(self, tmp_path, capsys, value):
         script = tmp_path / "script.json"
         script.write_text(json.dumps([{"op": "ping"}]))
@@ -528,11 +528,25 @@ class TestLinkDemo:
         assert cli.main(["link-demo", "--script", str(path)]) == cli.EXIT_USAGE
         assert capsys.readouterr().err == "error: bad script: unknown link op 'launch'\n"
 
-    @pytest.mark.parametrize("entries", [{"op": "ping"}, ["ping"]], ids=["object", "string_entry"])
+    @pytest.mark.parametrize("entries", [
+        {"op": "ping"},
+        ["ping"],
+        [{"op": "ping", "token": 1.7}],
+        [{"op": "set_config", "freq_sel": True}],
+        [{"op": "set_config", "gain": "7"}],
+        [{"op": "set_config", "pll_cal": 1.9}],
+        [{"op": "ping", "corrupt": "no"}],
+        [{"op": "start_measure", "corrupt": 1}],
+        [{"op": "ping", "tokn": 7}],
+        [{"op": "read_result", "freq_sel": 3}],
+    ], ids=["object", "string_entry", "float_token", "bool_freq_sel", "string_gain",
+            "float_pll_cal", "string_corrupt", "integer_corrupt", "misspelt_field",
+            "field_of_another_op"])
     def test_script_of_wrong_shape(self, tmp_path, capsys, entries):
         path = self.script(tmp_path, entries)
         assert cli.main(["link-demo", "--script", str(path)]) == cli.EXIT_USAGE
         captured = capsys.readouterr()
+        assert captured.out == ""
         assert "Traceback" not in captured.err
         assert captured.err.startswith("error: bad script: ") and captured.err.count("\n") == 1
 

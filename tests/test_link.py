@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -185,6 +187,28 @@ class TestSession:
         assert max(volts) <= 3.0
         assert min(volts) >= 0.0
 
+    def test_trace_holds_at_most_24_bytes_a_step(self):
+        # one double of volts a step, and a time, dt and tag a run; the
+        # responses and the event log are counted too
+        frames = [Frame(OP_PING, bytes([k % 256])) for k in range(200)]
+        device = ImplantDevice(measure_time=0.114)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = session(frames, device=device)
+            held = tracemalloc.get_traced_memory()[0] - before
+            tracemalloc.reset_peak()
+            for _ in result.trace:
+                pass
+            iterating = tracemalloc.get_traced_memory()[1] - before - held
+        finally:
+            tracemalloc.stop()
+        assert len(result.trace) == 1 + 200 * (1 + 40)
+        assert held <= 24 * len(result.trace)
+        # iteration yields one step at a time, never a list of them all
+        assert iterating < 4096
+
     def test_deterministic(self):
         frames = [set_config_frame(freq_sel=3, gain=5), Frame(OP_PING, b"\x12")]
         a = session(frames)
@@ -222,6 +246,24 @@ class TestRecordedSessions:
         return ImplantDevice(measure_backend=lambda w: (0x155, 0x2AA), measure_time=0.114)
 
     @staticmethod
+    def check_sequence(trace):
+        """The trace reads alike by iteration, index, negative index and slice."""
+        steps = list(trace)
+        n = len(steps)
+        assert len(trace) == n
+        assert [trace[k] for k in range(n)] == steps
+        assert [trace[k - n] for k in range(n)] == steps
+        for key in (slice(None), slice(5, 40), slice(-6, None), slice(None, None, -1),
+                    slice(n - 2, 3, -7), slice(1, n, 13), slice(n, None), slice(3, 3)):
+            assert trace[key] == steps[key]
+        assert trace == steps
+        assert trace != steps[:-1] and trace != steps + [steps[-1]]
+        assert trace != steps[:-1] + [(steps[-1][0], steps[-1][1] + 1.0, steps[-1][2])]
+        for k in (n, -n - 1):
+            with pytest.raises(IndexError):
+                trace[k]
+
+    @staticmethod
     def digest(trace, events=()):
         text = "\n".join(f"{t.hex()} {v.hex()} {tag}" for t, v, tag in trace)
         return hashlib.sha256((text + "\n" + "\n".join(events)).encode()).hexdigest()
@@ -235,6 +277,7 @@ class TestRecordedSessions:
                          PowerState(reservoir_voltage=2.5), self.device())
         assert len(result.trace) == 391
         assert self.digest(result.trace, result.events) == digest
+        self.check_sequence(result.trace)
 
     def test_brownout_matches_its_recording(self):
         with pytest.raises(BrownOutError) as err:
@@ -243,6 +286,7 @@ class TestRecordedSessions:
         assert len(trace) == 159
         assert trace[-1] == (0.14660416666666626, 1.8760826928050616, "tx")
         assert self.digest(trace) == "48b10ac7c3fc281165a85bb8331ae5e82f28d80fd591895b604b09e931de8692"
+        self.check_sequence(trace)
 
     def test_start_below_the_floor_browns_out_at_the_first_rx(self):
         with pytest.raises(BrownOutError) as err:
