@@ -59,15 +59,16 @@ def adc_sample(v: float, spec: AdcSpec = ADC):
     integer (inf included) reads as a rail code.  A finite float takes
     plain Python arithmetic: clamping before `round` (round-half-even, as
     `np.rint`) gives the same code and keeps a quotient that overflows to
-    inf at a rail.  Every other input takes the numpy path.  A NaN has no
-    code: it raises ValueError.
+    inf at a rail.  Every other input takes the numpy path: `np.rint`,
+    then the clamp by the `np.maximum` and `np.minimum` ufuncs.  A NaN has
+    no code: it raises ValueError.
     """
     if isinstance(v, float) and math.isfinite(v):
         return round(min(max(float(v) / spec.lsb, 0.0), spec.codes - 1))
-    x = np.asarray(v) / spec.lsb
+    x = np.rint(np.asarray(v) / spec.lsb)
     if np.isnan(x).any():
         raise ValueError("ADC input is NaN")
-    code = np.clip(np.rint(x), 0, spec.codes - 1).astype(int)
+    code = np.minimum(np.maximum(x, 0.0), spec.codes - 1).astype(int)
     return int(code) if np.ndim(v) == 0 else code
 
 
@@ -121,11 +122,12 @@ def run_sequence(
     anything is drawn or digitized.
 
     A list of seeds is a stack of repeats: they share the mixer DC and
-    the noise-free output, their noise is drawn per seed and shaped,
-    digitized and averaged as arrays over the stack, and one record comes
-    back whose `v_i_dc`, `v_q_dc` and `saturated` are arrays with one
-    entry per seed, each bit for bit the result of that seed alone.  Any
-    other seed is one sequence: Python floats and a bool.
+    the noise-free output (at a plan frequency, a row of the load's plan
+    lattice, rendered once per process), their noise is drawn per seed
+    and shaped, digitized and averaged as arrays over the stack, and one
+    record comes back whose `v_i_dc`, `v_q_dc` and `saturated` are arrays
+    with one entry per seed, each bit for bit the result of that seed
+    alone.  Any other seed is one sequence: Python floats and a bool.
     """
     if taps < 1:
         raise ValueError("taps must be >= 1")
@@ -147,18 +149,17 @@ def run_sequence(
     # only that lattice of output samples
     g = math.gcd(settle_n, spacing_n)
     stack = isinstance(seed, list)
-    y = afe.baseband_output(
-        [(phase_n, dc_i), (phase_n, dc_q)], params, f0, config.g2,
-        seed if stack else [seed], stride=g,
-    )
+    trajectory = afe._sequence_lattice(model, f0, config, params, (dc_i, dc_q), phase_n, g)
+    y = afe.baseband_output(trajectory, params, f0, config.g2, seed if stack else [seed],
+                            stride=g)
 
     # (row, I or Q, tap): each select phase is half of a row
     first, step = settle_n // g, spacing_n // g
     tapped = y.reshape(len(y), 2, phase_n // g)[:, :, first : first + step * taps : step]
     codes = adc_sample(0.9 + tapped / 2.0)
     # C-ordered, each phase's taps sum in the order of a 1-D mean
-    means = np.ascontiguousarray(2.0 * (codes * ADC.lsb - 0.9)).mean(axis=2)
-    clamped = ((codes == 0) | (codes == ADC.codes - 1)).sum(axis=(1, 2))
+    means = np.add.reduce(np.ascontiguousarray(2.0 * (codes * ADC.lsb - 0.9)), axis=2) / taps
+    clamped = np.add.reduce((codes == 0) | (codes == ADC.codes - 1), axis=(1, 2))
     saturated = clamped >= max(1, math.ceil(0.01 * (2 * taps)))
 
     if stack:

@@ -53,14 +53,21 @@ pole; the Chebyshev poles come from the analog prototype, pre-warped and
 bilinear-mapped in numpy (`_cheby1_poles`).  The chain is linear and starts
 at rest, and its input is piecewise constant, so its output is a sum of
 copies of one unit-step response, one per change of the mixer DC.  That
-response is computed once per chain and length, from a recursion in rotation-scaling
-form that stays within 1e-13 of a 50-digit evaluation even for slow,
-high-order filters, and it is evaluated only on the lattice of samples
-the ADC reads.  `noise_process` and `baseband_output` take a list of
-seeds, the repeats of one reading, and return a 2-D array, one row per
-seed: each seed draws its noise from its own generator, and the noise
-shaping and the sum with the shared noise-free output run as arrays over
-the stack, each row bit for bit that seed's output alone.
+response is computed once per chain and length, from a recursion in
+rotation-scaling form that stays within 1e-13 of a 50-digit evaluation
+even for slow, high-order filters, stepped by elementwise products and
+`np.add.reduce`, so that no measurement calls BLAS; it is evaluated only
+on the lattice of samples the ADC reads (`_render`).  A load's I-then-Q
+sequences at the 11 plan frequencies differ only in their row of
+`_plan_dc`, so their noise-free lattices are rendered in one stacked pass
+the first time any of them is measured and kept per process, read-only
+(`_plan_lattice`, at most 4 x 10^6 doubles in all): every repeat of a
+sweep and every sequence of a link session on that load reads a row of
+it.  `noise_process` and `baseband_output` take a list of seeds, the
+repeats of one reading, and return a 2-D array, one row per seed: each
+seed draws its noise from its own generator, and the noise shaping and
+the sum with the shared noise-free lattice run as arrays over the stack,
+each row bit for bit that seed's output alone.
 
 Stateless apart from per-process caches of seed-independent results;
 independent measurements may run concurrently with independent seeds.
@@ -299,7 +306,7 @@ def noise_process(
     if params.noise_floor == 0.0 or n == 0:
         return np.zeros((len(seeds), m))
     root = _folded_root_spectrum(params, n, sample_rate, stride)
-    return irfft(rfft(_normals(_generators(seeds), m), axis=1) * root, n=m, axis=1)
+    return irfft(rfft(_normals(_generators(seeds), m)) * root, n=m)
 
 
 @functools.lru_cache(maxsize=8)
@@ -669,21 +676,22 @@ def _cascade_step_response(poles, n: int) -> np.ndarray:
     `_section_recursion`).  One block's output rows c a^j and its map
     a^block come from `_STEP_BLOCK` single steps of that recursion, the
     block-start states x0, a^block x0, ... from one product each, and
-    every sample is its row times its block's start.  A sample's
-    arithmetic depends on its index alone, so a shorter response is a
-    prefix of a longer one, bit for bit.
+    every sample is its row times its block's start.  Each matrix product
+    is an elementwise multiply summed by `np.add.reduce` over the few
+    states, not BLAS.  A sample's arithmetic depends on its index alone,
+    so a shorter response is a prefix of a longer one, bit for bit.
     """
     a, c, x0 = _section_recursion(poles)
     walk = np.vstack([c, np.eye(len(a))])  # [c; I] a^j
     rows = np.empty((_STEP_BLOCK, len(a)))
     for j in range(_STEP_BLOCK):
         rows[j] = walk[0]
-        walk = walk @ a
+        walk = np.add.reduce(walk[:, :, None] * a, axis=1)
     starts = np.empty((-(-n // _STEP_BLOCK), len(a)))
     x = x0
     for b in range(len(starts)):
         starts[b] = x
-        x = walk[1:] @ x
+        x = np.add.reduce(walk[1:] * x, axis=1)
     deviation = np.zeros((len(starts), _STEP_BLOCK))
     for k in range(len(a)):  # a fixed order of summation, whatever n is
         deviation += np.outer(starts[:, k], rows[:, k])
@@ -699,90 +707,120 @@ def _step_response(params: ChainParams, n: int) -> np.ndarray:
     return s
 
 
-#: Noise-free trajectories kept per process.  The repeats of a reading
-#: share one render as a stack; the source-off sequences of every gain
-#: word render alike, so a few entries suffice.  An entry holds only the
-#: lattice of samples the ADC reads: 114 floats for a default 32-tap
-#: reading, 562 for a 256-tap source-off sequence.
-_TRAJECTORY_CACHE_SIZE = 4
-
-
-@functools.lru_cache(maxsize=_TRAJECTORY_CACHE_SIZE)
-def _trajectory(steps: tuple, params: ChainParams, stride: int) -> np.ndarray:
+def _render(steps, params: ChainParams, stride: int) -> np.ndarray:
     """Compressed, offset, noise-free output at every stride-th sample for
-    ((n, dc), ...) steps, read-only."""
+    (n, dc) steps at the output rate, the chain starting at rest.
+
+    The chain is linear, so before compression its output is the
+    superposition
+
+        sum_k (dc_k - dc_{k-1}) * G * s[t - start_k]    (dc_{-1} = 0)
+
+    of its unit-step response s, started at each step's first sample,
+    with G = tia_gain * lpf_gain; each jump adds its copy from the first
+    lattice sample on.  The settling transients (about 25 ms to 1% at the
+    default 50 Hz cutoff) are those of the discretized filters: s is the
+    step response of the bilinear TIA pole and the Chebyshev low-pass
+    realized as first- and second-order sections, each at unity DC gain
+    (`_section_recursion`), memoized per `params` and length.  Tests hold
+    s within 1e-13 of its settled value of a 50-digit evaluation of the
+    same design over 28 100 samples, for orders 1-6 at cutoffs down to
+    5 Hz (about 1e-14 measured); the (b, a) polynomial form of a whole
+    filter is 2e-12 off at the default chain and loses the filter at high
+    order or low cutoff.  The levels may be arrays of one shape, a stack:
+    the result then has one row per entry, each bit for bit that entry's
+    steps rendered alone.  A row whose level holds still while another's
+    jumps adds a zero, which moves no sample: the sum starts at +0.0 and
+    an addition gives -0.0 only from two -0.0 terms.
+    """
     total = sum(n for n, _ in steps)
-    y = np.zeros(total // stride)
+    if total % stride:
+        raise ValueError(f"{total} samples do not divide into stride {stride}")
+    levels = np.array([dc for _, dc in steps], dtype=float)
+    y = np.zeros(levels.shape[1:] + (total // stride,))
     start, level = 0, 0.0
-    for n, dc in steps:
-        if dc != level:  # add the jump's step response from the first lattice sample on
+    for (n, _), dc in zip(steps, levels):
+        if np.any(dc != level):
             first = -(-start // stride)
             s = _step_response(params, total)
-            y[first:] += (dc - level) * s[first * stride - start : total - start : stride]
+            y[..., first:] += np.multiply.outer(dc - level,
+                                                s[first * stride - start : total - start : stride])
         start, level = start + n, dc
-    y = apply_compression(y * params.tia_gain * params.lpf_gain, params) + params.offset
+    return apply_compression(y * params.tia_gain * params.lpf_gain, params) + params.offset
+
+
+#: Plan lattices kept per process.  A sweep, a calibration's reference
+#: reads or a link session on one load reads one; an auto-gain sweep reads
+#: one per gain word, four at most.
+_LATTICE_CACHE_SIZE = 4
+
+#: Most doubles a plan lattice may hold: 11 rows of up to 90 909 lattice
+#: samples.  A default 32-tap reading's row is 114 samples (1254 doubles
+#: for the plan).  A longer sequence, up to `cli.MAX_SEQUENCE_SAMPLES`
+#: (10^6) samples at a lattice stride of 1, is rendered alone and not
+#: kept, so the cache never holds more than 4 x 10^6 doubles (32 MB).
+_LATTICE_ENTRY_DOUBLES = 1_000_000
+
+
+@functools.lru_cache(maxsize=_LATTICE_CACHE_SIZE)
+def _plan_lattice(model, gain_word: str, params: ChainParams, phase_n: int,
+                  stride: int) -> np.ndarray:
+    """Noise-free I-then-Q lattice of the load at every plan frequency, one
+    row per `_plan_dc` row, `phase_n` samples a phase, read-only."""
+    dc = _plan_dc(model, gain_word, params)
+    y = _render([(phase_n, dc[:, 0]), (phase_n, dc[:, 1])], params, stride)
     y.setflags(write=False)
     return y
 
 
+def _sequence_lattice(model, f0: float, config: AfeConfig, params: ChainParams, dc: tuple,
+                      phase_n: int, stride: int) -> np.ndarray:
+    """Noise-free lattice of one I-then-Q sequence, `phase_n` samples a
+    phase, whose mixer DC is `dc` = mixer_dc_pair(model, f0, config,
+    params).  A disabled source makes no step, so the lattice is the offset
+    alone (compression keeps 0.0).  Where the DC is a row of the load's
+    `_plan_dc` table and the plan's lattice fits `_LATTICE_ENTRY_DOUBLES`,
+    it is that row of `_plan_lattice`, read-only; otherwise the sequence is
+    rendered alone."""
+    if not config.source_enable:
+        return np.zeros(2 * phase_n // stride) + params.offset
+    row = _PLAN_ROW.get(f0)
+    if (row is not None
+            and len(_PLAN_ROW) * (2 * phase_n // stride) <= _LATTICE_ENTRY_DOUBLES):
+        try:
+            return _plan_lattice(model, config.gain_word, params, phase_n, stride)[row]
+        except tissue.TableRangeError:  # as in mixer_dc_pair: the DC came alone
+            pass
+    return _render([(phase_n, dc[0]), (phase_n, dc[1])], params, stride)
+
+
 def baseband_output(
-    steps,
+    trajectory: np.ndarray,
     params: ChainParams,
     f0: float,
     g2: int,
     seeds: list,
     stride: int = 1,
 ) -> np.ndarray:
-    """Drive the TIA + Chebyshev chain with piecewise-constant mixer DC,
-    one output row per seed of the list.
+    """The chain's output at every `stride`-th sample, one row per seed of
+    the list: the noise-free `trajectory` plus each seed's noise.
 
-    `steps` is a list of (n_samples, dc_amps) intervals at the output
-    rate.  The chain starts at rest and is linear, so before compression
-    its output is the superposition
-
-        sum_k (dc_k - dc_{k-1}) * G * s[t - start_k]    (dc_{-1} = 0)
-
-    of its unit-step response s, started at each step's first sample,
-    with G = tia_gain * lpf_gain.  The settling transients (about 25 ms to
-    1% at the default 50 Hz cutoff) are those of the discretized filters:
-    s is the step response of the bilinear TIA pole and the Chebyshev
-    low-pass realized as first- and second-order sections, each at unity
-    DC gain (`_section_recursion`).  Tests hold s within 1e-13 of its
-    settled value of a 50-digit evaluation of the same design over
-    28 100 samples, for orders 1-6 at cutoffs down to 5 Hz (1e-14
-    measured); the (b, a) polynomial form of a whole filter is 2e-12 off
-    at the default chain and loses the filter at high order or low
-    cutoff.  Compression, offset, and seeded noise are applied at the
-    output.
-
-    Each row holds every `stride`-th output sample (rate
-    output_rate / stride; the total length must be a multiple of the
-    stride), so a caller that reads only a lattice of samples, such as
-    the ADC taps, evaluates the chain and draws noise only there.  Both
-    noise terms are exact on that lattice: `noise_process` draws the 1/f
-    noise from its folded spectrum, and the carrier term is white per
-    sample.
-
-    Only the noise depends on the seed: each seed's generator draws its
-    1/f normals and then its carrier normals, and each row is bit for bit
-    the output of that seed alone.  The noise-free lattice (the
-    superposition, compression and offset) is memoized per process in an
-    LRU cache of `_TRAJECTORY_CACHE_SIZE` entries keyed on the steps, the
-    frozen ChainParams and the stride, and a stack adds its noise to that
-    one lattice.  s is memoized per `params` and length.  The noise is
-    added into a fresh array, and the noise-free chain returns a copy, so
-    the caller always owns the samples.
+    `trajectory` is the compressed, offset, noise-free output on that
+    lattice (rate output_rate / stride), as `_render` gives it for
+    piecewise-constant mixer DC; a sequence takes its row of the load's
+    plan lattice (`_sequence_lattice`).  Both noise terms are exact on the
+    lattice: `noise_process` draws the 1/f noise from its folded spectrum,
+    and the carrier term is white per sample.  Only the noise depends on
+    the seed: each seed's generator draws its 1/f normals and then its
+    carrier normals, and each row is bit for bit the output of that seed
+    alone.  The noise is added into a fresh array, and the noise-free
+    chain returns copies, so the caller always owns the samples.
     """
-    fs = params.output_rate
-    steps = tuple((int(n), float(dc)) for n, dc in steps)
-    total = sum(n for n, _ in steps)
-    if total % stride:
-        raise ValueError(f"{total} samples do not divide into stride {stride}")
-    y = _trajectory(steps, params, stride)
     if not (params.noise_floor or params.carrier_noise_v):
-        return np.repeat(y[None], len(seeds), axis=0)
+        return np.repeat(trajectory[None], len(seeds), axis=0)
+    fs = params.output_rate
     rngs = _generators(seeds)
-    y = y + noise_process(params, rngs, total / fs, fs, stride)
+    y = trajectory + noise_process(params, rngs, len(trajectory) * stride / fs, fs, stride)
     sig = _carrier_noise_sigma(params, f0, g2)
     if sig:
         y = y + sig * _normals(rngs, y.shape[1])

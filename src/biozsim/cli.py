@@ -54,6 +54,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -209,11 +210,10 @@ def load_scenario(path) -> Scenario:
     chain = doc.get("chain", {})
     if not isinstance(chain, dict):
         raise ScenarioError("chain must be an object of parameter overrides")
-    hints = typing.get_type_hints(afe.ChainParams)
     for name, value in chain.items():
         numeric = _finite_number(value)
-        nullable = value is None and type(None) in typing.get_args(hints.get(name))
-        if name in hints and not (numeric or nullable):
+        nullable = value is None and name in _nullable_chain_fields()
+        if name in afe.ChainParams.__dataclass_fields__ and not (numeric or nullable):
             raise ScenarioError(
                 f"chain parameter {name!r} must be a finite number, got {value!r}")
     try:
@@ -259,6 +259,14 @@ def load_scenario(path) -> Scenario:
             f"a sequence would exceed {MAX_SEQUENCE_SAMPLES} output samples; "
             "lower chain.settle_time or taps")
     return scenario
+
+
+@functools.cache
+def _nullable_chain_fields() -> frozenset:
+    """The `ChainParams` fields a scenario may set to null, those typed
+    Optional; their annotations are evaluated once per process."""
+    return frozenset(name for name, hint in typing.get_type_hints(afe.ChainParams).items()
+                     if type(None) in typing.get_args(hint))
 
 
 def _is_number(value) -> bool:
@@ -465,14 +473,18 @@ _LINK_OPS = {
 
 def _link_script_frames(doc):
     """The frames of a link script: a list of objects, each an `op` and
-    only the fields that op reads, integers as JSON integers and
-    `corrupt` as a JSON bool."""
+    only the fields that op reads, integers as JSON integers (a ping's
+    `token` a byte) and `corrupt` as a JSON bool."""
     if not isinstance(doc, list):
         raise ScenarioError("a link script must be a list of operations")
     frames = []
     for entry in doc:
+        if not isinstance(entry, dict):
+            raise ScenarioError(f"a link script entry must be an object, got {json.dumps(entry)}")
+        if "op" not in entry:
+            raise ScenarioError(f"a link script entry must name its op, got {json.dumps(entry)}")
         op = entry["op"]
-        if op not in _LINK_OPS:
+        if not isinstance(op, str) or op not in _LINK_OPS:
             raise ScenarioError(f"unknown link op {op!r}")
         opcode, defaults = _LINK_OPS[op]
         unread = sorted(set(entry) - {"op", "corrupt", *defaults})
@@ -486,6 +498,8 @@ def _link_script_frames(doc):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ScenarioError(f"{name} must be an integer, got {json.dumps(value)}")
         if op == "ping":
+            if not 0 <= values["token"] < 256:
+                raise ScenarioError(f"token out of range: {values['token']}")
             payload = bytes([values["token"]])
         elif op == "set_config":
             payload = link.encode_config(link.ConfigWord(**values)).to_bytes(2, "big")
@@ -502,7 +516,7 @@ def cmd_link_demo(args) -> int:
         raise ScenarioError(f"cannot read script: {exc}") from None
     try:
         frames = _link_script_frames(doc)
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         raise ScenarioError(f"bad script: {exc}") from None
 
     model = tissue.ParallelRC(r=100.0, c=0.0)

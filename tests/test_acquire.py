@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from biozsim import acquire, afe
 from biozsim.acquire import AdcSpec, SequenceResult, _phase_samples, adc_sample, run_sequence
-from biozsim.afe import AfeConfig, ChainParams, baseband_output, mixer_dc_pair
+from biozsim.afe import AfeConfig, ChainParams, mixer_dc_pair
 from biozsim.tissue import ParallelRC, TabulatedTwoPort
 from biozsim.waveforms import plan_frequencies
 from reference import analytic_dc_oracle
@@ -196,8 +196,7 @@ class TestTapLattice:
         spacing_n = int(round(1e-3 * fs))
         phase_n = settle_n + spacing_n * taps
         dc_i, dc_q = mixer_dc_pair(self.MODEL, cfg.fundamental, cfg, params)
-        series = baseband_output([(phase_n, dc_i), (phase_n, dc_q)], params,
-                                 cfg.fundamental, cfg.g2, [None])[0]
+        series = afe._render([(phase_n, dc_i), (phase_n, dc_q)], params, 1)
         spec = AdcSpec()
         means = []
         for start in (0, phase_n):

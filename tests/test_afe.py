@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import mpmath
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import signal as sps
 
-from biozsim import afe, tissue
+from biozsim import acquire, afe, tissue
 from biozsim.afe import (
     AfeConfig,
     ChainParams,
@@ -30,6 +31,13 @@ from reference import (
 
 QUIET = ChainParams(noise_floor=0.0, carrier_noise_v=0.0)
 BARE = ChainParams(noise_floor=0.0, carrier_noise_v=0.0, compression_knee=None, offset=0.0)
+
+
+def drive(steps, params, seeds, stride=1):
+    """The chain driven by (n, dc) steps at the 1953.125 Hz carrier and the
+    high gain, one row per seed: the steps rendered alone plus the noise."""
+    return baseband_output(afe._render(steps, params, stride), params, 1953.125, 1, seeds,
+                           stride=stride)
 
 
 def rc_mixer_dc(model, f0, config, params):
@@ -514,6 +522,87 @@ class TestPlanStack:
             mixer_dc_pair(short, self.PLAN[0], AfeConfig(freq_index=0), ChainParams())
 
 
+class TestPlanLattice:
+    """A load's noise-free I-then-Q lattice for the whole plan, rendered in
+    one stacked pass and cached, is row by row bit for bit that
+    frequency's steps rendered alone."""
+
+    LOADS = {
+        "rc": ParallelRC(r=270.0, c=3e-9),
+        "cole": ColeModel(r_inf=50.0, r0=500.0, tau=1e-5, alpha=0.8),
+        "cole_alpha_1": ColeModel(r_inf=50.0, r0=500.0, tau=1e-5),
+        "table": builtin_model("blood"),
+    }
+    CHAINS = {
+        "default": ChainParams(),
+        "ideal": ChainParams().ideal(),
+        "no_compression": ChainParams(compression_knee=None),
+        "order_1": ChainParams(lpf_order=1),
+        "order_3": ChainParams(lpf_order=3),
+        "order_5": ChainParams(lpf_order=5),
+        "stride_5": ChainParams(settle_time=0.0251),
+    }
+
+    @staticmethod
+    def sequence(params):
+        settle_n, spacing_n, phase_n = acquire._phase_samples(params, 32)
+        return phase_n, math.gcd(settle_n, spacing_n)
+
+    def assert_rows_are_single_renders(self, model, params):
+        phase_n, g = self.sequence(params)
+        for word in ("111", "000"):
+            for idx, f0 in enumerate(plan_frequencies()):
+                config = AfeConfig.from_gain_word(word, freq_index=idx)
+                dc = mixer_dc_pair(model, f0, config, params)
+                row = afe._sequence_lattice(model, f0, config, params, dc, phase_n, g)
+                alone = afe._render([(phase_n, dc[0]), (phase_n, dc[1])], params, g)
+                assert row.shape == alone.shape == (2 * phase_n // g,)
+                assert row.tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("chain", list(CHAINS))
+    @pytest.mark.parametrize("load", list(LOADS))
+    def test_rows_equal_single_renders(self, load, chain):
+        afe._plan_lattice.cache_clear()
+        self.assert_rows_are_single_renders(self.LOADS[load], self.CHAINS[chain])
+        info = afe._plan_lattice.cache_info()
+        assert (info.misses, info.hits) == (2, 20)
+        assert not afe._plan_lattice(self.LOADS[load], "111", self.CHAINS[chain],
+                                     *self.sequence(self.CHAINS[chain])).flags.writeable
+
+    @pytest.mark.parametrize("params", [BARE, QUIET])
+    def test_a_row_whose_level_holds_still_renders_as_alone(self, params):
+        # row 0 holds at 1e-8 while row 1 jumps; row 1 starts at -0.0
+        first, second = np.array([1e-8, -0.0, 5e-9]), np.array([1e-8, 3e-8, -5e-9])
+        stack = afe._render([(300, first), (0, second), (300, second)], params, 3)
+        for r in range(3):
+            alone = afe._render([(300, first[r]), (0, second[r]), (300, second[r])], params, 3)
+            assert stack[r].tobytes() == alone.tobytes()
+
+    def test_the_stride_follows_the_settle_time(self):
+        assert self.sequence(ChainParams()) == (2850, 50)
+        assert self.sequence(ChainParams(settle_time=0.0251)) == (2855, 5)
+
+    def test_a_table_short_of_the_top_images_renders_every_row_alone(self):
+        # its plan DC table cannot be built, so no plan lattice is either
+        full = builtin_model("blood")
+        short = tissue.TabulatedTwoPort(full.freqs_hz[full.freqs_hz <= 1e6],
+                                        full.z21[full.freqs_hz <= 1e6])
+        afe._plan_lattice.cache_clear()
+        config = AfeConfig(freq_index=10)
+        dc = mixer_dc_pair(short, config.fundamental, config, ChainParams())
+        row = afe._sequence_lattice(short, config.fundamental, config, ChainParams(), dc, 2850, 50)
+        alone = afe._render([(2850, dc[0]), (2850, dc[1])], ChainParams(), 50)
+        assert row.tobytes() == alone.tobytes()
+        assert afe._plan_lattice.cache_info().currsize == 0
+
+    def test_a_disabled_source_reads_the_offset(self):
+        params = ChainParams(offset=-0.0)
+        config = AfeConfig(source_enable=0)
+        for p in (params, ChainParams()):
+            got = afe._sequence_lattice(None, config.fundamental, config, p, (0.0, 0.0), 2850, 50)
+            assert got.tobytes() == afe._render([(2850, 0.0), (2850, 0.0)], p, 50).tobytes()
+
+
 class TestDemodulateTimeDomain:
     """The exact mixer DC of a resistor, and the baseband chain it drives."""
 
@@ -535,7 +624,7 @@ class TestDemodulateTimeDomain:
             assert got > 0
             assert abs(got - want) <= 1e-6 * abs(want)
         dc_i, _ = mixer_dc_pair(self.R100, 1953.125, AfeConfig(freq_index=10), self.FLAT)
-        out = baseband_output([(10000, dc_i)], self.FLAT, 1953.125, 1, [None])[0]
+        out = drive([(10000, dc_i)], self.FLAT, [None])[0]
         want = dc_i * self.FLAT.tia_gain * self.FLAT.lpf_gain
         assert np.mean(out[-250:]) == pytest.approx(want, rel=1e-6)
 
@@ -551,12 +640,12 @@ class TestDemodulateTimeDomain:
     def test_source_disabled_gives_offset_only(self):
         cfg = AfeConfig(freq_index=10, source_enable=0)
         dc_i, _ = mixer_dc_pair(self.R100, 1953.125, cfg, QUIET)
-        out = baseband_output([(2500, dc_i)], QUIET, 1953.125, cfg.g2, [None])[0]
+        out = drive([(2500, dc_i)], QUIET, [None])[0]
         assert np.allclose(out[-100:], QUIET.offset, atol=1e-12)
 
     def test_settles_in_approximately_25_ms(self):
         dc_i, _ = mixer_dc_pair(self.R100, 1953.125, AfeConfig(freq_index=10), QUIET)
-        out = baseband_output([(5000, dc_i)], QUIET, 1953.125, 1, [None])[0]
+        out = drive([(5000, dc_i)], QUIET, [None])[0]
         final = np.mean(out[-100:])
         k25 = int(0.025 * QUIET.output_rate)
         k5 = int(0.005 * QUIET.output_rate)
@@ -565,8 +654,8 @@ class TestDemodulateTimeDomain:
 
     def test_seeded_noise_is_deterministic(self):
         dc_i, _ = mixer_dc_pair(self.R100, 1953.125, AfeConfig(freq_index=10), ChainParams())
-        a = baseband_output([(3000, dc_i)], ChainParams(), 1953.125, 1, [11])
-        b = baseband_output([(3000, dc_i)], ChainParams(), 1953.125, 1, [11])
+        a = drive([(3000, dc_i)], ChainParams(), [11])
+        b = drive([(3000, dc_i)], ChainParams(), [11])
         assert np.array_equal(a, b)
 
 
@@ -600,9 +689,8 @@ class TestBasebandChain:
         steps = [(2000, 1e-8), (3000, -1e-8)]
         runs = []
         for order in (2.0, 2):
-            afe._trajectory.cache_clear()
             afe._step_response.cache_clear()
-            runs.append(baseband_output(steps, ChainParams(lpf_order=order), 1953.125, 1, [3]))
+            runs.append(drive(steps, ChainParams(lpf_order=order), [3]))
         assert np.array_equal(runs[0], runs[1])
 
     @pytest.mark.parametrize("order", range(1, 7))
@@ -619,7 +707,7 @@ class TestBasebandChain:
         # 0.9797x and 1 + 2.6e-8 of its settled value
         params = replace(BARE, lpf_order=order, lpf_cutoff=cutoff)
         n = 200_000
-        out = baseband_output([(n, 1e-8)], params, 1953.125, 1, [None])[0]
+        out = drive([(n, 1e-8)], params, [None])[0]
         settled = 1e-8 * params.tia_gain * params.lpf_gain
         times = [0, 999, n // 2, n - 1]
         want = settled * cascade_step_reference(self.scipy_poles(params), times)
@@ -782,16 +870,16 @@ class TestLatticeNoise:
         with pytest.raises(ValueError, match="stride"):
             noise_process(ChainParams(), [1], self.N / self.RATE, self.RATE, 7)
         with pytest.raises(ValueError, match="stride"):
-            baseband_output([(61, 1e-8)], QUIET, 1953.125, 1, [None], stride=2)
+            drive([(61, 1e-8)], QUIET, [None], stride=2)
 
     @pytest.mark.parametrize("g", [3, 6, 50])
     def test_steps_between_lattice_samples(self, g):
         # each jump's response starts at its own sample, between lattice points
         steps = [(301, 1e-8), (0, 5e-8), (248, -2e-8), (1, 0.0), (50, 3e-8)]
-        full = baseband_output(steps, QUIET, 1953.125, 1, [None])
-        lattice = baseband_output(steps, QUIET, 1953.125, 1, [None], stride=g)
+        full = drive(steps, QUIET, [None])
+        lattice = drive(steps, QUIET, [None], stride=g)
         assert lattice.tobytes() == full[:, ::g].tobytes()
-        bare = baseband_output(steps, BARE, 1953.125, 1, [None])[0]
+        bare = drive(steps, BARE, [None])[0]
         s = afe._step_response(BARE, 600)
         want = np.zeros(600)
         for start, jump in [(0, 1e-8), (301, -3e-8), (549, 2e-8), (550, 3e-8)]:
@@ -801,7 +889,7 @@ class TestLatticeNoise:
     @pytest.mark.parametrize("g", [1, 3, 6, 50])
     def test_noise_free_output_is_the_full_output_sliced(self, g):
         steps = [(300, 1e-8), (300, -2e-8)]
-        full = baseband_output(steps, QUIET, 1953.125, 1, [None])
-        lattice = baseband_output(steps, QUIET, 1953.125, 1, [5], stride=g)
+        full = drive(steps, QUIET, [None])
+        lattice = drive(steps, QUIET, [5], stride=g)
         assert lattice.tobytes() == full[:, ::g].tobytes()
         assert lattice.flags.writeable

@@ -539,9 +539,14 @@ class TestLinkDemo:
         [{"op": "start_measure", "corrupt": 1}],
         [{"op": "ping", "tokn": 7}],
         [{"op": "read_result", "freq_sel": 3}],
+        [{"op": "ping", "token": 300}],
+        [{"op": "ping", "token": -1}],
+        [{"op": ["x"]}],
+        [{"token": 3}],
     ], ids=["object", "string_entry", "float_token", "bool_freq_sel", "string_gain",
             "float_pll_cal", "string_corrupt", "integer_corrupt", "misspelt_field",
-            "field_of_another_op"])
+            "field_of_another_op", "token_above_a_byte", "negative_token", "list_op",
+            "missing_op"])
     def test_script_of_wrong_shape(self, tmp_path, capsys, entries):
         path = self.script(tmp_path, entries)
         assert cli.main(["link-demo", "--script", str(path)]) == cli.EXIT_USAGE
@@ -549,6 +554,20 @@ class TestLinkDemo:
         assert captured.out == ""
         assert "Traceback" not in captured.err
         assert captured.err.startswith("error: bad script: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"op": "ping", "token": 300}, "token out of range: 300"),
+        ({"op": "ping", "token": -1}, "token out of range: -1"),
+        ({"op": "set_config", "freq_sel": 16}, "freq_sel out of range: 16"),
+        ({"op": ["x"]}, "unknown link op ['x']"),
+        ("ping", 'a link script entry must be an object, got "ping"'),
+        ({"token": 3}, 'a link script entry must name its op, got {"token": 3}'),
+    ], ids=["token_above_a_byte", "negative_token", "freq_sel_above_4_bits", "list_op",
+            "string_entry", "missing_op"])
+    def test_script_error_names_the_field_or_entry(self, tmp_path, capsys, entry, message):
+        path = self.script(tmp_path, [entry])
+        assert cli.main(["link-demo", "--script", str(path)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"error: bad script: {message}\n"
 
     @pytest.mark.parametrize("text", [None, "not json"], ids=["missing", "not_json"])
     def test_unreadable_script(self, tmp_path, capsys, text):

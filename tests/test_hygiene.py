@@ -14,6 +14,12 @@ option cannot slip in unnoticed.
 numpy is the one runtime dependency: importing scipy would cost a `bioz`
 process about a second before it measures anything.  scipy stays a test
 dependency, as an independent cross-check.
+
+No module of the package calls BLAS: no `@`, no `dot`, `matmul`,
+`inner`, `vdot`, `tensordot` or `einsum`, and no `linalg`.  A `bioz`
+process that touches OpenBLAS maps its pages and, at the default thread
+count, starts its threads, for products of a few states that elementwise
+numpy does as well.  `np.outer` is a ufunc and stays allowed.
 """
 
 import ast
@@ -133,3 +139,42 @@ def test_public_settable_values():
     new one must be justified in CHANGES.md, and this pin updated there."""
     modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     assert sum(public_settable_values(p) for p in modules) == 104
+
+
+#: Attribute and imported names that reach BLAS through numpy.
+BLAS_NAMES = {"dot", "matmul", "inner", "vdot", "tensordot", "einsum", "linalg"}
+
+
+def blas_uses(source: str) -> list:
+    """Each `@`, BLAS-backed numpy name or `linalg` in the source, by line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"{node.lineno}: @")
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            found.append(f"{node.lineno}: .{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            names = set((node.module or "").split(".")[1:]) | {a.name for a in node.names}
+            found += [f"{node.lineno}: import {name}" for name in sorted(names & BLAS_NAMES)]
+        elif isinstance(node, ast.Import):
+            found += [f"{node.lineno}: import {a.name}" for a in node.names
+                      if a.name.split(".")[0] == "numpy" and set(a.name.split(".")) & BLAS_NAMES]
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_blas(module):
+    assert blas_uses((PACKAGE / module).read_text()) == []
+
+
+@pytest.mark.parametrize("source", [
+    "y = a @ b", "a @= b", "np.dot(a, b)", "a.dot(b)", "np.matmul(a, b)", "np.inner(a, b)",
+    "np.vdot(a, b)", "np.tensordot(a, b)", "np.einsum('ij,j', a, b)", "np.linalg.solve(a, b)",
+    "from numpy.linalg import solve", "from numpy import dot", "import numpy.linalg",
+])
+def test_blas_uses_are_found(source):
+    assert len(blas_uses(source)) == 1
+
+
+def test_outer_products_and_decorators_are_not_blas():
+    assert blas_uses("@functools.cache\ndef f(a, b):\n    return np.outer(a, b)\n") == []

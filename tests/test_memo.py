@@ -4,6 +4,10 @@ Counted by monkeypatching the computation behind each cache, never by
 timing.  Each test clears the caches it counts first.
 """
 
+import json
+import math
+from dataclasses import replace
+
 import numpy as np
 
 from biozsim import acquire, afe, calib, cli, link
@@ -38,6 +42,7 @@ def test_link_sessions_compute_one_stack_per_load(monkeypatch):
     # as `bioz link-demo` measures, a different RC load in each session
     afe._plan_dc.cache_clear()
     calls = count_calls(monkeypatch, afe, "_stacked_dc")
+    renders = count_renders(monkeypatch)
     params = ChainParams()
     rng = np.random.default_rng(12)
     for k in range(12):
@@ -59,15 +64,16 @@ def test_link_sessions_compute_one_stack_per_load(monkeypatch):
         assert [r.opcode for r in result.responses[2::3]] == [link.OP_RESULT] * 11
     assert len(calls) == 12
     assert all(len(args[1]) == 11 for args in calls)
+    assert len(renders) == 12
+    assert all(rows_of(args) == 11 for args in renders)
 
 
 def test_chebyshev_designed_once_per_chain(monkeypatch):
     afe._step_response.cache_clear()
-    afe._trajectory.cache_clear()
     calls = count_calls(monkeypatch, afe, "_cheby1_poles")
     chains = [ChainParams(), ChainParams(lpf_cutoff=40.0), ChainParams(), ChainParams(lpf_cutoff=40.0)]
-    for seed, params in enumerate(chains):
-        afe.baseband_output([(100, 1e-8)], params, 1953.125, 1, [seed])
+    for params in chains:
+        afe._render([(100, 1e-8)], params, 1)
     assert len(calls) == 2
 
 
@@ -108,39 +114,85 @@ def test_disabled_source_bypasses_the_cache():
     assert afe._plan_dc.cache_info().currsize == 0
 
 
-def count_trajectory_renders(monkeypatch):
-    """Each uncached trajectory render compresses its output exactly once."""
-    afe._trajectory.cache_clear()
-    return count_calls(monkeypatch, afe, "apply_compression")
+def count_renders(monkeypatch):
+    """Each uncached noise-free lattice is one `_render` call."""
+    afe._plan_lattice.cache_clear()
+    return count_calls(monkeypatch, afe, "_render")
 
 
-def test_rc_sweep_renders_one_trajectory_per_frequency(monkeypatch):
-    renders = count_trajectory_renders(monkeypatch)
-    scenario = cli.Scenario(model=ParallelRC(r=150.0, c=2e-9), params=ChainParams(), seed=5)
-    cli.run_sweep(scenario, None, repeats=10)
-    assert len(renders) == 11
+def rows_of(render_args):
+    """Rows a `_render` call renders at once: the size of its levels."""
+    steps = render_args[0]
+    return np.size(steps[0][1])
 
 
-def test_calibration_renders_one_offset_trajectory_and_one_per_frequency(monkeypatch):
-    renders = count_trajectory_renders(monkeypatch)
+def test_rc_sweep_renders_one_plan_lattice_per_load(monkeypatch):
+    renders = count_renders(monkeypatch)
+    for r in (150.0, 220.0):
+        scenario = cli.Scenario(model=ParallelRC(r=r, c=2e-9), params=ChainParams(), seed=5)
+        cli.run_sweep(scenario, None, repeats=10)
+    assert [rows_of(args) for args in renders] == [11, 11]
+    assert afe._plan_lattice.cache_info().hits == 2 * 11 - 2
+
+
+def test_calibration_renders_one_lattice_for_its_reference_reads(monkeypatch):
+    # a source-off sequence makes no step, so its lattice is the offset and
+    # nothing is rendered; the 11 frequencies of reference reads share one
+    # plan lattice
+    renders = count_renders(monkeypatch)
     calib.build_equalization(calib.MeasurementSetup(model=None), seed=4, created_at="pinned")
-    source_off = [args for args in renders if not np.any(args[0])]
-    assert len(source_off) == 1
-    assert len(renders) - len(source_off) == 11
+    assert [rows_of(args) for args in renders] == [11]
+
+
+def test_a_sequence_too_long_for_the_lattice_budget_renders_alone(monkeypatch):
+    # the default 32-tap reading's plan lattice is 11 rows of 114 doubles
+    monkeypatch.setattr(afe, "_LATTICE_ENTRY_DOUBLES", 11 * 114)
+    renders = count_renders(monkeypatch)
+    setup = calib.MeasurementSetup(model=ParallelRC(r=150.0, c=2e-9))
+    for taps in (32, 33, 32):
+        setup.run(freq_index=4, gain_word="111", seed=[1, 2], taps=taps)
+    assert [rows_of(args) for args in renders] == [11, 1]
+    info = afe._plan_lattice.cache_info()
+    assert (info.currsize, info.hits) == (1, 1)
+
+
+def test_the_lattice_cache_holds_at_most_4e6_doubles(tmp_path):
+    # the longest sequence a scenario may ask for: cli.MAX_SEQUENCE_SAMPLES
+    # output samples at a lattice stride of 1 (output_rate 1 kHz, 256 taps)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"model": {"type": "parallel_rc", "r": 100.0},
+                                "chain": {"output_rate": 1000.0, "settle_time": 499.744}}))
+    params = cli.load_scenario(path).params
+    settle_n, spacing_n, phase_n = acquire._phase_samples(params, calib.OFFSET_TAPS)
+    assert (2 * phase_n, math.gcd(settle_n, spacing_n)) == (cli.MAX_SEQUENCE_SAMPLES, 1)
+    # 11 rows of it would not fit an entry, so no entry is larger than the
+    # budget, and the cache holds at most 4 x 10^6 doubles (32 MB)
+    assert 11 * cli.MAX_SEQUENCE_SAMPLES > afe._LATTICE_ENTRY_DOUBLES
+    assert afe._LATTICE_CACHE_SIZE * afe._LATTICE_ENTRY_DOUBLES <= 4 * 10**6
+    assert afe._plan_lattice.cache_info().maxsize == afe._LATTICE_CACHE_SIZE
 
 
 def test_returned_samples_belong_to_the_caller():
-    afe._trajectory.cache_clear()
+    afe._plan_lattice.cache_clear()
     quiet = ChainParams(noise_floor=0.0, carrier_noise_v=0.0)
-    steps = [(200, 1e-8), (200, -1e-8)]
-    first = afe.baseband_output(steps, quiet, 1953.125, 1, [None])
+    model, config = ParallelRC(r=150.0, c=2e-9), AfeConfig(freq_index=10)
+    dc = afe.mixer_dc_pair(model, config.fundamental, config, quiet)
+
+    def output(params):
+        lattice = afe._sequence_lattice(model, config.fundamental, config, quiet, dc, 200, 1)
+        assert not lattice.flags.writeable
+        return afe.baseband_output(lattice, params, config.fundamental, 1, [None, 3])
+
+    first = output(quiet)
     expected = first.copy()
     first[:] = 99.0
-    again = afe.baseband_output(steps, quiet, 1953.125, 1, [None])
-    assert afe._trajectory.cache_info().hits == 1
+    again = output(quiet)
+    assert afe._plan_lattice.cache_info().hits == 1
     assert np.array_equal(again, expected)
     again[:, 100:] = -5.0
-    assert np.array_equal(afe.baseband_output(steps, quiet, 1953.125, 1, [None]), expected)
+    noisy = output(replace(quiet, carrier_noise_v=0.036))
+    noisy[:] = 7.0
+    assert np.array_equal(output(quiet), expected)
 
 
 def test_rc_sweep_folds_the_noise_spectrum_once():
