@@ -219,13 +219,6 @@ class ChainParams:
             carrier_noise_v=0.0,
         )
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ChainParams":
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown chain parameters: {sorted(unknown)}")
-        return cls(**d)
-
 
 def _lna_response(params: ChainParams, freq) -> np.ndarray:
     """Continuous-time normalized LNA response at `freq` Hz."""

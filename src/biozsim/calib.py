@@ -223,9 +223,19 @@ class CalibrationTable:
         return cls.from_json(text)
 
 
+def finite_number(value) -> bool:
+    """A JSON number that is a finite double: not a bool, a string, an
+    infinity, a NaN or an integer beyond the float range."""
+    try:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:
+        return False
+
+
 def _number(value):
     """A finite JSON number from a calibration table, else TypeError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    if not finite_number(value):
         raise TypeError(f"expected a finite number, got {value!r}")
     return value
 

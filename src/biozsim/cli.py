@@ -36,12 +36,19 @@ a parallel_rc or cole base at one time::
               "schedule": {"r": [[0.0, 100.0], [10.0, 200.0]]},
               "time": 5.0}                   # seconds, default 0.0
 
-`time`, a finite number, is read from the model object only.  Each
-scheduled field takes its piecewise-linear value at that time
-(breakpoint times strictly increasing; held past the first and last).
+`time` is read from the model object only.  Each scheduled field takes
+its piecewise-linear value at that time (breakpoint times strictly
+increasing; held past the first and last).
 A parallel_rc's r_interface lies on the injection side, outside the
 sense electrodes: a sweep measures r || c, and only
 `tissue.impedance_at` includes it.
+
+Each object of a scenario or link script holds only the keys declared for
+it (`_SCENARIO`, `_MODELS`, `_CHAIN` from `afe.ChainParams`' fields,
+`_LINK_OPS`), each of its declared JSON kind: a number is a finite JSON
+number, never a string or a boolean, and an integer a whole one.  Any
+other key or value is a one-line error, exit 1, before any measurement;
+so is a `frequencies` entry that is not a plan frequency.
 
 Sweep output (CSV) has the frozen header
 `freq_hz,re_ohm,im_ohm,mag_ohm,phase_deg,stderr_ohm,gain_word,flags`;
@@ -54,13 +61,11 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
 import sys
-import typing
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -121,63 +126,102 @@ class Scenario:
         return idx
 
 
+def _numbers(value) -> bool:
+    return isinstance(value, list) and all(map(calib.finite_number, value))
+
+
+#: The JSON kinds a field may take: a test of the parsed value and the
+#: rule an error states.  A number is a finite JSON number, an integer a
+#: whole one (2 or 2.0, not "2", 2.5 or true).
+_NUMBER = (calib.finite_number, "a finite number")
+_NUMBER_OR_NULL = (lambda v: v is None or calib.finite_number(v), "a finite number or null")
+_INTEGER = (lambda v: calib.finite_number(v) and v == int(v), "an integer")
+_STRING = (lambda v: isinstance(v, str), "a string")
+_BOOL = (lambda v: isinstance(v, bool), "true or false")
+_OBJECT = (lambda v: isinstance(v, dict), "an object")
+_NUMBERS = (_numbers, "a list of finite numbers")
+_SCHEDULE = (lambda v: isinstance(v, dict) and all(
+    isinstance(points, list) and all(_numbers(p) and len(p) == 2 for p in points)
+    for points in v.values()), "an object of lists of [time, value] numbers")
+
+#: Each document object's table, {field: (kind, default)}, where a
+#: default of MISSING marks a field that must be given: a scenario, its
+#: model by type (a parallel_rc or cole model is its class's fields) and
+#: its chain of `ChainParams` overrides.
+_SCENARIO = {"model": (_OBJECT, MISSING), "chain": (_OBJECT, {}), "seed": (_INTEGER, 0),
+             "taps": (_INTEGER, 32), "gain": (_STRING, "111"), "frequencies": (_NUMBERS, ()),
+             "format": (_STRING, "csv")}
+_TYPE = {"type": (_STRING, MISSING)}
+_CLASSES = {"parallel_rc": tissue.ParallelRC, "cole": tissue.ColeModel}
+_MODELS = {
+    **{kind: {**_TYPE, **{f.name: (_NUMBER, f.default) for f in fields(cls)}}
+       for kind, cls in _CLASSES.items()},
+    "table": {**_TYPE, "path": (_STRING, MISSING)},
+    "builtin": {**_TYPE, "name": (_STRING, MISSING)},
+    "time_varying": {**_TYPE, "base": (_OBJECT, MISSING), "schedule": (_SCHEDULE, MISSING),
+                     "time": (_NUMBER, 0.0)},
+}
+_CHAIN = {f.name: (_NUMBER_OR_NULL if f.type.startswith("Optional") else _NUMBER, f.default)
+          for f in fields(afe.ChainParams)}
+
+
+def _read(obj, table: dict, what: str) -> dict:
+    """`obj`'s fields by `table`, integers as ints and the absent fields at
+    their defaults.  An object that is not one, an unknown field, a missing
+    required field or a value of the wrong kind raises ScenarioError
+    naming `what`."""
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{what} must be an object, got {json.dumps(obj)}")
+    values = {}
+    for name, value in obj.items():
+        if name not in table:
+            raise ScenarioError(f"{what} has no field {name!r}")
+        kind = table[name][0]
+        if not kind[0](value):
+            raise ScenarioError(f"{what} field {name!r} must be {kind[1]}, got {json.dumps(value)}")
+        values[name] = int(value) if kind is _INTEGER else value
+    for name, (_, default) in table.items():
+        if name not in values:
+            if default is MISSING:
+                raise ScenarioError(f"{what} is missing field {name!r}")
+            values[name] = default
+    return values
+
+
 def build_model(spec: dict, base_dir: Path):
-    if not isinstance(spec, dict):
-        raise ScenarioError(f"a model must be an object, got {spec!r}")
     kind = spec.get("type")
-    if kind == "parallel_rc":
-        return tissue.ParallelRC(
-            r=float(spec["r"]),
-            c=float(spec.get("c", 0.0)),
-            r_interface=float(spec.get("r_interface", 0.0)),
-        )
-    if kind == "cole":
-        return tissue.ColeModel(
-            r_inf=float(spec["r_inf"]),
-            r0=float(spec["r0"]),
-            tau=float(spec["tau"]),
-            alpha=float(spec.get("alpha", 1.0)),
-        )
+    if not isinstance(kind, str) or kind not in _MODELS:
+        raise ScenarioError(f"unknown model type {kind!r}")
+    values = _read(spec, _MODELS[kind], f"a {kind} model")
+    del values["type"]
+    if kind in _CLASSES:
+        return _CLASSES[kind](**{name: float(v) for name, v in values.items()})
     if kind == "table":
-        path = Path(spec["path"])
+        path = Path(values["path"])
         if not path.is_absolute():
             path = base_dir / path
         if not path.exists():
             raise ScenarioError(f"table file not found: {path}")
         return tissue.TabulatedTwoPort.from_text(path)
     if kind == "builtin":
-        name = spec["name"]
         try:
-            return tissue.builtin_model(name)
+            return tissue.builtin_model(values["name"])
         except KeyError as exc:
             raise ScenarioError(exc.args[0]) from None
-    if kind == "time_varying":
-        base = build_model(spec["base"], base_dir)
-        if not isinstance(spec["schedule"], dict):
-            raise ScenarioError("a time_varying schedule must be an object")
-        if not isinstance(base, (tissue.ParallelRC, tissue.ColeModel)):
-            raise ScenarioError(
-                f"a time_varying base must be parallel_rc or cole, got {spec['base']['type']!r}")
-        schedule = {
-            name: [(float(t), float(v)) for t, v in points]
-            for name, points in spec["schedule"].items()
-        }
-        names = {f.name for f in fields(base)}
-        t = spec.get("time", 0.0)
-        if not _finite_number(t):
-            raise ScenarioError(f"a time_varying time must be a finite number, got {t!r}")
-        values = {}
-        for name, points in schedule.items():
-            times = [p[0] for p in points]
-            if not all(math.isfinite(t) for t in times):
-                raise ValueError(f"schedule times for {name!r} must be finite")
-            if not all(b > a for a, b in zip(times, times[1:])):
-                raise ValueError(f"schedule times for {name!r} must be strictly increasing")
-            if name not in names:
-                raise ValueError(f"base model has no parameter {name!r}")
-            values[name] = float(np.interp(t, times, [p[1] for p in points]))
-        return replace(base, **values)
-    raise ScenarioError(f"unknown model type {kind!r}")
+    base = build_model(values["base"], base_dir)
+    if not isinstance(base, (tissue.ParallelRC, tissue.ColeModel)):
+        raise ScenarioError(
+            f"a time_varying base must be parallel_rc or cole, got {values['base']['type']!r}")
+    names = {f.name for f in fields(base)}
+    changes = {}
+    for name, points in values["schedule"].items():
+        times = [t for t, _ in points]
+        if not all(b > a for a, b in zip(times, times[1:])):
+            raise ValueError(f"schedule times for {name!r} must be strictly increasing")
+        if name not in names:
+            raise ValueError(f"base model has no parameter {name!r}")
+        changes[name] = float(np.interp(values["time"], times, [v for _, v in points]))
+    return replace(base, **changes)
 
 
 def load_scenario(path) -> Scenario:
@@ -192,62 +236,47 @@ def load_scenario(path) -> Scenario:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ScenarioError(f"scenario file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ScenarioError(f"cannot read scenario file: {exc}")
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer past Python's digit limit
         raise ScenarioError(f"scenario file {path} is not valid JSON: {exc}")
-    if not isinstance(doc, dict) or not isinstance(doc.get("model"), dict):
-        raise ScenarioError("scenario must define a model object")
+    values = _read(doc, _SCENARIO, "scenario")
     try:
-        model = build_model(doc["model"], path.parent)
+        model = build_model(values["model"], path.parent)
     except ScenarioError:
         raise
-    except KeyError as exc:
-        raise ScenarioError(f"model is missing field {exc}") from None
-    except (ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError) as exc:  # OSError: a table path that is no file
         raise ScenarioError(f"bad model: {exc}") from None
 
-    chain = doc.get("chain", {})
-    if not isinstance(chain, dict):
-        raise ScenarioError("chain must be an object of parameter overrides")
-    for name, value in chain.items():
-        numeric = _finite_number(value)
-        nullable = value is None and name in _nullable_chain_fields()
-        if name in afe.ChainParams.__dataclass_fields__ and not (numeric or nullable):
-            raise ScenarioError(
-                f"chain parameter {name!r} must be a finite number, got {value!r}")
-    try:
-        params = afe.ChainParams.from_dict(chain)
-    except (TypeError, ValueError) as exc:
+    chain = values["chain"]
+    _read(chain, _CHAIN, "chain")
+    try:  # given the chain's own keys alone, ChainParams fills in the rest
+        params = afe.ChainParams(**chain)
+    except ValueError as exc:
         raise ScenarioError(f"bad chain parameters: {exc}")
 
-    taps = _integer(doc, "taps", 32)
+    taps, seed, gain = values["taps"], values["seed"], values["gain"]
     if taps < 1:
         raise ScenarioError("taps must be >= 1")
-    seed = _integer(doc, "seed", 0)
     if seed < 0:
         raise ScenarioError("seed must be >= 0")
-    gain = str(doc.get("gain", "111"))
     if gain != "auto":
         try:
             afe.AfeConfig.from_gain_word(gain)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from None
-    frequencies = doc.get("frequencies", [])
-    if not (isinstance(frequencies, list) and all(_is_number(f) for f in frequencies)):
-        raise ScenarioError(f"frequencies must be a list of numbers, got {frequencies!r}")
-    output_format = doc.get("format", "csv")
-    if output_format not in OUTPUT_FORMATS:
-        raise ScenarioError(f"unknown output format {output_format!r}")
+    if values["format"] not in OUTPUT_FORMATS:
+        raise ScenarioError(f"unknown output format {values['format']!r}")
     scenario = Scenario(
         model=model,
         params=params,
         seed=seed,
         taps=taps,
         gain=gain,
-        frequencies=tuple(float(f) for f in frequencies),
-        output_format=output_format,
+        frequencies=tuple(float(f) for f in values["frequencies"]),
+        output_format=values["format"],
     )
+    scenario.freq_indices()  # every frequency is a plan frequency
     try:
         _, _, phase_n = acquire._phase_samples(params, max(taps, calib.OFFSET_TAPS))
     except OverflowError:  # settle_time * output_rate is not a finite number
@@ -259,35 +288,6 @@ def load_scenario(path) -> Scenario:
             f"a sequence would exceed {MAX_SEQUENCE_SAMPLES} output samples; "
             "lower chain.settle_time or taps")
     return scenario
-
-
-@functools.cache
-def _nullable_chain_fields() -> frozenset:
-    """The `ChainParams` fields a scenario may set to null, those typed
-    Optional; their annotations are evaluated once per process."""
-    return frozenset(name for name, hint in typing.get_type_hints(afe.ChainParams).items()
-                     if type(None) in typing.get_args(hint))
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _finite_number(value) -> bool:
-    """A JSON number that is a finite double: not a bool, a string, an
-    infinity, a NaN or an integer beyond the float range."""
-    try:
-        return _is_number(value) and math.isfinite(value)
-    except OverflowError:
-        return False
-
-
-def _integer(doc: dict, name: str, default: int) -> int:
-    """A whole-number scenario field (2 or 2.0, not "2", 2.5 or true)."""
-    value = doc.get(name, default)
-    if not (_finite_number(value) and value == int(value)):
-        raise ScenarioError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _check_writable(path) -> None:
@@ -460,21 +460,22 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-#: Each link-script op: its opcode and the integer fields it reads, with
-#: their defaults.  Every op also reads `corrupt` (a JSON bool).
+#: Each link-script op: its opcode and its entry's table.  Every entry
+#: names its `op` and may set `corrupt`.
+_ENTRY = {"op": (_STRING, MISSING), "corrupt": (_BOOL, False)}
 _LINK_OPS = {
-    "ping": (link.OP_PING, {"token": 0x5A}),
-    "set_config": (link.OP_SET_CONFIG, {"pll_cal": 0, "freq_sel": 10, "source_enable": 1,
-                                        "iq_sel": 0, "gain": 0b111}),
-    "start_measure": (link.OP_START_MEASURE, {}),
-    "read_result": (link.OP_READ_RESULT, {}),
+    "ping": (link.OP_PING, {**_ENTRY, "token": (_INTEGER, 0x5A)}),
+    "set_config": (link.OP_SET_CONFIG, {**_ENTRY, "pll_cal": (_INTEGER, 0),
+                                        "freq_sel": (_INTEGER, 10), "source_enable": (_INTEGER, 1),
+                                        "iq_sel": (_INTEGER, 0), "gain": (_INTEGER, 0b111)}),
+    "start_measure": (link.OP_START_MEASURE, _ENTRY),
+    "read_result": (link.OP_READ_RESULT, _ENTRY),
 }
 
 
 def _link_script_frames(doc):
-    """The frames of a link script: a list of objects, each an `op` and
-    only the fields that op reads, integers as JSON integers (a ping's
-    `token` a byte) and `corrupt` as a JSON bool."""
+    """The frames of a link script: a list of objects, each read by its
+    op's table (a ping's `token` a byte)."""
     if not isinstance(doc, list):
         raise ScenarioError("a link script must be a list of operations")
     frames = []
@@ -486,17 +487,10 @@ def _link_script_frames(doc):
         op = entry["op"]
         if not isinstance(op, str) or op not in _LINK_OPS:
             raise ScenarioError(f"unknown link op {op!r}")
-        opcode, defaults = _LINK_OPS[op]
-        unread = sorted(set(entry) - {"op", "corrupt", *defaults})
-        if unread:
-            raise ScenarioError(f"link op {op!r} has no field {unread[0]!r}")
-        corrupt = entry.get("corrupt", False)
-        if not isinstance(corrupt, bool):
-            raise ScenarioError(f"corrupt must be true or false, got {json.dumps(corrupt)}")
-        values = {name: entry.get(name, default) for name, default in defaults.items()}
-        for name, value in values.items():
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ScenarioError(f"{name} must be an integer, got {json.dumps(value)}")
+        opcode, table = _LINK_OPS[op]
+        values = _read(entry, table, f"link op {op!r}")
+        del values["op"]
+        corrupt = values.pop("corrupt")
         if op == "ping":
             if not 0 <= values["token"] < 256:
                 raise ScenarioError(f"token out of range: {values['token']}")
@@ -512,7 +506,7 @@ def _link_script_frames(doc):
 def cmd_link_demo(args) -> int:
     try:
         doc = json.loads(Path(args.script).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ScenarioError(f"cannot read script: {exc}") from None
     try:
         frames = _link_script_frames(doc)

@@ -233,7 +233,7 @@ class PowerState:
 
     reservoir_voltage: float = 3.0
     reservoir_cap: float = 20e-6
-    load_current: float = 165.5e-6  # the sum of BLOCK_CURRENTS_UA, in amps
+    load_current: float = sum(BLOCK_CURRENTS_UA.values()) / 1e6  # amps
 
 
 class Trace(Sequence):

@@ -122,10 +122,6 @@ class TestChainParams:
         ChainParams(lpf_order=2.0, lpf_cutoff=24999.0, settle_time=0.0, noise_floor=0.0,
                     lna_pole=None, compression_knee=None, offset=-0.5)
 
-    def test_unknown_field_rejected(self):
-        with pytest.raises(ValueError, match="unknown chain parameters"):
-            ChainParams.from_dict({"rf_oversampling": 256})
-
 
 class TestOracle:
     def test_fundamental_only_matches_quadrature_formula(self):

@@ -255,8 +255,10 @@ class TestApplyCalibration:
         ("offsets", {"111": {"v_i": "x", "v_q": 0.0}}), ("eq_coeffs", 5),
         ("eq_coeffs", [{"freq_hz": "2e6", "re": 1.0, "im": 0.0}]),
         ("eq_coeffs", [{"freq_hz": 2e6, "re": float("nan"), "im": 0.0}]),
+        ("reference_r", 10**400),
     ], ids=["string_reference", "integer_gain_word", "offsets_list", "string_offset",
-            "coeffs_not_list", "string_frequency", "nan_coefficient"])
+            "coeffs_not_list", "string_frequency", "nan_coefficient",
+            "integer_beyond_float_reference"])
     def test_wrongly_typed_entry_rejected(self, field, value):
         doc = json.loads(self.make_table().to_json())
         doc[field] = value

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -136,6 +137,18 @@ class TestScenario:
         # a JSON integer beyond the float range
         {"chain": {"offset": 10**400}},
         {"taps": 10**400},
+        # only declared keys, and numbers as JSON numbers
+        {"model": {"type": "parallel_rc", "r": 100.0, "C": 1e-6}},
+        {"seeds": 5},
+        {"time": 5.0},
+        {"model": {"type": "cole", "r_inf": 50.0, "r0": 100.0, "tau": 1e-6, "beta": 2}},
+        {"model": {"type": "parallel_rc", "r": "100"}},
+        {"model": {"type": "parallel_rc", "r": True}},
+        {"gain": 111},
+        {"model": {"type": "time_varying", "base": {"type": "parallel_rc", "r": 100.0},
+                   "schedule": {"r": [["0", 100.0], [10.0, 200.0]]}}},
+        {"frequencies": [1000.0]},
+        {"model": {"type": "table", "path": "."}},
     ], ids=["missing_r", "negative_r", "nan_r", "nan_tau", "unknown_builtin",
             "negative_settle_time", "list_chain_value", "nan_chain_value",
             "removed_rf_oversampling", "fractional_lpf_order", "zero_output_rate",
@@ -151,7 +164,9 @@ class TestScenario:
             "time_varying_infinite_model_time", "time_varying_negative_infinite_model_time",
             "time_varying_nan_model_time", "time_varying_string_model_time",
             "time_varying_bool_model_time", "integer_beyond_float_chain_value",
-            "integer_beyond_float_taps"])
+            "integer_beyond_float_taps", "misspelt_c", "top_level_seeds", "top_level_time",
+            "cole_beta", "string_r", "bool_r", "numeric_gain", "string_schedule_time",
+            "off_plan_frequency", "table_path_is_a_directory"])
     def test_malformed_scenario_one_line_error(self, tmp_path, capsys, monkeypatch, overrides):
         calls = []
         monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: calls.append(a))
@@ -165,6 +180,20 @@ class TestScenario:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe{}",
+                                         b'{"seed": 1' + b"0" * 5000 + b"}"],
+                             ids=["directory", "not_utf8", "integer_past_the_digit_limit"])
+    def test_unreadable_scenario_one_line_error(self, tmp_path, capsys, content):
+        path = tmp_path / "scen.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        assert cli.main(["sweep", "--scenario", str(path), "--uncalibrated"]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("verb", ["sweep", "calibrate", "link-demo"])
     def test_negative_seed_option_one_line_error(self, tmp_path, capsys, r100_scenario, verb):
         script = tmp_path / "script.json"
@@ -176,6 +205,34 @@ class TestScenario:
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def docstring_examples() -> list:
+    """The scenario examples of the `cli` module docstring, comments
+    stripped and a bare `"model"` member wrapped into a document."""
+    texts = [re.sub(r"#.*", "", block).strip()
+             for block in re.findall(r"::\n\n(.*?)\n\n", cli.__doc__, re.S)]
+    return [json.loads(t if t.startswith("{") else "{" + t + "}") for t in texts]
+
+
+def keys(node):
+    """Every object key in a JSON document, nested ones included."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield key
+            yield from keys(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from keys(value)
+
+
+@pytest.mark.parametrize("doc", docstring_examples(), ids=["scenario", "time_varying"])
+def test_docstring_examples_show_declared_keys_and_load(tmp_path, doc):
+    declared = {*cli._SCENARIO, *cli._CHAIN, *(k for table in cli._MODELS.values() for k in table)}
+    assert set(keys(doc)) <= declared
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(doc))
+    cli.load_scenario(path)
 
 
 class TestTimeVarying:
@@ -251,8 +308,10 @@ class TestCommandLine:
             "--reference", value])
 
     @pytest.mark.parametrize("content", [None, "not json", json.dumps({"version": 1}),
-                                         json.dumps([1, 2])],
-                             ids=["missing", "not_json", "missing_key", "not_object"])
+                                         json.dumps([1, 2]),
+                                         json.dumps({"version": 1, "reference_r": 10**400})],
+                             ids=["missing", "not_json", "missing_key", "not_object",
+                                  "integer_beyond_float_reference"])
     def test_unreadable_calibration_table(self, tmp_path, capsys, r100_scenario, content):
         table = tmp_path / "table.json"
         if content is not None:
@@ -306,6 +365,15 @@ class TestCalibrate:
         for c in table.eq_coeffs.values():
             assert abs(abs(c) - 1.03) < 0.02
             assert abs(np.degrees(np.angle(c))) < 1.0
+
+    def test_off_plan_frequency_fails_before_measuring(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli.calib, "build_equalization", lambda *a, **k: calls.append(a))
+        scen = write_scenario(tmp_path, frequencies=[1000.0])
+        rc = cli.main(["calibrate", "--scenario", str(scen), "--out", str(tmp_path / "t.json")])
+        captured = capsys.readouterr()
+        assert (rc, calls, captured.out) == (cli.EXIT_USAGE, [], "")
+        assert captured.err == "error: 1000.0 Hz is not a plan frequency\n"
 
     def test_saturation_exits_range(self, tmp_path, capsys):
         scen = write_scenario(tmp_path)
@@ -569,11 +637,14 @@ class TestLinkDemo:
         assert cli.main(["link-demo", "--script", str(path)]) == cli.EXIT_USAGE
         assert capsys.readouterr().err == f"error: bad script: {message}\n"
 
-    @pytest.mark.parametrize("text", [None, "not json"], ids=["missing", "not_json"])
+    @pytest.mark.parametrize("text", [None, b"not json", b"\xff\xfe[]",
+                                      b"[1" + b"0" * 5000 + b"]"],
+                             ids=["missing", "not_json", "not_utf8",
+                                  "integer_past_the_digit_limit"])
     def test_unreadable_script(self, tmp_path, capsys, text):
         path = tmp_path / "script.json"
         if text is not None:
-            path.write_text(text)
+            path.write_bytes(text)
         assert cli.main(["link-demo", "--script", str(path)]) == cli.EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.err.startswith("error: cannot read script: ")

@@ -75,8 +75,8 @@ class TestConfigCodec:
 
 class TestPowerBudget:
     def test_total(self):
-        # the reservoir's default load is every block on, bit for bit
-        assert sum(BLOCK_CURRENTS_UA.values()) / 1e6 == PowerState().load_current
+        # the reservoir's default load is every block on, 165.5 uA, bit for bit
+        assert PowerState().load_current == sum(BLOCK_CURRENTS_UA.values()) / 1e6 == 165.5e-6
 
 
 class TestFrames:

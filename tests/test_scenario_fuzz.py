@@ -3,7 +3,9 @@
 Valid documents and documents with one field set to a junk value, removed
 or added must all end with a documented exit code, at most one `error:`
 line and no traceback, never with a NaN in a record, and never with a
-NaN or infinity cast to an ADC code.  Model fields (r, c, r_interface,
+NaN or infinity cast to an ADC code.  A valid document with one key
+renamed, or one number made a string or a boolean, must end at load with
+exit 1 and one `error:` line.  Model fields (r, c, r_interface,
 the Cole fields) and chain and schedule times are drawn over the whole
 finite float range; `load_scenario` rejects any document whose sequence
 would pass `cli.MAX_SEQUENCE_SAMPLES`, so none asks for more than a few
@@ -90,6 +92,30 @@ def mutated(draw):
     return doc
 
 
+def slots(node):
+    """Each (container, key or index) of a JSON document, nested ones included."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield node, key
+        yield from slots(value)
+
+
+@st.composite
+def broken(draw):
+    """A valid document with one key, at any depth, renamed to one no table
+    declares, or one number made a string or a boolean."""
+    doc = draw(documents)
+    if draw(st.booleans()):
+        owner, key = draw(st.sampled_from([s for s in slots(doc) if isinstance(s[0], dict)]))
+        owner[key.upper()] = owner.pop(key)
+    else:
+        owner, key = draw(st.sampled_from([(o, k) for o, k in slots(doc)
+                                           if type(o[k]) in (int, float)]))
+        owner[key] = draw(st.sampled_from([str(owner[key]), True, False]))
+    return doc
+
+
 def sweep(doc: dict) -> tuple:
     with tempfile.TemporaryDirectory() as workdir:
         path = Path(workdir) / "scenario.json"
@@ -123,3 +149,11 @@ def test_sweep_ends_cleanly(doc):
     if rc == cli.EXIT_OK:
         values = record_values(out, doc.get("format", "csv"))
         assert values and all(math.isfinite(v) for v in values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(broken())
+def test_broken_document_is_one_line_error(doc):
+    rc, out, err, _ = sweep(doc)
+    assert (rc, out) == (cli.EXIT_USAGE, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
