@@ -27,25 +27,24 @@ fundamental component of the stepped waveform; the raw staircase is
 formulas Re{Z} = (pi/2) V_I / (|I| G), Im{Z} = (pi/2) V_Q / (|I| G) exact
 at the fundamental with no hold-gain correction.
 
-Mixer DC routes.  Both see Z_sense, the impedance between the sense
-electrodes: a ParallelRC's r_interface lies outside them, on the
-injection side, and only `tissue.impedance_at` includes it.  An RC load,
-or a Cole load at alpha = 1 (r_inf in series with an RC), takes one
-direct realization of Z_sense * LNA (at most two states, the load state
-at unity DC), solved exactly over the 8 segments of half a period: the
-staircase and both clocks are antiperiodic, so half a period suffices.
-Its segment map is in closed form, in plain floats, one frequency at a
-time.  Tests hold it within 1e-11 of |I + jQ| of a 50-digit evaluation
-(about 1e-15 measured).  A time constant below 1e-20 / f0 cannot move a
-double of the DC and is dropped, so a vanishing capacitor reads as its
-resistor.  Cole loads with alpha < 1 and tabulated loads take the
-per-image sum over n = 8k +/- 1 <= 255, within 2e-5 of |I + jQ|, as one
-numpy stack over the frequencies.  Either route takes a vector of
-frequencies and gives each row bit for bit its frequency's value alone.
-A load's DC at all 11 plan frequencies is computed in one such pass the
-first time any of them is measured, and kept per process as a read-only
-11 x 2 table (`_plan_dc`): a sweep or a link session on one load pays
-for one evaluation of the plan, not eleven.
+Mixer DC.  Every load takes one route, the sum over the staircase's
+images n = 8k +/- 1 <= 255 of W = Z_sense * LNA at n * f0 (`_image_dc`).
+Z_sense is the impedance between the sense electrodes: a ParallelRC's
+r_interface lies outside them, on the injection side, and only
+`tissue.impedance_at` includes it.  The image terms alternate in sign,
+so past n = 127 the sum takes Euler's transform of its tail, a fixed
+weight per image; each image's weight, rotation and clock sign are one
+module constant (`_IMAGE_WEIGHTS`).  Tests hold the DC within 1e-13 of
+|I + jQ| of 50-digit evaluations on RC loads and on Cole loads at
+alpha = 1, and of a 30-digit sum of the series on Cole loads with
+alpha < 1 (about 1e-15 measured); on the builtin tables, whose
+interpolation kinks limit the transform, within 1e-8 of the same
+transform taken to n <= 895.  The route takes a vector of frequencies as
+one numpy stack and gives each row bit for bit its frequency's value
+alone.  A load's DC at all 11 plan frequencies is computed in one such
+pass the first time any of them is measured, and kept per process as a
+read-only 11 x 2 table (`_plan_dc`): a sweep or a link session on one
+load pays for one evaluation of the plan, not eleven.
 
 Baseband.  The TIA pole and the Chebyshev low-pass are first- and
 second-order sections, each at unity DC gain and each defined by its
@@ -86,13 +85,7 @@ import numpy as np
 from numpy.fft import fftfreq, irfft, rfft
 from numpy.random import Generator, default_rng
 
-from .waveforms import (
-    FUNDAMENTAL_GAIN,
-    N_STEPS,
-    SOURCE_LAG,
-    plan_frequencies,
-    stepped_sine_levels,
-)
+from .waveforms import SOURCE_LAG, plan_frequencies
 from . import tissue
 
 #: (g0, g1) -> fundamental current amplitude, amps.
@@ -326,12 +319,35 @@ def _carrier_noise_sigma(params: ChainParams, f0: float, g2: int) -> float:
 # RF stage: load, LNA and square clocks -> steady-state post-mixer DC
 # ---------------------------------------------------------------------------
 
-#: Highest staircase image summed for a tabulated/fractional load (the
-#: images beyond it carry < 2e-5 of the mixer DC).
-_SPECTRAL_N_CUT = 255
+#: The staircase's images that the mixer DC sums: n = 8k +/- 1 <= 255.
+_IMAGES = np.array([n for n in range(1, 256) if n % 8 in (1, 7)])
 
 
-def _image_dc(model, f0s, config, params, n_max) -> np.ndarray:
+def _image_weights() -> np.ndarray:
+    """The I and Q weight of each of `_IMAGES`, 2 x 64 complex, read-only
+    (see `_image_dc`).
+
+    Past n = 127 the terms alternate in sign with each image pair, so the
+    tail takes Euler's transform: the 17 partial sums that end at
+    n = 127, 135, ..., 255 are averaged with the binomial weights
+    C(16, j) / 2^16.  Image pair i past 127 lies in the last 17 - i of
+    those sums, so its weight is the tail sum_{j >= i} C(16, j) / 2^16,
+    and every image up to 127 weighs 1.
+    """
+    n = _IMAGES
+    tail = np.cumsum([math.comb(16, j) for j in range(16, 0, -1)])[::-1] / 2.0**16
+    euler = np.concatenate([np.ones(np.count_nonzero(n <= 127)), np.repeat(tail, 2)])
+    # e^(-j n pi/8) has period 16 in n: reducing n first keeps the angle exact
+    c = (2 / np.pi) * euler / n**2 * np.exp(-1j * SOURCE_LAG * (n % 16))
+    weights = np.stack([c, -1j * np.where(n % 8 == 1, 1.0, -1.0) * c])
+    weights.setflags(write=False)
+    return weights
+
+
+_IMAGE_WEIGHTS = _image_weights()
+
+
+def _image_dc(model, f0s, config, params) -> np.ndarray:
     """Post-mixer DC (amps, after the LNA gm), one (I, Q) row per frequency
     in `f0s`, summed per image.
 
@@ -341,26 +357,24 @@ def _image_dc(model, f0s, config, params, n_max) -> np.ndarray:
     whose product contributes half the amplitude times the trig of the
     accumulated phase to the DC:
 
-        dc = gm * (2/pi) * |I| * sum_{n <= n_max} |W(n f0)| / n^2 * T_n
-        T_n(I) = cos(phi_n - n*pi/8)
-        T_n(Q) = (-1)^((n-1)/2) * sin(phi_n - n*pi/8)
+        dc_I = gm * |I| * (2/pi) * sum_n e_n * Re(W(n f0) e^(-j n pi/8)) / n^2
+        dc_Q = gm * |I| * (2/pi) * sum_n e_n * s_n * Im(W(n f0) e^(-j n pi/8)) / n^2
 
-    with phi_n the phase of W(n f0).  W is evaluated once for both phases,
-    on the frequencies-by-images grid at once.
+    with s_n = +1 at n = 8k + 1 and -1 at n = 8k + 7, and e_n the Euler
+    weight of the tail (see `_image_weights`).  Both sums are the real part
+    of W times `_IMAGE_WEIGHTS`, reduced over the images axis, with W
+    evaluated once on the frequencies-by-images grid.
     """
-    n = np.arange(1, n_max + 1)
-    n = n[(n % 8 == 1) | (n % 8 == 7)]
-    f = np.outer(np.asarray(f0s, dtype=float), n)
+    f = np.multiply.outer(np.asarray(f0s, dtype=float), _IMAGES)
     # a load too large for doubles gives a non-finite DC, which the caller
     # reports as MeasurementRangeError, so its overflow is not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         w = tissue._sense_z(model, f) * _lna_response(params, f)
-        phi = np.angle(w) - n * SOURCE_LAG
-        mag = np.abs(w) / n**2
-        scale = config.gm * (2 / np.pi) * config.current_amplitude
-        dc_i = scale * np.sum(mag * np.cos(phi), axis=1)
-        dc_q = scale * np.sum(mag * np.where(n % 8 == 1, 1.0, -1.0) * np.sin(phi), axis=1)
-    return np.stack([dc_i, dc_q], axis=1)
+        dc = np.add.reduce((w[:, None, :] * _IMAGE_WEIGHTS).real, axis=-1)
+        # the weights are below 1, so a W whose modulus overflows can still
+        # sum to a finite DC: such a row is out of range too
+        dc[np.isinf(np.abs(w)).any(axis=1)] = np.inf
+    return config.gm * config.current_amplitude * dc
 
 
 def mixer_dc_pair(model, f0: float, config: AfeConfig, params: ChainParams) -> tuple:
@@ -374,39 +388,31 @@ def mixer_dc_pair(model, f0: float, config: AfeConfig, params: ChainParams) -> t
     reads a row of it.  ParallelRC and Cole models and the parameters key
     by value; a TabulatedTwoPort keys by identity.  An f0 that is not
     exactly a plan frequency, or a table whose range misses some plan
-    frequency's images, is evaluated alone, as a one-row stack through
-    the same route, and not cached.  A disabled source returns (0.0, 0.0)
-    without a lookup.
+    frequency's images, is evaluated alone, as a one-row stack, and not
+    cached.  A disabled source returns (0.0, 0.0) without a lookup.
 
-    Both routes see Z_sense, which leaves out a ParallelRC's r_interface:
-    it lies outside the sense electrodes (see `tissue.ParallelRC`).
+    Every load takes the image sum of `_image_dc` over n = 8k +/- 1 <= 255,
+    its alternating tail past n = 127 taken by a fixed Euler transform.  It
+    sees Z_sense, which leaves out a ParallelRC's r_interface: it lies
+    outside the sense electrodes (see `tissue.ParallelRC`).  Tests hold
+    the DC within 1e-13 of |I + jQ|:
+    - on RC loads, of a 50-digit evaluation by partial fractions (100 ohm
+      with 1e-26 F to tau * f0 = 1.4e5), and of a general matrix
+      exponential on random loads, the load's pole within 1e-7 of the
+      LNA's on some;
+    - on Cole loads at alpha = 1, of the 50-digit DCs of their two RC
+      parts;
+    - on Cole loads with alpha < 1, of a 30-digit `mpmath.nsum` of the
+      image series (about 4e-16 measured).
+    On the builtin tables the kinks of the linear-in-log-f interpolation
+    limit the transform: tests hold the DC within 1e-8 of |I + jQ| of the
+    same transform taken to n <= 895, or to the end of the table at 2 MHz
+    (9.1e-9 measured).  Plain truncation at n = 255 was 1e-5 off on all of
+    these loads.  A capacitor too small to move a double of W reads as its
+    resistor, and an LNA pole too high to move one reads as no pole.  A W
+    whose modulus overflows a double at any image gives an infinite DC.
 
-    Rational loads (RC, and Cole at alpha = 1: r_inf in series with
-    (r0 - r_inf) || c, c = tau / (r0 - r_inf), the sum of two RC DCs):
-    Z_sense * LNA is realized directly with at most two states, the load
-    state at unity DC so that r only scales the result.  The lagged
-    staircase and both clocks hold still over each sixteenth of a period
-    and are antiperiodic in half a period, so the steady state is solved
-    over 8 exact segments, x0 = -(I + A^8)^-1 x_forced, in closed form as
-    A is 2 x 2 lower triangular.  The segment map is that of
-    `_segment_map`: divided differences of exp, through expm1 where the
-    rates are apart and by a Taylor series where they cluster, so the
-    gated mean is the continuous mixer DC, every hold image included.
-    Tests hold each entry of the map within 1e-14 of a 50-digit matrix
-    exponential, and the DC within 1e-11 of |I + jQ| of a 50-digit
-    evaluation (100 ohm with 1e-26 F to tau * f0 = 1.4e5) and within
-    1e-12 of a general matrix exponential on random loads.  A time
-    constant below `_NEGLIGIBLE_TAU_F0` / f0 (1e-20 / f0) cannot move a
-    double of the DC: such a capacitor leaves the load its resistor, and
-    such an LNA pole is dropped.
-
-    Tabulated loads and Cole loads with alpha < 1: the per-image sum of
-    `_image_dc` over n = 8k +/- 1 <= 255.  Truncating it there moves the
-    DC by at most 2e-5 of |I + jQ|, which tests check by summing Cole
-    alpha = 1 loads by images against the exact route.
-
-    Either route gives each row of a stack bit for bit the value it gives
-    that frequency alone.
+    Each row of a stack is bit for bit the value of that frequency alone.
     """
     if not config.source_enable:
         return 0.0, 0.0
@@ -416,7 +422,7 @@ def mixer_dc_pair(model, f0: float, config: AfeConfig, params: ChainParams) -> t
             return float(dc[0]), float(dc[1])
         except tissue.TableRangeError:  # the table may still cover this f0's images
             pass
-    dc = _stacked_dc(model, [f0], config, params)[0]
+    dc = _image_dc(model, [f0], config, params)[0]
     return float(dc[0]), float(dc[1])
 
 
@@ -431,155 +437,9 @@ _PLAN_CACHE_SIZE = 32
 def _plan_dc(model, gain_word: str, params: ChainParams) -> np.ndarray:
     """(I, Q) mixer DC at every plan frequency, 11 x 2, read-only."""
     config = AfeConfig.from_gain_word(gain_word)
-    dc = _stacked_dc(model, plan_frequencies(), config, params)
+    dc = _image_dc(model, plan_frequencies(), config, params)
     dc.setflags(write=False)
     return dc
-
-
-def _stacked_dc(model, f0s, config, params) -> np.ndarray:
-    """(I, Q) mixer DC per frequency in `f0s`, (m, 2), by the load's route."""
-    if not tissue.is_rational(model):
-        return _image_dc(model, f0s, config, params, _SPECTRAL_N_CUT)
-    if isinstance(model, tissue.ColeModel):
-        # r_inf in series with (r0 - r_inf) || c, c = tau / (r0 - r_inf): the
-        # DC is linear in the load, and the RC's is r0 - r_inf times that of a
-        # unit resistor with the time constant tau, which no c can overflow
-        r = model.r0 - model.r_inf
-        return (_rc_mixer_dc(tissue.ParallelRC(model.r_inf), f0s, config, params)
-                + r * _rc_mixer_dc(tissue.ParallelRC(1.0, c=model.tau), f0s, config, params))
-    return _rc_mixer_dc(model, f0s, config, params)
-
-
-#: A time constant tau with tau * f0 below this moves the mixer DC by
-#: O(16 tau f0), less than a double resolves: the route drops it.
-_NEGLIGIBLE_TAU_F0 = 1e-20
-
-#: The I clock, sign(sin), and the Q clock, sign(cos), over the eight
-#: sixteenths of the first half period; both flip sign over the second.
-_HALF_PERIOD_GATES = ((1.0,) * 8, (1.0,) * 4 + (-1.0,) * 4)
-
-#: The staircase at unit amplitude over the same sixteenths: lagging the
-#: clocks by half a step, sixteenth j holds level (j - 1) // 2 mod 8; the
-#: second half period is the negative.  Times an amplitude, each entry is
-#: bit for bit `stepped_sine_levels(amplitude)`'s.
-_HALF_PERIOD_LEVELS = tuple(stepped_sine_levels(1.0)[(np.arange(8) - 1) // 2 % N_STEPS].tolist())
-
-
-#: The Taylor coefficients of exp[0, -a, -p] and exp[0, 0, -a, -p] in
-#: h_m(a, p): (-1)^m / (m + 2)! and (-1)^m / (m + 3)!, m < 20.  With
-#: a, p < 1 the last term is below 20 / 21! < 4e-19.
-_DD_SERIES = tuple(((-1) ** m / math.factorial(m + 2), (-1) ** m / math.factorial(m + 3))
-                   for m in range(20))
-
-
-def _phi1(x: float) -> float:
-    """exp[0, -x] = (1 - e^-x) / x, for x >= 0."""
-    return -math.expm1(-x) / x if x else 1.0
-
-
-def _clustered_dd(a: float, p: float) -> tuple:
-    """(exp[0, -a, -p], exp[0, 0, -a, -p]) for a, p in [0, 1), by Taylor series.
-
-    Both are sums over m of a coefficient of `_DD_SERIES` times h_m =
-    sum_{i <= m} a^i p^(m - i), the complete symmetric polynomial of the
-    nodes.  The first sum is at least e^-1 / 2 and the second e^-1 / 6;
-    the terms fall in magnitude, and the series stops after the first
-    below 1e-18, a relative 1e-17 of either sum.
-    """
-    d2 = d3 = 0.0
-    h = p_m = 1.0
-    for c2, c3 in _DD_SERIES:
-        t = c2 * h
-        d2 += t
-        d3 += c3 * h
-        if -1e-18 < t < 1e-18:
-            break
-        p_m *= p
-        h = a * h + p_m
-    return d2, d3
-
-
-def _phi2(x: float) -> float:
-    """exp[0, 0, -x] = (x - 1 + e^-x) / x^2, for x >= 0."""
-    return _clustered_dd(x, 0.0)[0] if x < 1.0 else (1.0 - _phi1(x)) / x
-
-
-def _lag_map(r: float) -> tuple:
-    """Segment map of one lag x' = r (u - x) and the mean z' = x, the
-    entries (x <- x, x <- u, z <- x, z <- u) of exp over the nodes 0, -r, 0."""
-    return math.exp(-r), -math.expm1(-r), _phi1(r), r * _phi2(r)
-
-
-def _segment_map(a: float, p: float) -> tuple:
-    """Segment map of the chain x1' = a (u - x1), x2' = p (x1 - x2), z' = x2.
-
-    Returns (x1 <- x1, x1 <- u, x2 <- x1, x2 <- u, x2 <- x2, z <- x1,
-    z <- x2, z <- u).  By Opitz's formula each entry is the product of the
-    rates along the chain times the divided difference of exp over the
-    nodes 0, -a, -p, 0 it spans: x2 <- x1 = p exp[-a, -p], z <- x1 =
-    p exp[0, -a, -p], x2 <- u = a p exp[0, -a, -p], z <- u =
-    a p exp[0, 0, -a, -p].  With lo <= hi the two rates, exp[-a, -p] =
-    e^-lo phi1(hi - lo) keeps every digit however close the rates are.
-    Where hi >= 1 each higher difference divides by the node -hi, so the
-    subtraction loses at most a few bits; below, the nodes cluster in
-    (-1, 0] and a Taylor series takes them (`_clustered_dd`).  No entry
-    is formed as one minus the others.
-    """
-    lo, hi = min(a, p), max(a, p)
-    g = math.exp(-lo) * _phi1(hi - lo)
-    if hi < 1.0:
-        d2, d3 = _clustered_dd(a, p)
-    else:
-        d2 = (_phi1(lo) - g) / hi
-        d3 = (_phi2(lo) - d2) / hi
-    pd2 = p * d2
-    return (math.exp(-a), -math.expm1(-a), p * g, a * pd2, math.exp(-p), pd2, _phi1(p),
-            a * (p * d3))
-
-
-def _rc_mixer_dc(model, f0s, config, params) -> np.ndarray:
-    """Exact post-mixer DC of a parallel RC load, one (I, Q) row per
-    frequency in `f0s` (see `mixer_dc_pair`), each row computed alone."""
-    tau = model.r * model.c
-    pole = params.lna_pole
-    amplitude = config.current_amplitude / FUNDAMENTAL_GAIN
-    u = [amplitude * level for level in _HALF_PERIOD_LEVELS]
-    gate_i, gate_q = _HALF_PERIOD_GATES
-    scale = config.gm * model.r
-    rows = []
-    for f0 in map(float, f0s):
-        # Over one segment, in its units: the held input u, the unity-DC
-        # load state x1, the LNA state x2 and the running mean z of y / r.
-        # With a lag dropped the other one is x1; with both, z reads u.
-        seg = 1.0 / (16 * f0)
-        load = not tau * f0 < _NEGLIGIBLE_TAU_F0
-        lna = pole is not None and not f0 / (2 * math.pi * pole) < _NEGLIGIBLE_TAU_F0
-        if load and lna:
-            e1, b1, k, b2, e2, c1, c2, d = _segment_map(seg / tau, 2 * math.pi * pole * seg)
-        elif load or lna:
-            e1, b1, c1, d = _lag_map(seg / tau if load else 2 * math.pi * pole * seg)
-            k = b2 = e2 = c2 = 0.0
-        else:
-            e1 = b1 = k = b2 = e2 = c1 = c2 = 0.0
-            d = 1.0
-        x1 = x2 = 0.0
-        for u_j in u:
-            x1, x2 = e1 * x1 + b1 * u_j, k * x1 + e2 * x2 + b2 * u_j
-        # antiperiodic steady state: x0 = -(I + A^8)^-1 x_forced, A^8 by
-        # three squarings of the lower-triangular A = [[e1, 0], [k, e2]]
-        s11, s21, s22 = e1, k, e2
-        for _ in range(3):
-            s11, s21, s22 = s11 * s11, s21 * (s11 + s22), s22 * s22
-        x1 = -x1 / (1.0 + s11)
-        x2 = -(x2 + s21 * x1) / (1.0 + s22)
-        dc_i = dc_q = 0.0
-        for u_j, g_i, g_q in zip(u, gate_i, gate_q):
-            mean = c1 * x1 + c2 * x2 + d * u_j
-            dc_i += g_i * mean
-            dc_q += g_q * mean
-            x1, x2 = e1 * x1 + b1 * u_j, k * x1 + e2 * x2 + b2 * u_j
-        rows.append((scale * dc_i / 8, scale * dc_q / 8))
-    return np.array(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -172,7 +172,11 @@ def _sense_z(model, freq):
 
 def is_rational(model) -> bool:
     """True when the model has an exact lumped (state-space) realization:
-    a ParallelRC, or a Cole load at alpha = 1, r_inf in series with an RC."""
+    a ParallelRC, or a Cole load at alpha = 1, r_inf in series with an RC.
+
+    Only a load-class label: every load takes the same mixer-DC route
+    (`afe.mixer_dc_pair`), and nothing in the program branches on it.  The
+    benchmark's spans read it to name their mixer-DC span."""
     return isinstance(model, ParallelRC) or (isinstance(model, ColeModel) and model.alpha == 1.0)
 
 

@@ -7,7 +7,12 @@ program computes by another road, so a test can hold the program to it:
 
 * `synthesize` renders the stepped sine and the I/Q clocks sample by
   sample; `harmonic_coefficients` gives their closed-form spectrum.
-* `analytic_dc_oracle` is the settled output DC from the per-image sum.
+* `analytic_dc_oracle` is the settled output DC from the plain per-image
+  sum, truncated at `n_max`.
+* `euler_image_dc` sums the images to a chosen last one, its tail taken
+  by Euler's transform.
+* `nsum_mixer_dc` sums a Cole load's image series to the end by
+  `mpmath.nsum` at 30 digits.
 * `gated_mean_exact` with `sense_tf` is the sampled-period rational route:
   a transfer function in state space, ZOH-discretized, solved for the
   full-period steady state over a rendered period.
@@ -30,7 +35,8 @@ import mpmath
 import numpy as np
 from scipy import signal
 
-from biozsim import afe
+from biozsim import tissue
+from biozsim.tissue import ColeModel
 from biozsim.waveforms import (
     N_PLAN,
     N_STEPS,
@@ -215,15 +221,77 @@ def harmonic_coefficients(
     return coeffs
 
 
+def lna_response(params, freq):
+    """The LNA's single pole at `freq` Hz, 1 / (1 + j f / lna_pole); 1 with no pole."""
+    if params.lna_pole is None:
+        return np.ones_like(freq, dtype=complex)
+    return 1 / (1 + 1j * freq / params.lna_pole)
+
+
+def image_terms(model, f0, params, n):
+    """(I, Q) terms of images `n` before the common factor gm |I| (2/pi).
+
+    Image n = 8k +/- 1 of the staircase (amplitude |I| / n) times the
+    clock's harmonic 4 / (pi n) leaves (2 / pi) |I| / n^2 times Re of
+    W e^(-j n pi/8) for I and +/- Im of it for Q (+ at n = 8k + 1), with
+    W = Z_sense * LNA at n f0."""
+    t = tissue._sense_z(model, n * f0) * lna_response(params, n * f0)
+    t = t * np.exp(-1j * SOURCE_LAG * (n % 16)) / n**2
+    return np.stack([t.real, np.where(n % 8 == 1, 1.0, -1.0) * t.imag])
+
+
 def analytic_dc_oracle(model, f0, config, params, n_max=63, phase=Phase.I) -> float:
     """Settled output DC (volts) of the `phase` clock with noise and
-    compression disabled: the per-image sum up to `n_max`, times the TIA
-    and low-pass gains, plus the offset."""
+    compression disabled: the plain per-image sum up to `n_max`, times the
+    TIA and low-pass gains, plus the offset."""
     if not config.source_enable:
         return params.offset
-    dc_i, dc_q = afe._image_dc(model, [f0], config, params, n_max)[0]
-    dc = dc_i if phase == Phase.I else dc_q
+    n = np.arange(1, n_max + 1)
+    n = n[(n % 8 == 1) | (n % 8 == 7)]
+    dc_i, dc_q = image_terms(model, f0, params, n).sum(axis=1)
+    dc = config.gm * config.current_amplitude * (2 / np.pi) * (dc_i if phase == Phase.I else dc_q)
     return float(dc * params.tia_gain * params.lpf_gain + params.offset)
+
+
+def euler_image_dc(model, f0, config, params, last) -> np.ndarray:
+    """Post-mixer DC (I, Q) from the images n = 8k +/- 1 <= `last` (last =
+    7 mod 8), its alternating tail taken by Euler's transform: the 17
+    partial sums that end at last - 128, last - 120, ..., last, averaged
+    with the binomial weights C(16, j) / 2^16."""
+    if last % 8 != 7 or last < 135:
+        raise ValueError("last must be 7 mod 8 and at least 135")
+    n = np.arange(1, last + 1)
+    n = n[(n % 8 == 1) | (n % 8 == 7)]
+    partial = np.cumsum(image_terms(model, f0, params, n), axis=1)[:, n % 8 == 7][:, -17:]
+    binomial = np.array([math.comb(16, j) for j in range(17)]) / 2.0**16
+    return config.gm * config.current_amplitude * (2 / np.pi) * (partial @ binomial)
+
+
+def nsum_mixer_dc(model: ColeModel, f0, config, params, dps=30) -> tuple:
+    """Post-mixer DC (I, Q) of a Cole load: the image series summed to the
+    end by `mpmath.nsum` at `dps` digits, the load and the LNA in mpmath.
+
+    The images 8k - 1 and 8k + 1 carry the sign (-1)^k, so the series is
+    summed over k as an alternating series of those pairs, after the
+    fundamental."""
+    mp = mpmath.mp
+    with mpmath.workdps(dps):
+        f0 = mp.mpf(f0)
+        r_inf, r0, tau, alpha = map(mp.mpf, (model.r_inf, model.r0, model.tau, model.alpha))
+        rotation = mp.exp(-1j * mp.pi / 8)
+
+        def term(n, part):
+            w = r_inf + (r0 - r_inf) / (1 + (2j * mp.pi * n * f0 * tau) ** alpha)
+            if params.lna_pole is not None:
+                w /= 1 + 1j * n * f0 / mp.mpf(params.lna_pole)
+            t = w * rotation ** n / n**2
+            return t.real if part == 0 else (1 if n % 8 == 1 else -1) * t.imag
+
+        scale = mp.mpf(config.gm) * mp.mpf(config.current_amplitude) * 2 / mp.pi
+        return tuple(
+            float(scale * (term(1, part) + mpmath.nsum(
+                lambda k: term(8 * int(k) - 1, part) + term(8 * int(k) + 1, part), [1, mp.inf])))
+            for part in (0, 1))
 
 
 def sense_tf(model, params):
@@ -376,14 +444,28 @@ def expm_lower(gen: np.ndarray) -> np.ndarray:
     return e
 
 
+#: A time constant tau with tau * f0 below this moves the mixer DC by
+#: O(16 tau f0), less than a double resolves: `expm_mixer_dc` drops it.
+NEGLIGIBLE_TAU_F0 = 1e-20
+
+#: The staircase at unit amplitude over the sixteenths of the first half
+#: period: lagging the clocks by half a step, sixteenth j holds level
+#: (j - 1) // 2 mod 8; the second half period is the negative.
+HALF_PERIOD_LEVELS = stepped_sine_levels(1.0)[(np.arange(8) - 1) // 2 % N_STEPS]
+
+#: The I clock, sign(sin), and the Q clock, sign(cos), over the same
+#: sixteenths; both flip sign over the second half period.
+HALF_PERIOD_GATES = np.array([[1.0] * 8, [1.0] * 4 + [-1.0] * 4])
+
+
 def expm_mixer_dc(model, f0s, config, params) -> np.ndarray:
     """Post-mixer DC (I, Q) of an RC load per frequency in `f0s`, (m, 2),
     from the matrix exponential of each segment's generator.
 
     The generator of (u, x1, x2, z) over one segment, in its units: the
     held input, the unity-DC load state, the LNA state and the running
-    mean of y / r; a lag with tau * f0 below `afe._NEGLIGIBLE_TAU_F0` is
-    dropped, as the program drops it.  The antiperiodic steady state over
+    mean of y / r; a lag with tau * f0 below `NEGLIGIBLE_TAU_F0` is
+    dropped, so that c = 0 and an LNA pole near overflow need no division.  The antiperiodic steady state over
     the 8 segments of half a period is x0 = -(I + A^8)^-1 x_forced.
     """
     f0s = np.asarray(f0s, dtype=float)
@@ -391,14 +473,14 @@ def expm_mixer_dc(model, f0s, config, params) -> np.ndarray:
     seg = 1.0 / (16 * f0s)
     rows = np.arange(len(f0s))
     gen = np.zeros((len(f0s), 4, 4))
-    load = ~(tau * f0s < afe._NEGLIGIBLE_TAU_F0)
+    load = ~(tau * f0s < NEGLIGIBLE_TAU_F0)
     sensed = load.astype(int)  # column of the sensed voltage: x1, else u
     gen[load, 1, 0] = seg[load] / tau
     gen[load, 1, 1] = -seg[load] / tau
     pole = params.lna_pole
     lna = np.zeros(len(f0s), dtype=bool)
     if pole is not None:
-        lna = ~(f0s / (2 * np.pi * pole) < afe._NEGLIGIBLE_TAU_F0)
+        lna = ~(f0s / (2 * np.pi * pole) < NEGLIGIBLE_TAU_F0)
         p = 2 * np.pi * pole * seg[lna]
         gen[rows[lna], 2, sensed[lna]], gen[lna, 2, 2] = p, -p
         gen[lna, 3, 2] = 1.0
@@ -406,7 +488,7 @@ def expm_mixer_dc(model, f0s, config, params) -> np.ndarray:
     step = expm_lower(gen)
     a, b, c, d = step[:, 1:3, 1:3], step[:, 1:3, :1], step[:, 3:, 1:3], step[:, 3:, :1]
 
-    u = config.current_amplitude / FUNDAMENTAL_GAIN * np.array(afe._HALF_PERIOD_LEVELS)
+    u = config.current_amplitude / FUNDAMENTAL_GAIN * HALF_PERIOD_LEVELS
     x = np.zeros((len(f0s), 2, 1))
     for u_j in u:
         x = a @ x + b * u_j
@@ -415,7 +497,7 @@ def expm_mixer_dc(model, f0s, config, params) -> np.ndarray:
     for j, u_j in enumerate(u):
         means[:, j] = (c @ x + d * u_j)[:, 0]
         x = a @ x + b * u_j
-    dc = config.gm * model.r * (np.array(afe._HALF_PERIOD_GATES) @ means) / 8
+    dc = config.gm * model.r * (HALF_PERIOD_GATES @ means) / 8
     return dc[:, :, 0]
 
 def cascade_step_reference(poles, times, dps=50) -> np.ndarray:

@@ -9,10 +9,11 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from biozsim import acquire, afe, calib, cli, link
 from biozsim.afe import AfeConfig, ChainParams
-from biozsim.tissue import ParallelRC
+from biozsim.tissue import ColeModel, ParallelRC, builtin_model
 from biozsim.waveforms import plan_frequencies
 
 
@@ -28,10 +29,16 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
-def test_rc_sweep_computes_the_mixer_dc_once_per_load(monkeypatch):
+@pytest.mark.parametrize("model", [
+    ParallelRC(r=150.0, c=2e-9),
+    ColeModel(r_inf=50.0, r0=500.0, tau=1e-5),
+    ColeModel(r_inf=50.0, r0=500.0, tau=1e-5, alpha=0.8),
+    builtin_model("blood"),
+], ids=["rc", "cole_alpha_1", "cole", "blood"])
+def test_sweep_computes_the_mixer_dc_once_per_load(monkeypatch, model):
     afe._plan_dc.cache_clear()
-    calls = count_calls(monkeypatch, afe, "_rc_mixer_dc")
-    scenario = cli.Scenario(model=ParallelRC(r=150.0, c=2e-9), params=ChainParams(), seed=5)
+    calls = count_calls(monkeypatch, afe, "_image_dc")
+    scenario = cli.Scenario(model=model, params=ChainParams(), seed=5)
     records = cli.run_sweep(scenario, None, repeats=10)
     assert len(records) == 11
     assert len(calls) == 1
@@ -41,7 +48,7 @@ def test_rc_sweep_computes_the_mixer_dc_once_per_load(monkeypatch):
 def test_link_sessions_compute_one_stack_per_load(monkeypatch):
     # as `bioz link-demo` measures, a different RC load in each session
     afe._plan_dc.cache_clear()
-    calls = count_calls(monkeypatch, afe, "_stacked_dc")
+    calls = count_calls(monkeypatch, afe, "_image_dc")
     renders = count_renders(monkeypatch)
     params = ChainParams()
     rng = np.random.default_rng(12)

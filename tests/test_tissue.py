@@ -19,6 +19,7 @@ from biozsim.tissue import (
 )
 from biozsim.afe import AfeConfig, ChainParams, mixer_dc_pair
 from biozsim.waveforms import plan_frequencies
+from reference import exact_mixer_dc
 
 
 def rc_closed_form(r, c, f, r_int=0.0):
@@ -199,7 +200,8 @@ class TestTabulatedTwoPort:
 
 class TestSenseVoltage:
     """The sensed voltage as the mixer sees it: interface handling, and the
-    per-image (phasor) sum against the exact state-space (filter) route."""
+    per-image (phasor) sum against a 50-digit evaluation of the load as
+    first-order sections (filter) relaxing over each step."""
 
     @staticmethod
     def dc(model, idx, params=ChainParams()):
@@ -208,18 +210,20 @@ class TestSenseVoltage:
 
     @staticmethod
     def image_dc(model, idx, params=ChainParams()):
-        """The per-image sum at n <= 255, whatever route the load takes."""
+        """The per-image sum as a one-row stack, uncached."""
         f0 = plan_frequencies()[idx]
         config = AfeConfig(freq_index=idx)
-        return complex(*afe._image_dc(model, [f0], config, params, afe._SPECTRAL_N_CUT)[0])
+        return complex(*afe._image_dc(model, [f0], config, params)[0])
 
-    @classmethod
-    def cole_as_rc(cls, cole, idx, params=ChainParams()):
+    @staticmethod
+    def cole_as_rc(cole, idx, params=ChainParams()):
         """alpha = 1: r_inf in series with (r0 - r_inf) || c, c = tau / (r0 - r_inf).
-        The mixer DC is linear in the sensed impedance: the sum of two RC DCs."""
+        The mixer DC is linear in the sensed impedance: the sum of the two
+        RC DCs, each evaluated at 50 digits."""
         r = cole.r0 - cole.r_inf
-        return (cls.dc(ParallelRC(r=cole.r_inf), idx, params)
-                + cls.dc(ParallelRC(r=r, c=cole.tau / r), idx, params))
+        f0, config = plan_frequencies()[idx], AfeConfig(freq_index=idx)
+        return sum(complex(*exact_mixer_dc(rc, f0, config, params))
+                   for rc in (ParallelRC(r=cole.r_inf), ParallelRC(r=r, c=cole.tau / r)))
 
     def test_resistor_is_memoryless(self):
         freqs = 1953.125 * np.arange(1, 256)
@@ -242,9 +246,10 @@ class TestSenseVoltage:
         assert np.abs(_sense_z(m, freqs)) == pytest.approx(expect, rel=1e-3)
 
     def test_phasor_and_filter_routes_agree_per_harmonic(self):
-        # a Cole load with alpha = 1 is an RC and takes the exact route; the
-        # image sum that alpha < 1 takes, truncated at the 255th, must stay
-        # within the stated 2e-5 of it
+        # a Cole load with alpha = 1 is an RC: its image sum, the tail past
+        # the 127th image taken by Euler's transform, must stay within the
+        # stated 1e-13 of the exact DC (plain truncation at the 255th was
+        # 1e-5 off)
         coles = [ColeModel(r_inf=50.0, r0=500.0, tau=1e-5),
                  ColeModel(r_inf=90.0, r0=100.0, tau=1e-7),
                  *(replace(c, alpha=1.0) for c in _BUILTIN_COLE.values())]
@@ -252,19 +257,19 @@ class TestSenseVoltage:
             for cole in coles:
                 for idx in range(11):
                     exact = self.cole_as_rc(cole, idx, params)
-                    assert abs(self.image_dc(cole, idx, params) - exact) <= 2e-5 * abs(exact)
+                    assert abs(self.image_dc(cole, idx, params) - exact) <= 1e-13 * abs(exact)
 
     def test_filter_route_rms_agreement_smooth_load(self):
         # a load whose corner sits at the fundamental and that falls to a
-        # small r_inf attenuates the truncated images: 1e-6 holds
+        # small r_inf, so that its images fall off faster than 1/n^2
         for idx, f0 in enumerate(plan_frequencies()):
             cole = ColeModel(r_inf=1.0, r0=1000.0, tau=1 / (2 * np.pi * f0))
             exact = self.cole_as_rc(cole, idx)
-            assert abs(self.image_dc(cole, idx) - exact) <= 1e-6 * abs(exact)
+            assert abs(self.image_dc(cole, idx) - exact) <= 1e-13 * abs(exact)
 
     def test_filter_route_rejects_nonrational(self):
-        # ParallelRC and Cole at alpha = 1 (the default) take the exact
-        # route; the rest take the image sum
+        # the load-class label of the benchmark's spans: ParallelRC and
+        # Cole at alpha = 1 (the default); every load takes the same route
         assert is_rational(ParallelRC(r=100.0, c=1e-9))
         assert not is_rational(ColeModel(r_inf=10.0, r0=100.0, tau=1e-5, alpha=0.8))
         assert is_rational(ColeModel(r_inf=10.0, r0=100.0, tau=1e-5))
