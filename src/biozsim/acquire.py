@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import afe
-from .waveforms import plan_frequencies
 
 
 @dataclass(frozen=True)
@@ -114,30 +113,24 @@ def run_sequence(
 ) -> SequenceResult:
     """Run the I-then-Q time-multiplexed sequence and average the taps.
 
-    `f0` must be the plan frequency selected by config.freq_index.  The
-    averaged result is exactly seed-invariant when the noise amplitudes
-    are zero.  The saturated flag is set when at least 1% of the ADC taps
-    clamp at a rail.  A mixer DC that is not finite (a load whose
-    impedance overflows a double) raises MeasurementRangeError before
-    anything is drawn or digitized.
+    `f0` must be exactly `config.fundamental`, the plan frequency of
+    config.freq_index: any other f0 raises ValueError (from
+    `afe.mixer_dc_pair`), whether the source is on or off.  The averaged
+    result is exactly seed-invariant when the noise amplitudes are zero.
+    The saturated flag is set when at least 1% of the ADC taps clamp at a
+    rail.  A mixer DC that is not finite (a load whose impedance overflows
+    a double) raises MeasurementRangeError before anything is drawn or
+    digitized.
 
     A list of seeds is a stack of repeats: they share the mixer DC and
-    the noise-free output (at a plan frequency, a row of the load's plan
-    lattice, rendered once per process), their noise is drawn per seed
-    and shaped, digitized and averaged as arrays over the stack, and one
-    record comes back whose `v_i_dc`, `v_q_dc` and `saturated` are arrays
+    the noise-free output (a row of the load's plan lattice, rendered once
+    per process), their noise is drawn per seed and shaped, digitized and
+    averaged as arrays over the stack, and one record comes back whose `v_i_dc`, `v_q_dc` and `saturated` are arrays
     with one entry per seed, each bit for bit the result of that seed
     alone.  Any other seed is one sequence: Python floats and a bool.
     """
     if taps < 1:
         raise ValueError("taps must be >= 1")
-    plan_f = plan_frequencies()[config.freq_index]
-    if abs(f0 - plan_f) > 1e-6 * plan_f:
-        raise ValueError(
-            f"f0 {f0:g} does not match plan frequency {plan_f:g} "
-            f"of freq_index {config.freq_index}"
-        )
-
     dc_i, dc_q = afe.mixer_dc_pair(model, f0, config, params)
     if not (math.isfinite(dc_i) and math.isfinite(dc_q)):
         raise MeasurementRangeError(
@@ -149,7 +142,7 @@ def run_sequence(
     # only that lattice of output samples
     g = math.gcd(settle_n, spacing_n)
     stack = isinstance(seed, list)
-    trajectory = afe._sequence_lattice(model, f0, config, params, (dc_i, dc_q), phase_n, g)
+    trajectory = afe._sequence_lattice(model, config, params, (dc_i, dc_q), phase_n, g)
     y = afe.baseband_output(trajectory, params, f0, config.g2, seed if stack else [seed],
                             stride=g)
 

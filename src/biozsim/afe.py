@@ -85,7 +85,7 @@ import numpy as np
 from numpy.fft import fftfreq, irfft, rfft
 from numpy.random import Generator, default_rng
 
-from .waveforms import SOURCE_LAG, plan_frequencies
+from .waveforms import N_PLAN, SOURCE_LAG, plan_frequencies
 from . import tissue
 
 #: (g0, g1) -> fundamental current amplitude, amps.
@@ -386,10 +386,10 @@ def mixer_dc_pair(model, f0: float, config: AfeConfig, params: ChainParams) -> t
     LRU cache of `_PLAN_CACHE_SIZE` tables keyed on (model, gain word,
     params)): every reading of a sweep or a link session on the same load
     reads a row of it.  ParallelRC and Cole models and the parameters key
-    by value; a TabulatedTwoPort keys by identity.  An f0 that is not
-    exactly a plan frequency, or a table whose range misses some plan
-    frequency's images, is evaluated alone, as a one-row stack, and not
-    cached.  A disabled source returns (0.0, 0.0) without a lookup.
+    by value; a TabulatedTwoPort keys by identity.  An f0 other than
+    `config.fundamental` raises ValueError, source on or off.  A table
+    whose range misses some plan frequency's images is evaluated alone,
+    a one-row stack, not cached.  A disabled source returns (0.0, 0.0).
 
     Every load takes the image sum of `_image_dc` over n = 8k +/- 1 <= 255,
     its alternating tail past n = 127 taken by a fixed Euler transform.  It
@@ -414,20 +414,15 @@ def mixer_dc_pair(model, f0: float, config: AfeConfig, params: ChainParams) -> t
 
     Each row of a stack is bit for bit the value of that frequency alone.
     """
+    if f0 != config.fundamental:
+        raise ValueError(f"f0 {f0:g} does not match plan frequency {config.fundamental:g}")
     if not config.source_enable:
         return 0.0, 0.0
-    if f0 in _PLAN_ROW:
-        try:
-            dc = _plan_dc(model, config.gain_word, params)[_PLAN_ROW[f0]]
-            return float(dc[0]), float(dc[1])
-        except tissue.TableRangeError:  # the table may still cover this f0's images
-            pass
-    dc = _image_dc(model, [f0], config, params)[0]
+    try:
+        dc = _plan_dc(model, config.gain_word, params)[config.freq_index]
+    except tissue.TableRangeError:  # the table may still cover this f0's images
+        dc = _image_dc(model, [f0], config, params)[0]
     return float(dc[0]), float(dc[1])
-
-
-#: Row of each plan frequency in a `_plan_dc` table.
-_PLAN_ROW = {f: row for row, f in enumerate(plan_frequencies())}
 
 #: Plan tables kept per process: one per (load, gain word, chain) measured.
 _PLAN_CACHE_SIZE = 32
@@ -626,22 +621,22 @@ def _plan_lattice(model, gain_word: str, params: ChainParams, phase_n: int,
     return y
 
 
-def _sequence_lattice(model, f0: float, config: AfeConfig, params: ChainParams, dc: tuple,
+def _sequence_lattice(model, config: AfeConfig, params: ChainParams, dc: tuple,
                       phase_n: int, stride: int) -> np.ndarray:
     """Noise-free lattice of one I-then-Q sequence, `phase_n` samples a
-    phase, whose mixer DC is `dc` = mixer_dc_pair(model, f0, config,
-    params).  A disabled source makes no step, so the lattice is the offset
-    alone (compression keeps 0.0).  Where the DC is a row of the load's
-    `_plan_dc` table and the plan's lattice fits `_LATTICE_ENTRY_DOUBLES`,
-    it is that row of `_plan_lattice`, read-only; otherwise the sequence is
-    rendered alone."""
+    phase, whose mixer DC is `dc` = mixer_dc_pair(model,
+    config.fundamental, config, params).  A disabled source makes no step,
+    so the lattice is the offset alone (compression keeps 0.0).  Where the
+    plan's lattice fits `_LATTICE_ENTRY_DOUBLES`, it is the config's row
+    of `_plan_lattice`, read-only; otherwise, or where the DC came alone
+    (a table short of the plan's images), the sequence is rendered
+    alone."""
     if not config.source_enable:
         return np.zeros(2 * phase_n // stride) + params.offset
-    row = _PLAN_ROW.get(f0)
-    if (row is not None
-            and len(_PLAN_ROW) * (2 * phase_n // stride) <= _LATTICE_ENTRY_DOUBLES):
+    if N_PLAN * (2 * phase_n // stride) <= _LATTICE_ENTRY_DOUBLES:
         try:
-            return _plan_lattice(model, config.gain_word, params, phase_n, stride)[row]
+            plan = _plan_lattice(model, config.gain_word, params, phase_n, stride)
+            return plan[config.freq_index]
         except tissue.TableRangeError:  # as in mixer_dc_pair: the DC came alone
             pass
     return _render([(phase_n, dc[0]), (phase_n, dc[1])], params, stride)

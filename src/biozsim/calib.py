@@ -25,13 +25,13 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, replace
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import acquire, afe, tissue
-from .waveforms import plan_frequencies
+from .waveforms import plan_frequencies, plan_index
 
 #: Derotation factor undoing the pi/8 source lag.
 DEROTATION = cmath.exp(1j * np.pi / 8)
@@ -41,6 +41,12 @@ TABLE_VERSION = 1
 
 #: Taps averaged per offset sequence while building a calibration table.
 OFFSET_TAPS = 256
+
+#: Reference reads averaged per plan frequency while building a table.
+REFERENCE_REPEATS = 10
+
+#: The eight 3-bit gain words, in order.
+GAIN_WORDS = tuple(f"{a}{b}{c}" for a in "01" for b in "01" for c in "01")
 
 #: Gain-range breakpoints (ohms) and the word for each range, highest gain
 #: first.  Ties resolve to the lower-gain word (safety against compression).
@@ -134,12 +140,17 @@ class CalibrationTable:
     """Per-frequency equalization coefficients plus measured offsets.
 
     `offsets` maps gain word -> (v_i, v_q) volts; `eq_coeffs` maps each
-    plan frequency to its complex multiplier.  Coefficients are sanity
-    bounded to [0.5, 2] in magnitude.  At the lowest frequency, where the
-    chain's poles are negligible, they are not 1: the staircase's hold
-    images fold onto the mixer DC, so `bioz calibrate` on the default
-    chain reads |coeff| = 1.0249 at 1953.125 Hz (seed 3; 1.0365 at seed
-    14, the spread being the reference reads' noise).
+    plan frequency, exactly, to its complex multiplier.  Saved, its keys
+    are declared with their JSON kinds in `_TABLE` (version, reference_r,
+    gain_word, created_at, offsets, eq_coeffs), `_OFFSETS` (a gain word
+    each), `_OFFSET` (v_i, v_q) and `_COEFF` (freq_hz, re, im); `from_json`
+    also requires an offset for the table's own gain word and each plan
+    frequency once.  Coefficients are sanity bounded to [0.5, 2] in
+    magnitude.  At the lowest frequency, where the chain's poles are
+    negligible, they are not 1: the staircase's hold images fold onto the
+    mixer DC, so `bioz calibrate` on the default chain reads |coeff| =
+    1.0249 at 1953.125 Hz (seed 3; 1.0365 at seed 14, the spread being the
+    reference reads' noise).
     """
 
     reference_r: float
@@ -157,10 +168,7 @@ class CalibrationTable:
                 )
 
     def coeff(self, freq: float):
-        for f, c in self.eq_coeffs.items():
-            if abs(f - freq) <= 1e-6 * f:
-                return c
-        return None
+        return self.eq_coeffs.get(freq)
 
     def offset_for(self, gain_word: str):
         return self.offsets.get(gain_word)
@@ -190,24 +198,22 @@ class CalibrationTable:
             raise CalibrationError("a calibration table must be a JSON object")
         if type(doc.get("version")) is not int or doc["version"] != TABLE_VERSION:
             raise CalibrationError(f"unsupported calibration table version {doc.get('version')}")
-        try:
-            reference_r = _number(doc["reference_r"])
-            gain_word = doc["gain_word"]
-            if not isinstance(gain_word, str):
-                raise TypeError(f"gain_word must be a string, got {gain_word!r}")
-            return cls(
-                reference_r=reference_r,
-                gain_word=gain_word,
-                offsets={w: (_number(o["v_i"]), _number(o["v_q"]))
-                         for w, o in doc["offsets"].items()},
-                eq_coeffs={_number(e["freq_hz"]): complex(_number(e["re"]), _number(e["im"]))
-                           for e in doc["eq_coeffs"]},
-                created_at=doc.get("created_at", ""),
-            )
-        except KeyError as exc:
-            raise CalibrationError(f"calibration table is missing key {exc}") from None
-        except (TypeError, AttributeError) as exc:
-            raise CalibrationError(f"malformed calibration table: {exc}") from None
+        values = read_fields(doc, _TABLE, "the table", _malformed)
+        offsets = {word: read_fields(o, _OFFSET, f"offset {word}", _malformed)
+                   for word, o in read_fields(values["offsets"], _OFFSETS, "offsets",
+                                              _malformed).items() if o is not None}
+        if values["gain_word"] not in offsets:
+            raise _malformed(f"no offset for its own gain word {values['gain_word']}")
+        coeffs = {}
+        for i, entry in enumerate(values["eq_coeffs"]):
+            e = read_fields(entry, _COEFF, f"eq_coeffs entry {i}", _malformed)
+            f = plan_frequencies()[plan_index(e["freq_hz"], _malformed)]
+            if f in coeffs:
+                raise _malformed(f"plan frequency {f:g} Hz given twice")
+            coeffs[f] = complex(e["re"], e["im"])
+        return cls(reference_r=values["reference_r"], gain_word=values["gain_word"],
+                   offsets={w: (o["v_i"], o["v_q"]) for w, o in offsets.items()},
+                   eq_coeffs=coeffs, created_at=values["created_at"])
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -233,11 +239,53 @@ def finite_number(value) -> bool:
         return False
 
 
-def _number(value):
-    """A finite JSON number from a calibration table, else TypeError."""
-    if not finite_number(value):
-        raise TypeError(f"expected a finite number, got {value!r}")
-    return value
+#: The JSON kinds a field may take: a test of the parsed value and the
+#: rule an error states.  A number is a finite JSON number, an integer a
+#: whole one (2 or 2.0, not "2", 2.5 or true).
+NUMBER = (finite_number, "a finite number")
+INTEGER = (lambda v: finite_number(v) and v == int(v), "an integer")
+STRING = (lambda v: isinstance(v, str), "a string")
+BOOL = (lambda v: isinstance(v, bool), "true or false")
+OBJECT = (lambda v: isinstance(v, dict), "an object")
+LIST = (lambda v: isinstance(v, list), "a list")
+
+
+def read_fields(obj, table: dict, what: str, error) -> dict:
+    """`obj`'s fields by `table`, {field: (kind, default MISSING if
+    required)}, integers as ints and the absent fields at their defaults:
+    every object of a scenario, link script or calibration table.  A
+    non-object, an unknown, missing or wrongly kinded field raises
+    `error(message)` naming `what`."""
+    if not isinstance(obj, dict):
+        raise error(f"{what} must be an object, got {json.dumps(obj)}")
+    values = {}
+    for name, value in obj.items():
+        if name not in table:
+            raise error(f"{what} has no field {name!r}")
+        kind = table[name][0]
+        if not kind[0](value):
+            raise error(f"{what} field {name!r} must be {kind[1]}, got {json.dumps(value)}")
+        values[name] = int(value) if kind is INTEGER else value
+    for name, (_, default) in table.items():
+        if name not in values:
+            if default is MISSING:
+                raise error(f"{what} is missing field {name!r}")
+            values[name] = default
+    return values
+
+
+def _malformed(message: str) -> CalibrationError:
+    return CalibrationError(f"malformed calibration table: {message}")
+
+
+#: A saved calibration table's fields: the table, its offsets by gain
+#: word (each optional), one offset, and one equalization coefficient.
+_TABLE = {"version": (INTEGER, MISSING), "reference_r": (NUMBER, MISSING),
+          "gain_word": ((lambda v: v in GAIN_WORDS, "a 3-bit word"), MISSING),
+          "created_at": (STRING, ""), "offsets": (OBJECT, MISSING), "eq_coeffs": (LIST, MISSING)}
+_OFFSETS = {word: (OBJECT, None) for word in GAIN_WORDS}
+_OFFSET = {"v_i": (NUMBER, MISSING), "v_q": (NUMBER, MISSING)}
+_COEFF = {"freq_hz": (NUMBER, MISSING), "re": (NUMBER, MISSING), "im": (NUMBER, MISSING)}
 
 
 @dataclass(frozen=True)
@@ -255,9 +303,8 @@ class MeasurementSetup:
         config = afe.AfeConfig.from_gain_word(
             gain_word, freq_index=freq_index, source_enable=source_enable
         )
-        f0 = plan_frequencies()[freq_index]
         return acquire.run_sequence(
-            self.model, f0, config, self.params,
+            self.model, config.fundamental, config, self.params,
             taps=self.taps if taps is None else taps, seed=seed,
         )
 
@@ -307,27 +354,25 @@ def build_equalization(
     gain_word: str = "111",
     seed=None,
     created_at: str | None = None,
-    repeats: int = 10,
 ) -> CalibrationTable:
     """Measure the reference resistor at every plan frequency.
 
-    Offsets for all gain words are measured first, then
-    each frequency is measured `repeats` times and averaged (calibration
-    happens once, so spending acquisition time here keeps its noise out of
-    every later reading) and coeff = reference_r / z_measured.  The
+    Offsets for all gain words are measured first, then each frequency
+    is measured `REFERENCE_REPEATS` times and averaged (calibration happens
+    once, so spending acquisition time here keeps its noise out of every
+    later reading) and coeff = reference_r / z_measured.  The
     coefficients are saved with the table for reuse.  Saturation during
     the reference sweep aborts the calibration.
     """
     children = np.random.SeedSequence(seed).spawn(8 + 11)
-    words = sorted({f"{a}{b}{c}" for a in "01" for b in "01" for c in "01"})
     offsets = {word: measure_offsets(setup, word, seed=ss, taps=OFFSET_TAPS, repeats=4)
-               for word, ss in zip(words, children[:8])}
+               for word, ss in zip(GAIN_WORDS, children[:8])}
 
     ref_setup = replace(setup, model=tissue.ParallelRC(r=reference_r, c=0.0))
     coeffs = {}
     for idx, f0 in enumerate(plan_frequencies()):
         res = ref_setup.run(freq_index=idx, gain_word=gain_word,
-                            seed=children[8 + idx].spawn(repeats))
+                            seed=children[8 + idx].spawn(REFERENCE_REPEATS))
         if res.saturated.any():
             raise CalibrationError(
                 f"reference measurement saturated at {f0:g} Hz "

@@ -48,7 +48,11 @@ it (`_SCENARIO`, `_MODELS`, `_CHAIN` from `afe.ChainParams`' fields,
 `_LINK_OPS`), each of its declared JSON kind: a number is a finite JSON
 number, never a string or a boolean, and an integer a whole one.  Any
 other key or value is a one-line error, exit 1, before any measurement;
-so is a `frequencies` entry that is not a plan frequency.
+so is a `frequencies` entry not within 1e-6 (relative) of a plan
+frequency.  That tolerance applies there and to a calibration table's
+`freq_hz` only (`waveforms.plan_index`): each reads as the exact plan
+frequency, and past them `afe.mixer_dc_pair` rejects any other.  A
+calibration table is read by the same reader, `calib.read_fields`.
 
 Sweep output (CSV) has the frozen header
 `freq_hz,re_ohm,im_ohm,mag_ohm,phase_deg,stderr_ohm,gain_word,flags`;
@@ -71,7 +75,8 @@ from pathlib import Path
 import numpy as np
 
 from . import acquire, afe, calib, link, tissue
-from .waveforms import plan_frequencies
+from .calib import BOOL, INTEGER, NUMBER, OBJECT, STRING, finite_number, read_fields
+from .waveforms import N_PLAN, plan_frequencies, plan_index
 
 CSV_HEADER = "freq_hz,re_ohm,im_ohm,mag_ohm,phase_deg,stderr_ohm,gain_word,flags"
 OUTPUT_FORMATS = ("csv", "json")
@@ -114,31 +119,16 @@ class Scenario:
         return calib.MeasurementSetup(model=self.model, params=self.params, taps=self.taps)
 
     def freq_indices(self):
-        plan = plan_frequencies()
-        if not self.frequencies:
-            return list(range(len(plan)))
-        idx = []
-        for f in self.frequencies:
-            matches = [i for i, pf in enumerate(plan) if abs(pf - f) <= 1e-6 * pf]
-            if not matches:
-                raise ScenarioError(f"{f} Hz is not a plan frequency")
-            idx.append(matches[0])
-        return idx
+        """The plan index of each of `frequencies`, or of the whole plan."""
+        return [plan_index(f, ScenarioError) for f in self.frequencies] or list(range(N_PLAN))
 
 
 def _numbers(value) -> bool:
-    return isinstance(value, list) and all(map(calib.finite_number, value))
+    return isinstance(value, list) and all(map(finite_number, value))
 
 
-#: The JSON kinds a field may take: a test of the parsed value and the
-#: rule an error states.  A number is a finite JSON number, an integer a
-#: whole one (2 or 2.0, not "2", 2.5 or true).
-_NUMBER = (calib.finite_number, "a finite number")
-_NUMBER_OR_NULL = (lambda v: v is None or calib.finite_number(v), "a finite number or null")
-_INTEGER = (lambda v: calib.finite_number(v) and v == int(v), "an integer")
-_STRING = (lambda v: isinstance(v, str), "a string")
-_BOOL = (lambda v: isinstance(v, bool), "true or false")
-_OBJECT = (lambda v: isinstance(v, dict), "an object")
+#: The scenario's own JSON kinds, beside those of `calib`.
+_NUMBER_OR_NULL = (lambda v: v is None or finite_number(v), "a finite number or null")
 _NUMBERS = (_numbers, "a list of finite numbers")
 _SCHEDULE = (lambda v: isinstance(v, dict) and all(
     isinstance(points, list) and all(_numbers(p) and len(p) == 2 for p in points)
@@ -148,51 +138,31 @@ _SCHEDULE = (lambda v: isinstance(v, dict) and all(
 #: default of MISSING marks a field that must be given: a scenario, its
 #: model by type (a parallel_rc or cole model is its class's fields) and
 #: its chain of `ChainParams` overrides.
-_SCENARIO = {"model": (_OBJECT, MISSING), "chain": (_OBJECT, {}), "seed": (_INTEGER, 0),
-             "taps": (_INTEGER, 32), "gain": (_STRING, "111"), "frequencies": (_NUMBERS, ()),
-             "format": (_STRING, "csv")}
-_TYPE = {"type": (_STRING, MISSING)}
+_SCENARIO = {"model": (OBJECT, MISSING), "chain": (OBJECT, {}), "seed": (INTEGER, 0),
+             "taps": (INTEGER, 32),
+             "gain": ((lambda v: v == "auto" or v in calib.GAIN_WORDS, 'a 3-bit word or "auto"'),
+                      "111"),
+             "frequencies": (_NUMBERS, ()),
+             "format": ((lambda v: v in OUTPUT_FORMATS, '"csv" or "json"'), "csv")}
+_TYPE = {"type": (STRING, MISSING)}
 _CLASSES = {"parallel_rc": tissue.ParallelRC, "cole": tissue.ColeModel}
 _MODELS = {
-    **{kind: {**_TYPE, **{f.name: (_NUMBER, f.default) for f in fields(cls)}}
+    **{kind: {**_TYPE, **{f.name: (NUMBER, f.default) for f in fields(cls)}}
        for kind, cls in _CLASSES.items()},
-    "table": {**_TYPE, "path": (_STRING, MISSING)},
-    "builtin": {**_TYPE, "name": (_STRING, MISSING)},
-    "time_varying": {**_TYPE, "base": (_OBJECT, MISSING), "schedule": (_SCHEDULE, MISSING),
-                     "time": (_NUMBER, 0.0)},
+    "table": {**_TYPE, "path": (STRING, MISSING)},
+    "builtin": {**_TYPE, "name": (STRING, MISSING)},
+    "time_varying": {**_TYPE, "base": (OBJECT, MISSING), "schedule": (_SCHEDULE, MISSING),
+                     "time": (NUMBER, 0.0)},
 }
-_CHAIN = {f.name: (_NUMBER_OR_NULL if f.type.startswith("Optional") else _NUMBER, f.default)
+_CHAIN = {f.name: (_NUMBER_OR_NULL if f.type.startswith("Optional") else NUMBER, f.default)
           for f in fields(afe.ChainParams)}
-
-
-def _read(obj, table: dict, what: str) -> dict:
-    """`obj`'s fields by `table`, integers as ints and the absent fields at
-    their defaults.  An object that is not one, an unknown field, a missing
-    required field or a value of the wrong kind raises ScenarioError
-    naming `what`."""
-    if not isinstance(obj, dict):
-        raise ScenarioError(f"{what} must be an object, got {json.dumps(obj)}")
-    values = {}
-    for name, value in obj.items():
-        if name not in table:
-            raise ScenarioError(f"{what} has no field {name!r}")
-        kind = table[name][0]
-        if not kind[0](value):
-            raise ScenarioError(f"{what} field {name!r} must be {kind[1]}, got {json.dumps(value)}")
-        values[name] = int(value) if kind is _INTEGER else value
-    for name, (_, default) in table.items():
-        if name not in values:
-            if default is MISSING:
-                raise ScenarioError(f"{what} is missing field {name!r}")
-            values[name] = default
-    return values
 
 
 def build_model(spec: dict, base_dir: Path):
     kind = spec.get("type")
     if not isinstance(kind, str) or kind not in _MODELS:
         raise ScenarioError(f"unknown model type {kind!r}")
-    values = _read(spec, _MODELS[kind], f"a {kind} model")
+    values = read_fields(spec, _MODELS[kind], f"a {kind} model", ScenarioError)
     del values["type"]
     if kind in _CLASSES:
         return _CLASSES[kind](**{name: float(v) for name, v in values.items()})
@@ -240,7 +210,7 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"cannot read scenario file: {exc}")
     except ValueError as exc:  # not UTF-8, not JSON, or an integer past Python's digit limit
         raise ScenarioError(f"scenario file {path} is not valid JSON: {exc}")
-    values = _read(doc, _SCENARIO, "scenario")
+    values = read_fields(doc, _SCENARIO, "scenario", ScenarioError)
     try:
         model = build_model(values["model"], path.parent)
     except ScenarioError:
@@ -249,33 +219,20 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"bad model: {exc}") from None
 
     chain = values["chain"]
-    _read(chain, _CHAIN, "chain")
+    read_fields(chain, _CHAIN, "chain", ScenarioError)
     try:  # given the chain's own keys alone, ChainParams fills in the rest
         params = afe.ChainParams(**chain)
     except ValueError as exc:
         raise ScenarioError(f"bad chain parameters: {exc}")
 
-    taps, seed, gain = values["taps"], values["seed"], values["gain"]
+    taps, seed = values["taps"], values["seed"]
     if taps < 1:
         raise ScenarioError("taps must be >= 1")
     if seed < 0:
         raise ScenarioError("seed must be >= 0")
-    if gain != "auto":
-        try:
-            afe.AfeConfig.from_gain_word(gain)
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from None
-    if values["format"] not in OUTPUT_FORMATS:
-        raise ScenarioError(f"unknown output format {values['format']!r}")
-    scenario = Scenario(
-        model=model,
-        params=params,
-        seed=seed,
-        taps=taps,
-        gain=gain,
-        frequencies=tuple(float(f) for f in values["frequencies"]),
-        output_format=values["format"],
-    )
+    scenario = Scenario(model=model, params=params, seed=seed, taps=taps, gain=values["gain"],
+                        frequencies=tuple(float(f) for f in values["frequencies"]),
+                        output_format=values["format"])
     scenario.freq_indices()  # every frequency is a plan frequency
     try:
         _, _, phase_n = acquire._phase_samples(params, max(taps, calib.OFFSET_TAPS))
@@ -462,12 +419,12 @@ def cmd_sweep(args) -> int:
 
 #: Each link-script op: its opcode and its entry's table.  Every entry
 #: names its `op` and may set `corrupt`.
-_ENTRY = {"op": (_STRING, MISSING), "corrupt": (_BOOL, False)}
+_ENTRY = {"op": (STRING, MISSING), "corrupt": (BOOL, False)}
 _LINK_OPS = {
-    "ping": (link.OP_PING, {**_ENTRY, "token": (_INTEGER, 0x5A)}),
-    "set_config": (link.OP_SET_CONFIG, {**_ENTRY, "pll_cal": (_INTEGER, 0),
-                                        "freq_sel": (_INTEGER, 10), "source_enable": (_INTEGER, 1),
-                                        "iq_sel": (_INTEGER, 0), "gain": (_INTEGER, 0b111)}),
+    "ping": (link.OP_PING, {**_ENTRY, "token": (INTEGER, 0x5A)}),
+    "set_config": (link.OP_SET_CONFIG, {**_ENTRY, "pll_cal": (INTEGER, 0),
+                                        "freq_sel": (INTEGER, 10), "source_enable": (INTEGER, 1),
+                                        "iq_sel": (INTEGER, 0), "gain": (INTEGER, 0b111)}),
     "start_measure": (link.OP_START_MEASURE, _ENTRY),
     "read_result": (link.OP_READ_RESULT, _ENTRY),
 }
@@ -488,7 +445,7 @@ def _link_script_frames(doc):
         if not isinstance(op, str) or op not in _LINK_OPS:
             raise ScenarioError(f"unknown link op {op!r}")
         opcode, table = _LINK_OPS[op]
-        values = _read(entry, table, f"link op {op!r}")
+        values = read_fields(entry, table, f"link op {op!r}", ScenarioError)
         del values["op"]
         corrupt = values.pop("corrupt")
         if op == "ping":

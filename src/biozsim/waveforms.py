@@ -56,6 +56,15 @@ def plan_frequencies() -> tuple:
     return _FUNDAMENTALS
 
 
+def plan_index(freq: float, error) -> int:
+    """Index of the plan frequency within 1e-6 (relative) of `freq`, else
+    raises `error(message)`: the one plan tolerance, for documents' input."""
+    for i, f in enumerate(_FUNDAMENTALS):
+        if abs(f - freq) <= 1e-6 * f:
+            return i
+    raise error(f"{freq} Hz is not a plan frequency")
+
+
 def stepped_sine_levels(amplitude: float) -> np.ndarray:
     """Eight zero-order-hold levels of one period of the stepped sine.
 

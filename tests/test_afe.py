@@ -507,14 +507,18 @@ class TestPlanStack:
             assert mixer_dc_pair(model, f0, config, ChainParams()) == tuple(table[idx].tolist())
         assert not table.flags.writeable
 
-    def test_off_plan_frequency_is_evaluated_alone(self):
+    def test_off_plan_frequency_is_rejected(self):
+        # only the documents' readers match a frequency within a tolerance
         afe._plan_dc.cache_clear()
-        model, config = ParallelRC(r=270.0, c=3e-9), AfeConfig(freq_index=4)
-        f0 = self.PLAN[4] * (1 + 1e-9)
-        got = mixer_dc_pair(model, f0, config, ChainParams())
-        assert got == tuple(afe._image_dc(model, [f0], config, ChainParams())[0].tolist())
-        assert got != mixer_dc_pair(model, self.PLAN[4], config, ChainParams())
-        assert afe._plan_dc.cache_info().misses == 1
+        model = ParallelRC(r=270.0, c=3e-9)
+        for source_enable in (1, 0):
+            config = AfeConfig(freq_index=4, source_enable=source_enable)
+            for f0 in (self.PLAN[4] * (1 + 1e-9), self.PLAN[5]):
+                with pytest.raises(ValueError, match="does not match plan frequency"):
+                    mixer_dc_pair(model, f0, config, ChainParams())
+                with pytest.raises(ValueError, match="does not match plan frequency"):
+                    acquire.run_sequence(model, f0, config, ChainParams(), seed=[1, 2])
+        assert afe._plan_dc.cache_info().currsize == 0
 
     def test_table_short_of_the_top_images_still_serves_low_frequencies(self):
         # images of 1953.125 Hz reach 498 kHz; those of 2 MHz pass 1 MHz
@@ -561,7 +565,7 @@ class TestPlanLattice:
             for idx, f0 in enumerate(plan_frequencies()):
                 config = AfeConfig.from_gain_word(word, freq_index=idx)
                 dc = mixer_dc_pair(model, f0, config, params)
-                row = afe._sequence_lattice(model, f0, config, params, dc, phase_n, g)
+                row = afe._sequence_lattice(model, config, params, dc, phase_n, g)
                 alone = afe._render([(phase_n, dc[0]), (phase_n, dc[1])], params, g)
                 assert row.shape == alone.shape == (2 * phase_n // g,)
                 assert row.tobytes() == alone.tobytes()
@@ -597,7 +601,7 @@ class TestPlanLattice:
         afe._plan_lattice.cache_clear()
         config = AfeConfig(freq_index=10)
         dc = mixer_dc_pair(short, config.fundamental, config, ChainParams())
-        row = afe._sequence_lattice(short, config.fundamental, config, ChainParams(), dc, 2850, 50)
+        row = afe._sequence_lattice(short, config, ChainParams(), dc, 2850, 50)
         alone = afe._render([(2850, dc[0]), (2850, dc[1])], ChainParams(), 50)
         assert row.tobytes() == alone.tobytes()
         assert afe._plan_lattice.cache_info().currsize == 0
@@ -606,7 +610,7 @@ class TestPlanLattice:
         params = ChainParams(offset=-0.0)
         config = AfeConfig(source_enable=0)
         for p in (params, ChainParams()):
-            got = afe._sequence_lattice(None, config.fundamental, config, p, (0.0, 0.0), 2850, 50)
+            got = afe._sequence_lattice(None, config, p, (0.0, 0.0), 2850, 50)
             assert got.tobytes() == afe._render([(2850, 0.0), (2850, 0.0)], p, 50).tobytes()
 
 

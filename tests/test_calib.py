@@ -256,9 +256,17 @@ class TestApplyCalibration:
         ("eq_coeffs", [{"freq_hz": "2e6", "re": 1.0, "im": 0.0}]),
         ("eq_coeffs", [{"freq_hz": 2e6, "re": float("nan"), "im": 0.0}]),
         ("reference_r", 10**400),
+        ("offsets", {"101": {"v_i": 0.0, "v_q": 0.0}}), ("gain_word", "112"),
+        ("offsets", {"111": {"v_i": 0.0, "v_q": 0.0}, "11": {"v_i": 0.0, "v_q": 0.0}}),
+        ("eq_coeffs", [{"freq_hz": 2000.0, "re": 1.0, "im": 0.0}]),
+        ("eq_coeffs", [{"freq_hz": 2e6, "re": 1.0, "im": 0.0},
+                       {"freq_hz": 2e6 * (1 + 1e-7), "re": 1.0, "im": 0.0}]),
+        ("colour", "blue"), ("created_at", 5),
     ], ids=["string_reference", "integer_gain_word", "offsets_list", "string_offset",
             "coeffs_not_list", "string_frequency", "nan_coefficient",
-            "integer_beyond_float_reference"])
+            "integer_beyond_float_reference", "no_offset_for_own_gain_word",
+            "gain_word_not_3_bits", "offset_key_not_3_bits", "off_plan_frequency",
+            "plan_frequency_twice", "unknown_key", "integer_created_at"])
     def test_wrongly_typed_entry_rejected(self, field, value):
         doc = json.loads(self.make_table().to_json())
         doc[field] = value

@@ -7,6 +7,7 @@ import pytest
 from biozsim import cli
 from biozsim.calib import CalibrationTable
 from biozsim.tissue import ParallelRC
+from biozsim.waveforms import plan_frequencies
 
 
 def write_scenario(tmp_path, name="scen.json", **overrides):
@@ -20,6 +21,15 @@ def write_scenario(tmp_path, name="scen.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
+
+
+def table_text(**changes) -> str:
+    """A well-formed calibration table's JSON text with `changes` to its
+    top-level fields."""
+    table = CalibrationTable(reference_r=100.0, gain_word="111", offsets={"111": (0.01, 0.01)},
+                             eq_coeffs={f: 1.0 + 0j for f in plan_frequencies()},
+                             created_at="t")
+    return json.dumps({**json.loads(table.to_json()), **changes})
 
 
 @pytest.fixture
@@ -309,9 +319,22 @@ class TestCommandLine:
 
     @pytest.mark.parametrize("content", [None, "not json", json.dumps({"version": 1}),
                                          json.dumps([1, 2]),
-                                         json.dumps({"version": 1, "reference_r": 10**400})],
+                                         json.dumps({"version": 1, "reference_r": 10**400}),
+                                         table_text(offsets={"101": {"v_i": 0.0, "v_q": 0.0}}),
+                                         table_text(gain_word="1111"),
+                                         table_text(offsets={"111": {"v_i": 0.0, "v_q": 0.0},
+                                                             "abc": {"v_i": 0.0, "v_q": 0.0}}),
+                                         table_text(eq_coeffs=[{"freq_hz": 1000.0, "re": 1.0,
+                                                                "im": 0.0}]),
+                                         table_text(eq_coeffs=[{"freq_hz": 1953.125, "re": 1.0,
+                                                                "im": 0.0}] * 2),
+                                         table_text(comment="spare"),
+                                         table_text(created_at=None)],
                              ids=["missing", "not_json", "missing_key", "not_object",
-                                  "integer_beyond_float_reference"])
+                                  "integer_beyond_float_reference", "no_offset_for_own_gain_word",
+                                  "gain_word_not_3_bits", "offset_key_not_3_bits",
+                                  "off_plan_frequency", "plan_frequency_twice", "unknown_key",
+                                  "null_created_at"])
     def test_unreadable_calibration_table(self, tmp_path, capsys, r100_scenario, content):
         table = tmp_path / "table.json"
         if content is not None:

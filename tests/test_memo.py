@@ -186,7 +186,7 @@ def test_returned_samples_belong_to_the_caller():
     dc = afe.mixer_dc_pair(model, config.fundamental, config, quiet)
 
     def output(params):
-        lattice = afe._sequence_lattice(model, config.fundamental, config, quiet, dc, 200, 1)
+        lattice = afe._sequence_lattice(model, config, quiet, dc, 200, 1)
         assert not lattice.flags.writeable
         return afe.baseband_output(lattice, params, config.fundamental, 1, [None, 3])
 

@@ -11,9 +11,16 @@ finite float range; `load_scenario` rejects any document whose sequence
 would pass `cli.MAX_SEQUENCE_SAMPLES`, so none asks for more than a few
 MB.  Bounded so the suite stays fast: at most 100 examples, one repeat,
 one or two frequencies.
+
+A calibration table as `to_json` writes it, with one key at any depth
+dropped or added or one value swapped for another kind, must end `bioz
+sweep --cal` at one frequency with exit 0 or 1, at most one `error:` line
+and no traceback; every key `to_json` writes is declared in the table's
+field tables.
 """
 
 import contextlib
+import copy
 import io
 import json
 import math
@@ -24,7 +31,7 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from biozsim import cli
+from biozsim import calib, cli
 from biozsim.waveforms import plan_frequencies
 
 EXIT_CODES = {cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_RANGE, cli.EXIT_BROWNOUT}
@@ -116,16 +123,20 @@ def broken(draw):
     return doc
 
 
-def sweep(doc: dict) -> tuple:
+def sweep(doc: dict, table=None) -> tuple:
+    """`bioz sweep` on the scenario `doc`, through the calibration table
+    document `table` if one is given, else uncalibrated."""
     with tempfile.TemporaryDirectory() as workdir:
-        path = Path(workdir) / "scenario.json"
+        path, cal = Path(workdir) / "scenario.json", Path(workdir) / "table.json"
         path.write_text(json.dumps(doc))
+        if table is not None:
+            cal.write_text(json.dumps(table))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
                 warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rc = cli.main(["sweep", "--scenario", str(path), "--uncalibrated",
-                           "--repeats", "1"])
+            rc = cli.main(["sweep", "--scenario", str(path), "--repeats", "1",
+                           *(["--uncalibrated"] if table is None else ["--cal", str(cal)])])
     casts = [w for w in caught if "cast" in str(w.message)]
     return rc, out.getvalue(), err.getvalue(), casts
 
@@ -157,3 +168,41 @@ def test_broken_document_is_one_line_error(doc):
     rc, out, err, _ = sweep(doc)
     assert (rc, out) == (cli.EXIT_USAGE, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+#: A calibration table with every gain word's offset, as `to_json` writes it.
+TABLE = json.loads(calib.CalibrationTable(
+    reference_r=100.0, gain_word="111", offsets={w: (0.012, -0.003) for w in calib.GAIN_WORDS},
+    eq_coeffs={f: 1.02 - 0.01j for f in plan_frequencies()}, created_at="t").to_json())
+
+
+def test_table_keys_are_declared():
+    declared = {*calib._TABLE, *calib._OFFSETS, *calib._OFFSET, *calib._COEFF}
+    assert {key for owner, key in slots(TABLE) if isinstance(owner, dict)} <= declared
+
+
+@st.composite
+def mutated_table(draw):
+    """`TABLE` with one key or entry, at any depth, dropped or added, or
+    its value swapped for one of another kind."""
+    doc = copy.deepcopy(TABLE)
+    owner, key = draw(st.sampled_from(list(slots(doc))))
+    change = draw(st.sampled_from(["drop", "add", "swap"]))
+    if change == "drop":
+        del owner[key]
+    elif change == "add" and isinstance(owner, list):
+        owner.append(draw(junk))
+    else:
+        value = draw(junk.filter(lambda v: type(v) is not type(owner[key])))
+        owner["spare" if change == "add" else key] = value
+    return doc
+
+
+@settings(max_examples=50, deadline=None)
+@given(mutated_table(), st.sampled_from(plan_frequencies()))
+def test_mutated_calibration_table_ends_cleanly(table, freq):
+    scenario = {"model": {"type": "parallel_rc", "r": 100.0}, "frequencies": [freq]}
+    rc, _, err, _ = sweep(scenario, table)
+    assert rc in {cli.EXIT_OK, cli.EXIT_USAGE}
+    assert "Traceback" not in err
+    assert err.count("error:") <= 1
