@@ -75,7 +75,8 @@ def adc_sample(v: float, spec: AdcSpec = ADC):
 class SequenceResult:
     """Averaged I/Q DC readings of one measurement sequence, or of a stack
     of them: then `v_i_dc`, `v_q_dc` and `saturated` are arrays with one
-    entry per seed."""
+    entry per row, and for a stack of groups `config` is the list of the
+    groups' configurations."""
 
     v_i_dc: float
     v_q_dc: float
@@ -122,29 +123,50 @@ def run_sequence(
     a double) raises MeasurementRangeError before anything is drawn or
     digitized.
 
-    A list of seeds is a stack of repeats: they share the mixer DC and
-    the noise-free output (a row of the load's plan lattice, rendered once
-    per process), their noise is drawn per seed and shaped, digitized and
-    averaged as arrays over the stack, and one record comes back whose `v_i_dc`, `v_q_dc` and `saturated` are arrays
-    with one entry per seed, each bit for bit the result of that seed
-    alone.  Any other seed is one sequence: Python floats and a bool.
+    A stack is one set of (configuration, seed) rows run as one pass.  A
+    list of seeds is a stack of repeats at one configuration.  A list of
+    configurations, with `f0` the list of their plan frequencies and
+    `seed` one list of seeds per configuration, is a stack of groups: any
+    plan frequencies, gain words and source states, and any number of
+    repeats in each group.  The rows' noise-free outputs are rows of the
+    load's plan lattice (rendered once per process), their noise is drawn
+    per seed and shaped in one pass (one folded spectrum serves every plan
+    frequency, and the carrier term is scaled per row), and they are
+    digitized and averaged as arrays.  One record comes back whose
+    `v_i_dc`, `v_q_dc` and `saturated` are arrays with one entry per row,
+    groups in order, each bit for bit the result of that row's seed at its
+    configuration alone.  A single configuration is the stack's one-group
+    case.  Any other seed is one sequence: Python floats and a bool.
     """
     if taps < 1:
         raise ValueError("taps must be >= 1")
-    dc_i, dc_q = afe.mixer_dc_pair(model, f0, config, params)
-    if not (math.isfinite(dc_i) and math.isfinite(dc_q)):
-        raise MeasurementRangeError(
-            f"mixer DC is not finite at {f0:g} Hz ({dc_i!r}, {dc_q!r}): "
-            "the load's impedance overflows the chain")
+    stack = isinstance(config, list) or isinstance(seed, list)
+    configs, f0s, seeds = ((config, f0, seed) if isinstance(config, list)
+                           else ((config,), (f0,), (seed if stack else [seed],)))
+    dcs = []
+    for f, c in zip(f0s, configs, strict=True):
+        dc_i, dc_q = afe.mixer_dc_pair(model, f, c, params)
+        if not (math.isfinite(dc_i) and math.isfinite(dc_q)):
+            raise MeasurementRangeError(
+                f"mixer DC is not finite at {f:g} Hz ({dc_i!r}, {dc_q!r}): "
+                "the load's impedance overflows the chain")
+        dcs.append((dc_i, dc_q))
 
     settle_n, spacing_n, phase_n = _phase_samples(params, taps)
     # every tap index and the series length are multiples of g: render
     # only that lattice of output samples
     g = math.gcd(settle_n, spacing_n)
-    stack = isinstance(seed, list)
-    trajectory = afe._sequence_lattice(model, config, params, (dc_i, dc_q), phase_n, g)
-    y = afe.baseband_output(trajectory, params, f0, config.g2, seed if stack else [seed],
-                            stride=g)
+    lattices = [afe._sequence_lattice(model, c, params, dc, phase_n, g)
+                for c, dc in zip(configs, dcs)]
+    if len(configs) == 1:  # the group's lattice, f0 and g2 are every row's
+        trajectory, f0_rows, g2_rows, rows = lattices[0], f0s[0], configs[0].g2, seeds[0]
+    else:
+        counts = [len(s) for s in seeds]
+        trajectory = np.repeat(np.array(lattices), counts, axis=0)
+        f0_rows = np.repeat(f0s, counts)
+        g2_rows = np.repeat([c.g2 for c in configs], counts)
+        rows = [s for group in seeds for s in group]
+    y = afe.baseband_output(trajectory, params, f0_rows, g2_rows, rows, stride=g)
 
     # (row, I or Q, tap): each select phase is half of a row
     first, step = settle_n // g, spacing_n // g

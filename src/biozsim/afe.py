@@ -62,11 +62,15 @@ sequences at the 11 plan frequencies differ only in their row of
 the first time any of them is measured and kept per process, read-only
 (`_plan_lattice`, at most 4 x 10^6 doubles in all): every repeat of a
 sweep and every sequence of a link session on that load reads a row of
-it.  `noise_process` and `baseband_output` take a list of seeds, the
-repeats of one reading, and return a 2-D array, one row per seed: each
-seed draws its noise from its own generator, and the noise shaping and
-the sum with the shared noise-free lattice run as arrays over the stack,
-each row bit for bit that seed's output alone.
+it.  `noise_process` and `baseband_output` take a list of seeds and
+return a 2-D array, one row per seed: a stack of (frequency, seed) rows,
+such as a whole sweep's repeats at every plan frequency under one gain
+word.  Each seed draws its noise from its own generator (a precomputed
+`seeds.SeedWords` seeds it without a SeedSequence), the 1/f noise of
+every row is shaped by the one folded spectrum of the chain and tap
+count, the carrier term is scaled per row, and the sum with each row's
+noise-free lattice runs as arrays over the stack, each row bit for bit
+that seed's output alone.
 
 Stateless apart from per-process caches of seed-independent results;
 independent measurements may run concurrently with independent seeds.
@@ -247,7 +251,8 @@ def apply_compression(v, params: ChainParams):
 
 
 def _generators(seeds) -> list:
-    """One Generator per seed of a stack (a Generator is used as it is)."""
+    """One Generator per seed of a stack (a Generator is used as it is, and
+    a `seeds.SeedWords` seeds PCG64 with its precomputed words)."""
     return [s if isinstance(s, Generator) else default_rng(s) for s in seeds]
 
 
@@ -291,8 +296,9 @@ def noise_process(
     m = n // stride
     if params.noise_floor == 0.0 or n == 0:
         return np.zeros((len(seeds), m))
-    root = _folded_root_spectrum(params, n, sample_rate, stride)
-    return irfft(rfft(_normals(_generators(seeds), m)) * root, n=m)
+    spectrum = rfft(_normals(_generators(seeds), m))
+    spectrum *= _folded_root_spectrum(params, n, sample_rate, stride)
+    return irfft(spectrum, n=m)
 
 
 @functools.lru_cache(maxsize=8)
@@ -307,11 +313,16 @@ def _folded_root_spectrum(params: ChainParams, n: int, sample_rate: float, strid
     return root
 
 
-def _carrier_noise_sigma(params: ChainParams, f0: float, g2: int) -> float:
-    """Per-sample std of the noise folded down from the carrier at f0."""
+def _carrier_noise_sigma(params: ChainParams, f0, g2):
+    """Per-sample std of the noise folded down from the carrier at f0 with
+    gain bit g2, or one per entry of arrays of f0 and g2 (each entry's
+    arithmetic that of the scalar)."""
     if params.carrier_noise_v == 0.0:
         return 0.0
-    gain_ratio = params.total_gain(g2) / params.total_gain(1)
+    if isinstance(g2, np.ndarray):
+        gain_ratio = np.take([params.total_gain(g) / params.total_gain(1) for g in (0, 1)], g2)
+    else:
+        gain_ratio = params.total_gain(g2) / params.total_gain(1)
     return params.carrier_noise_v * (params.carrier_flicker_corner / f0) * gain_ratio
 
 
@@ -645,8 +656,8 @@ def _sequence_lattice(model, config: AfeConfig, params: ChainParams, dc: tuple,
 def baseband_output(
     trajectory: np.ndarray,
     params: ChainParams,
-    f0: float,
-    g2: int,
+    f0,
+    g2,
     seeds: list,
     stride: int = 1,
 ) -> np.ndarray:
@@ -656,20 +667,33 @@ def baseband_output(
     `trajectory` is the compressed, offset, noise-free output on that
     lattice (rate output_rate / stride), as `_render` gives it for
     piecewise-constant mixer DC; a sequence takes its row of the load's
-    plan lattice (`_sequence_lattice`).  Both noise terms are exact on the
-    lattice: `noise_process` draws the 1/f noise from its folded spectrum,
-    and the carrier term is white per sample.  Only the noise depends on
-    the seed: each seed's generator draws its 1/f normals and then its
-    carrier normals, and each row is bit for bit the output of that seed
-    alone.  The noise is added into a fresh array, and the noise-free
-    chain returns copies, so the caller always owns the samples.
+    plan lattice (`_sequence_lattice`).  `trajectory`, and `f0` and `g2`,
+    which set the carrier term, are shared by every seed or given one per
+    seed, so one pass may hold rows of several frequencies and gain words.
+    Both noise terms are exact on the lattice: `noise_process` draws the
+    1/f noise from its folded spectrum, the same for every row, and the
+    carrier term is white per sample.  Only the noise depends on the seed:
+    each seed's generator draws its 1/f normals and then, where its
+    carrier term is not zero, its carrier normals, and each row is bit for
+    bit the output of that seed alone.  The noise is added into a fresh
+    array, and the noise-free chain returns copies, so the caller always
+    owns the samples.
     """
+    shape = (len(seeds), trajectory.shape[-1])
     if not (params.noise_floor or params.carrier_noise_v):
-        return np.repeat(trajectory[None], len(seeds), axis=0)
+        return np.broadcast_to(trajectory, shape).copy()
     fs = params.output_rate
     rngs = _generators(seeds)
-    y = trajectory + noise_process(params, rngs, len(trajectory) * stride / fs, fs, stride)
+    y = noise_process(params, rngs, shape[1] * stride / fs, fs, stride)
+    y += trajectory
     sig = _carrier_noise_sigma(params, f0, g2)
-    if sig:
-        y = y + sig * _normals(rngs, y.shape[1])
+    # a row whose carrier term is 0 draws no carrier normals, as it does alone
+    rows = isinstance(sig, np.ndarray)
+    live = np.flatnonzero(sig) if rows else range(len(rngs) if sig else 0)
+    if len(live) == len(rngs):
+        carrier = _normals(rngs, shape[1])
+        carrier *= sig[:, None] if rows else sig
+        y += carrier
+    elif len(live):
+        y[live] += sig[live, None] * _normals([rngs[r] for r in live], shape[1])
     return y

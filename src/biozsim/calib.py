@@ -31,7 +31,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import acquire, afe, tissue
-from .waveforms import plan_frequencies, plan_index
+from .seeds import seed_lists, seed_words
+from .waveforms import N_PLAN, plan_frequencies, plan_index
 
 #: Derotation factor undoing the pi/8 source lag.
 DEROTATION = cmath.exp(1j * np.pi / 8)
@@ -65,7 +66,8 @@ class CalibrationError(RuntimeError):
 @dataclass(frozen=True)
 class RawIq:
     """Offset-corrected averaged I/Q voltages plus the scaling context; the
-    voltages may be arrays, one entry per repeat of a stack."""
+    voltages may be arrays, one entry per row of a stack, and then `freq`
+    lists the frequency of each of its groups."""
 
     v_i_dc: float
     v_q_dc: float
@@ -96,11 +98,12 @@ def _complex(re, im):
     return z
 
 
-def _mul(z, c: complex):
-    """z * c, z a complex or a complex array, in real arithmetic in the
-    order of CPython's complex product.  numpy's array complex multiply
-    rounds differently in about half of the entries, and every entry of a
-    stack must equal, bit for bit, its reading alone."""
+def _mul(z, c):
+    """z * c, z a complex or a complex array and c a complex or an array of
+    one per entry, in real arithmetic in the order of CPython's complex
+    product.  numpy's array complex multiply rounds differently in about
+    half of the entries, and every entry of a stack must equal, bit for
+    bit, its reading alone."""
     return _complex(z.real * c.real - z.imag * c.imag, z.real * c.imag + z.imag * c.real)
 
 
@@ -144,9 +147,10 @@ class CalibrationTable:
     are declared with their JSON kinds in `_TABLE` (version, reference_r,
     gain_word, created_at, offsets, eq_coeffs), `_OFFSETS` (a gain word
     each), `_OFFSET` (v_i, v_q) and `_COEFF` (freq_hz, re, im); `from_json`
-    also requires an offset for the table's own gain word and each plan
-    frequency once.  Coefficients are sanity bounded to [0.5, 2] in
-    magnitude.  At the lowest frequency, where the chain's poles are
+    also requires each plan frequency at most once.  Every table, built or
+    loaded, holds an offset for its own gain word (a reading under that
+    word subtracts it), and its coefficients are sanity bounded to [0.5, 2]
+    in magnitude.  At the lowest frequency, where the chain's poles are
     negligible, they are not 1: the staircase's hold images fold onto the
     mixer DC, so `bioz calibrate` on the default chain reads |coeff| =
     1.0249 at 1953.125 Hz (seed 3; 1.0365 at seed 14, the spread being the
@@ -160,6 +164,8 @@ class CalibrationTable:
     created_at: str = ""
 
     def __post_init__(self):
+        if self.gain_word not in self.offsets:
+            raise _malformed(f"no offset for its own gain word {self.gain_word}")
         for f, c in self.eq_coeffs.items():
             if not 0.5 <= abs(c) <= 2.0:
                 raise CalibrationError(
@@ -202,8 +208,6 @@ class CalibrationTable:
         offsets = {word: read_fields(o, _OFFSET, f"offset {word}", _malformed)
                    for word, o in read_fields(values["offsets"], _OFFSETS, "offsets",
                                               _malformed).items() if o is not None}
-        if values["gain_word"] not in offsets:
-            raise _malformed(f"no offset for its own gain word {values['gain_word']}")
         coeffs = {}
         for i, entry in enumerate(values["eq_coeffs"]):
             e = read_fields(entry, _COEFF, f"eq_coeffs entry {i}", _malformed)
@@ -296,44 +300,67 @@ class MeasurementSetup:
     params: afe.ChainParams = afe.ChainParams()
     taps: int = 32
 
-    def run(self, freq_index: int, gain_word: str, source_enable: int = 1,
+    def run(self, freq_index, gain_word, source_enable: int = 1,
             seed=None, taps: int | None = None):
         """One sequence, or one stacked record for a list of seeds (see
-        `acquire.run_sequence`)."""
-        config = afe.AfeConfig.from_gain_word(
-            gain_word, freq_index=freq_index, source_enable=source_enable
-        )
-        return acquire.run_sequence(
-            self.model, config.fundamental, config, self.params,
-            taps=self.taps if taps is None else taps, seed=seed,
-        )
+        `acquire.run_sequence`).  A list of plan indices or of gain words
+        is a stack of groups, one per (index, word) pair, indices outer,
+        and `seed` then holds one list of seeds per group."""
+        groups = isinstance(freq_index, list) or isinstance(gain_word, list)
+        config = [afe.AfeConfig.from_gain_word(w, freq_index=i, source_enable=source_enable)
+                  for i in (freq_index if isinstance(freq_index, list) else [freq_index])
+                  for w in (gain_word if isinstance(gain_word, list) else [gain_word])]
+        f0 = [c.fundamental for c in config]
+        return acquire.run_sequence(self.model, f0 if groups else f0[0],
+                                    config if groups else config[0], self.params,
+                                    taps=self.taps if taps is None else taps, seed=seed)
+
+
+def _bounds(seeds) -> list:
+    """(start, stop) of each group's rows in a stacked record, for one list
+    of seeds per group."""
+    stops = np.cumsum([len(s) for s in seeds]).tolist()
+    return list(zip([0] + stops[:-1], stops))
 
 
 def measure_offsets(
     setup: MeasurementSetup,
-    gain_word: str,
+    gain_word,
     seed=None,
     taps: int | None = None,
     repeats: int = 1,
-) -> tuple:
+):
     """Averaged I/Q output with the source disabled (the clock stays active).
 
     The chain offset is frequency independent, so the clock is parked at
     the top plan frequency (index 0), where the least front-end noise
     folds down onto the reading.  Every later reading subtracts this
     stored value, so any residual offset error biases all of them;
-    average generously (offsets are measured once).  The repeats run as
-    one stack, summed by `np.sum`: in row order below 8 repeats, pairwise
-    from 8 on.
+    average generously (offsets are measured once).  The `repeats`
+    children spawned from `seed` run as one stack, summed by `np.sum`: in
+    row order below 8 repeats, pairwise from 8 on.  A list of gain words
+    measures them all in one stack, `seed` then holding each word's list
+    of `repeats` seeds, and returns {word: (v_i, v_q)}, each as that word
+    measured alone.
     """
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    res = setup.run(freq_index=0, gain_word=gain_word, source_enable=0,
-                    seed=root.spawn(repeats), taps=taps)
-    return (float(np.sum(res.v_i_dc / repeats)), float(np.sum(res.v_q_dc / repeats)))
+    if isinstance(gain_word, list):
+        words, seeds = gain_word, seed
+    else:
+        root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        words, seeds = [gain_word], [root.spawn(repeats)]
+    if any(len(s) != repeats for s in seeds):
+        raise ValueError(f"each gain word takes {repeats} seeds")
+    res = setup.run(freq_index=0, gain_word=words, source_enable=0, seed=seeds, taps=taps)
+    offsets = {w: (float(np.sum(res.v_i_dc[a:b] / repeats)),
+                   float(np.sum(res.v_q_dc[a:b] / repeats)))
+               for w, (a, b) in zip(words, _bounds(seeds))}
+    return offsets if isinstance(gain_word, list) else offsets[gain_word]
 
 
 def _raw_reading(params: afe.ChainParams, result, offsets):
-    config = result.config
+    """The extracted impedance of every row of a stacked record whose
+    groups share one gain word, less the offsets when given."""
+    config = result.config[0]
     v_i, v_q = result.v_i_dc, result.v_q_dc
     if offsets is not None:
         v_i = v_i - offsets[0]
@@ -343,9 +370,17 @@ def _raw_reading(params: afe.ChainParams, result, offsets):
         v_q_dc=v_q,
         i_amplitude=config.current_amplitude,
         gain_G=params.total_gain(config.g2),
-        freq=config.fundamental,
+        freq=[c.fundamental for c in result.config],
     )
     return extract_impedance(raw)
+
+
+def _spawned(seed, first: int, groups: int, repeats: int) -> list:
+    """`SeedSequence(seed).spawn(n)[first + k].spawn(repeats)` for each
+    group k < `groups`, from words computed as arrays (`seeds.seed_words`):
+    no SeedSequence is built."""
+    k, r = np.divmod(np.arange(groups * repeats), repeats)
+    return seed_lists(seed_words(seed, (first + k, r)), [repeats] * groups)
 
 
 def build_equalization(
@@ -363,22 +398,29 @@ def build_equalization(
     later reading) and coeff = reference_r / z_measured.  The
     coefficients are saved with the table for reuse.  Saturation during
     the reference sweep aborts the calibration.
+
+    The seeds are the children of `SeedSequence(seed).spawn(8 + 11)`, each
+    spawned once more: 4 per gain word's offsets, then `REFERENCE_REPEATS`
+    per plan frequency.  They are computed as words, and the 32 offset
+    sequences run as one stack, the 110 reference reads as another.
     """
-    children = np.random.SeedSequence(seed).spawn(8 + 11)
-    offsets = {word: measure_offsets(setup, word, seed=ss, taps=OFFSET_TAPS, repeats=4)
-               for word, ss in zip(GAIN_WORDS, children[:8])}
+    if seed is None:
+        seed = np.random.SeedSequence().entropy
+    offsets = measure_offsets(setup, list(GAIN_WORDS), seed=_spawned(seed, 0, 8, 4),
+                              taps=OFFSET_TAPS, repeats=4)
 
     ref_setup = replace(setup, model=tissue.ParallelRC(r=reference_r, c=0.0))
+    seeds = _spawned(seed, 8, N_PLAN, REFERENCE_REPEATS)
+    res = ref_setup.run(freq_index=list(range(N_PLAN)), gain_word=gain_word, seed=seeds)
+    z_raw = _raw_reading(setup.params, res, offsets.get(gain_word))
     coeffs = {}
-    for idx, f0 in enumerate(plan_frequencies()):
-        res = ref_setup.run(freq_index=idx, gain_word=gain_word,
-                            seed=children[8 + idx].spawn(REFERENCE_REPEATS))
-        if res.saturated.any():
+    for f0, (a, b) in zip(plan_frequencies(), _bounds(seeds)):
+        if res.saturated[a:b].any():
             raise CalibrationError(
                 f"reference measurement saturated at {f0:g} Hz "
                 f"(gain word {gain_word}); calibration aborted"
             )
-        z_meas = derotate(np.mean(_raw_reading(setup.params, res, offsets.get(gain_word))))
+        z_meas = derotate(np.mean(z_raw[a:b]))
         if z_meas == 0:
             raise CalibrationError(f"zero reading for the reference at {f0:g} Hz")
         # numpy's complex division, which saved tables were built with:
@@ -396,6 +438,14 @@ def build_equalization(
     )
 
 
+def _check_gain_word(table: CalibrationTable, gain_word: str):
+    if gain_word != table.gain_word:
+        raise CalibrationError(
+            f"table was calibrated under gain word {table.gain_word}, "
+            f"cannot apply under {gain_word}"
+        )
+
+
 def apply_calibration(
     z_raw: complex,
     table: CalibrationTable,
@@ -408,11 +458,7 @@ def apply_calibration(
     (compression differs between words).  A frequency absent from the
     table yields an out-of-table flag with the derotated-only value.
     """
-    if gain_word != table.gain_word:
-        raise CalibrationError(
-            f"table was calibrated under gain word {table.gain_word}, "
-            f"cannot apply under {gain_word}"
-        )
+    _check_gain_word(table, gain_word)
     z = derotate(z_raw)
     coeff = table.coeff(freq)
     if coeff is None:
@@ -422,27 +468,51 @@ def apply_calibration(
 
 def measure_impedance(
     setup: MeasurementSetup,
-    freq_index: int,
+    freq_index,
     gain_word: str,
     table: CalibrationTable | None = None,
     seed=None,
-) -> ImpedanceReading:
+):
     """One full reading: sequence, offset subtraction (the table's offset
-    for the gain word; none without a table), extraction, correction.
+    for the gain word; none without a table), extraction, derotation and
+    equalization, as `apply_calibration` does them.
 
     A list of seeds is a stack of repeats, measured in one pass (see
     `acquire.run_sequence`): one reading comes back whose `z` has one
     entry per seed, each bit for bit that seed's reading alone, flagged
-    `saturated` when any entry saturated.
+    `saturated` when any entry saturated.  A list of plan indices is a
+    stack of groups, `seed` then holding one list of seeds per index (any
+    number each): every row runs in one pass, the offsets, extraction,
+    derotation and each row's coefficient as arrays, and a list of
+    readings comes back, one per index, each as that index's stack of
+    repeats measured alone.  A single index is the one-group case.
     """
-    res = setup.run(freq_index=freq_index, gain_word=gain_word, seed=seed)
-    off = None if table is None else table.offset_for(gain_word)
-    freq = plan_frequencies()[freq_index]
-    z_raw = _raw_reading(setup.params, res, off)
+    groups = isinstance(freq_index, list)
+    indices = freq_index if groups else [freq_index]
+    seeds = seed if groups else [seed if isinstance(seed, list) else [seed]]
+    res = setup.run(freq_index=indices, gain_word=gain_word, seed=seeds)
+    z = derotate(_raw_reading(setup.params, res, None if table is None
+                              else table.offset_for(gain_word)))
+    bounds = _bounds(seeds)
+    freqs = [plan_frequencies()[i] for i in indices]
+    flags = [()] * len(indices)
     if table is not None:
-        reading = apply_calibration(z_raw, table, freq, gain_word)
-    else:
-        reading = ImpedanceReading(z=derotate(z_raw), freq=freq, gain_word=gain_word)
-    if np.any(res.saturated):
-        reading = replace(reading, flags=reading.flags + ("saturated",))
-    return reading
+        _check_gain_word(table, gain_word)
+        coeffs = [table.coeff(f) for f in freqs]
+        flags = [() if c is not None else ("out_of_table",) for c in coeffs]
+        # each row's coefficient; a row out of the table keeps its value
+        counts = [b - a for a, b in bounds]
+        rows = np.repeat([c is not None for c in coeffs], counts)
+        c = np.repeat([1.0 if c is None else c for c in coeffs], counts)
+        if rows.all():
+            z = _mul(z, c)
+        elif rows.any():
+            z[rows] = _mul(z[rows], c[rows])
+    readings = [ImpedanceReading(z=z[a:b], freq=f, gain_word=gain_word,
+                                 flags=fl + (("saturated",) if res.saturated[a:b].any() else ()))
+                for f, fl, (a, b) in zip(freqs, flags, bounds)]
+    if groups:
+        return readings
+    if not isinstance(seed, list):
+        return replace(readings[0], z=complex(readings[0].z[0]))
+    return readings[0]

@@ -76,6 +76,7 @@ import numpy as np
 
 from . import acquire, afe, calib, link, tissue
 from .calib import BOOL, INTEGER, NUMBER, OBJECT, STRING, finite_number, read_fields
+from .seeds import seed_lists, seed_words
 from .waveforms import N_PLAN, plan_frequencies, plan_index
 
 CSV_HEADER = "freq_hz,re_ohm,im_ohm,mag_ohm,phase_deg,stderr_ohm,gain_word,flags"
@@ -119,8 +120,14 @@ class Scenario:
         return calib.MeasurementSetup(model=self.model, params=self.params, taps=self.taps)
 
     def freq_indices(self):
-        """The plan index of each of `frequencies`, or of the whole plan."""
-        return [plan_index(f, ScenarioError) for f in self.frequencies] or list(range(N_PLAN))
+        """The plan index of each of `frequencies`, or of the whole plan; a
+        plan frequency given twice, exactly or within the plan match, is an
+        error."""
+        indices = [plan_index(f, ScenarioError) for f in self.frequencies]
+        for k, idx in enumerate(indices):
+            if idx in indices[:k]:
+                raise ScenarioError(f"plan frequency {plan_frequencies()[idx]:g} Hz given twice")
+        return indices or list(range(N_PLAN))
 
 
 def _numbers(value) -> bool:
@@ -264,6 +271,15 @@ def _measure_seed(master: int, freq_index: int, repeat: int):
     return np.random.SeedSequence((master, freq_index, repeat))
 
 
+def _measure_seeds(master: int, indices: list, repeats: int, first: int = 0) -> list:
+    """`_measure_seed(master, i, first + r)` for r < `repeats` at each plan
+    index i, one list of seeds per index, from words computed as arrays
+    (`seeds.seed_words`): no SeedSequence is built."""
+    k, r = np.divmod(np.arange(len(indices) * repeats), repeats)
+    words = seed_words((master, np.asarray(indices)[k], first + r), ())
+    return seed_lists(words, [repeats] * len(indices))
+
+
 @dataclass
 class SweepRecord:
     freq: float
@@ -296,47 +312,55 @@ def run_sweep(
     table: calib.CalibrationTable | None,
     repeats: int = 10,
 ) -> list:
-    """Measure every scenario frequency `repeats` times, as one stack of
-    seeds (see `calib.measure_impedance`); one record each, the mean of
-    the stack's impedances, flagged as the stack's reading is.
+    """Measure every scenario frequency `repeats` times; one record each,
+    the mean of its repeats' impedances, flagged as its reading is.
 
-    In auto gain mode a pilot measurement at the widest range (word 000)
-    picks the word per frequency.  When a calibration table is supplied
-    but was built under a different word, the record is flagged
+    The frequencies measured under one gain word are one stack of
+    (frequency, seed) rows, one `calib.measure_impedance` pass: each
+    frequency's reading, mean and standard error are bit for bit those of
+    that frequency measured alone, a 1-D reduction over its own rows.  The
+    seeds are `_measure_seed`'s, computed as words.
+
+    In auto gain mode a pilot measurement at the widest range (word 000),
+    all frequencies in one stack, picks the word per frequency; then each
+    chosen word's frequencies are one pass.  When a calibration table is
+    supplied but was built under a different word, the record is flagged
     gain_mismatch and left uncorrected beyond derotation.
     """
     if repeats < 1:
         raise ScenarioError(f"repeats must be >= 1, got {repeats}")
     setup = scenario.setup()
-    records = []
-    for idx in scenario.freq_indices():
-        freq = plan_frequencies()[idx]
-        if scenario.gain == "auto":
-            pilot = calib.measure_impedance(
-                setup, idx, "000",
-                seed=_measure_seed(scenario.seed, idx, 10_000),
-            )
+    indices = scenario.freq_indices()
+    records = {}
+    if scenario.gain == "auto":
+        words = {}
+        pilots = calib.measure_impedance(setup, indices, "000",
+                                         seed=_measure_seeds(scenario.seed, indices, 1, 10_000))
+        for idx, pilot in zip(indices, pilots):
+            z = complex(pilot.z[0])
             try:
-                word = calib.auto_gain(abs(pilot.z))
+                words[idx] = calib.auto_gain(abs(z))
             except ValueError:
-                records.append(SweepRecord(freq, pilot.z, 0.0, "000", ("out_of_range",)))
-                continue
-        else:
-            word = scenario.gain
+                records[idx] = SweepRecord(pilot.freq, z, 0.0, "000", ("out_of_range",))
+    else:
+        words = dict.fromkeys(indices, scenario.gain)
 
+    seeds = dict(zip(indices, _measure_seeds(scenario.seed, indices, repeats)))
+    for word in dict.fromkeys(words.values()):
+        group = [idx for idx in indices if words.get(idx) == word]
         use_table, flags = table, ()
         if table is not None and word != table.gain_word:
             use_table, flags = None, ("gain_mismatch",)
-
-        seeds = [_measure_seed(scenario.seed, idx, rep) for rep in range(repeats)]
-        reading = calib.measure_impedance(setup, idx, word, table=use_table, seed=seeds)
-        z_mean = complex(np.mean(reading.z))
-        if repeats > 1:
-            stderr = float(np.std(np.abs(reading.z), ddof=1) / np.sqrt(repeats))
-        else:
-            stderr = 0.0
-        records.append(SweepRecord(freq, z_mean, stderr, word, flags + reading.flags))
-    return records
+        readings = calib.measure_impedance(setup, group, word, table=use_table,
+                                           seed=[seeds[idx] for idx in group])
+        for idx, reading in zip(group, readings):
+            z_mean = complex(np.mean(reading.z))
+            if repeats > 1:
+                stderr = float(np.std(np.abs(reading.z), ddof=1) / np.sqrt(repeats))
+            else:
+                stderr = 0.0
+            records[idx] = SweepRecord(reading.freq, z_mean, stderr, word, flags + reading.flags)
+    return [records[idx] for idx in indices]
 
 
 def format_records(records, fmt: str) -> str:

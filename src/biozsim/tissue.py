@@ -135,12 +135,10 @@ def impedance_at(model, freq):
     if isinstance(model, ParallelRC):
         w = 2 * np.pi * freq
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            z = model.r / (1 + 1j * w * model.r * model.c) + model.r_interface
-            # where w r c overflows: r / (1 + j w r c) = u / (u / r + j) with
-            # u = 1 / (w c), which is 0 once w c overflows too; c = 0 leaves r
-            u = 1 / (w * model.c) if model.c else None
-            far = (model.r if u is None else u / (u / model.r + 1j)) + model.r_interface
-        z = np.where(np.isfinite(z), z, far)
+            z = np.asarray(model.r / (1 + 1j * w * model.r * model.c) + model.r_interface)
+        far = ~np.isfinite(z)
+        if far.any():  # only where the direct form fails
+            z[far] = _divided_rc(model, w[far])
     elif isinstance(model, ColeModel):
         w = 2 * np.pi * freq
         with np.errstate(over="ignore", invalid="ignore"):
@@ -160,6 +158,15 @@ def impedance_at(model, freq):
     if np.ndim(freq) == 0:
         return complex(z)
     return z
+
+
+def _divided_rc(model: ParallelRC, w):
+    """A ParallelRC's impedance at angular frequencies w where w r c
+    overflows: r / (1 + j w r c) = u / (u / r + j) with u = 1 / (w c),
+    which is 0 once w c overflows too; c = 0 leaves r."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        u = 1 / (w * model.c) if model.c else None
+        return (model.r if u is None else u / (u / model.r + 1j)) + model.r_interface
 
 
 def _sense_z(model, freq):

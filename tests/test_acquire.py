@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from biozsim import acquire, afe
+from biozsim.seeds import SeedWords, seed_words
 from biozsim.acquire import AdcSpec, SequenceResult, _phase_samples, adc_sample, run_sequence
 from biozsim.afe import AfeConfig, ChainParams, mixer_dc_pair
 from biozsim.tissue import ParallelRC, TabulatedTwoPort
@@ -268,6 +269,44 @@ class TestSeedStack:
         stack = self.assert_rows_are_single_runs(ParallelRC(r=430.0, c=0.0), cfg, ChainParams(),
                                                  32, seeds)
         assert 0 < sum(res.saturated for res in stack) < len(stack)
+
+    #: Groups of a stack: plan frequencies, gain words, a disabled source,
+    #: and a different number of repeats in each.
+    GROUPS = [(AfeConfig.from_gain_word("111", freq_index=10), 3),
+              (AfeConfig.from_gain_word("111", freq_index=0), 1),
+              (AfeConfig.from_gain_word("000", freq_index=10), 5),
+              (AfeConfig.from_gain_word("101", freq_index=3, source_enable=0), 2),
+              (AfeConfig.from_gain_word("111", freq_index=6), 4)]
+
+    @pytest.mark.parametrize("chain", [*CHAINS, "carrier_underflow"])
+    @pytest.mark.parametrize("taps", [32, 256])
+    def test_groups_equal_single_runs(self, chain, taps):
+        # a carrier term of 5e-324 V is 0 at 2 MHz and at word 000 but not at
+        # 1953 Hz under 111: those rows draw no carrier normals, as alone
+        params = self.CHAINS.get(chain, ChainParams(carrier_noise_v=5e-324))
+        configs = [c for c, _ in self.GROUPS]
+        # seeds of every kind: ints, SeedSequences and precomputed words
+        words = seed_words((taps, np.arange(15)), ())
+        pool = [3, np.random.SeedSequence(4), *map(SeedWords, words)]
+        seeds, k = [], 0
+        for _, n in self.GROUPS:
+            seeds.append(pool[k : k + n])
+            k += n
+        record = run_sequence(self.MODEL, [c.fundamental for c in configs], configs, params,
+                              taps=taps, seed=seeds)
+        assert record.config == configs
+        rows = [SequenceResult(v_i, v_q, None, s) for v_i, v_q, s in zip(
+            record.v_i_dc.tolist(), record.v_q_dc.tolist(), record.saturated.tolist(),
+            strict=True)]
+        alone = [run_sequence(self.MODEL, c.fundamental, c, params, taps=taps, seed=s)
+                 for c, group in zip(configs, seeds) for s in group]
+        assert [self.key(row) for row in rows] == [self.key(single) for single in alone]
+
+    def test_a_group_stack_checks_every_frequency(self):
+        configs = [AfeConfig(freq_index=2), AfeConfig(freq_index=3)]
+        with pytest.raises(ValueError, match="does not match"):
+            run_sequence(self.MODEL, [configs[0].fundamental, configs[0].fundamental], configs,
+                         ChainParams(), seed=[[1], [2]])
 
     def test_noise_rows_equal_single_draws(self):
         params = ChainParams()

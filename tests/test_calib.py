@@ -6,6 +6,7 @@ import pytest
 
 from biozsim.afe import AfeConfig, ChainParams, apply_compression, mixer_dc_pair
 from biozsim.calib import (
+    GAIN_WORDS,
     CalibrationError,
     CalibrationTable,
     MeasurementSetup,
@@ -177,11 +178,18 @@ class TestEqualization:
                                created_at="t")
 
     def test_sanity_bounds_enforced(self):
-        with pytest.raises(CalibrationError):
+        with pytest.raises(CalibrationError, match="sanity bounds"):
             CalibrationTable(
-                reference_r=100.0, gain_word="111", offsets={},
+                reference_r=100.0, gain_word="111", offsets={"111": (0.0, 0.0)},
                 eq_coeffs={1953.125: 3.0 + 0j}, created_at="t",
             )
+
+    def test_a_table_needs_its_own_words_offset(self):
+        # built in code as from a file: a reading under the table's word
+        # would otherwise subtract no offset
+        with pytest.raises(CalibrationError, match="no offset for its own gain word 111"):
+            CalibrationTable(reference_r=100.0, gain_word="111", offsets={"101": (0.0, 0.0)},
+                             eq_coeffs={})
 
 
 class TestApplyCalibration:
@@ -334,6 +342,72 @@ class TestStackedReading:
         seeds = np.random.SeedSequence(9).spawn(10)
         alone = self.assert_entries_are_single_readings(setup, 10, table, seeds)
         assert 0 < sum("saturated" in single.flags for single in alone) < len(seeds)
+
+
+class TestGroupStack:
+    """A list of plan indices, gain words or reference frequencies is one
+    stack of (configuration, seed) rows; every group comes back as that
+    group measured alone, bit for bit."""
+
+    SETUP = MeasurementSetup(model=ParallelRC(r=270.0, c=3e-9))
+    INDICES = [10, 0, 5, 7]
+    SEEDS = [s.spawn(n) for s, n in zip(np.random.SeedSequence(33).spawn(4), [10, 1, 3, 7])]
+
+    @staticmethod
+    def key(reading):
+        return (np.asarray(reading.z, complex).tobytes(), reading.freq, reading.gain_word,
+                reading.flags)
+
+    @pytest.mark.parametrize("table", ["none", "built", "loaded", "short"])
+    def test_readings_equal_each_index_alone(self, table):
+        built = build_equalization(MeasurementSetup(model=ParallelRC(r=100.0)), 100.0, "111",
+                                   seed=5, created_at="t")
+        table = {"none": None, "built": built,
+                 "loaded": CalibrationTable.from_json(built.to_json()),
+                 "short": TestStackedReading.without(built, 5)}[table]
+        readings = measure_impedance(self.SETUP, self.INDICES, "111", table=table, seed=self.SEEDS)
+        alone = [measure_impedance(self.SETUP, idx, "111", table=table, seed=seeds)
+                 for idx, seeds in zip(self.INDICES, self.SEEDS)]
+        assert [self.key(r) for r in readings] == [self.key(r) for r in alone]
+
+    def test_saturation_is_flagged_per_index(self):
+        # 430 ohm clamps taps at 1953 Hz on some seeds, never at 2 MHz
+        setup = MeasurementSetup(model=ParallelRC(r=430.0, c=0.0))
+        seeds = [np.random.SeedSequence(9).spawn(10), np.random.SeedSequence(8).spawn(10)]
+        readings = measure_impedance(setup, [10, 0], "111", seed=seeds)
+        assert [r.flags for r in readings] == [("saturated",), ()]
+        alone = [measure_impedance(setup, i, "111", seed=s) for i, s in zip([10, 0], seeds)]
+        assert [self.key(r) for r in readings] == [self.key(r) for r in alone]
+
+    def test_offsets_equal_each_word_alone(self):
+        words = ["111", "000", "101"]
+        roots = np.random.SeedSequence(12).spawn(3)
+        stacked = measure_offsets(self.SETUP, words, seed=[r.spawn(4) for r in roots], taps=64,
+                                  repeats=4)
+        alone = {w: measure_offsets(self.SETUP, w, seed=r, taps=64, repeats=4)
+                 for w, r in zip(words, np.random.SeedSequence(12).spawn(3))}
+        assert stacked == alone
+        with pytest.raises(ValueError, match="4 seeds"):
+            measure_offsets(self.SETUP, words, seed=[r.spawn(3) for r in roots], repeats=4)
+
+    @pytest.mark.parametrize("seed", [4, 2**40 + 1])
+    def test_calibration_equals_its_groups_alone(self, seed):
+        # the table as built one gain word and one frequency at a time, from
+        # numpy's own spawned SeedSequences
+        setup = MeasurementSetup(model=ParallelRC(r=150.0, c=2e-9))
+        children = np.random.SeedSequence(seed).spawn(8 + 11)
+        offsets = {w: measure_offsets(setup, w, seed=ss, taps=256, repeats=4)
+                   for w, ss in zip(GAIN_WORDS, children[:8])}
+        table = build_equalization(setup, 100.0, "111", seed=seed, created_at="t")
+        assert table.offsets == offsets
+        ref = MeasurementSetup(model=ParallelRC(r=100.0, c=0.0))
+        config = AfeConfig()
+        for idx, f0 in enumerate(plan_frequencies()):
+            res = ref.run(idx, "111", seed=children[8 + idx].spawn(10))
+            raw = RawIq(res.v_i_dc - offsets["111"][0], res.v_q_dc - offsets["111"][1],
+                        config.current_amplitude, ChainParams().total_gain(1), f0)
+            want = 100.0 / np.complex128(derotate(np.mean(extract_impedance(raw))))
+            assert np.complex128(table.eq_coeffs[f0]).tobytes() == want.tobytes()
 
 
 class TestRoundTrip:

@@ -1,10 +1,12 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from biozsim import cli
+from biozsim.afe import ChainParams
 from biozsim.calib import CalibrationTable
 from biozsim.tissue import ParallelRC
 from biozsim.waveforms import plan_frequencies
@@ -159,6 +161,8 @@ class TestScenario:
                    "schedule": {"r": [["0", 100.0], [10.0, 200.0]]}}},
         {"frequencies": [1000.0]},
         {"model": {"type": "table", "path": "."}},
+        {"frequencies": [1953.125, 2e6, 1953.125]},
+        {"frequencies": [1953.125, 1953.1251]},
     ], ids=["missing_r", "negative_r", "nan_r", "nan_tau", "unknown_builtin",
             "negative_settle_time", "list_chain_value", "nan_chain_value",
             "removed_rf_oversampling", "fractional_lpf_order", "zero_output_rate",
@@ -176,7 +180,8 @@ class TestScenario:
             "time_varying_bool_model_time", "integer_beyond_float_chain_value",
             "integer_beyond_float_taps", "misspelt_c", "top_level_seeds", "top_level_time",
             "cole_beta", "string_r", "bool_r", "numeric_gain", "string_schedule_time",
-            "off_plan_frequency", "table_path_is_a_directory"])
+            "off_plan_frequency", "table_path_is_a_directory", "plan_frequency_twice",
+            "plan_frequency_twice_within_match"])
     def test_malformed_scenario_one_line_error(self, tmp_path, capsys, monkeypatch, overrides):
         calls = []
         monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: calls.append(a))
@@ -527,6 +532,22 @@ class TestSweep:
             assert rc == cli.EXIT_OK
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("gain,model", [
+        ("111", ParallelRC(r=270.0, c=3e-9)),
+        ("auto", ParallelRC(r=1000.0, c=1e-9)),  # 111 at the top, 101 further down
+        ("auto", ParallelRC(r=20000.0, c=1e-10)),  # and out of range at the bottom
+    ], ids=["fixed_gain", "auto_gain", "auto_gain_out_of_range"])
+    def test_records_equal_each_frequency_swept_alone(self, cal_table, gain, model):
+        # one stack per gain word, every record as its frequency alone
+        table = CalibrationTable.load(cal_table)
+        scenario = cli.Scenario(model=model, params=ChainParams(), seed=2**33 + 7, gain=gain)
+        records = cli.run_sweep(scenario, table, repeats=4)
+        alone = [cli.run_sweep(replace(scenario, frequencies=(f,)), table, repeats=4)[0]
+                 for f in plan_frequencies()]
+        assert [r.csv_row() for r in records] == [r.csv_row() for r in alone]
+        if gain == "auto":
+            assert len({r.gain_word for r in records}) > 1
 
     def test_auto_gain_ranges(self, tmp_path, capsys):
         scen = write_scenario(

@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.random.bit_generator import ISeedSequence
 
 from biozsim import acquire, afe, calib, cli, link
 from biozsim.afe import AfeConfig, ChainParams
@@ -203,22 +204,67 @@ def test_returned_samples_belong_to_the_caller():
 
 
 def test_rc_sweep_folds_the_noise_spectrum_once():
+    # one noise pass for the whole sweep: the spectrum is folded once and
+    # not looked up again
     afe._folded_root_spectrum.cache_clear()
     scenario = cli.Scenario(model=ParallelRC(r=150.0, c=2e-9), params=ChainParams(), seed=5)
     cli.run_sweep(scenario, None, repeats=10)
     info = afe._folded_root_spectrum.cache_info()
-    assert (info.misses, info.hits) == (1, 10)
+    assert (info.misses, info.hits) == (1, 0)
     assert not afe._folded_root_spectrum(ChainParams(), 5700, 50e3, 50).flags.writeable
 
 
 def test_a_reading_shapes_its_repeats_noise_in_one_pass(monkeypatch):
-    # one stack per plan frequency in a sweep; in a calibration, one per
-    # gain word's offset sequences and one per frequency's reference reads
+    # one stack per gain word: a fixed-gain sweep is one pass of 11 x 10
+    # rows; a calibration is one pass of its 8 x 4 offset sequences and one
+    # of its 11 x 10 reference reads
     calls = count_calls(monkeypatch, afe, "noise_process")
     scenario = cli.Scenario(model=ParallelRC(r=150.0, c=2e-9), params=ChainParams(), seed=5)
     cli.run_sweep(scenario, None, repeats=10)
-    assert len(calls) == 11
-    assert all(len(args[1]) == 10 for args in calls)
+    assert [len(args[1]) for args in calls] == [110]
     calls.clear()
     calib.build_equalization(calib.MeasurementSetup(model=None), seed=4, created_at="pinned")
-    assert [len(args[1]) for args in calls] == [4] * 8 + [10] * 11
+    assert [len(args[1]) for args in calls] == [32, 110]
+
+
+def test_an_auto_gain_sweep_runs_one_pass_per_chosen_word(monkeypatch):
+    # the 11 pilots are one pass; then one pass per word the pilots chose
+    calls = count_calls(monkeypatch, afe, "noise_process")
+    scenario = cli.Scenario(model=ParallelRC(r=1000.0, c=1e-9), params=ChainParams(), seed=5,
+                            gain="auto")
+    records = cli.run_sweep(scenario, None, repeats=10)
+    words = list(dict.fromkeys(r.gain_word for r in records))  # in frequency order
+    assert len(words) > 1
+    assert len(calls) == 1 + len(words)
+    assert [len(args[1]) for args in calls] == [11] + [
+        10 * sum(r.gain_word == w for r in records) for w in words]
+
+
+def test_sweeps_and_calibrations_build_no_seed_sequence(monkeypatch):
+    # every seed comes as precomputed words: no SeedSequence is built, and
+    # no generator is seeded from an int (which builds one inside numpy)
+    built = []
+
+    class Counting(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    real_rng = afe.default_rng
+
+    def counting_rng(seed):
+        if not isinstance(seed, (ISeedSequence, np.random.Generator)):
+            built.append(seed)
+        return real_rng(seed)
+
+    monkeypatch.setattr(np.random, "SeedSequence", Counting)
+    monkeypatch.setattr(afe, "default_rng", counting_rng)
+    for gain in ("111", "auto"):
+        scenario = cli.Scenario(model=ParallelRC(r=1000.0, c=1e-9), params=ChainParams(),
+                                seed=2**40 + 3, gain=gain)
+        cli.run_sweep(scenario, None, repeats=10)
+    calib.build_equalization(calib.MeasurementSetup(model=None), seed=4, created_at="pinned")
+    assert built == []
+    # the counters do see a seed that is not words
+    calib.measure_offsets(calib.MeasurementSetup(model=None), "111", seed=3)
+    assert built and built[0] == (3,)

@@ -5,7 +5,8 @@ or added must all end with a documented exit code, at most one `error:`
 line and no traceback, never with a NaN in a record, and never with a
 NaN or infinity cast to an ADC code.  A valid document with one key
 renamed, or one number made a string or a boolean, must end at load with
-exit 1 and one `error:` line.  Model fields (r, c, r_interface,
+exit 1 and one `error:` line, and so must one that lists a plan
+frequency twice.  Model fields (r, c, r_interface,
 the Cole fields) and chain and schedule times are drawn over the whole
 finite float range; `load_scenario` rejects any document whose sequence
 would pass `cli.MAX_SEQUENCE_SAMPLES`, so none asks for more than a few
@@ -168,6 +169,20 @@ def test_broken_document_is_one_line_error(doc):
     rc, out, err, _ = sweep(doc)
     assert (rc, out) == (cli.EXIT_USAGE, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(documents, st.data())
+def test_a_frequency_given_twice_is_one_line_error(doc, data):
+    # once as listed and once more, exactly or within the 1e-6 plan match;
+    # the model is one that loads, so the repeat is the document's one fault
+    doc["model"] = {"type": "parallel_rc", "r": 100.0}
+    freq = data.draw(st.sampled_from(doc["frequencies"]))
+    again = freq * (1 + data.draw(st.sampled_from([0.0, 5e-7, -5e-7])))
+    doc["frequencies"].insert(data.draw(st.integers(0, len(doc["frequencies"]))), again)
+    rc, out, err, _ = sweep(doc)
+    assert (rc, out) == (cli.EXIT_USAGE, "")
+    assert err.startswith("error: ") and "given twice" in err and err.count("\n") == 1
 
 
 #: A calibration table with every gain word's offset, as `to_json` writes it.

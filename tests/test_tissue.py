@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from biozsim import afe
+from biozsim import afe, tissue
 from biozsim.tissue import (
     ColeModel,
     ParallelRC,
@@ -144,6 +144,29 @@ class TestOverflowingProducts:
         for f in freqs:
             z = impedance_at(model, f)
             assert (z.real, z.imag) == (closed_form(f).real, closed_form(f).imag)
+
+
+    @pytest.mark.parametrize("model", [
+        ParallelRC(r=150.0, c=2e-9), ParallelRC(r=330.0, c=4.7e-9, r_interface=20.0),
+        ParallelRC(r=100.0), ParallelRC(r=1e6, c=1e-12),
+    ])
+    def test_a_finite_grid_never_takes_the_divided_form(self, monkeypatch, model):
+        taken = []
+        real = tissue._divided_rc
+        monkeypatch.setattr(tissue, "_divided_rc", lambda m, w: taken.append(w) or real(m, w))
+        # the frequencies-by-images grid of the mixer DC (`afe._image_dc`)
+        grid = np.multiply.outer(plan_frequencies(), afe._IMAGES).astype(float)
+        assert np.isfinite(impedance_at(model, grid)).all()
+        assert taken == []
+        # where w r c overflows at one entry, that entry alone takes it
+        # (w r overflows at 1 kHz before c scales it down)
+        huge = ParallelRC(r=1e308, c=1e-300)
+        z = self.quiet(huge, np.array([1e-10, 1e3]))
+        assert [len(w) for w in taken] == [1]
+        w = 2 * np.pi * np.array([1e-10])
+        assert z[0] == (huge.r / (1 + 1j * w * huge.r * huge.c))[0]
+        want = 1 / (1 / huge.r + 2j * np.pi * 1e3 * huge.c)  # as an admittance, no overflow
+        assert abs(z[1] - want) <= 1e-15 * abs(want)
 
 
 class TestTabulatedTwoPort:
