@@ -1,13 +1,13 @@
 """Deterministic behavioral simulator of a battery-less 4-terminal
 bio-impedance measurement system: 8-step stepped-sine excitation over an
 11-point 2 kHz - 2 MHz plan, square-wave I/Q demodulation (one mixer-DC
-computation per load class), 10-bit acquisition with oversampled averaging, software
-calibration (offsets, derotation, per-frequency equalization), and the
-inductive-link configuration/communication protocol with its energy
-reservoir budget.
+route, the hold-image sum, for every load), 10-bit acquisition with
+oversampled averaging, software calibration (offsets, derotation,
+per-frequency equalization), and the inductive-link
+configuration/communication protocol with its energy reservoir budget.
 """
 
-from .waveforms import plan_frequencies, stepped_sine_levels
+from .waveforms import plan_frequencies
 from .tissue import (
     ColeModel,
     ParallelRC,

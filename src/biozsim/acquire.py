@@ -74,9 +74,9 @@ def adc_sample(v: float, spec: AdcSpec = ADC):
 @dataclass(frozen=True)
 class SequenceResult:
     """Averaged I/Q DC readings of one measurement sequence, or of a stack
-    of them: then `v_i_dc`, `v_q_dc` and `saturated` are arrays with one
-    entry per row, and for a stack of groups `config` is the list of the
-    groups' configurations."""
+    of groups: then `v_i_dc`, `v_q_dc` and `saturated` are arrays with one
+    entry per row, and `config` is the list of the groups'
+    configurations."""
 
     v_i_dc: float
     v_q_dc: float
@@ -123,26 +123,25 @@ def run_sequence(
     a double) raises MeasurementRangeError before anything is drawn or
     digitized.
 
-    A stack is one set of (configuration, seed) rows run as one pass.  A
-    list of seeds is a stack of repeats at one configuration.  A list of
-    configurations, with `f0` the list of their plan frequencies and
-    `seed` one list of seeds per configuration, is a stack of groups: any
-    plan frequencies, gain words and source states, and any number of
-    repeats in each group.  The rows' noise-free outputs are rows of the
-    load's plan lattice (rendered once per process), their noise is drawn
-    per seed and shaped in one pass (one folded spectrum serves every plan
-    frequency, and the carrier term is scaled per row), and they are
-    digitized and averaged as arrays.  One record comes back whose
-    `v_i_dc`, `v_q_dc` and `saturated` are arrays with one entry per row,
-    groups in order, each bit for bit the result of that row's seed at its
-    configuration alone.  A single configuration is the stack's one-group
-    case.  Any other seed is one sequence: Python floats and a bool.
+    Two call shapes.  One configuration, its f0 and one seed run one
+    sequence: Python floats and a bool.  A list of configurations, `f0`
+    the list of their plan frequencies and `seed` one list of seeds per
+    configuration, is a stack of groups, one set of (configuration, seed)
+    rows run as one pass: any plan frequencies, gain words and source
+    states, and any number of repeats in each group.  The rows' noise-free
+    outputs are rows of the load's plan lattice (rendered once per
+    process), their noise is drawn per seed and shaped in one pass (one
+    folded spectrum serves every plan frequency, and the carrier term is
+    scaled per row), and they are digitized and averaged as arrays.  One
+    record comes back whose `v_i_dc`, `v_q_dc` and `saturated` are arrays
+    with one entry per row, groups in order, each bit for bit the result
+    of that row's seed at its configuration alone.  Repeats at one
+    configuration are the one-group case.
     """
     if taps < 1:
         raise ValueError("taps must be >= 1")
-    stack = isinstance(config, list) or isinstance(seed, list)
-    configs, f0s, seeds = ((config, f0, seed) if isinstance(config, list)
-                           else ((config,), (f0,), (seed if stack else [seed],)))
+    stack = isinstance(config, list)
+    configs, f0s, seeds = (config, f0, seed) if stack else ((config,), (f0,), ([seed],))
     dcs = []
     for f, c in zip(f0s, configs, strict=True):
         dc_i, dc_q = afe.mixer_dc_pair(model, f, c, params)

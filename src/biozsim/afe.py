@@ -87,7 +87,7 @@ import numpy as np
 # numpy loads these on first use; loading them with the package keeps
 # module loading out of the first measurement's time
 from numpy.fft import fftfreq, irfft, rfft
-from numpy.random import Generator, default_rng
+from numpy.random import default_rng
 
 from .waveforms import N_PLAN, SOURCE_LAG, plan_frequencies
 from . import tissue
@@ -250,12 +250,6 @@ def apply_compression(v, params: ChainParams):
     return y if np.ndim(v) else float(y)
 
 
-def _generators(seeds) -> list:
-    """One Generator per seed of a stack (a Generator is used as it is, and
-    a `seeds.SeedWords` seeds PCG64 with its precomputed words)."""
-    return [s if isinstance(s, Generator) else default_rng(s) for s in seeds]
-
-
 def _normals(rngs, m: int) -> np.ndarray:
     """(len(rngs), m) standard normals, row r the next m draws of rngs[r]."""
     out = np.empty((len(rngs), m))
@@ -296,7 +290,8 @@ def noise_process(
     m = n // stride
     if params.noise_floor == 0.0 or n == 0:
         return np.zeros((len(seeds), m))
-    spectrum = rfft(_normals(_generators(seeds), m))
+    # default_rng hands a Generator back as it is
+    spectrum = rfft(_normals([default_rng(s) for s in seeds], m))
     spectrum *= _folded_root_spectrum(params, n, sample_rate, stride)
     return irfft(spectrum, n=m)
 
@@ -683,7 +678,7 @@ def baseband_output(
     if not (params.noise_floor or params.carrier_noise_v):
         return np.broadcast_to(trajectory, shape).copy()
     fs = params.output_rate
-    rngs = _generators(seeds)
+    rngs = [default_rng(s) for s in seeds]
     y = noise_process(params, rngs, shape[1] * stride / fs, fs, stride)
     y += trajectory
     sig = _carrier_noise_sigma(params, f0, g2)

@@ -31,7 +31,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import acquire, afe, tissue
-from .seeds import seed_lists, seed_words
+from .seeds import seed_grid, seed_words
 from .waveforms import N_PLAN, plan_frequencies, plan_index
 
 #: Derotation factor undoing the pi/8 source lag.
@@ -78,8 +78,8 @@ class RawIq:
 
 @dataclass(frozen=True)
 class ImpedanceReading:
-    """A corrected complex impedance with bookkeeping flags.  For a stack
-    of repeats `z` is a complex array, one entry per seed, and the flags
+    """A corrected complex impedance with bookkeeping flags.  For a group
+    of a stack `z` is a complex array, one entry per seed, and the flags
     are those of any entry."""
 
     z: complex
@@ -300,20 +300,12 @@ class MeasurementSetup:
     params: afe.ChainParams = afe.ChainParams()
     taps: int = 32
 
-    def run(self, freq_index, gain_word, source_enable: int = 1,
-            seed=None, taps: int | None = None):
-        """One sequence, or one stacked record for a list of seeds (see
-        `acquire.run_sequence`).  A list of plan indices or of gain words
-        is a stack of groups, one per (index, word) pair, indices outer,
-        and `seed` then holds one list of seeds per group."""
-        groups = isinstance(freq_index, list) or isinstance(gain_word, list)
-        config = [afe.AfeConfig.from_gain_word(w, freq_index=i, source_enable=source_enable)
-                  for i in (freq_index if isinstance(freq_index, list) else [freq_index])
-                  for w in (gain_word if isinstance(gain_word, list) else [gain_word])]
-        f0 = [c.fundamental for c in config]
-        return acquire.run_sequence(self.model, f0 if groups else f0[0],
-                                    config if groups else config[0], self.params,
-                                    taps=self.taps if taps is None else taps, seed=seed)
+    def run(self, configs: list, seeds: list, taps: int | None = None):
+        """A stack of groups, one list of seeds per configuration, at the
+        setup's taps unless `taps` is given (see `acquire.run_sequence`)."""
+        return acquire.run_sequence(self.model, [c.fundamental for c in configs], configs,
+                                    self.params, taps=self.taps if taps is None else taps,
+                                    seed=seeds)
 
 
 def _bounds(seeds) -> list:
@@ -323,38 +315,26 @@ def _bounds(seeds) -> list:
     return list(zip([0] + stops[:-1], stops))
 
 
-def measure_offsets(
-    setup: MeasurementSetup,
-    gain_word,
-    seed=None,
-    taps: int | None = None,
-    repeats: int = 1,
-):
-    """Averaged I/Q output with the source disabled (the clock stays active).
+def measure_offsets(setup: MeasurementSetup, gain_words: list, seeds: list) -> dict:
+    """Averaged I/Q output with the source disabled (the clock stays active),
+    {word: (v_i, v_q)}, each word averaging one `OFFSET_TAPS` sequence per
+    seed of its list.
 
     The chain offset is frequency independent, so the clock is parked at
     the top plan frequency (index 0), where the least front-end noise
     folds down onto the reading.  Every later reading subtracts this
     stored value, so any residual offset error biases all of them;
-    average generously (offsets are measured once).  The `repeats`
-    children spawned from `seed` run as one stack, summed by `np.sum`: in
-    row order below 8 repeats, pairwise from 8 on.  A list of gain words
-    measures them all in one stack, `seed` then holding each word's list
-    of `repeats` seeds, and returns {word: (v_i, v_q)}, each as that word
-    measured alone.
+    average generously (offsets are measured once).  Every word's
+    sequences run as one stack, and each word's are summed by `np.sum`:
+    in row order below 8 seeds, pairwise from 8 on.  Each word's offset is
+    that word measured alone.  A word with no seeds raises ValueError.
     """
-    if isinstance(gain_word, list):
-        words, seeds = gain_word, seed
-    else:
-        root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        words, seeds = [gain_word], [root.spawn(repeats)]
-    if any(len(s) != repeats for s in seeds):
-        raise ValueError(f"each gain word takes {repeats} seeds")
-    res = setup.run(freq_index=0, gain_word=words, source_enable=0, seed=seeds, taps=taps)
-    offsets = {w: (float(np.sum(res.v_i_dc[a:b] / repeats)),
-                   float(np.sum(res.v_q_dc[a:b] / repeats)))
-               for w, (a, b) in zip(words, _bounds(seeds))}
-    return offsets if isinstance(gain_word, list) else offsets[gain_word]
+    if not all(len(s) for s in seeds):
+        raise ValueError("each gain word takes at least one seed")
+    configs = [afe.AfeConfig.from_gain_word(w, freq_index=0, source_enable=0) for w in gain_words]
+    res = setup.run(configs, seeds, taps=OFFSET_TAPS)
+    return {w: (float(np.sum(res.v_i_dc[a:b] / (b - a))), float(np.sum(res.v_q_dc[a:b] / (b - a))))
+            for w, (a, b) in zip(gain_words, _bounds(seeds))}
 
 
 def _raw_reading(params: afe.ChainParams, result, offsets):
@@ -377,10 +357,8 @@ def _raw_reading(params: afe.ChainParams, result, offsets):
 
 def _spawned(seed, first: int, groups: int, repeats: int) -> list:
     """`SeedSequence(seed).spawn(n)[first + k].spawn(repeats)` for each
-    group k < `groups`, from words computed as arrays (`seeds.seed_words`):
-    no SeedSequence is built."""
-    k, r = np.divmod(np.arange(groups * repeats), repeats)
-    return seed_lists(seed_words(seed, (first + k, r)), [repeats] * groups)
+    group k < `groups`, as words: no SeedSequence is built."""
+    return seed_grid(groups, repeats, lambda k, r: seed_words(seed, (first + k, r)))
 
 
 def build_equalization(
@@ -406,12 +384,12 @@ def build_equalization(
     """
     if seed is None:
         seed = np.random.SeedSequence().entropy
-    offsets = measure_offsets(setup, list(GAIN_WORDS), seed=_spawned(seed, 0, 8, 4),
-                              taps=OFFSET_TAPS, repeats=4)
+    offsets = measure_offsets(setup, list(GAIN_WORDS), _spawned(seed, 0, 8, 4))
 
     ref_setup = replace(setup, model=tissue.ParallelRC(r=reference_r, c=0.0))
     seeds = _spawned(seed, 8, N_PLAN, REFERENCE_REPEATS)
-    res = ref_setup.run(freq_index=list(range(N_PLAN)), gain_word=gain_word, seed=seeds)
+    res = ref_setup.run([afe.AfeConfig.from_gain_word(gain_word, freq_index=i)
+                         for i in range(N_PLAN)], seeds)
     z_raw = _raw_reading(setup.params, res, offsets.get(gain_word))
     coeffs = {}
     for f0, (a, b) in zip(plan_frequencies(), _bounds(seeds)):
@@ -474,45 +452,28 @@ def measure_impedance(
     seed=None,
 ):
     """One full reading: sequence, offset subtraction (the table's offset
-    for the gain word; none without a table), extraction, derotation and
-    equalization, as `apply_calibration` does them.
+    for the gain word; none without a table), extraction, and derotation
+    and equalization by `apply_calibration` (derotation alone without a
+    table).  One plan index and one seed give one reading with a complex
+    `z`, flagged `saturated` when the sequence saturated.
 
-    A list of seeds is a stack of repeats, measured in one pass (see
-    `acquire.run_sequence`): one reading comes back whose `z` has one
-    entry per seed, each bit for bit that seed's reading alone, flagged
-    `saturated` when any entry saturated.  A list of plan indices is a
-    stack of groups, `seed` then holding one list of seeds per index (any
-    number each): every row runs in one pass, the offsets, extraction,
-    derotation and each row's coefficient as arrays, and a list of
-    readings comes back, one per index, each as that index's stack of
-    repeats measured alone.  A single index is the one-group case.
+    A list of plan indices, with one list of seeds per index (any number
+    each), is a stack of groups run in one pass (see
+    `acquire.run_sequence`): a list of readings comes back, one per index,
+    whose `z` has one entry per seed, each bit for bit that seed's reading
+    alone, flagged `saturated` when any entry saturated.
     """
     groups = isinstance(freq_index, list)
-    indices = freq_index if groups else [freq_index]
-    seeds = seed if groups else [seed if isinstance(seed, list) else [seed]]
-    res = setup.run(freq_index=indices, gain_word=gain_word, seed=seeds)
-    z = derotate(_raw_reading(setup.params, res, None if table is None
-                              else table.offset_for(gain_word)))
-    bounds = _bounds(seeds)
-    freqs = [plan_frequencies()[i] for i in indices]
-    flags = [()] * len(indices)
-    if table is not None:
-        _check_gain_word(table, gain_word)
-        coeffs = [table.coeff(f) for f in freqs]
-        flags = [() if c is not None else ("out_of_table",) for c in coeffs]
-        # each row's coefficient; a row out of the table keeps its value
-        counts = [b - a for a, b in bounds]
-        rows = np.repeat([c is not None for c in coeffs], counts)
-        c = np.repeat([1.0 if c is None else c for c in coeffs], counts)
-        if rows.all():
-            z = _mul(z, c)
-        elif rows.any():
-            z[rows] = _mul(z[rows], c[rows])
-    readings = [ImpedanceReading(z=z[a:b], freq=f, gain_word=gain_word,
-                                 flags=fl + (("saturated",) if res.saturated[a:b].any() else ()))
-                for f, fl, (a, b) in zip(freqs, flags, bounds)]
-    if groups:
-        return readings
-    if not isinstance(seed, list):
-        return replace(readings[0], z=complex(readings[0].z[0]))
-    return readings[0]
+    indices, seeds = (freq_index, seed) if groups else ([freq_index], [[seed]])
+    res = setup.run([afe.AfeConfig.from_gain_word(gain_word, freq_index=i) for i in indices],
+                    seeds)
+    z = _raw_reading(setup.params, res, None if table is None else table.offset_for(gain_word))
+    readings = []
+    for i, (a, b) in zip(indices, _bounds(seeds)):
+        f = plan_frequencies()[i]
+        reading = (ImpedanceReading(z=derotate(z[a:b]), freq=f, gain_word=gain_word)
+                   if table is None else apply_calibration(z[a:b], table, f, gain_word))
+        if res.saturated[a:b].any():
+            reading = replace(reading, flags=reading.flags + ("saturated",))
+        readings.append(reading)
+    return readings if groups else replace(readings[0], z=complex(readings[0].z[0]))

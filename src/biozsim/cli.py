@@ -76,7 +76,7 @@ import numpy as np
 
 from . import acquire, afe, calib, link, tissue
 from .calib import BOOL, INTEGER, NUMBER, OBJECT, STRING, finite_number, read_fields
-from .seeds import seed_lists, seed_words
+from .seeds import seed_grid, seed_words
 from .waveforms import N_PLAN, plan_frequencies, plan_index
 
 CSV_HEADER = "freq_hz,re_ohm,im_ohm,mag_ohm,phase_deg,stderr_ohm,gain_word,flags"
@@ -266,18 +266,12 @@ def _check_writable(path) -> None:
         raise ScenarioError(f"cannot write {path}: permission denied")
 
 
-def _measure_seed(master: int, freq_index: int, repeat: int):
-    """Deterministic per-measurement seed stream."""
-    return np.random.SeedSequence((master, freq_index, repeat))
-
-
 def _measure_seeds(master: int, indices: list, repeats: int, first: int = 0) -> list:
-    """`_measure_seed(master, i, first + r)` for r < `repeats` at each plan
-    index i, one list of seeds per index, from words computed as arrays
-    (`seeds.seed_words`): no SeedSequence is built."""
-    k, r = np.divmod(np.arange(len(indices) * repeats), repeats)
-    words = seed_words((master, np.asarray(indices)[k], first + r), ())
-    return seed_lists(words, [repeats] * len(indices))
+    """The seeds `SeedSequence((master, i, first + r))` for r < `repeats` at
+    each plan index i, one list per index, as words: no SeedSequence is
+    built."""
+    return seed_grid(len(indices), repeats,
+                     lambda k, r: seed_words((master, np.asarray(indices)[k], first + r), ()))
 
 
 @dataclass
@@ -318,8 +312,9 @@ def run_sweep(
     The frequencies measured under one gain word are one stack of
     (frequency, seed) rows, one `calib.measure_impedance` pass: each
     frequency's reading, mean and standard error are bit for bit those of
-    that frequency measured alone, a 1-D reduction over its own rows.  The
-    seeds are `_measure_seed`'s, computed as words.
+    that frequency measured alone, a 1-D reduction over its own rows.
+    Repeat r at plan index i is seeded by `SeedSequence((seed, i, r))`,
+    computed as words (`_measure_seeds`).
 
     In auto gain mode a pilot measurement at the widest range (word 000),
     all frequencies in one stack, picks the word per frequency; then each
@@ -503,7 +498,7 @@ def cmd_link_demo(args) -> int:
         config = word.to_afe_config()
         # the r-th measurement at plan index i draws the stream of a sweep's repeat r
         idx = config.freq_index
-        seed = _measure_seed(args.seed, idx, measured[idx])
+        seed = _measure_seeds(args.seed, [idx], 1, measured[idx])[0][0]
         measured[idx] += 1
         res = acquire.run_sequence(model, config.fundamental, config, params, taps=taps, seed=seed)
         to_code = lambda v: acquire.adc_sample(0.9 + v / 2.0)

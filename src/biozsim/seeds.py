@@ -118,9 +118,11 @@ class SeedWords(ISeedSequence):
         return self.words
 
 
-def seed_lists(words, counts) -> list:
-    """The rows of `words` as `SeedWords`, in consecutive lists of `counts`
-    rows: one list of seeds per group of a stack."""
-    rows = [SeedWords(w) for w in words]
-    stops = np.cumsum(counts).tolist()
-    return [rows[a:b] for a, b in zip([0] + stops[:-1], stops)]
+def seed_grid(groups: int, repeats: int, words) -> list:
+    """`repeats` seeds for each of `groups` groups of a stack, as
+    `SeedWords`, one list per group: `words(k, r)`, given the arrays of
+    every row's group k and repeat r (group by group), returns the rows'
+    `seed_words`."""
+    k, r = np.divmod(np.arange(groups * repeats), repeats)
+    rows = [SeedWords(w) for w in words(k, r)]
+    return [rows[i : i + repeats] for i in range(0, len(rows), repeats)]

@@ -36,9 +36,6 @@ N_PLAN = 11
 #: Phase lag of the stepped sine relative to the I/Q clocks, in radians.
 SOURCE_LAG = np.pi / 8
 
-#: Zero-order-hold gain of the fundamental: sin(pi/8) / (pi/8).
-FUNDAMENTAL_GAIN = float(np.sin(np.pi / 8) / (np.pi / 8))
-
 _FUNDAMENTALS = tuple(
     REF_CLOCK_HZ * PLL_MULTIPLIER / 2**k / N_STEPS for k in range(N_PLAN)
 )
@@ -63,17 +60,3 @@ def plan_index(freq: float, error) -> int:
         if abs(f - freq) <= 1e-6 * f:
             return i
     raise error(f"{freq} Hz is not a plan frequency")
-
-
-def stepped_sine_levels(amplitude: float) -> np.ndarray:
-    """Eight zero-order-hold levels of one period of the stepped sine.
-
-    level[k] = amplitude * sin(2*pi*(k + 0.5)/8).  Held on a grid shifted
-    half a step late, the staircase lags the reference clocks by pi/8.
-
-    Zero amplitude is allowed (all-zero levels, the source-disabled case);
-    negative amplitude is rejected.
-    """
-    if amplitude < 0:
-        raise ValueError(f"amplitude must be >= 0, got {amplitude}")
-    return amplitude * np.sin(2 * np.pi * (np.arange(N_STEPS) + 0.5) / N_STEPS)

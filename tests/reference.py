@@ -43,13 +43,28 @@ from biozsim.waveforms import (
     PLL_MULTIPLIER,
     REF_CLOCK_HZ,
     SOURCE_LAG,
-    FUNDAMENTAL_GAIN,
-    stepped_sine_levels,
 )
 
 #: Minimum oversampling relative to the fundamental (keeps the 9th image
 #: at least 3.5x below Nyquist).
 MIN_OVERSAMPLING = 64
+
+#: Zero-order-hold gain of the fundamental: sin(pi/8) / (pi/8).
+FUNDAMENTAL_GAIN = float(np.sin(np.pi / 8) / (np.pi / 8))
+
+
+def stepped_sine_levels(amplitude: float) -> np.ndarray:
+    """Eight zero-order-hold levels of one period of the stepped sine.
+
+    level[k] = amplitude * sin(2*pi*(k + 0.5)/8).  Held on a grid shifted
+    half a step late, the staircase lags the reference clocks by pi/8.
+
+    Zero amplitude is allowed (all-zero levels, the source-disabled case);
+    negative amplitude is rejected.
+    """
+    if amplitude < 0:
+        raise ValueError(f"amplitude must be >= 0, got {amplitude}")
+    return amplitude * np.sin(2 * np.pi * (np.arange(N_STEPS) + 0.5) / N_STEPS)
 
 
 @dataclass(frozen=True)

@@ -229,7 +229,7 @@ class TestTapLattice:
 
 
 class TestSeedStack:
-    """A list of seeds runs a reading's repeats as one stack; every row is,
+    """A group of seeds runs a reading's repeats as one stack; every row is,
     bit for bit, that seed run alone.  Row identity of the stacked FFT is a
     property of this numpy, not a guarantee, so this pins it."""
 
@@ -243,7 +243,7 @@ class TestSeedStack:
         return np.array([res.v_i_dc, res.v_q_dc]).tobytes(), res.saturated
 
     def assert_rows_are_single_runs(self, model, cfg, params, taps, seeds):
-        record = run_sequence(model, cfg.fundamental, cfg, params, taps=taps, seed=seeds)
+        record = run_sequence(model, [cfg.fundamental], [cfg], params, taps=taps, seed=[seeds])
         stack = [SequenceResult(v_i, v_q, cfg, s) for v_i, v_q, s in zip(
             record.v_i_dc.tolist(), record.v_q_dc.tolist(), record.saturated.tolist(), strict=True)]
         assert len(stack) == len(seeds)
@@ -324,5 +324,5 @@ class TestSeedStack:
         # the overflow inside the image sum warns; the raise is what is checked
         with np.errstate(all="ignore"), pytest.raises(acquire.MeasurementRangeError,
                                                       match="not finite"):
-            run_sequence(huge, cfg.fundamental, cfg, ChainParams(), seed=[1, 2, 3])
+            run_sequence(huge, [cfg.fundamental], [cfg], ChainParams(), seed=[[1, 2, 3]])
         assert rendered == []

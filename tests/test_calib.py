@@ -117,7 +117,7 @@ class TestAutoGain:
 class TestOffsets:
     def test_noise_off_measures_chain_offset(self):
         setup = MeasurementSetup(model=ParallelRC(r=100.0, c=0.0), params=QUIET)
-        vi, vq = measure_offsets(setup, "111", seed=0)
+        vi, vq = measure_offsets(setup, ["111"], [[0]])["111"]
         step = 2 * 1.8 / 1024
         assert abs(vi - QUIET.offset) <= step / 2
         assert abs(vq - QUIET.offset) <= step / 2
@@ -125,17 +125,23 @@ class TestOffsets:
     def test_injected_50mv_recovered(self):
         p = ChainParams(offset=0.050, noise_floor=0.0, carrier_noise_v=0.0)
         setup = MeasurementSetup(model=ParallelRC(r=100.0, c=0.0), params=p)
-        vi, _ = measure_offsets(setup, "111", seed=0)
+        vi, _ = measure_offsets(setup, ["111"], [[0]])["111"]
         assert abs(vi - 0.050) <= 1.8 / 1024  # one reconstructed-domain LSB
 
     def test_deterministic_with_seed(self):
         setup = MeasurementSetup(model=ParallelRC(r=100.0, c=0.0), params=ChainParams())
-        assert measure_offsets(setup, "111", seed=5) == measure_offsets(setup, "111", seed=5)
+        assert measure_offsets(setup, ["111"], [[5]]) == measure_offsets(setup, ["111"], [[5]])
 
     def test_zero_offset_zero_noise(self):
         p = ChainParams(offset=0.0, noise_floor=0.0, carrier_noise_v=0.0)
         setup = MeasurementSetup(model=ParallelRC(r=100.0, c=0.0), params=p)
-        assert measure_offsets(setup, "111", seed=0) == (0.0, 0.0)
+        assert measure_offsets(setup, ["111"], [[0]]) == {"111": (0.0, 0.0)}
+
+    def test_a_word_without_seeds_is_rejected(self):
+        # its rows would be none, and its offset would read (0.0, 0.0)
+        setup = MeasurementSetup(model=ParallelRC(r=100.0, c=0.0), params=QUIET)
+        with pytest.raises(ValueError, match="at least one seed"):
+            measure_offsets(setup, ["111", "000"], [[0], []])
 
 
 class TestEqualization:
@@ -289,9 +295,10 @@ class TestApplyCalibration:
 
 
 class TestStackedReading:
-    """A list of seeds gives one reading whose `z` has one entry per seed,
-    each by `tobytes` that seed's reading alone, and whose flags are those
-    of any entry, in the order a single reading lists them."""
+    """A group of seeds at one plan index gives one reading whose `z` has
+    one entry per seed, each by `tobytes` that seed's reading alone, and
+    whose flags are those of any entry, in the order a single reading
+    lists them."""
 
     SETUP = MeasurementSetup(model=ParallelRC(r=270.0, c=3e-9))
     SEEDS = np.random.SeedSequence(21).spawn(10)
@@ -309,7 +316,7 @@ class TestStackedReading:
                                 eq_coeffs={f: c for f, c in table.eq_coeffs.items() if f != f0})
 
     def assert_entries_are_single_readings(self, setup, idx, table, seeds):
-        stacked = measure_impedance(setup, idx, "111", table=table, seed=seeds)
+        [stacked] = measure_impedance(setup, [idx], "111", table=table, seed=[seeds])
         alone = [measure_impedance(setup, idx, "111", table=table, seed=s) for s in seeds]
         assert stacked.z.shape == (len(seeds),)
         for z, single in zip(stacked.z, alone):
@@ -366,7 +373,7 @@ class TestGroupStack:
                  "loaded": CalibrationTable.from_json(built.to_json()),
                  "short": TestStackedReading.without(built, 5)}[table]
         readings = measure_impedance(self.SETUP, self.INDICES, "111", table=table, seed=self.SEEDS)
-        alone = [measure_impedance(self.SETUP, idx, "111", table=table, seed=seeds)
+        alone = [measure_impedance(self.SETUP, [idx], "111", table=table, seed=[seeds])[0]
                  for idx, seeds in zip(self.INDICES, self.SEEDS)]
         assert [self.key(r) for r in readings] == [self.key(r) for r in alone]
 
@@ -376,19 +383,16 @@ class TestGroupStack:
         seeds = [np.random.SeedSequence(9).spawn(10), np.random.SeedSequence(8).spawn(10)]
         readings = measure_impedance(setup, [10, 0], "111", seed=seeds)
         assert [r.flags for r in readings] == [("saturated",), ()]
-        alone = [measure_impedance(setup, i, "111", seed=s) for i, s in zip([10, 0], seeds)]
+        alone = [measure_impedance(setup, [i], "111", seed=[s])[0] for i, s in zip([10, 0], seeds)]
         assert [self.key(r) for r in readings] == [self.key(r) for r in alone]
 
     def test_offsets_equal_each_word_alone(self):
         words = ["111", "000", "101"]
-        roots = np.random.SeedSequence(12).spawn(3)
-        stacked = measure_offsets(self.SETUP, words, seed=[r.spawn(4) for r in roots], taps=64,
-                                  repeats=4)
-        alone = {w: measure_offsets(self.SETUP, w, seed=r, taps=64, repeats=4)
-                 for w, r in zip(words, np.random.SeedSequence(12).spawn(3))}
+        # 8 seeds or more sum pairwise, fewer in row order
+        seeds = [r.spawn(n) for r, n in zip(np.random.SeedSequence(12).spawn(3), [4, 1, 9])]
+        stacked = measure_offsets(self.SETUP, words, seeds)
+        alone = {w: measure_offsets(self.SETUP, [w], [s])[w] for w, s in zip(words, seeds)}
         assert stacked == alone
-        with pytest.raises(ValueError, match="4 seeds"):
-            measure_offsets(self.SETUP, words, seed=[r.spawn(3) for r in roots], repeats=4)
 
     @pytest.mark.parametrize("seed", [4, 2**40 + 1])
     def test_calibration_equals_its_groups_alone(self, seed):
@@ -396,14 +400,15 @@ class TestGroupStack:
         # numpy's own spawned SeedSequences
         setup = MeasurementSetup(model=ParallelRC(r=150.0, c=2e-9))
         children = np.random.SeedSequence(seed).spawn(8 + 11)
-        offsets = {w: measure_offsets(setup, w, seed=ss, taps=256, repeats=4)
+        offsets = {w: measure_offsets(setup, [w], [ss.spawn(4)])[w]
                    for w, ss in zip(GAIN_WORDS, children[:8])}
         table = build_equalization(setup, 100.0, "111", seed=seed, created_at="t")
         assert table.offsets == offsets
         ref = MeasurementSetup(model=ParallelRC(r=100.0, c=0.0))
         config = AfeConfig()
         for idx, f0 in enumerate(plan_frequencies()):
-            res = ref.run(idx, "111", seed=children[8 + idx].spawn(10))
+            res = ref.run([AfeConfig.from_gain_word("111", freq_index=idx)],
+                          [children[8 + idx].spawn(10)])
             raw = RawIq(res.v_i_dc - offsets["111"][0], res.v_q_dc - offsets["111"][1],
                         config.current_amplitude, ChainParams().total_gain(1), f0)
             want = 100.0 / np.complex128(derotate(np.mean(extract_impedance(raw))))
@@ -466,7 +471,7 @@ class TestRoundTrip:
         for off in (0.0, 0.050):
             p = ChainParams(offset=off, noise_floor=0.0, carrier_noise_v=0.0)
             setup = MeasurementSetup(model=ParallelRC(r=100.0, c=0.0), params=p)
-            offs = {w: measure_offsets(setup, w, seed=0) for w in ("111",)}
+            offs = measure_offsets(setup, ["111"], [[0]])
             table = CalibrationTable(reference_r=100.0, gain_word="111", offsets=offs, eq_coeffs={})
             readings.append(measure_impedance(setup, 10, "111", table=table, seed=0).z)
         lsb_ohm = 2 * (1.8 / 1024) * (np.pi / 2) / (10e-6 * 700.0)

@@ -158,7 +158,7 @@ def test_a_sequence_too_long_for_the_lattice_budget_renders_alone(monkeypatch):
     renders = count_renders(monkeypatch)
     setup = calib.MeasurementSetup(model=ParallelRC(r=150.0, c=2e-9))
     for taps in (32, 33, 32):
-        setup.run(freq_index=4, gain_word="111", seed=[1, 2], taps=taps)
+        setup.run([AfeConfig.from_gain_word("111", freq_index=4)], [[1, 2]], taps=taps)
     assert [rows_of(args) for args in renders] == [11, 1]
     info = afe._plan_lattice.cache_info()
     assert (info.currsize, info.hits) == (1, 1)
@@ -240,10 +240,11 @@ def test_an_auto_gain_sweep_runs_one_pass_per_chosen_word(monkeypatch):
         10 * sum(r.gain_word == w for r in records) for w in words]
 
 
-def test_sweeps_and_calibrations_build_no_seed_sequence(monkeypatch):
-    # every seed comes as precomputed words: no SeedSequence is built, and
-    # no generator is seeded from an int (which builds one inside numpy)
-    built = []
+def test_sweeps_and_calibrations_build_no_seed_sequence(monkeypatch, tmp_path):
+    # every seed of a sweep, a calibration and a link demo comes as
+    # precomputed words: no SeedSequence is built, and no generator is
+    # seeded from an int (which builds one inside numpy)
+    built, seeded = [], []
 
     class Counting(np.random.SeedSequence):
         def __init__(self, *args, **kwargs):
@@ -253,6 +254,8 @@ def test_sweeps_and_calibrations_build_no_seed_sequence(monkeypatch):
     real_rng = afe.default_rng
 
     def counting_rng(seed):
+        if not isinstance(seed, np.random.Generator):
+            seeded.append(seed)
         if not isinstance(seed, (ISeedSequence, np.random.Generator)):
             built.append(seed)
         return real_rng(seed)
@@ -264,7 +267,16 @@ def test_sweeps_and_calibrations_build_no_seed_sequence(monkeypatch):
                                 seed=2**40 + 3, gain=gain)
         cli.run_sweep(scenario, None, repeats=10)
     calib.build_equalization(calib.MeasurementSetup(model=None), seed=4, created_at="pinned")
+    # two measurements at one plan index and one at another
+    measure = [{"op": "start_measure"}, {"op": "read_result"}]
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps([{"op": "set_config", "freq_sel": 3}, *measure, *measure,
+                                  {"op": "set_config", "freq_sel": 9}, *measure]))
+    seeded.clear()
+    assert cli.main(["link-demo", "--script", str(script), "--seed", "7"]) == cli.EXIT_OK
+    assert len(seeded) == 3  # one seed per measurement
     assert built == []
     # the counters do see a seed that is not words
-    calib.measure_offsets(calib.MeasurementSetup(model=None), "111", seed=3)
-    assert built and built[0] == (3,)
+    config = AfeConfig(freq_index=4, source_enable=0)
+    acquire.run_sequence(None, config.fundamental, config, ChainParams(), seed=3)
+    assert built and built[0] == 3

@@ -51,9 +51,9 @@ parallel_rc = st.fixed_dictionaries(
     optional={"c": anything, "r_interface": anything},
 )
 cole = st.builds(
-    lambda r_inf, spread, tau, alpha: {"type": "cole", "r_inf": r_inf, "r0": r_inf + spread,
-                                       "tau": tau, "alpha": alpha},
-    above_zero, above_zero, above_zero, st.floats(0.0, 1.0, exclude_min=True),
+    lambda r, tau, alpha: {"type": "cole", "r_inf": r[0], "r0": r[1], "tau": tau, "alpha": alpha},
+    st.lists(above_zero, min_size=2, max_size=2, unique=True).map(sorted), above_zero,
+    st.floats(0.0, 1.0, exclude_min=True),
 )
 builtin = st.builds(lambda name: {"type": "builtin", "name": name},
                     st.sampled_from(["blood", "muscle_transversal", "saline"]))
@@ -161,6 +161,14 @@ def test_sweep_ends_cleanly(doc):
     if rc == cli.EXIT_OK:
         values = record_values(out, doc.get("format", "csv"))
         assert values and all(math.isfinite(v) for v in values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(documents)
+def test_every_drawn_model_loads(doc):
+    # the strategies draw only valid models, so a valid document fails
+    # nowhere at load
+    cli.build_model(doc["model"], Path("."))
 
 
 @settings(max_examples=100, deadline=None)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biozsim.seeds import SeedWords, seed_lists, seed_words
+from biozsim.seeds import SeedWords, seed_grid, seed_words
 
 #: Entropy ints of every width the assembly distinguishes: 0, one word,
 #: two words at 2**32 and past it, and several words.
@@ -58,11 +58,13 @@ def test_spawned_children_are_their_spawn_keys():
         assert row.tobytes() == children[a][b].generate_state(4, np.uint64).tobytes()
 
 
-def test_seed_lists_split_rows_into_groups():
-    words = seed_words((3, np.arange(6)), ())
-    groups = seed_lists(words, [1, 3, 2])
-    assert [len(g) for g in groups] == [1, 3, 2]
-    assert [s.words.tobytes() for g in groups for s in g] == [w.tobytes() for w in words]
+def test_seed_grid_splits_rows_into_groups():
+    # 3 groups of 2 repeats, rows group by group, each row's (k, r) its own
+    grid = seed_grid(3, 2, lambda k, r: seed_words((3, k, r), ()))
+    assert [len(g) for g in grid] == [2, 2, 2]
+    for k, group in enumerate(grid):
+        for r, seed in enumerate(group):
+            assert seed.words.tobytes() == numpy_words((3, k, r)).tobytes()
 
 
 @pytest.mark.parametrize("entropy,key", [(-1, ()), ((3, -2), ()), (3, (-1,)),

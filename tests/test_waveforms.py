@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from biozsim.waveforms import FUNDAMENTAL_GAIN, plan_frequencies, stepped_sine_levels
+from biozsim.waveforms import plan_frequencies
 from reference import (
+    FUNDAMENTAL_GAIN,
     IqClock,
     Phase,
     SteppedSine,
     frequency_plan,
     harmonic_coefficients,
+    stepped_sine_levels,
     synthesize,
     times,
 )
