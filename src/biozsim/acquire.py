@@ -1,17 +1,16 @@
 """Digitization and measurement sequencing.
 
-The microcontroller's 10-bit ADC digitizes one single-ended output pin;
-the differential chain output rides half-swing on the 0.9 V common mode
-(pin = 0.9 + v_diff/2), so the effective quantization step referred to the
-differential value is two ADC steps (3.52 mV) and a reconstructed value is
-within one ADC LSB (1.76 mV) of the true differential voltage.
+The microcontroller's 10-bit ADC digitizes one single-ended output pin
+that carries the differential chain output; `pin_code` and `code_volts`
+hold that pin rule.
 
 A measurement sequence follows the fixed timing: enable the source with
 the I reference, wait the settling time, take `taps` ADC samples at 1 ms
-spacing and average; switch the reference to Q (never overlapping -- one
-demodulator chain, time-multiplexed), settle, sample, average; disable the
-source.  Filter states are carried across the whole sequence, so the I->Q
-transition settles through the filters exactly as the turn-on does.
+spacing (`TAPS` by default) and average; switch the reference to Q (never
+overlapping -- one demodulator chain, time-multiplexed), settle, sample,
+average; disable the source.  Filter states are carried across the whole
+sequence, so the I->Q transition settles through the filters exactly as
+the turn-on does.
 """
 
 from __future__ import annotations
@@ -46,6 +45,9 @@ ADC = AdcSpec()
 #: Seconds between successive ADC taps of a select phase.
 TAP_SPACING = 1e-3
 
+#: ADC taps a select phase averages by default.
+TAPS = 32
+
 
 class MeasurementRangeError(ValueError):
     """The chain cannot represent a reading: its mixer DC is not finite."""
@@ -71,16 +73,27 @@ def adc_sample(v: float, spec: AdcSpec = ADC):
     return int(code) if np.ndim(v) == 0 else code
 
 
+def pin_code(v):
+    """The ADC code of differential output `v` (scalar or array): the pin
+    carries it at half swing on the 0.9 V common mode, pin = 0.9 + v/2."""
+    return adc_sample(0.9 + v / 2.0)
+
+
+def code_volts(code):
+    """The differential output a code reads back, the inverse of `pin_code`:
+    a code step is two ADC LSBs of output (3.52 mV), so an output between
+    the rails reads back within one LSB (1.76 mV)."""
+    return 2.0 * (code * ADC.lsb - 0.9)
+
+
 @dataclass(frozen=True)
 class SequenceResult:
     """Averaged I/Q DC readings of one measurement sequence, or of a stack
     of groups: then `v_i_dc`, `v_q_dc` and `saturated` are arrays with one
-    entry per row, and `config` is the list of the groups'
-    configurations."""
+    entry per row."""
 
     v_i_dc: float
     v_q_dc: float
-    config: afe.AfeConfig
     saturated: bool = False
 
 
@@ -98,9 +111,9 @@ def _phase_samples(params: afe.ChainParams, taps: int) -> tuple:
     return settle_n, spacing_n, settle_n + spacing_n * taps
 
 
-def sequence_duration(params: afe.ChainParams, taps: int = 32) -> float:
+def sequence_duration(params: afe.ChainParams, taps: int) -> float:
     """Seconds one I-then-Q sequence occupies: two settle-plus-averaging
-    windows (0.114 s at the default chain and 32 taps)."""
+    windows (0.114 s at the default chain and `TAPS`)."""
     return 2 * _phase_samples(params, taps)[2] / params.output_rate
 
 
@@ -109,7 +122,7 @@ def run_sequence(
     f0: float,
     config: afe.AfeConfig,
     params: afe.ChainParams,
-    taps: int = 32,
+    taps: int,
     seed=None,
 ) -> SequenceResult:
     """Run the I-then-Q time-multiplexed sequence and average the taps.
@@ -136,12 +149,17 @@ def run_sequence(
     record comes back whose `v_i_dc`, `v_q_dc` and `saturated` are arrays
     with one entry per row, groups in order, each bit for bit the result
     of that row's seed at its configuration alone.  Repeats at one
-    configuration are the one-group case.
+    configuration are the one-group case.  A stack with other than one
+    non-empty seed list per configuration raises ValueError.
     """
     if taps < 1:
         raise ValueError("taps must be >= 1")
     stack = isinstance(config, list)
     configs, f0s, seeds = (config, f0, seed) if stack else ((config,), (f0,), ([seed],))
+    counts = [len(s) for s in seeds]
+    if len(counts) != len(configs) or 0 in counts:
+        raise ValueError(f"each of {len(configs)} configurations takes a list of at least one "
+                         f"seed; got {len(counts)} lists of {counts} seeds")
     dcs = []
     for f, c in zip(f0s, configs, strict=True):
         dc_i, dc_q = afe.mixer_dc_pair(model, f, c, params)
@@ -160,7 +178,6 @@ def run_sequence(
     if len(configs) == 1:  # the group's lattice, f0 and g2 are every row's
         trajectory, f0_rows, g2_rows, rows = lattices[0], f0s[0], configs[0].g2, seeds[0]
     else:
-        counts = [len(s) for s in seeds]
         trajectory = np.repeat(np.array(lattices), counts, axis=0)
         f0_rows = np.repeat(f0s, counts)
         g2_rows = np.repeat([c.g2 for c in configs], counts)
@@ -170,13 +187,13 @@ def run_sequence(
     # (row, I or Q, tap): each select phase is half of a row
     first, step = settle_n // g, spacing_n // g
     tapped = y.reshape(len(y), 2, phase_n // g)[:, :, first : first + step * taps : step]
-    codes = adc_sample(0.9 + tapped / 2.0)
+    codes = pin_code(tapped)
     # C-ordered, each phase's taps sum in the order of a 1-D mean
-    means = np.add.reduce(np.ascontiguousarray(2.0 * (codes * ADC.lsb - 0.9)), axis=2) / taps
+    means = np.add.reduce(np.ascontiguousarray(code_volts(codes)), axis=2) / taps
     clamped = np.add.reduce((codes == 0) | (codes == ADC.codes - 1), axis=(1, 2))
     saturated = clamped >= max(1, math.ceil(0.01 * (2 * taps)))
 
     if stack:
-        return SequenceResult(means[:, 0], means[:, 1], config, saturated)
+        return SequenceResult(means[:, 0], means[:, 1], saturated)
     v_i, v_q = means[0].tolist()
-    return SequenceResult(v_i, v_q, config, bool(saturated[0]))
+    return SequenceResult(v_i, v_q, bool(saturated[0]))

@@ -298,7 +298,7 @@ class MeasurementSetup:
 
     model: object
     params: afe.ChainParams = afe.ChainParams()
-    taps: int = 32
+    taps: int = acquire.TAPS
 
     def run(self, configs: list, seeds: list, taps: int | None = None):
         """A stack of groups, one list of seeds per configuration, at the
@@ -329,30 +329,23 @@ def measure_offsets(setup: MeasurementSetup, gain_words: list, seeds: list) -> d
     in row order below 8 seeds, pairwise from 8 on.  Each word's offset is
     that word measured alone.  A word with no seeds raises ValueError.
     """
-    if not all(len(s) for s in seeds):
-        raise ValueError("each gain word takes at least one seed")
     configs = [afe.AfeConfig.from_gain_word(w, freq_index=0, source_enable=0) for w in gain_words]
     res = setup.run(configs, seeds, taps=OFFSET_TAPS)
     return {w: (float(np.sum(res.v_i_dc[a:b] / (b - a))), float(np.sum(res.v_q_dc[a:b] / (b - a))))
             for w, (a, b) in zip(gain_words, _bounds(seeds))}
 
 
-def _raw_reading(params: afe.ChainParams, result, offsets):
-    """The extracted impedance of every row of a stacked record whose
-    groups share one gain word, less the offsets when given."""
-    config = result.config[0]
+def _raw_reading(params: afe.ChainParams, configs: list, result, offsets):
+    """The extracted impedance of every row of a stacked record of
+    `configs`, all of one gain word, less the offsets when given."""
     v_i, v_q = result.v_i_dc, result.v_q_dc
     if offsets is not None:
         v_i = v_i - offsets[0]
         v_q = v_q - offsets[1]
-    raw = RawIq(
-        v_i_dc=v_i,
-        v_q_dc=v_q,
-        i_amplitude=config.current_amplitude,
-        gain_G=params.total_gain(config.g2),
-        freq=[c.fundamental for c in result.config],
-    )
-    return extract_impedance(raw)
+    return extract_impedance(RawIq(v_i_dc=v_i, v_q_dc=v_q,
+                                   i_amplitude=configs[0].current_amplitude,
+                                   gain_G=params.total_gain(configs[0].g2),
+                                   freq=[c.fundamental for c in configs]))
 
 
 def _spawned(seed, first: int, groups: int, repeats: int) -> list:
@@ -388,9 +381,9 @@ def build_equalization(
 
     ref_setup = replace(setup, model=tissue.ParallelRC(r=reference_r, c=0.0))
     seeds = _spawned(seed, 8, N_PLAN, REFERENCE_REPEATS)
-    res = ref_setup.run([afe.AfeConfig.from_gain_word(gain_word, freq_index=i)
-                         for i in range(N_PLAN)], seeds)
-    z_raw = _raw_reading(setup.params, res, offsets.get(gain_word))
+    configs = [afe.AfeConfig.from_gain_word(gain_word, freq_index=i) for i in range(N_PLAN)]
+    res = ref_setup.run(configs, seeds)
+    z_raw = _raw_reading(setup.params, configs, res, offsets.get(gain_word))
     coeffs = {}
     for f0, (a, b) in zip(plan_frequencies(), _bounds(seeds)):
         if res.saturated[a:b].any():
@@ -416,14 +409,6 @@ def build_equalization(
     )
 
 
-def _check_gain_word(table: CalibrationTable, gain_word: str):
-    if gain_word != table.gain_word:
-        raise CalibrationError(
-            f"table was calibrated under gain word {table.gain_word}, "
-            f"cannot apply under {gain_word}"
-        )
-
-
 def apply_calibration(
     z_raw: complex,
     table: CalibrationTable,
@@ -436,7 +421,9 @@ def apply_calibration(
     (compression differs between words).  A frequency absent from the
     table yields an out-of-table flag with the derotated-only value.
     """
-    _check_gain_word(table, gain_word)
+    if gain_word != table.gain_word:
+        raise CalibrationError(f"table was calibrated under gain word {table.gain_word}, "
+                               f"cannot apply under {gain_word}")
     z = derotate(z_raw)
     coeff = table.coeff(freq)
     if coeff is None:
@@ -465,9 +452,10 @@ def measure_impedance(
     """
     groups = isinstance(freq_index, list)
     indices, seeds = (freq_index, seed) if groups else ([freq_index], [[seed]])
-    res = setup.run([afe.AfeConfig.from_gain_word(gain_word, freq_index=i) for i in indices],
-                    seeds)
-    z = _raw_reading(setup.params, res, None if table is None else table.offset_for(gain_word))
+    configs = [afe.AfeConfig.from_gain_word(gain_word, freq_index=i) for i in indices]
+    res = setup.run(configs, seeds)
+    z = _raw_reading(setup.params, configs, res,
+                     None if table is None else table.offset_for(gain_word))
     readings = []
     for i, (a, b) in zip(indices, _bounds(seeds)):
         f = plan_frequencies()[i]

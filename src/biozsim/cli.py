@@ -111,7 +111,7 @@ class Scenario:
     model: object
     params: afe.ChainParams
     seed: int = 0
-    taps: int = 32
+    taps: int = acquire.TAPS
     gain: str = "111"
     frequencies: tuple = ()
     output_format: str = "csv"
@@ -146,7 +146,7 @@ _SCHEDULE = (lambda v: isinstance(v, dict) and all(
 #: model by type (a parallel_rc or cole model is its class's fields) and
 #: its chain of `ChainParams` overrides.
 _SCENARIO = {"model": (OBJECT, MISSING), "chain": (OBJECT, {}), "seed": (INTEGER, 0),
-             "taps": (INTEGER, 32),
+             "taps": (INTEGER, acquire.TAPS),
              "gain": ((lambda v: v == "auto" or v in calib.GAIN_WORDS, 'a 3-bit word or "auto"'),
                       "111"),
              "frequencies": (_NUMBERS, ()),
@@ -491,7 +491,6 @@ def cmd_link_demo(args) -> int:
 
     model = tissue.ParallelRC(r=100.0, c=0.0)
     params = afe.ChainParams()
-    taps = 32
     measured = [0] * len(plan_frequencies())  # measurements so far per plan index
 
     def backend(word: link.ConfigWord):
@@ -500,12 +499,11 @@ def cmd_link_demo(args) -> int:
         idx = config.freq_index
         seed = _measure_seeds(args.seed, [idx], 1, measured[idx])[0][0]
         measured[idx] += 1
-        res = acquire.run_sequence(model, config.fundamental, config, params, taps=taps, seed=seed)
-        to_code = lambda v: acquire.adc_sample(0.9 + v / 2.0)
-        return to_code(res.v_i_dc), to_code(res.v_q_dc)
+        res = acquire.run_sequence(model, config.fundamental, config, params,
+                                   taps=acquire.TAPS, seed=seed)
+        return acquire.pin_code(res.v_i_dc), acquire.pin_code(res.v_q_dc)
 
-    device = link.ImplantDevice(measure_backend=backend,
-                                measure_time=acquire.sequence_duration(params, taps))
+    device = link.ImplantDevice(measure_backend=backend)  # busy for the default chain at TAPS
     power = link.PowerState(reservoir_cap=args.cap * 1e-6)
     try:
         result = link.session(frames, link.ChannelParams(), power, device)

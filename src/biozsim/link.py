@@ -59,6 +59,8 @@ from dataclasses import dataclass
 from operator import index
 from typing import Callable, Optional
 
+from . import acquire, afe
+
 SYNC = 0xA5
 
 OP_SET_CONFIG = 0x01
@@ -139,8 +141,6 @@ class ConfigWord:
         return self
 
     def to_afe_config(self):
-        from . import afe
-
         self.require_usable()
         return afe.AfeConfig(
             g0=(self.gain >> 2) & 1,
@@ -339,6 +339,10 @@ class SessionResult:
 UART_BITS = tuple(bytes([0, *((byte >> k) & 1 for k in range(8)), 1]) for byte in range(256))
 
 
+#: Seconds a measurement of the default chain at `acquire.TAPS` occupies (0.114 s).
+MEASURE_TIME = acquire.sequence_duration(afe.ChainParams(), acquire.TAPS)
+
+
 def _brownout(t: float, v: float, trace: Trace) -> BrownOutError:
     return BrownOutError(f"brown-out at t={t * 1e3:.2f} ms, reservoir {v:.3f} V", trace)
 
@@ -350,16 +354,11 @@ class ImplantDevice:
     measurement engine; without one, START_MEASURE acknowledges and
     READ_RESULT returns zero codes.  `measure_time` is the busy interval a
     measurement occupies, `acquire.sequence_duration` of the chain and taps
-    the backend measures with; it defaults to that of the default chain
-    and 32 taps (0.114 s).
+    the backend measures with; it defaults to `MEASURE_TIME`.
     """
 
     def __init__(self, measure_backend: Optional[Callable] = None,
-                 measure_time: Optional[float] = None):
-        if measure_time is None:
-            from . import acquire, afe
-
-            measure_time = acquire.sequence_duration(afe.ChainParams())
+                 measure_time: float = MEASURE_TIME):
         self.config: Optional[ConfigWord] = None
         self.measure_backend = measure_backend
         self.measure_time = measure_time

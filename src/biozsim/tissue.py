@@ -96,10 +96,7 @@ class TabulatedTwoPort:
     @classmethod
     def from_text(cls, source) -> "TabulatedTwoPort":
         """Parse a plain-text table: `freq_hz re_ohm im_ohm` per row, # comments."""
-        if hasattr(source, "read"):
-            rows = np.loadtxt(source, ndmin=2)
-        else:
-            rows = np.loadtxt(str(source), ndmin=2)
+        rows = np.loadtxt(source, ndmin=2)
         if rows.shape[1] != 3:
             raise ValueError("expected 3 columns: freq_hz re_ohm im_ohm")
         return cls(rows[:, 0], rows[:, 1] + 1j * rows[:, 2])

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from biozsim import acquire, afe
 from biozsim.seeds import SeedWords, seed_words
-from biozsim.acquire import AdcSpec, SequenceResult, _phase_samples, adc_sample, run_sequence
+from biozsim.acquire import (TAPS, AdcSpec, SequenceResult, _phase_samples, adc_sample, code_volts,
+                             pin_code, run_sequence)
 from biozsim.afe import AfeConfig, ChainParams, mixer_dc_pair
 from biozsim.tissue import ParallelRC, TabulatedTwoPort
 from biozsim.waveforms import plan_frequencies
@@ -104,7 +105,7 @@ class TestScalarAdc:
 class TestRunSequence:
     MODEL = ParallelRC(r=100.0, c=0.0)
 
-    def run(self, params, taps=32, seed=None, model=None, idx=10, word="111",
+    def run(self, params, taps=TAPS, seed=None, model=None, idx=10, word="111",
             source=1):
         cfg = AfeConfig.from_gain_word(word, freq_index=idx, source_enable=source)
         return run_sequence(model or self.MODEL, plan_frequencies()[idx], cfg,
@@ -112,7 +113,7 @@ class TestRunSequence:
 
     def test_matches_oracle_within_one_lsb(self):
         res = self.run(QUIET)
-        cfg = res.config
+        cfg = AfeConfig.from_gain_word("111", freq_index=10)
         oi = analytic_dc_oracle(self.MODEL, 1953.125, cfg, QUIET, n_max=501)
         # reconstruction step is 2 ADC LSB (half-swing pin conditioning), so
         # the quantization bound referred to the reading is one LSB, plus a
@@ -128,8 +129,7 @@ class TestRunSequence:
     def test_source_disabled_measures_quantized_offset(self):
         res = self.run(QUIET, source=0)
         step = 2 * AdcSpec().lsb
-        expect = np.round((0.9 + QUIET.offset / 2) / AdcSpec().lsb) * AdcSpec().lsb
-        assert res.v_i_dc == pytest.approx(2 * (expect - 0.9), abs=1e-12)
+        assert res.v_i_dc == pytest.approx(code_volts(pin_code(QUIET.offset)), abs=1e-12)
         assert abs(res.v_i_dc - QUIET.offset) <= step / 2
 
     def test_i_q_windows_do_not_overlap(self):
@@ -175,7 +175,7 @@ class TestRunSequence:
     def test_frequency_index_consistency(self):
         cfg = AfeConfig(freq_index=10)
         with pytest.raises(ValueError):
-            run_sequence(self.MODEL, 2e6, cfg, QUIET)
+            run_sequence(self.MODEL, 2e6, cfg, QUIET, taps=TAPS)
 
     def test_taps_fall_on_whole_output_samples(self):
         assert _phase_samples(ChainParams(output_rate=20e3), 32) == (500, 20, 1140)
@@ -190,7 +190,7 @@ class TestTapLattice:
 
     MODEL = ParallelRC(r=180.0, c=2e-9)
 
-    def full_series_read(self, params, cfg, taps=32):
+    def full_series_read(self, params, cfg, taps=TAPS):
         # the taps read off the full output-rate series, noise-free
         fs = params.output_rate
         settle_n = int(round(params.settle_time * fs))
@@ -198,12 +198,10 @@ class TestTapLattice:
         phase_n = settle_n + spacing_n * taps
         dc_i, dc_q = mixer_dc_pair(self.MODEL, cfg.fundamental, cfg, params)
         series = afe._render([(phase_n, dc_i), (phase_n, dc_q)], params, 1)
-        spec = AdcSpec()
         means = []
         for start in (0, phase_n):
             idx = start + settle_n + spacing_n * np.arange(taps)
-            codes = adc_sample(0.9 + series[idx] / 2.0, spec)
-            means.append(float(np.mean(2.0 * (codes * spec.lsb - 0.9))))
+            means.append(float(np.mean(code_volts(pin_code(series[idx])))))
         return means
 
     def strides(self, monkeypatch):
@@ -223,7 +221,7 @@ class TestTapLattice:
         params = ChainParams(noise_floor=0.0, carrier_noise_v=0.0, settle_time=settle_time)
         cfg = AfeConfig(freq_index=idx)
         strides = self.strides(monkeypatch)
-        res = run_sequence(self.MODEL, cfg.fundamental, cfg, params, seed=3)
+        res = run_sequence(self.MODEL, cfg.fundamental, cfg, params, taps=TAPS, seed=3)
         assert strides == [stride]
         assert [res.v_i_dc, res.v_q_dc] == self.full_series_read(params, cfg)
 
@@ -244,7 +242,7 @@ class TestSeedStack:
 
     def assert_rows_are_single_runs(self, model, cfg, params, taps, seeds):
         record = run_sequence(model, [cfg.fundamental], [cfg], params, taps=taps, seed=[seeds])
-        stack = [SequenceResult(v_i, v_q, cfg, s) for v_i, v_q, s in zip(
+        stack = [SequenceResult(v_i, v_q, s) for v_i, v_q, s in zip(
             record.v_i_dc.tolist(), record.v_q_dc.tolist(), record.saturated.tolist(), strict=True)]
         assert len(stack) == len(seeds)
         for seed, row in zip(seeds, stack):
@@ -294,8 +292,9 @@ class TestSeedStack:
             k += n
         record = run_sequence(self.MODEL, [c.fundamental for c in configs], configs, params,
                               taps=taps, seed=seeds)
-        assert record.config == configs
-        rows = [SequenceResult(v_i, v_q, None, s) for v_i, v_q, s in zip(
+        # one row per seed of each configuration built
+        assert len(record.v_i_dc) == sum(n for _, n in self.GROUPS)
+        rows = [SequenceResult(v_i, v_q, s) for v_i, v_q, s in zip(
             record.v_i_dc.tolist(), record.v_q_dc.tolist(), record.saturated.tolist(),
             strict=True)]
         alone = [run_sequence(self.MODEL, c.fundamental, c, params, taps=taps, seed=s)
@@ -306,7 +305,25 @@ class TestSeedStack:
         configs = [AfeConfig(freq_index=2), AfeConfig(freq_index=3)]
         with pytest.raises(ValueError, match="does not match"):
             run_sequence(self.MODEL, [configs[0].fundamental, configs[0].fundamental], configs,
-                         ChainParams(), seed=[[1], [2]])
+                         ChainParams(), taps=TAPS, seed=[[1], [2]])
+
+    @pytest.mark.parametrize("n_configs,seeds", [
+        (1, [[1, 2], [3, 4, 5]]),  # a second group no configuration takes
+        (2, [[1, 2]]),
+        (2, [[1], [2], [3]]),
+        (1, [[]]),
+        (2, [[1], []]),
+    ], ids=["two_lists_one_config", "one_list_two_configs", "three_lists_two_configs",
+            "one_empty_list", "one_of_two_lists_empty"])
+    def test_a_stack_takes_one_non_empty_seed_list_per_configuration(self, n_configs, seeds):
+        configs = [AfeConfig(freq_index=3), AfeConfig(freq_index=4)][:n_configs]
+        with pytest.raises(ValueError) as info:
+            run_sequence(self.MODEL, [c.fundamental for c in configs], configs, ChainParams(),
+                         taps=TAPS, seed=seeds)
+        message = str(info.value)
+        assert "\n" not in message
+        assert f"each of {n_configs} configurations" in message
+        assert f"got {len(seeds)} lists of {[len(s) for s in seeds]} seeds" in message
 
     def test_noise_rows_equal_single_draws(self):
         params = ChainParams()
@@ -324,5 +341,5 @@ class TestSeedStack:
         # the overflow inside the image sum warns; the raise is what is checked
         with np.errstate(all="ignore"), pytest.raises(acquire.MeasurementRangeError,
                                                       match="not finite"):
-            run_sequence(huge, [cfg.fundamental], [cfg], ChainParams(), seed=[[1, 2, 3]])
+            run_sequence(huge, [cfg.fundamental], [cfg], ChainParams(), taps=TAPS, seed=[[1, 2, 3]])
         assert rendered == []

@@ -518,7 +518,8 @@ class TestPlanStack:
                 with pytest.raises(ValueError, match="does not match plan frequency"):
                     mixer_dc_pair(model, f0, config, ChainParams())
                 with pytest.raises(ValueError, match="does not match plan frequency"):
-                    acquire.run_sequence(model, [f0], [config], ChainParams(), seed=[[1, 2]])
+                    acquire.run_sequence(model, [f0], [config], ChainParams(), taps=acquire.TAPS,
+                                         seed=[[1, 2]])
         assert afe._plan_dc.cache_info().currsize == 0
 
     def test_table_short_of_the_top_images_still_serves_low_frequencies(self):

@@ -59,9 +59,8 @@ def test_link_sessions_compute_one_stack_per_load(monkeypatch):
         def backend(word, model=model, seed=k):
             config = word.to_afe_config()
             res = acquire.run_sequence(model, plan_frequencies()[word.freq_sel], config, params,
-                                       seed=seed)
-            return tuple(acquire.adc_sample(0.9 + v / 2.0, acquire.AdcSpec())
-                         for v in (res.v_i_dc, res.v_q_dc))
+                                       taps=acquire.TAPS, seed=seed)
+            return acquire.pin_code(res.v_i_dc), acquire.pin_code(res.v_q_dc)
 
         frames = []
         for idx in range(11):
@@ -278,5 +277,5 @@ def test_sweeps_and_calibrations_build_no_seed_sequence(monkeypatch, tmp_path):
     assert built == []
     # the counters do see a seed that is not words
     config = AfeConfig(freq_index=4, source_enable=0)
-    acquire.run_sequence(None, config.fundamental, config, ChainParams(), seed=3)
+    acquire.run_sequence(None, config.fundamental, config, ChainParams(), taps=acquire.TAPS, seed=3)
     assert built and built[0] == 3

@@ -1,4 +1,4 @@
-"""Round-trip properties of the wire and configuration encodings.
+"""Round-trip properties of the wire, configuration and ADC pin encodings.
 
 Bounded so the suite stays fast: at most 100 examples a property, no
 per-example deadline.
@@ -7,6 +7,7 @@ per-example deadline.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from biozsim.acquire import ADC, code_volts, pin_code
 from biozsim.afe import AfeConfig
 from biozsim.link import PAYLOAD_LEN, ConfigWord, Frame, checksum_ok, decode_config, encode_config
 
@@ -69,3 +70,33 @@ def test_any_single_byte_change_fails_the_checksum(frame, data):
     k = data.draw(st.integers(0, len(wire) - 1))
     wire[k] = (wire[k] + data.draw(st.integers(1, 255))) % 256
     assert not checksum_ok(bytes(wire))
+
+
+#: The differential outputs of the lowest and highest ADC codes.
+RAILS = (code_volts(0), code_volts(ADC.codes - 1))
+
+
+@BOUNDED
+@given(st.floats(allow_nan=False), st.floats(allow_nan=False))
+def test_pin_code_is_monotone(a, b):
+    lo, hi = sorted((a, b))
+    assert pin_code(lo) <= pin_code(hi)
+
+
+@BOUNDED
+@given(st.floats(allow_nan=False))
+def test_pin_code_clamps_at_both_rails(v):
+    code = pin_code(v)
+    assert 0 <= code <= ADC.codes - 1
+    if v <= RAILS[0]:
+        assert code == 0
+    if v >= RAILS[1]:
+        assert code == ADC.codes - 1
+
+
+@BOUNDED
+@given(st.floats(*RAILS))
+def test_code_volts_reads_back_within_one_lsb(v):
+    # a half-step tie, rounded either way, sits one LSB from both codes; the
+    # pin rule's own float arithmetic adds at most a few ulps of the rail
+    assert abs(code_volts(pin_code(v)) - v) <= ADC.lsb + 1e-15

@@ -1,3 +1,4 @@
+import io
 import warnings
 from dataclasses import replace
 
@@ -209,6 +210,10 @@ class TestTabulatedTwoPort:
         back = TabulatedTwoPort.from_text(p)
         assert back.freqs_hz.tolist() == [1e3, 1e6, 2.5e7]
         assert back.z21.tolist() == [499.5 - 3.14j, 12.25 - 78.0625j, 0.1 - 0.5j]
+        # a path and an open file read as the same table
+        opened = TabulatedTwoPort.from_text(io.StringIO(p.read_text()))
+        assert opened.freqs_hz.tolist() == back.freqs_hz.tolist()
+        assert opened.z21.tolist() == back.z21.tolist()
 
     def test_builtin_low_frequency_magnitudes(self):
         assert abs(impedance_at(builtin_model("blood"), 2e3)) == pytest.approx(107.0, rel=0.02)
