@@ -39,7 +39,6 @@ from .link import (
     Frame,
     ImplantDevice,
     PowerState,
-    ReservedFrequencyError,
     decode_config,
     encode_config,
     session,

@@ -123,8 +123,8 @@ class AfeConfig:
         for name in ("g0", "g1", "g2", "source_enable"):
             if getattr(self, name) not in (0, 1):
                 raise ValueError(f"{name} must be 0 or 1")
-        if not 0 <= self.freq_index <= 10:
-            raise ValueError("freq_index must be in 0..10")
+        if not 0 <= self.freq_index < N_PLAN:
+            raise ValueError(f"freq_index must be in 0..{N_PLAN - 1}")
 
     @property
     def gain_word(self) -> str:

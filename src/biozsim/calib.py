@@ -2,9 +2,10 @@
 
 Processing order for one reading:
 
-  1. offsets, measured once per gain word with the source disabled, are
-     subtracted from the averaged I/Q voltages (voltage domain, so offset
-     handling stays orthogonal to gain-word changes);
+  1. the offset, measured with the source disabled under the table's
+     gain word when the table is built, is subtracted from the averaged
+     I/Q voltages (voltage domain, so offset handling stays orthogonal to
+     gain-word changes);
   2. quadrature scaling: Re = (pi/2) V_I / (|I| G), Im = (pi/2) V_Q / (|I| G);
   3. derotation by exp(+j*pi/8), undoing the source lag (the raw resistor
      constellation sits at -22.5 deg);
@@ -143,18 +144,22 @@ class CalibrationTable:
     """Per-frequency equalization coefficients plus measured offsets.
 
     `offsets` maps gain word -> (v_i, v_q) volts; `eq_coeffs` maps each
-    plan frequency, exactly, to its complex multiplier.  Saved, its keys
-    are declared with their JSON kinds in `_TABLE` (version, reference_r,
-    gain_word, created_at, offsets, eq_coeffs), `_OFFSETS` (a gain word
-    each), `_OFFSET` (v_i, v_q) and `_COEFF` (freq_hz, re, im); `from_json`
-    also requires each plan frequency at most once.  Every table, built or
-    loaded, holds an offset for its own gain word (a reading under that
-    word subtracts it), and its coefficients are sanity bounded to [0.5, 2]
-    in magnitude.  At the lowest frequency, where the chain's poles are
-    negligible, they are not 1: the staircase's hold images fold onto the
-    mixer DC, so `bioz calibrate` on the default chain reads |coeff| =
-    1.0249 at 1953.125 Hz (seed 3; 1.0365 at seed 14, the spread being the
-    reference reads' noise).
+    plan frequency, exactly, to its complex multiplier.  A built table's
+    offsets hold its own gain word alone, the one word a reading through
+    it may be taken under; a loaded table may hold more (tables saved
+    before held all eight), and only its own word's offset is read.
+    Saved, its keys are declared with their JSON kinds in `_TABLE`
+    (version, reference_r, gain_word, created_at, offsets, eq_coeffs),
+    `_OFFSETS` (a gain word each), `_OFFSET` (v_i, v_q) and `_COEFF`
+    (freq_hz, re, im); `from_json` also requires each plan frequency at
+    most once.  Every table, built or loaded, holds an offset for its own
+    gain word (a reading under that word subtracts it), and its
+    coefficients are sanity bounded to [0.5, 2] in magnitude.  At the
+    lowest frequency, where the chain's poles are negligible, they are not
+    1: the staircase's hold images fold onto the mixer DC, so `bioz
+    calibrate` on the default chain reads |coeff| = 1.0249 at 1953.125 Hz
+    (seed 3; 1.0365 at seed 14, the spread being the reference reads'
+    noise).
     """
 
     reference_r: float
@@ -172,9 +177,6 @@ class CalibrationTable:
                     f"equalization coefficient at {f:g} Hz has magnitude "
                     f"{abs(c):.3f}, outside the sanity bounds [0.5, 2]"
                 )
-
-    def coeff(self, freq: float):
-        return self.eq_coeffs.get(freq)
 
     def offset_for(self, gain_word: str):
         return self.offsets.get(gain_word)
@@ -324,7 +326,7 @@ def measure_offsets(setup: MeasurementSetup, gain_words: list, seeds: list) -> d
     the top plan frequency (index 0), where the least front-end noise
     folds down onto the reading.  Every later reading subtracts this
     stored value, so any residual offset error biases all of them;
-    average generously (offsets are measured once).  Every word's
+    average generously (a table's offset is measured once).  Every word's
     sequences run as one stack, and each word's are summed by `np.sum`:
     in row order below 8 seeds, pairwise from 8 on.  Each word's offset is
     that word measured alone.  A word with no seeds raises ValueError.
@@ -363,27 +365,29 @@ def build_equalization(
 ) -> CalibrationTable:
     """Measure the reference resistor at every plan frequency.
 
-    Offsets for all gain words are measured first, then each frequency
+    The offset for `gain_word` is measured first, then each frequency
     is measured `REFERENCE_REPEATS` times and averaged (calibration happens
     once, so spending acquisition time here keeps its noise out of every
     later reading) and coeff = reference_r / z_measured.  The
     coefficients are saved with the table for reuse.  Saturation during
     the reference sweep aborts the calibration.
 
-    The seeds are the children of `SeedSequence(seed).spawn(8 + 11)`, each
-    spawned once more: 4 per gain word's offsets, then `REFERENCE_REPEATS`
-    per plan frequency.  They are computed as words, and the 32 offset
-    sequences run as one stack, the 110 reference reads as another.
+    The seeds are children of `SeedSequence(seed).spawn(8 + 11)`, each
+    spawned once more: 4 for the offset, from child
+    `GAIN_WORDS.index(gain_word)`, then `REFERENCE_REPEATS` per plan
+    frequency from children 8 to 18.  They are computed as words, and the
+    4 offset sequences run as one stack, the 110 reference reads as
+    another.
     """
     if seed is None:
         seed = np.random.SeedSequence().entropy
-    offsets = measure_offsets(setup, list(GAIN_WORDS), _spawned(seed, 0, 8, 4))
+    configs = [afe.AfeConfig.from_gain_word(gain_word, freq_index=i) for i in range(N_PLAN)]
+    offsets = measure_offsets(setup, [gain_word], _spawned(seed, GAIN_WORDS.index(gain_word), 1, 4))
 
     ref_setup = replace(setup, model=tissue.ParallelRC(r=reference_r, c=0.0))
     seeds = _spawned(seed, 8, N_PLAN, REFERENCE_REPEATS)
-    configs = [afe.AfeConfig.from_gain_word(gain_word, freq_index=i) for i in range(N_PLAN)]
     res = ref_setup.run(configs, seeds)
-    z_raw = _raw_reading(setup.params, configs, res, offsets.get(gain_word))
+    z_raw = _raw_reading(setup.params, configs, res, offsets[gain_word])
     coeffs = {}
     for f0, (a, b) in zip(plan_frequencies(), _bounds(seeds)):
         if res.saturated[a:b].any():
@@ -425,7 +429,7 @@ def apply_calibration(
         raise CalibrationError(f"table was calibrated under gain word {table.gain_word}, "
                                f"cannot apply under {gain_word}")
     z = derotate(z_raw)
-    coeff = table.coeff(freq)
+    coeff = table.eq_coeffs.get(freq)
     if coeff is None:
         return ImpedanceReading(z=z, freq=freq, gain_word=gain_word, flags=("out_of_table",))
     return ImpedanceReading(z=_mul(z, coeff), freq=freq, gain_word=gain_word)

@@ -4,8 +4,9 @@ The 13.56 MHz carrier is not simulated per cycle: downlink commands are
 ASK frames the implant demodulates while continuing to harvest, and uplink
 responses are sent by load modulation, shorting the resonant tank during
 every zero bit so harvesting pauses and the 20 uF reservoir discharges at
-the chip's load current.  Serial format is 9.6 kbps 8N1 (start bit 0,
-eight data bits LSB-first, stop bit 1); a zero bit shorts the tank.
+the chip's load current, `LOAD_CURRENT`.  Serial format is 8N1 at
+`BIT_RATE`, 9.6 kbps (start bit 0, eight data bits LSB-first, stop bit 1);
+a zero bit shorts the tank.
 
 Wire format (all integers unsigned, checksum = sum of every preceding
 frame byte mod 256):
@@ -31,10 +32,12 @@ frame byte mod 256):
                      frequency, 3 = bad opcode, 4 = no result)
 
 The power side is an energy-reservoir budget: the rectifier recharges the
-reservoir first-order toward the 3.0 V diode-chain clamp with time
-constant r_source * C; while the tank is shorted the reservoir discharges
-by I_load * dt / C.  The session aborts with a brown-out error when the
-reservoir drops below the 1.9 V regulator dropout margin.  `session`
+reservoir first-order toward the diode-chain clamp, `CLAMP_VOLTAGE`
+(3.0 V), with time constant r_source * C; while the tank is shorted the
+reservoir discharges by I_load * dt / C.  The session aborts with a
+brown-out error when the reservoir drops below the regulator dropout
+margin, `BROWNOUT_VOLTAGE` (1.9 V).  These are the link's constants; the
+source resistance and the reservoir are parameters.  `session`
 records the reservoir after every step, every uplink bit boundary
 included, in one flat loop over the frame's line bits, read from
 `UART_BITS`, the constant table of the 10 8N1 bits of each byte value.
@@ -46,7 +49,7 @@ made, so it is bit for bit the time the session reached.
 
 A session owns the reader and implant state machines exclusively; the
 module is otherwise stateless, and a session is deterministic given the
-command list and channel parameters.
+command list, channel parameters and power state.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ from operator import index
 from typing import Callable, Optional
 
 from . import acquire, afe
+from .waveforms import N_PLAN
 
 SYNC = 0xA5
 
@@ -99,9 +103,17 @@ BLOCK_CURRENTS_UA = {
     "buffers": 12.0,
 }
 
+#: The chip's load current with every block on, amps (165.5 uA).
+LOAD_CURRENT = sum(BLOCK_CURRENTS_UA.values()) / 1e6
 
-class ReservedFrequencyError(ValueError):
-    """Config word selects one of the reserved frequency codes (11..15)."""
+#: Uplink and downlink bit rate, bits per second.
+BIT_RATE = 9600.0
+
+#: The rectifier's diode-chain clamp, volts.
+CLAMP_VOLTAGE = 3.0
+
+#: The regulator's dropout margin, volts: below it the chip browns out.
+BROWNOUT_VOLTAGE = 1.9
 
 
 @dataclass(frozen=True)
@@ -133,15 +145,9 @@ class ConfigWord:
             if not 0 <= value < span:
                 raise ValueError(f"{name} out of range: {value}")
 
-    def require_usable(self) -> "ConfigWord":
-        if self.freq_sel > 10:
-            raise ReservedFrequencyError(
-                f"freq_sel {self.freq_sel} is reserved (usable codes are 0..10)"
-            )
-        return self
-
     def to_afe_config(self):
-        self.require_usable()
+        """The front-end configuration; a reserved `freq_sel` raises
+        ValueError (see `afe.AfeConfig`)."""
         return afe.AfeConfig(
             g0=(self.gain >> 2) & 1,
             g1=(self.gain >> 1) & 1,
@@ -219,21 +225,19 @@ def checksum_ok(data: bytes) -> bool:
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Envelope-level channel and reservoir constants."""
+    """The channel's one parameter, the rectifier's source resistance; the
+    bit rate, clamp and brown-out floor are the module's constants."""
 
-    bit_rate: float = 9600.0
-    clamp_voltage: float = 3.0
-    brownout_voltage: float = 1.9
     r_source: float = 2500.0  # recharge: tau = r_source * reservoir_cap = 50 ms
 
 
 @dataclass
 class PowerState:
-    """Energy-reservoir state; the voltage is clamped to [0, 3.0] V."""
+    """Energy-reservoir state; the voltage is clamped to [0,
+    `CLAMP_VOLTAGE`].  The reservoir feeds the chip's `LOAD_CURRENT`."""
 
     reservoir_voltage: float = 3.0
     reservoir_cap: float = 20e-6
-    load_current: float = sum(BLOCK_CURRENTS_UA.values()) / 1e6  # amps
 
 
 class Trace(Sequence):
@@ -325,14 +329,13 @@ class BrownOutError(RuntimeError):
 class SessionResult:
     """A session's outcome.
 
-    `responses` holds the implant's response `Frame` to each command, and
-    `events` one line of protocol log per command.  `trace` is the
-    reservoir after every step, as a `Trace` of (time_s, volts, tag).
+    `responses` holds the implant's response `Frame` to each command, in
+    command order.  `trace` is the reservoir after every step, as a
+    `Trace` of (time_s, volts, tag).
     """
 
     responses: list
     trace: Trace
-    events: list
 
 
 #: The 10 line bits of each byte value in 8N1, LSB first: start(0), data, stop(1).
@@ -373,9 +376,7 @@ class ImplantDevice:
             return Frame(OP_PONG, payload), 0.0
         if opcode == OP_SET_CONFIG:
             word = decode_config(int.from_bytes(payload, "big"))
-            try:
-                word.require_usable()
-            except ReservedFrequencyError:
+            if word.freq_sel >= N_PLAN:
                 return Frame(OP_NAK, bytes([NAK_RESERVED_FREQ])), 0.0
             self.config = word
             return Frame(OP_ACK, bytes([OP_SET_CONFIG])), 0.0
@@ -415,7 +416,7 @@ def session(
     the start step, an `"rx"` or `"measure"` step, or one frame's `"tx"`
     bits); it replays the times by the additions of the session's own
     clock, so they equal it bit for bit.  A 200-PING session holds about
-    15 B a step, its responses and event log included.
+    13 B a step, its responses included.
 
     Brown-out raises BrownOutError carrying the trace up to and including
     the step that fell below the floor.  Harvesting moves the reservoir
@@ -429,12 +430,12 @@ def session(
     if device is None:
         device = ImplantDevice()
 
-    bit_t = 1.0 / channel.bit_rate
+    bit_t = 1.0 / BIT_RATE
     tau = channel.r_source * power.reservoir_cap
-    clamp, floor = channel.clamp_voltage, channel.brownout_voltage
+    clamp, floor = CLAMP_VOLTAGE, BROWNOUT_VOLTAGE
     # every tx bit recharges by one factor or discharges by one step
     bit_decay = math.exp(-bit_t / tau) if tau > 0 else None
-    bit_drop = power.load_current * bit_t / power.reservoir_cap
+    bit_drop = LOAD_CURRENT * bit_t / power.reservoir_cap
     t = 0.0
     v = min(power.reservoir_voltage, clamp)
     trace = Trace()
@@ -442,7 +443,6 @@ def session(
     record = trace.volts.append
     run(t, 0.0, "start")
     record(v)
-    events = []
     responses = []
 
     def harvest(dt: float, tag: str):
@@ -466,11 +466,6 @@ def session(
         if busy:
             harvest(busy, "measure")
         tx = response.to_bytes()
-        events.append(
-            f"rx {rx.hex()} -> tx {tx.hex()}"
-            + (" [checksum rejected]" if response.opcode == OP_NAK and
-               response.payload == bytes([NAK_CHECKSUM]) else "")
-        )
         # the per-bit step, inlined: the same arithmetic as `harvest` with
         # the factor precomputed, or a discharge; clamped by comparisons,
         # which keep -0.0 and NaN as min/max would
@@ -492,4 +487,4 @@ def session(
                 raise _brownout(t, v, trace)
         responses.append(response)
 
-    return SessionResult(responses=responses, trace=trace, events=events)
+    return SessionResult(responses=responses, trace=trace)

@@ -49,10 +49,6 @@ class ParallelRC:
             if not (value >= 0) or not math.isfinite(value):
                 raise ValueError(f"{name} must be non-negative and finite")
 
-    @property
-    def tau(self) -> float:
-        return self.r * self.c
-
 
 @dataclass(frozen=True)
 class ColeModel:

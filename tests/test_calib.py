@@ -183,6 +183,11 @@ class TestEqualization:
             build_equalization(setup, reference_r=3000.0, gain_word="111", seed=1,
                                created_at="t")
 
+    def test_a_malformed_gain_word_is_named(self):
+        setup = MeasurementSetup(model=ParallelRC(r=100.0, c=0.0))
+        with pytest.raises(ValueError, match="gain word must be 3 bits, got '11'"):
+            build_equalization(setup, gain_word="11", seed=1, created_at="t")
+
     def test_sanity_bounds_enforced(self):
         with pytest.raises(CalibrationError, match="sanity bounds"):
             CalibrationTable(
@@ -396,12 +401,11 @@ class TestGroupStack:
 
     @pytest.mark.parametrize("seed", [4, 2**40 + 1])
     def test_calibration_equals_its_groups_alone(self, seed):
-        # the table as built one gain word and one frequency at a time, from
-        # numpy's own spawned SeedSequences
+        # the table as built one frequency at a time, from numpy's own
+        # spawned SeedSequences; the offset is its gain word's alone
         setup = MeasurementSetup(model=ParallelRC(r=150.0, c=2e-9))
         children = np.random.SeedSequence(seed).spawn(8 + 11)
-        offsets = {w: measure_offsets(setup, [w], [ss.spawn(4)])[w]
-                   for w, ss in zip(GAIN_WORDS, children[:8])}
+        offsets = measure_offsets(setup, ["111"], [children[GAIN_WORDS.index("111")].spawn(4)])
         table = build_equalization(setup, 100.0, "111", seed=seed, created_at="t")
         assert table.offsets == offsets
         ref = MeasurementSetup(model=ParallelRC(r=100.0, c=0.0))

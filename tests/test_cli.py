@@ -7,7 +7,7 @@ import pytest
 
 from biozsim import cli
 from biozsim.afe import ChainParams
-from biozsim.calib import CalibrationTable
+from biozsim.calib import GAIN_WORDS, CalibrationTable, measure_offsets
 from biozsim.tissue import ParallelRC
 from biozsim.waveforms import plan_frequencies
 
@@ -377,9 +377,23 @@ class TestCommandLine:
 class TestCalibrate:
     def test_writes_table_with_top_frequency_boost(self, cal_table, capsys):
         table = CalibrationTable.load(cal_table)
-        assert abs(table.coeff(2e6)) > 1.2
+        assert abs(table.eq_coeffs[2e6]) > 1.2
         assert table.gain_word == "111"
         assert table.created_at == "pinned"
+
+    @pytest.mark.parametrize("gain", ["111", "000"])
+    def test_table_holds_its_own_word_offset_alone(self, tmp_path, capsys, gain):
+        # bit for bit that word measured alone, on the stream it had when a
+        # calibration measured all eight words: child GAIN_WORDS.index(gain)
+        scen = write_scenario(tmp_path, gain=gain)
+        out = tmp_path / "cal.json"
+        assert cli.main(["calibrate", "--scenario", str(scen), "--out", str(out),
+                         "--created-at", "pinned"]) == cli.EXIT_OK
+        offsets = CalibrationTable.load(out).offsets
+        child = np.random.SeedSequence(99).spawn(8 + 11)[GAIN_WORDS.index(gain)]
+        alone = measure_offsets(cli.load_scenario(scen).setup(), [gain], [child.spawn(4)])
+        assert list(offsets) == [gain]
+        assert [v.hex() for v in offsets[gain]] == [v.hex() for v in alone[gain]]
 
     def test_ideal_chain_coefficients(self, tmp_path, capsys):
         scen = write_scenario(tmp_path, name="ideal.json", chain={"lna_pole": None})

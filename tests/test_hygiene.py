@@ -9,7 +9,8 @@ A function parameter other than `self` and `cls` must be read somewhere
 in the function's body, nested functions included.
 
 The package's public settable values are counted and pinned, so a new
-option cannot slip in unnoticed.
+option cannot slip in unnoticed, and every public dataclass field must be
+read somewhere in the package, so no field is kept that nothing reads.
 
 numpy is the one runtime dependency: importing scipy would cost a `bioz`
 process about a second before it measures anything.  scipy stays a test
@@ -112,15 +113,16 @@ def test_calibrate_and_sweep_load_no_scipy_and_no_numpy_submodule(tmp_path):
     assert out.stdout.strip().splitlines()[-2:] == ["[]", "[]"]
 
 
+def is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+               for d in cls.decorator_list)
+
+
 def public_settable_values(path: Path) -> int:
     """Fields of the module's public dataclasses plus defaulted parameters
     of its public functions and of public methods of its public classes."""
     def defaulted(fn):
         return len(fn.args.defaults) + sum(d is not None for d in fn.args.kw_defaults)
-
-    def is_dataclass(cls):
-        return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
-                   for d in cls.decorator_list)
 
     count = 0
     for node in ast.parse(path.read_text()).body:
@@ -139,7 +141,56 @@ def test_public_settable_values():
     new one must be justified in CHANGES.md, and this pin updated there."""
     counts = {p.stem: public_settable_values(p) for p in sorted(PACKAGE.glob("*.py"))
               if p.name != "__init__.py"}
-    assert sum(counts.values()) == 95, f"per module: {counts}"
+    assert sum(counts.values()) == 90, f"per module: {counts}"
+
+
+def unread_fields(sources: list) -> list:
+    """`Class.field` for each public field of a public dataclass whose name
+    nothing in the sources reads: no attribute load `x.field` and no
+    `getattr(x, "field")`.  Names are matched, not types, so a field is
+    read when any attribute of its name is."""
+    trees = [ast.parse(source) for source in sources]
+    read = set()
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+              and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)):
+            read.add(node.args[1].value)
+    return [f"{cls.name}.{s.target.id}" for tree in trees for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_") and is_dataclass(cls)
+            for s in cls.body if isinstance(s, ast.AnnAssign)
+            and not s.target.id.startswith("_") and s.target.id not in read]
+
+
+def test_every_public_field_is_read():
+    assert unread_fields([p.read_text() for p in sorted(PACKAGE.glob("*.py"))]) == []
+
+
+@pytest.mark.parametrize("reader, unread", [
+    ("a.x + a.y", []),
+    ("a.x + getattr(a, 'y')", []),
+    ("a.x", ["A.y"]),
+    ("a.y.x", []),
+    ("setattr(a, 'x', a.y)", ["A.x"]),
+])
+def test_unread_fields_are_found(reader, unread):
+    source = textwrap.dedent(f"""
+        @dataclass(frozen=True)
+        class A:
+            x: int
+            y: int = 0
+            _z: int = 0
+
+        @dataclass
+        class _B:
+            w: int
+
+        def f(a):
+            a.x = 1
+            return {reader}
+    """)
+    assert unread_fields([source]) == unread
 
 
 #: Attribute and imported names that reach BLAS through numpy.

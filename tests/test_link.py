@@ -7,12 +7,14 @@ import pytest
 from biozsim.acquire import sequence_duration
 from biozsim.afe import ChainParams
 from biozsim.link import (
+    BIT_RATE,
     BLOCK_CURRENTS_UA,
     BrownOutError,
     ChannelParams,
     ConfigWord,
     Frame,
     ImplantDevice,
+    LOAD_CURRENT,
     OP_ACK,
     OP_NAK,
     OP_PING,
@@ -25,7 +27,6 @@ from biozsim.link import (
     NAK_NO_RESULT,
     NAK_RESERVED_FREQ,
     PowerState,
-    ReservedFrequencyError,
     UART_BITS,
     decode_config,
     encode_config,
@@ -56,8 +57,8 @@ class TestConfigCodec:
     def test_reserved_frequency_on_use(self):
         w = decode_config(encode_config(ConfigWord(freq_sel=12)))
         assert w.freq_sel == 12  # codec itself round-trips
-        with pytest.raises(ReservedFrequencyError):
-            w.require_usable()
+        with pytest.raises(ValueError, match="freq_index must be in 0..10"):
+            w.to_afe_config()
 
     def test_to_afe_config(self):
         w = ConfigWord(freq_sel=4, source_enable=1, iq_sel=1, gain=0b101)
@@ -76,7 +77,7 @@ class TestConfigCodec:
 class TestPowerBudget:
     def test_total(self):
         # the reservoir's default load is every block on, 165.5 uA, bit for bit
-        assert PowerState().load_current == sum(BLOCK_CURRENTS_UA.values()) / 1e6 == 165.5e-6
+        assert LOAD_CURRENT == sum(BLOCK_CURRENTS_UA.values()) / 1e6 == 165.5e-6
 
 
 class TestFrames:
@@ -165,7 +166,7 @@ class TestSession:
         zero_bits = sum(
             10 - 1 - bin(byte).count("1") for byte in wire  # start bit + data zeros
         )
-        t_short = zero_bits / channel.bit_rate
+        t_short = zero_bits / BIT_RATE
         predicted = 165.5e-6 * t_short / 20e-6
         tx = [v for _, v, tag in result.trace if tag == "tx"]
         droop = 3.0 - min(tx)
@@ -189,7 +190,7 @@ class TestSession:
 
     def test_trace_holds_at_most_24_bytes_a_step(self):
         # one double of volts a step, and a time, dt and tag a run; the
-        # responses and the event log are counted too
+        # responses are counted too
         frames = [Frame(OP_PING, bytes([k % 256])) for k in range(200)]
         device = ImplantDevice(measure_time=0.114)
         gc.collect()
@@ -230,8 +231,10 @@ class TestSession:
 
 
 class TestRecordedSessions:
-    """Traces and event logs equal, bit for bit, those recorded from the
-    session loop that evaluated exp(-bit_t / tau) and I * bit_t / C per bit."""
+    """Traces and protocol logs equal, bit for bit, those recorded from the
+    session loop that evaluated exp(-bit_t / tau) and I * bit_t / C per bit.
+    The log, one line per command, is rebuilt from the frames and their
+    responses as the session once wrote it."""
 
     @staticmethod
     def frames():
@@ -268,6 +271,12 @@ class TestRecordedSessions:
         text = "\n".join(f"{t.hex()} {v.hex()} {tag}" for t, v, tag in trace)
         return hashlib.sha256((text + "\n" + "\n".join(events)).encode()).hexdigest()
 
+    @staticmethod
+    def log(frames, responses):
+        rejected = Frame(OP_NAK, bytes([NAK_CHECKSUM]))
+        return [f"rx {cmd.hex()} -> tx {rsp.hex()}" + (" [checksum rejected]" if rsp == rejected else "")
+                for cmd, rsp in zip(frames, responses)]
+
     @pytest.mark.parametrize("r_source, digest", [
         (0.0, "f3f1dd0d8be9f86430f9bbd4d4169a5885ec7e4b7bebe0fa8809fdd4a7fa7a6d"),
         (2500.0, "3ec1f66406ac438f3ad3bb57d43bcd65865185fe9a769dee092b7b4068a8dad0"),
@@ -276,7 +285,7 @@ class TestRecordedSessions:
         result = session(self.frames(), ChannelParams(r_source=r_source),
                          PowerState(reservoir_voltage=2.5), self.device())
         assert len(result.trace) == 391
-        assert self.digest(result.trace, result.events) == digest
+        assert self.digest(result.trace, self.log(self.frames(), result.responses)) == digest
         self.check_sequence(result.trace)
 
     def test_brownout_matches_its_recording(self):

@@ -215,15 +215,15 @@ def test_rc_sweep_folds_the_noise_spectrum_once():
 
 def test_a_reading_shapes_its_repeats_noise_in_one_pass(monkeypatch):
     # one stack per gain word: a fixed-gain sweep is one pass of 11 x 10
-    # rows; a calibration is one pass of its 8 x 4 offset sequences and one
-    # of its 11 x 10 reference reads
+    # rows; a calibration is one pass of its gain word's 4 offset sequences
+    # and one of its 11 x 10 reference reads
     calls = count_calls(monkeypatch, afe, "noise_process")
     scenario = cli.Scenario(model=ParallelRC(r=150.0, c=2e-9), params=ChainParams(), seed=5)
     cli.run_sweep(scenario, None, repeats=10)
     assert [len(args[1]) for args in calls] == [110]
     calls.clear()
     calib.build_equalization(calib.MeasurementSetup(model=None), seed=4, created_at="pinned")
-    assert [len(args[1]) for args in calls] == [32, 110]
+    assert [len(args[1]) for args in calls] == [4, 110]
 
 
 def test_an_auto_gain_sweep_runs_one_pass_per_chosen_word(monkeypatch):
