@@ -2,7 +2,9 @@
 
 The microcontroller's 10-bit ADC digitizes one single-ended output pin
 that carries the differential chain output; `pin_code` and `code_volts`
-hold that pin rule.
+hold that pin rule.  A sequence reads each tap's volts and rail flag from
+two tables with one entry per code, `code_volts` of every code and
+whether the code is a rail, built once per process.
 
 A measurement sequence follows the fixed timing: enable the source with
 the I reference, wait the settling time, take `taps` ADC samples at 1 ms
@@ -67,7 +69,7 @@ def adc_sample(v: float, spec: AdcSpec = ADC):
     if isinstance(v, float) and math.isfinite(v):
         return round(min(max(float(v) / spec.lsb, 0.0), spec.codes - 1))
     x = np.rint(np.asarray(v) / spec.lsb)
-    if np.isnan(x).any():
+    if np.logical_or.reduce(np.isnan(x), axis=None):
         raise ValueError("ADC input is NaN")
     code = np.minimum(np.maximum(x, 0.0), spec.codes - 1).astype(int)
     return int(code) if np.ndim(v) == 0 else code
@@ -84,6 +86,15 @@ def code_volts(code):
     a code step is two ADC LSBs of output (3.52 mV), so an output between
     the rails reads back within one LSB (1.76 mV)."""
     return 2.0 * (code * ADC.lsb - 0.9)
+
+
+#: The volts each ADC code reads back, `code_volts` of every code.
+_CODE_VOLTS = code_volts(np.arange(ADC.codes))
+_CODE_VOLTS.setflags(write=False)
+
+#: True at the two rail codes, 0 and the top code.
+_AT_RAIL = np.isin(np.arange(ADC.codes), (0, ADC.codes - 1))
+_AT_RAIL.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -132,8 +143,10 @@ def run_sequence(
     `afe.mixer_dc_pair`), whether the source is on or off.  The averaged
     result is exactly seed-invariant when the noise amplitudes are zero.
     The saturated flag is set when at least 1% of the ADC taps clamp at a
-    rail.  A mixer DC that is not finite (a load whose impedance overflows
-    a double) raises MeasurementRangeError before anything is drawn or
+    rail.  The taps are digitized by `pin_code`, and each code's volts
+    (`code_volts`) and rail flag are read from a table of every code.  A
+    mixer DC that is not finite (a load whose impedance overflows a
+    double) raises MeasurementRangeError before anything is drawn or
     digitized.
 
     Two call shapes.  One configuration, its f0 and one seed run one
@@ -188,9 +201,10 @@ def run_sequence(
     first, step = settle_n // g, spacing_n // g
     tapped = y.reshape(len(y), 2, phase_n // g)[:, :, first : first + step * taps : step]
     codes = pin_code(tapped)
-    # C-ordered, each phase's taps sum in the order of a 1-D mean
-    means = np.add.reduce(np.ascontiguousarray(code_volts(codes)), axis=2) / taps
-    clamped = np.add.reduce((codes == 0) | (codes == ADC.codes - 1), axis=(1, 2))
+    # the tables index into C-ordered arrays, so each phase's taps sum in
+    # the order of a 1-D mean
+    means = np.add.reduce(_CODE_VOLTS[codes], axis=2) / taps
+    clamped = np.add.reduce(_AT_RAIL[codes], axis=(1, 2))
     saturated = clamped >= max(1, math.ceil(0.01 * (2 * taps)))
 
     if stack:

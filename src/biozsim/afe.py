@@ -86,7 +86,7 @@ from typing import Optional
 import numpy as np
 # numpy loads these on first use; loading them with the package keeps
 # module loading out of the first measurement's time
-from numpy.fft import fftfreq, irfft, rfft
+from numpy.fft import irfft, rfft
 from numpy.random import default_rng
 
 from .waveforms import N_PLAN, SOURCE_LAG, plan_frequencies
@@ -298,12 +298,19 @@ def noise_process(
 
 @functools.lru_cache(maxsize=8)
 def _folded_root_spectrum(params: ChainParams, n: int, sample_rate: float, stride: int):
-    """Square root of the noise PSD folded to n/stride bins (rfft half), read-only."""
-    f = np.abs(fftfreq(n, 1.0 / sample_rate))
-    psd = np.zeros(n)
-    psd[1:] = params.noise_floor**2 * (sample_rate / 2.0) * (1.0 + params.flicker_corner / f[1:])
+    """Square root of the noise PSD folded to n/stride bins (rfft half), read-only.
+
+    Bin k of the n-point series sits at |f| = min(k, n - k) / (n / sample_rate),
+    `fftfreq`'s value, and folds into bin k mod m, m = n/stride.  Only the
+    m // 2 + 1 folded bins of the rfft half are formed: the (stride, m // 2 + 1)
+    grid of k = r * m + j, summed over r in order."""
     m = n // stride
-    root = np.sqrt(psd.reshape(stride, m).sum(0)[: m // 2 + 1] / stride)
+    k = (np.arange(stride) * m)[:, None] + np.arange(m // 2 + 1)
+    f = np.minimum(k, n - k) * (1.0 / (n * (1.0 / sample_rate)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        psd = params.noise_floor**2 * (sample_rate / 2.0) * (1.0 + params.flicker_corner / f)
+    psd[0, 0] = 0.0  # the DC bin
+    root = np.sqrt(np.add.reduce(psd, axis=0) / stride)
     root.setflags(write=False)
     return root
 
@@ -379,7 +386,7 @@ def _image_dc(model, f0s, config, params) -> np.ndarray:
         dc = np.add.reduce((w[:, None, :] * _IMAGE_WEIGHTS).real, axis=-1)
         # the weights are below 1, so a W whose modulus overflows can still
         # sum to a finite DC: such a row is out of range too
-        dc[np.isinf(np.abs(w)).any(axis=1)] = np.inf
+        dc[np.logical_or.reduce(np.isinf(np.abs(w)), axis=1)] = np.inf
     return config.gm * config.current_amplitude * dc
 
 
@@ -594,7 +601,7 @@ def _render(steps, params: ChainParams, stride: int) -> np.ndarray:
     y = np.zeros(levels.shape[1:] + (total // stride,))
     start, level = 0, 0.0
     for (n, _), dc in zip(steps, levels):
-        if np.any(dc != level):
+        if np.logical_or.reduce(dc != level, axis=None):
             first = -(-start // stride)
             s = _step_response(params, total)
             y[..., first:] += np.multiply.outer(dc - level,

@@ -39,8 +39,12 @@ brown-out error when the reservoir drops below the regulator dropout
 margin, `BROWNOUT_VOLTAGE` (1.9 V).  These are the link's constants; the
 source resistance and the reservoir are parameters.  `session`
 records the reservoir after every step, every uplink bit boundary
-included, in one flat loop over the frame's line bits, read from
-`UART_BITS`, the constant table of the 10 8N1 bits of each byte value.
+included, in one flat loop over the frame's line bits.  The implant's
+constant responses, its two ACK frames and four NAK frames, are built
+once together with their line bits (`_LINE_BITS`); only a PONG or RESULT
+frame is encoded per response, from `UART_BITS`, the constant table of
+the 10 8N1 bits of each byte value.  Each 11-bit config word is decoded,
+and mapped to its front-end configuration, once per process.
 The record is a packed `Trace`: each step's volts as one double, and a
 start time, a time step and a tag once per run of steps (the start step,
 each `rx` or `measure` step, one uplink frame's bits), about 10 B a step.
@@ -54,6 +58,7 @@ command list, channel parameters and power state.
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from bisect import bisect_right
@@ -145,9 +150,11 @@ class ConfigWord:
             if not 0 <= value < span:
                 raise ValueError(f"{name} out of range: {value}")
 
+    @functools.lru_cache(maxsize=2**11)
     def to_afe_config(self):
-        """The front-end configuration; a reserved `freq_sel` raises
-        ValueError (see `afe.AfeConfig`)."""
+        """The front-end configuration, one shared instance per word; a
+        reserved `freq_sel` raises ValueError on every call (see
+        `afe.AfeConfig`)."""
         return afe.AfeConfig(
             g0=(self.gain >> 2) & 1,
             g1=(self.gain >> 1) & 1,
@@ -169,7 +176,14 @@ def encode_config(w: ConfigWord) -> int:
 
 
 def decode_config(bits: int) -> ConfigWord:
-    """Unpack an 11-bit field; decode(encode(w)) == w for all 2048 words."""
+    """Unpack an 11-bit field; decode(encode(w)) == w for all 2048 words.
+    Each word is decoded once per process and shared: a ConfigWord is
+    frozen."""
+    return _decode_config(index(bits))
+
+
+@functools.lru_cache(maxsize=2**11)
+def _decode_config(bits: int) -> ConfigWord:
     if not 0 <= bits < 2**11:
         raise ValueError(f"config word must fit in 11 bits, got {bits}")
     return ConfigWord(
@@ -342,6 +356,23 @@ class SessionResult:
 UART_BITS = tuple(bytes([0, *((byte >> k) & 1 for k in range(8)), 1]) for byte in range(256))
 
 
+def _line_bits(frame: Frame) -> bytes:
+    """The frame's 8N1 line bits on the wire, one byte (0 or 1) per bit."""
+    return b"".join([UART_BITS[byte] for byte in frame.to_bytes()])
+
+
+# The implant's constant responses: the acknowledgements of SET_CONFIG and
+# START_MEASURE and the NAK of each reason
+_ACK_SET_CONFIG = Frame(OP_ACK, bytes([OP_SET_CONFIG]))
+_ACK_START_MEASURE = Frame(OP_ACK, bytes([OP_START_MEASURE]))
+_NAK = {reason: Frame(OP_NAK, bytes([reason]))
+        for reason in (NAK_CHECKSUM, NAK_RESERVED_FREQ, NAK_BAD_OPCODE, NAK_NO_RESULT)}
+
+#: The line bits of each constant response, built once.
+_LINE_BITS = {frame: _line_bits(frame)
+              for frame in (_ACK_SET_CONFIG, _ACK_START_MEASURE, *_NAK.values())}
+
+
 #: Seconds a measurement of the default chain at `acquire.TAPS` occupies (0.114 s).
 MEASURE_TIME = acquire.sequence_duration(afe.ChainParams(), acquire.TAPS)
 
@@ -358,6 +389,11 @@ class ImplantDevice:
     READ_RESULT returns zero codes.  `measure_time` is the busy interval a
     measurement occupies, `acquire.sequence_duration` of the chain and taps
     the backend measures with; it defaults to `MEASURE_TIME`.
+
+    Every ACK and NAK it returns is one of the module's constant frames,
+    built once with their line bits; only a PONG or a RESULT is a new
+    `Frame`.  A SET_CONFIG word is decoded by `decode_config`, once per
+    process per word.
     """
 
     def __init__(self, measure_backend: Optional[Callable] = None,
@@ -370,31 +406,31 @@ class ImplantDevice:
     def handle(self, data: bytes):
         """Process one downlink frame; return (response Frame, busy_seconds)."""
         if not checksum_ok(data):
-            return Frame(OP_NAK, bytes([NAK_CHECKSUM])), 0.0
+            return _NAK[NAK_CHECKSUM], 0.0
         opcode, payload = data[1], data[2:-1]
         if opcode == OP_PING:
             return Frame(OP_PONG, payload), 0.0
         if opcode == OP_SET_CONFIG:
             word = decode_config(int.from_bytes(payload, "big"))
             if word.freq_sel >= N_PLAN:
-                return Frame(OP_NAK, bytes([NAK_RESERVED_FREQ])), 0.0
+                return _NAK[NAK_RESERVED_FREQ], 0.0
             self.config = word
-            return Frame(OP_ACK, bytes([OP_SET_CONFIG])), 0.0
+            return _ACK_SET_CONFIG, 0.0
         if opcode == OP_START_MEASURE:
             if self.config is None:
-                return Frame(OP_NAK, bytes([NAK_NO_RESULT])), 0.0
+                return _NAK[NAK_NO_RESULT], 0.0
             if self.measure_backend is not None:
                 self.result = self.measure_backend(self.config)
             else:
                 self.result = (0, 0)
-            return Frame(OP_ACK, bytes([OP_START_MEASURE])), self.measure_time
+            return _ACK_START_MEASURE, self.measure_time
         if opcode == OP_READ_RESULT:
             if self.result is None:
-                return Frame(OP_NAK, bytes([NAK_NO_RESULT])), 0.0
+                return _NAK[NAK_NO_RESULT], 0.0
             vi, vq = self.result
             payload = vi.to_bytes(2, "big") + vq.to_bytes(2, "big")
             return Frame(OP_RESULT, payload), 0.0
-        return Frame(OP_NAK, bytes([NAK_BAD_OPCODE])), 0.0
+        return _NAK[NAK_BAD_OPCODE], 0.0
 
 
 def session(
@@ -416,7 +452,10 @@ def session(
     the start step, an `"rx"` or `"measure"` step, or one frame's `"tx"`
     bits); it replays the times by the additions of the session's own
     clock, so they equal it bit for bit.  A 200-PING session holds about
-    13 B a step, its responses included.
+    13 B a step, its responses included.  A response's line bits are read
+    from `_LINE_BITS` when it is one of the device's constant ACK or NAK
+    frames, built once per process with them; only a PONG or a RESULT is
+    encoded here.  The device decodes each config word once per process.
 
     Brown-out raises BrownOutError carrying the trace up to and including
     the step that fell below the floor.  Harvesting moves the reservoir
@@ -465,12 +504,14 @@ def session(
         response, busy = device.handle(rx)
         if busy:
             harvest(busy, "measure")
-        tx = response.to_bytes()
+        line = _LINE_BITS.get(response)
+        if line is None:
+            line = _line_bits(response)
         # the per-bit step, inlined: the same arithmetic as `harvest` with
         # the factor precomputed, or a discharge; clamped by comparisons,
         # which keep -0.0 and NaN as min/max would
         run(t, bit_t, "tx")
-        for bit in b"".join([UART_BITS[byte] for byte in tx]):
+        for bit in line:
             if not bit:  # a zero bit shorts the tank
                 v -= bit_drop
             elif bit_decay is None:

@@ -123,14 +123,14 @@ def impedance_at(model, freq):
     limit r_interface or r_inf; elsewhere it is evaluated as written.
     """
     freq = np.asarray(freq, dtype=float)
-    if np.any(freq <= 0):
+    if np.logical_or.reduce(freq <= 0, axis=None):
         raise ValueError("freq must be positive")
     if isinstance(model, ParallelRC):
         w = 2 * np.pi * freq
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             z = np.asarray(model.r / (1 + 1j * w * model.r * model.c) + model.r_interface)
         far = ~np.isfinite(z)
-        if far.any():  # only where the direct form fails
+        if np.logical_or.reduce(far, axis=None):  # only where the direct form fails
             z[far] = _divided_rc(model, w[far])
     elif isinstance(model, ColeModel):
         w = 2 * np.pi * freq

@@ -23,6 +23,9 @@ program computes by another road, so a test can hold the program to it:
   (`expm_lower`), its steady state by a linear solve.
 * `cascade_step_reference` evaluates the baseband chain's unit-step
   response by partial fractions in mpmath at 50 digits.
+* `sequence_readout` reads a sequence's taps off its output rows code by
+  code, without the readout's tables.
+* `folded_root_spectrum` folds the noise PSD of the whole n-point series.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import mpmath
 import numpy as np
 from scipy import signal
 
-from biozsim import tissue
+from biozsim import acquire, tissue
 from biozsim.tissue import ColeModel
 from biozsim.waveforms import (
     N_PLAN,
@@ -542,3 +545,38 @@ def cascade_step_reference(poles, times, dps=50) -> np.ndarray:
             last = t
             out.append(float(mpmath.re(1 + mpmath.fsum(terms))))
     return np.array(out)
+
+
+def sequence_readout(rows: np.ndarray, params, taps: int, stride: int) -> tuple:
+    """(v_i, v_q, saturated, low, high), one entry per row of `rows`, the
+    I-then-Q outputs a sequence read on its lattice of every `stride`-th
+    sample.
+
+    Each select phase takes `taps` taps at 1 ms after the settling time.
+    Each tap is digitized by `acquire.pin_code`, its codes are mapped to
+    volts by `acquire.code_volts`, made C-contiguous and averaged per
+    phase.  `low` and `high` count the taps at the bottom and the top
+    code; a row is saturated when their sum reaches 1% of its taps."""
+    fs = params.output_rate
+    settle_n = int(round(params.settle_time * fs))
+    spacing_n = int(round(1e-3 * fs))
+    phase_n = settle_n + spacing_n * taps
+    read = (settle_n + spacing_n * np.arange(taps)) // stride
+    tapped = rows.reshape(len(rows), 2, phase_n // stride)[:, :, read]
+    codes = acquire.pin_code(tapped)
+    means = np.add.reduce(np.ascontiguousarray(acquire.code_volts(codes)), axis=2) / taps
+    low = np.add.reduce(codes == 0, axis=(1, 2))
+    high = np.add.reduce(codes == acquire.ADC.codes - 1, axis=(1, 2))
+    saturated = low + high >= max(1, math.ceil(0.01 * (2 * taps)))
+    return means[:, 0], means[:, 1], saturated, low, high
+
+
+def folded_root_spectrum(params, n: int, sample_rate: float, stride: int) -> np.ndarray:
+    """Square root of the noise PSD folded to n/stride bins, rfft half:
+    the PSD of every bin of the n-point series at `fftfreq`'s |f|, folded
+    by reshaping to (stride, n/stride) and summing over the stride."""
+    f = np.abs(np.fft.fftfreq(n, 1.0 / sample_rate))
+    psd = np.zeros(n)
+    psd[1:] = params.noise_floor**2 * (sample_rate / 2.0) * (1.0 + params.flicker_corner / f[1:])
+    m = n // stride
+    return np.sqrt(psd.reshape(stride, m).sum(0)[: m // 2 + 1] / stride)

@@ -11,7 +11,7 @@ from biozsim.acquire import (TAPS, AdcSpec, SequenceResult, _phase_samples, adc_
 from biozsim.afe import AfeConfig, ChainParams, mixer_dc_pair
 from biozsim.tissue import ParallelRC, TabulatedTwoPort
 from biozsim.waveforms import plan_frequencies
-from reference import analytic_dc_oracle
+from reference import analytic_dc_oracle, sequence_readout
 
 QUIET = ChainParams(noise_floor=0.0, carrier_noise_v=0.0)
 
@@ -86,7 +86,7 @@ class TestScalarAdc:
     def test_nan_is_a_value_error(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for v in (float("nan"), np.float64("nan"), np.array([0.9, np.nan])):
+            for v in (float("nan"), np.float64("nan"), np.array(np.nan), np.array([0.9, np.nan])):
                 with pytest.raises(ValueError, match="NaN"):
                     adc_sample(v)
 
@@ -343,3 +343,69 @@ class TestSeedStack:
                                                       match="not finite"):
             run_sequence(huge, [cfg.fundamental], [cfg], ChainParams(), taps=TAPS, seed=[[1, 2, 3]])
         assert rendered == []
+
+
+class TestTableReadout:
+    """A sequence's means and saturated flag equal, bit for bit, the
+    readout of `reference.sequence_readout` applied to the output rows the
+    run read."""
+
+    # I near the top rail and Q near the bottom one at 1953 Hz, so that the
+    # carrier noise clamps a few of 512 taps at each rail
+    RAILS = ParallelRC(r=594.0, c=5.68e-8)
+
+    @pytest.fixture(autouse=True)
+    def spy(self, monkeypatch):
+        self.seen = []
+        real = afe.baseband_output
+
+        def spy(*args, **kwargs):
+            rows = real(*args, **kwargs)
+            self.seen.append((rows.copy(), kwargs["stride"]))
+            return rows
+
+        monkeypatch.setattr(afe, "baseband_output", spy)
+
+    @staticmethod
+    def bits(*values):
+        return [np.asarray(v, dtype=float).tobytes() for v in values]
+
+    def check(self, model, config, params, taps, seed):
+        """Run the sequence, hold it to the reference readout of the rows
+        it read, and return the reference's rail counts."""
+        f0 = [c.fundamental for c in config] if isinstance(config, list) else config.fundamental
+        record = run_sequence(model, f0, config, params, taps=taps, seed=seed)
+        (rows, stride), = self.seen
+        self.seen.clear()
+        v_i, v_q, saturated, low, high = sequence_readout(rows, params, taps, stride)
+        if isinstance(config, list):
+            assert record.saturated.dtype == bool
+            assert record.saturated.tolist() == saturated.tolist()
+        else:
+            assert type(record.v_i_dc) is float and type(record.saturated) is bool
+            assert [record.saturated] == saturated.tolist()
+        assert self.bits(record.v_i_dc, record.v_q_dc) == self.bits(v_i, v_q)
+        return low, high
+
+    def test_one_seed_on_the_default_chain(self):
+        for cfg in (AfeConfig(freq_index=7), AfeConfig(freq_index=10),
+                    AfeConfig(freq_index=7, source_enable=0)):
+            self.check(ParallelRC(r=270.0, c=3e-9), cfg, ChainParams(), TAPS, 3)
+
+    def test_a_stack_on_the_default_chain(self):
+        configs = [AfeConfig.from_gain_word("111", freq_index=10),
+                   AfeConfig.from_gain_word("000", freq_index=0),
+                   AfeConfig.from_gain_word("101", freq_index=3, source_enable=0)]
+        self.check(ParallelRC(r=270.0, c=3e-9), configs, ChainParams(), TAPS,
+                   [[1, 2, 3], [4], [5, 6]])
+
+    def test_taps_clamped_at_both_rails_below_and_at_the_flag(self):
+        # 256 taps a phase: the flag is 6 of 512 taps
+        cfg = AfeConfig(freq_index=10)
+        low, high = self.check(self.RAILS, [cfg], ChainParams(), 256, [list(range(12))])
+        both = (low > 0) & (high > 0)
+        assert (both & (low + high == 5)).any() and (both & (low + high == 6)).any()
+        # the same rows run alone
+        for seed in np.flatnonzero(both & ((low + high == 5) | (low + high == 6))):
+            one_low, one_high = self.check(self.RAILS, cfg, ChainParams(), 256, int(seed))
+            assert (one_low.tolist(), one_high.tolist()) == ([low[seed]], [high[seed]])

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import signal as sps
 
 from biozsim import acquire, afe, tissue
@@ -28,6 +29,7 @@ from reference import (
     euler_image_dc,
     exact_mixer_dc,
     expm_mixer_dc,
+    folded_root_spectrum,
     nsum_mixer_dc,
     sampled_mixer_dc,
     synthesize,
@@ -838,6 +840,31 @@ class TestNoiseProcess:
     def test_disabled_floor_gives_zeros(self):
         p = ChainParams(noise_floor=0.0)
         assert np.all(noise_process(p, [1], 0.5, 10e3) == 0.0)
+
+
+class TestFoldedSpectrum:
+    """The folded root spectrum, formed on the rfft half of the fold only,
+    equals bit for bit the fold of the whole series' PSD."""
+
+    CHAINS = [ChainParams(), ChainParams(flicker_corner=0.0),
+              ChainParams(noise_floor=1e-3, flicker_corner=7.3)]
+
+    @staticmethod
+    def check(params, n, rate, stride):
+        got = afe._folded_root_spectrum(params, n, rate, stride)
+        assert got.shape == (n // stride // 2 + 1,)
+        assert got.tobytes() == folded_root_spectrum(params, n, rate, stride).tobytes()
+
+    @pytest.mark.parametrize("n,stride", [(28100, 50), (5700, 50), (11400, 50), (5700, 5),
+                                          (562, 1), (100, 4), (28100, 1), (101, 1)])
+    @pytest.mark.parametrize("chain", range(len(CHAINS)))
+    def test_the_sequence_lengths(self, n, stride, chain):
+        self.check(self.CHAINS[chain], n, 50e3, stride)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 60), st.integers(1, 600), st.sampled_from([50e3, 2000.0, 1234.5]))
+    def test_any_length_and_stride(self, stride, m, rate):
+        self.check(ChainParams(), stride * m, rate, stride)
 
 
 class TestLatticeNoise:

@@ -4,8 +4,9 @@ import tracemalloc
 
 import pytest
 
+from biozsim import link
 from biozsim.acquire import sequence_duration
-from biozsim.afe import ChainParams
+from biozsim.afe import AfeConfig, ChainParams
 from biozsim.link import (
     BIT_RATE,
     BLOCK_CURRENTS_UA,
@@ -23,6 +24,7 @@ from biozsim.link import (
     OP_RESULT,
     OP_SET_CONFIG,
     OP_START_MEASURE,
+    NAK_BAD_OPCODE,
     NAK_CHECKSUM,
     NAK_NO_RESULT,
     NAK_RESERVED_FREQ,
@@ -72,6 +74,44 @@ class TestConfigCodec:
             ConfigWord(freq_sel=16)
         with pytest.raises(ValueError):
             decode_config(2**11)
+
+
+class TestConfigCache:
+    """Each word is decoded, and mapped to its front-end configuration,
+    once per process; the shared instances equal fresh ones."""
+
+    def test_every_word_decodes_as_a_fresh_decode(self):
+        for bits in range(2**11):
+            fresh = ConfigWord(pll_cal=bits >> 9, freq_sel=(bits >> 5) & 0b1111,
+                               source_enable=(bits >> 4) & 1, iq_sel=(bits >> 3) & 1,
+                               gain=bits & 0b111)
+            word = decode_config(bits)
+            assert word == fresh
+            assert all(type(getattr(word, name)) is int for name in
+                       ("pll_cal", "freq_sel", "source_enable", "iq_sel", "gain"))
+            assert decode_config(bits) is word
+
+    def test_out_of_range_words_raise_on_every_call(self):
+        for bits in (2**11, -1, 2**11, -1):
+            with pytest.raises(ValueError, match="11 bits"):
+                decode_config(bits)
+
+    def test_reserved_frequency_raises_on_every_call(self):
+        for freq_sel in range(11, 16):
+            word = decode_config(encode_config(ConfigWord(freq_sel=freq_sel, gain=0b111)))
+            for _ in range(3):
+                with pytest.raises(ValueError, match="freq_index"):
+                    word.to_afe_config()
+
+    def test_front_end_configuration_is_a_fresh_one(self):
+        for bits in range(2**11):
+            word = decode_config(bits)
+            if word.freq_sel >= 11:
+                continue
+            fresh = AfeConfig(g0=word.gain >> 2, g1=(word.gain >> 1) & 1, g2=word.gain & 1,
+                              source_enable=word.source_enable, freq_index=word.freq_sel)
+            assert word.to_afe_config() == fresh
+            assert word.to_afe_config() is word.to_afe_config()
 
 
 class TestPowerBudget:
@@ -305,6 +345,50 @@ class TestRecordedSessions:
         assert trace[-1] == (0.004166666666666667, 1.1599111707413534, "rx")
         assert str(err.value) == "brown-out at t=4.17 ms, reservoir 1.160 V"
         assert self.digest(trace) == "0c76a196bc63521cdc1b5745a2dfe95b639fb911c4c19279416e9ad4c53bcf67"
+
+
+class TestConstantResponses:
+    """Every ACK and NAK the device returns is a constant built once with
+    its line bits; each equals a freshly built frame on the wire and on
+    the line."""
+
+    # (command, the response a fresh frame gives), in order on one device
+    EXCHANGE = [
+        (Frame(OP_PING, b"\x01", corrupt=True), Frame(OP_NAK, bytes([NAK_CHECKSUM]))),
+        (Frame(OP_READ_RESULT), Frame(OP_NAK, bytes([NAK_NO_RESULT]))),
+        (Frame(OP_START_MEASURE), Frame(OP_NAK, bytes([NAK_NO_RESULT]))),
+        (set_config_frame(freq_sel=12), Frame(OP_NAK, bytes([NAK_RESERVED_FREQ]))),
+        (Frame(OP_PONG, b"\x00"), Frame(OP_NAK, bytes([NAK_BAD_OPCODE]))),
+        (set_config_frame(freq_sel=3), Frame(OP_ACK, bytes([OP_SET_CONFIG]))),
+        (Frame(OP_START_MEASURE), Frame(OP_ACK, bytes([OP_START_MEASURE]))),
+    ]
+
+    @staticmethod
+    def line(frame):
+        return b"".join(UART_BITS[byte] for byte in frame.to_bytes())
+
+    def test_each_ack_and_nak_equals_a_fresh_frame(self):
+        device = ImplantDevice()
+        for command, fresh in self.EXCHANGE:
+            response, _ = device.handle(command.to_bytes())
+            assert response == fresh
+            assert response.to_bytes() == fresh.to_bytes()
+            assert link._LINE_BITS[response] == self.line(fresh)
+            # the same instance every time
+            assert device.handle(command.to_bytes())[0] is response
+        reasons = {fresh.payload[0] for _, fresh in self.EXCHANGE if fresh.opcode == OP_NAK}
+        assert reasons == {NAK_CHECKSUM, NAK_RESERVED_FREQ, NAK_BAD_OPCODE, NAK_NO_RESULT}
+        assert len(link._LINE_BITS) == 6
+
+    def test_a_session_sends_the_table_bits_as_it_would_encode_them(self, monkeypatch):
+        commands = [command for command, _ in self.EXCHANGE] + [Frame(OP_READ_RESULT)]
+        tabled = session(commands, device=ImplantDevice(measure_backend=lambda w: (1, 2)))
+        monkeypatch.setattr(link, "_LINE_BITS", {})
+        encoded = session(commands, device=ImplantDevice(measure_backend=lambda w: (1, 2)))
+        assert tabled.responses == encoded.responses
+        assert tabled.responses[:-1] == [fresh for _, fresh in self.EXCHANGE]
+        assert [(t.hex(), v.hex(), tag) for t, v, tag in tabled.trace] == \
+            [(t.hex(), v.hex(), tag) for t, v, tag in encoded.trace]
 
 
 def test_uart_bits_are_8n1_lsb_first():

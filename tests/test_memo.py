@@ -75,6 +75,45 @@ def test_link_sessions_compute_one_stack_per_load(monkeypatch):
     assert all(rows_of(args) == 11 for args in renders)
 
 
+def test_link_sessions_build_no_constant_frame_and_decode_each_word_once(monkeypatch):
+    # 12 sessions of 11 frequencies each, as `bioz link-demo` measures,
+    # with a PING and a corrupt PING each: the ACKs and NAKs are the
+    # module's constants, and each config word is decoded and mapped to
+    # its front-end configuration once
+    params, model = ChainParams(), ParallelRC(r=150.0, c=2e-9)
+    plan = plan_frequencies()
+
+    def backend(word, seed):
+        config = word.to_afe_config()
+        res = acquire.run_sequence(model, plan[word.freq_sel], config, params, taps=acquire.TAPS,
+                                   seed=seed)
+        return acquire.pin_code(res.v_i_dc), acquire.pin_code(res.v_q_dc)
+
+    frames = [link.Frame(link.OP_PING, b"\x5a"), link.Frame(link.OP_PING, b"\x00", corrupt=True)]
+    for idx in range(11):
+        word = link.ConfigWord(freq_sel=idx, source_enable=1, gain=0b111)
+        frames += [link.Frame(link.OP_SET_CONFIG, link.encode_config(word).to_bytes(2, "big")),
+                   link.Frame(link.OP_START_MEASURE), link.Frame(link.OP_READ_RESULT)]
+
+    def run_sessions():
+        for k in range(12):
+            device = link.ImplantDevice(measure_backend=lambda word, k=k: backend(word, k))
+            result = link.session(frames, device=device)
+            assert [r.opcode for r in result.responses[4::3]] == [link.OP_RESULT] * 11
+
+    run_sessions()  # the load's plan tables, which build a configuration of their own
+    link._decode_config.cache_clear()
+    link.ConfigWord.to_afe_config.cache_clear()
+    built = count_calls(monkeypatch, link.Frame, "__post_init__")
+    words = count_calls(monkeypatch, link.ConfigWord, "__post_init__")
+    configs = count_calls(monkeypatch, AfeConfig, "__post_init__")
+    run_sessions()
+    assert sorted({frame.opcode for frame, in built}) == [link.OP_RESULT, link.OP_PONG]
+    assert len(built) == 12 * (1 + 11)
+    assert len(words) == 11
+    assert len(configs) == 11
+
+
 def test_chebyshev_designed_once_per_chain(monkeypatch):
     afe._step_response.cache_clear()
     calls = count_calls(monkeypatch, afe, "_cheby1_poles")
