@@ -9,6 +9,17 @@ Verbs:
                   [--out file] [--strict]
   bioz link-demo  --script script.json [--cap uF] [--seed N] [--trace]
 
+Each verb's options are declared once, in `_VERBS`; `_parse` reads the
+command line by it and the help is printed from it.  An option takes its
+value as `--name value` or `--name=value`; a flag takes none, so
+`--strict=1` is an error.  A value is the next word, so `--seed -1`
+reads -1, but an option-looking one (`--out --strict`) or `--` is an
+error.  A unique prefix names its option (`--rep 3`); a prefix of
+several (`--s` in sweep) is an error.  Given twice, an option keeps its
+last value.  `-h`/`--help`, before the verb or after it, prints its
+usage and exits 0.  Any other rejected line, `--` anywhere included, is
+one `error: bioz ...` line, exit 1.
+
 Exit codes: 0 success (also --help), 1 usage/parse error or an unreadable
 or unwritable file, 2 measurement range (saturation or out-of-range
 impedance under --strict, or a load whose mixer DC is not finite),
@@ -64,13 +75,14 @@ byte-identical output.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -95,13 +107,6 @@ MAX_SEQUENCE_SAMPLES = 1_000_000
 
 class ScenarioError(ValueError):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    """Turns a rejected command line into a usage error (one line, exit 1)."""
-
-    def error(self, message):
-        raise ScenarioError(f"{self.prog}: {message}")
 
 
 @dataclass(frozen=True)
@@ -524,40 +529,185 @@ def cmd_link_demo(args) -> int:
     return EXIT_OK
 
 
+#: Each verb's help and its options, {option: (kind, default, help)}: a
+#: kind of str, int or float reads one value, a tuple of choices one of
+#: them, and bool is a flag, False unless given; a default of MISSING
+#: marks an option that must be given.  Every verb also takes -h/--help.
+_VERBS = {
+    "plan": ("print the frequency plan", {}),
+    "calibrate": ("measure offsets and equalization coefficients", {
+        "scenario": (str, MISSING, "scenario file (JSON)"),
+        "out": (str, MISSING, "output table path"),
+        "reference": (float, 100.0, "reference resistor, ohm"),
+        "seed": (int, None, "override scenario seed"),
+        "created-at": (str, None, "timestamp override (reproducible files)"),
+    }),
+    "sweep": ("frequency sweep with repeats", {
+        "scenario": (str, MISSING, "scenario file (JSON)"),
+        "cal": (str, None, "calibration table path"),
+        "uncalibrated": (bool, False, "measure without a calibration table"),
+        "repeats": (int, 10, "measurements per frequency"),
+        "seed": (int, None, "override scenario seed"),
+        "format": (OUTPUT_FORMATS, None, "output format, if not the scenario's"),
+        "out": (str, None, "write records here instead of stdout"),
+        "strict": (bool, False, "flagged records fail the run"),
+    }),
+    "link-demo": ("run a scripted reader<->implant session", {
+        "script": (str, MISSING, "JSON list of link operations"),
+        "cap": (float, 20.0, "reservoir capacitance, uF"),
+        "seed": (int, 0, "master seed"),
+        "trace": (bool, False, "print the full voltage trace"),
+    }),
+}
+_HELP = ("-h", "--help")
+
+
+def _usage(verb=None) -> str:
+    """The root's help, or a verb's, from `_VERBS`."""
+    if verb is None:
+        return "\n".join([
+            f"usage: bioz [-h] {{{','.join(_VERBS)}}} ...", "",
+            "Simulated 4-terminal bio-impedance spectroscopy bench (2 kHz - 2 MHz)", "", "verbs:",
+            *(f"  {name:<11} {text}" for name, (text, _) in _VERBS.items())]) + "\n"
+    text, options = _VERBS[verb]
+    rows = [("-h, --help", "show this help message and exit")]
+    words = [f"bioz {verb}", "[-h]"]
+    for name, (kind, default, note) in options.items():
+        form = f"--{name}" if kind is bool else f"--{name} " + (
+            f"{{{','.join(kind)}}}" if isinstance(kind, tuple) else name.replace("-", "_").upper())
+        words.append(form if default is MISSING else f"[{form}]")
+        if default not in (MISSING, None) and kind is not bool:
+            note = f"{note} (default {default})"
+        rows.append((form, note))
+    lines = ["usage:"]
+    for word in words:
+        if len(lines[-1]) + len(word) >= 79:
+            lines.append(" " * 6)
+        lines[-1] += " " + word
+    width = max(len(form) for form, _ in rows) + 4
+    return "\n".join([*lines, "", text, "", "options:",
+                      *(f"  {form:<{width - 2}}{note}" for form, note in rows)]) + "\n"
+
+
+def _option(token: str, names: tuple, prog: str):
+    """What `token` is to a parser of option strings `names`: None for a
+    word, else (name, value), with value the text after `=` or None, and
+    name None for an unknown option.  A token is matched whole, then by
+    its name before `=`, then `--` tokens by unique prefix and `-h...` as
+    -h with the rest as its value.  A prefix of several names is an
+    error.  A negative number, or a token with a space, is a word."""
+    if not token.startswith("-") or token in ("-", "--"):
+        return None
+    if token in names:
+        return token, None
+    name, eq, value = token.partition("=")
+    if eq and name in names:
+        return name, value
+    if token[1] == "-":
+        matches = [n for n in names if n.startswith(name)]
+        value = value if eq else None
+    else:
+        matches = [n for n in names if n == token[:2]]
+        value = token[2:]
+    if len(matches) > 1:
+        raise ScenarioError(f"{prog}: ambiguous option: {token} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], value
+    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
+        return None
+    return None, token
+
+
+def _help(name: str, value, verb=None):
+    """Print the root's or the verb's usage and exit 0 for -h or --help
+    with no value; `-hh` is -h twice.  Any other value is an error."""
+    if value is None or name == "-h" and value and not value.strip("h"):
+        sys.stdout.write(_usage(verb))
+        raise SystemExit(EXIT_OK)
+    prog = "bioz" if verb is None else f"bioz {verb}"
+    raise ScenarioError(f"{prog}: argument -h/--help: ignored explicit argument {value!r}")
+
+
+def _parse(argv) -> SimpleNamespace:
+    """Read a command line by `_VERBS`: the verb, then its options in any
+    order.  Every option is `command`'s attribute, named with `_` for
+    `-`, at its default unless given.  A rejected line raises
+    ScenarioError; help raises SystemExit(0).
+
+    The checks fall in argparse's order, which the tests hold it to:
+    help or a malformed option where it stands; an ambiguous prefix
+    before any option of its verb acts; a missing option or value, an
+    unknown option or an extra word only once the whole line is read."""
+    unknown = []
+    for at, token in enumerate(argv):
+        match = _option(token, _HELP, "bioz")
+        if match is None:
+            break
+        if match[0] is None:
+            unknown.append(token)
+        else:
+            _help(*match)
+    else:
+        raise ScenarioError(f"bioz: a verb is required, one of {', '.join(_VERBS)}")
+    verb = argv[at]
+    if verb not in _VERBS:
+        raise ScenarioError(f"bioz: invalid verb {verb!r} (choose from {', '.join(_VERBS)})")
+    prog = f"bioz {verb}"
+    options = _VERBS[verb][1]
+    names = _HELP + tuple(f"--{name}" for name in options)
+    rest = argv[at + 1:]
+    end = rest.index("--") if "--" in rest else len(rest)  # past "--", every token is a word
+    matches = [_option(token, names, prog) for token in rest[:end]]
+    values = {name: default for name, (_, default, _) in options.items()}
+    k = 0
+    while k < end:
+        match = matches[k]
+        k += 1
+        if match is None or match[0] is None:
+            unknown.append(rest[k - 1])
+            continue
+        name, value = match
+        if name in _HELP:
+            _help(name, value, verb)
+        name = name[2:]
+        kind = options[name][0]
+        if kind is bool:
+            if value is not None:
+                raise ScenarioError(
+                    f"{prog}: argument --{name}: ignored explicit argument {value!r}")
+            values[name] = True
+            continue
+        if value is None and k < end and matches[k] is None:
+            value = rest[k]
+            k += 1
+        if value is None:
+            raise ScenarioError(f"{prog}: argument --{name}: expected one argument")
+        if value == "--":  # `--name=--` gives no value: an error unless given again
+            values[name] = MISSING
+            continue
+        if isinstance(kind, tuple):
+            if value not in kind:
+                raise ScenarioError(f"{prog}: argument --{name}: invalid choice: {value!r} "
+                                    f"(choose from {', '.join(map(repr, kind))})")
+        elif kind is not str:
+            try:
+                value = kind(value)
+            except ValueError:
+                raise ScenarioError(f"{prog}: argument --{name}: invalid {kind.__name__} value: "
+                                    f"{value!r}") from None
+        values[name] = value
+    missing = [f"--{name}" for name, value in values.items() if value is MISSING]
+    if missing:
+        raise ScenarioError(f"{prog}: no value given for {', '.join(missing)}")
+    if unknown or end < len(rest):
+        raise ScenarioError(f"{prog}: unrecognized arguments: {' '.join(unknown + rest[end:])}")
+    return SimpleNamespace(command=verb, **{name.replace("-", "_"): value
+                                            for name, value in values.items()})
+
+
 def main(argv=None) -> int:
-    parser = _Parser(
-        prog="bioz",
-        description="Simulated 4-terminal bio-impedance spectroscopy bench (2 kHz - 2 MHz)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("plan", help="print the frequency plan")
-
-    p_cal = sub.add_parser("calibrate", help="measure offsets and equalization coefficients")
-    p_cal.add_argument("--scenario", required=True)
-    p_cal.add_argument("--out", required=True, help="output table path")
-    p_cal.add_argument("--reference", type=float, default=100.0, help="reference resistor, ohm")
-    p_cal.add_argument("--seed", type=int, default=None, help="override scenario seed")
-    p_cal.add_argument("--created-at", default=None, help="timestamp override (reproducible files)")
-
-    p_sw = sub.add_parser("sweep", help="frequency sweep with repeats")
-    p_sw.add_argument("--scenario", required=True)
-    p_sw.add_argument("--cal", default=None, help="calibration table path")
-    p_sw.add_argument("--uncalibrated", action="store_true")
-    p_sw.add_argument("--repeats", type=int, default=10)
-    p_sw.add_argument("--seed", type=int, default=None, help="override scenario seed")
-    p_sw.add_argument("--format", choices=OUTPUT_FORMATS, default=None)
-    p_sw.add_argument("--out", default=None, help="write records here instead of stdout")
-    p_sw.add_argument("--strict", action="store_true", help="flagged records fail the run")
-
-    p_ld = sub.add_parser("link-demo", help="run a scripted reader<->implant session")
-    p_ld.add_argument("--script", required=True, help="JSON list of link operations")
-    p_ld.add_argument("--cap", type=float, default=20.0, help="reservoir capacitance, uF")
-    p_ld.add_argument("--seed", type=int, default=0)
-    p_ld.add_argument("--trace", action="store_true", help="print the full voltage trace")
-
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ScenarioError(f"--seed must be >= 0, got {args.seed}")
         # checked in SI units: a positive --cap below ~2.5e-318 uF is 0 F

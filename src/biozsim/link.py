@@ -508,24 +508,29 @@ def session(
         if line is None:
             line = _line_bits(response)
         # the per-bit step, inlined: the same arithmetic as `harvest` with
-        # the factor precomputed, or a discharge; clamped by comparisons,
-        # which keep -0.0 and NaN as min/max would
+        # the factor precomputed, or a discharge.  Every bit starts in
+        # [floor, clamp] (or at NaN), so a one bit's v - clamp is exact
+        # (Sterbenz: floor >= clamp / 2) and its recharge lands in [v,
+        # clamp] unclamped; a zero bit needs the 0 V clamp only below the
+        # floor, and the upper one only for a negative drop.  Comparisons
+        # keep -0.0 and NaN as min/max would.
         run(t, bit_t, "tx")
         for bit in line:
+            t += bit_t
             if not bit:  # a zero bit shorts the tank
                 v -= bit_drop
+                if v < floor:
+                    if v < 0.0:
+                        v = 0.0
+                    record(v)
+                    raise _brownout(t, v, trace)
+                if v > clamp:
+                    v = clamp
             elif bit_decay is None:
                 v = clamp
             else:
                 v = clamp + (v - clamp) * bit_decay
-            if v < 0.0:
-                v = 0.0
-            if v > clamp:
-                v = clamp
-            t += bit_t
             record(v)
-            if v < floor:
-                raise _brownout(t, v, trace)
         responses.append(response)
 
     return SessionResult(responses=responses, trace=trace)

@@ -26,10 +26,15 @@ program computes by another road, so a test can hold the program to it:
 * `sequence_readout` reads a sequence's taps off its output rows code by
   code, without the readout's tables.
 * `folded_root_spectrum` folds the noise PSD of the whole n-point series.
+* `argparse_args` reads `bioz`'s command line with the argparse parser
+  that `cli._parse` replaced.
+* `clamped_session` runs a link session by the per-bit loop that clamps
+  every uplink bit to [0, clamp].
 """
 
 from __future__ import annotations
 
+import argparse
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -38,7 +43,8 @@ import mpmath
 import numpy as np
 from scipy import signal
 
-from biozsim import acquire, tissue
+from biozsim import acquire, link, tissue
+from biozsim.cli import OUTPUT_FORMATS, ScenarioError
 from biozsim.tissue import ColeModel
 from biozsim.waveforms import (
     N_PLAN,
@@ -580,3 +586,107 @@ def folded_root_spectrum(params, n: int, sample_rate: float, stride: int) -> np.
     psd[1:] = params.noise_floor**2 * (sample_rate / 2.0) * (1.0 + params.flicker_corner / f[1:])
     m = n // stride
     return np.sqrt(psd.reshape(stride, m).sum(0)[: m // 2 + 1] / stride)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Turns a rejected command line into a usage error (one line, exit 1)."""
+
+    def error(self, message):
+        raise ScenarioError(f"{self.prog}: {message}")
+
+
+def argparse_args(argv):
+    """`bioz`'s command line as argparse reads it: a Namespace, or
+    ScenarioError for a rejected line, or SystemExit(0) after help."""
+    parser = _Parser(
+        prog="bioz",
+        description="Simulated 4-terminal bio-impedance spectroscopy bench (2 kHz - 2 MHz)",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    sub.add_parser("plan", help="print the frequency plan")
+
+    p_cal = sub.add_parser("calibrate", help="measure offsets and equalization coefficients")
+    p_cal.add_argument("--scenario", required=True)
+    p_cal.add_argument("--out", required=True, help="output table path")
+    p_cal.add_argument("--reference", type=float, default=100.0, help="reference resistor, ohm")
+    p_cal.add_argument("--seed", type=int, default=None, help="override scenario seed")
+    p_cal.add_argument("--created-at", default=None, help="timestamp override (reproducible files)")
+
+    p_sw = sub.add_parser("sweep", help="frequency sweep with repeats")
+    p_sw.add_argument("--scenario", required=True)
+    p_sw.add_argument("--cal", default=None, help="calibration table path")
+    p_sw.add_argument("--uncalibrated", action="store_true")
+    p_sw.add_argument("--repeats", type=int, default=10)
+    p_sw.add_argument("--seed", type=int, default=None, help="override scenario seed")
+    p_sw.add_argument("--format", choices=OUTPUT_FORMATS, default=None)
+    p_sw.add_argument("--out", default=None, help="write records here instead of stdout")
+    p_sw.add_argument("--strict", action="store_true", help="flagged records fail the run")
+
+    p_ld = sub.add_parser("link-demo", help="run a scripted reader<->implant session")
+    p_ld.add_argument("--script", required=True, help="JSON list of link operations")
+    p_ld.add_argument("--cap", type=float, default=20.0, help="reservoir capacitance, uF")
+    p_ld.add_argument("--seed", type=int, default=0)
+    p_ld.add_argument("--trace", action="store_true", help="print the full voltage trace")
+
+    return parser.parse_args(argv)
+
+
+def clamped_session(commands, channel, power, device):
+    """`link.session` with every uplink bit clamped to [0, clamp] by
+    comparison and checked against the floor, one bit like the next."""
+    bit_t = 1.0 / link.BIT_RATE
+    tau = channel.r_source * power.reservoir_cap
+    clamp, floor = link.CLAMP_VOLTAGE, link.BROWNOUT_VOLTAGE
+    bit_decay = math.exp(-bit_t / tau) if tau > 0 else None
+    bit_drop = link.LOAD_CURRENT * bit_t / power.reservoir_cap
+    t = 0.0
+    v = min(power.reservoir_voltage, clamp)
+    trace = link.Trace()
+    run = trace._run
+    record = trace.volts.append
+    run(t, 0.0, "start")
+    record(v)
+    responses = []
+
+    def harvest(dt: float, tag: str):
+        nonlocal t, v
+        v = clamp + (v - clamp) * math.exp(-dt / tau) if tau > 0 else clamp
+        if v < 0.0:
+            v = 0.0
+        if v > clamp:
+            v = clamp
+        run(t, dt, tag)
+        t += dt
+        record(v)
+        if v < floor:
+            raise link._brownout(t, v, trace)
+
+    for cmd in commands:
+        rx = cmd.to_bytes()
+        harvest(len(rx) * 10 * bit_t, "rx")
+        response, busy = device.handle(rx)
+        if busy:
+            harvest(busy, "measure")
+        line = link._LINE_BITS.get(response)
+        if line is None:
+            line = link._line_bits(response)
+        run(t, bit_t, "tx")
+        for bit in line:
+            if not bit:
+                v -= bit_drop
+            elif bit_decay is None:
+                v = clamp
+            else:
+                v = clamp + (v - clamp) * bit_decay
+            if v < 0.0:
+                v = 0.0
+            if v > clamp:
+                v = clamp
+            t += bit_t
+            record(v)
+            if v < floor:
+                raise link._brownout(t, v, trace)
+        responses.append(response)
+
+    return link.SessionResult(responses=responses, trace=trace)

@@ -1,15 +1,20 @@
+import contextlib
+import io
 import json
 import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from biozsim import cli
 from biozsim.afe import ChainParams
 from biozsim.calib import GAIN_WORDS, CalibrationTable, measure_offsets
 from biozsim.tissue import ParallelRC
 from biozsim.waveforms import plan_frequencies
+
+from reference import argparse_args
 
 
 def write_scenario(tmp_path, name="scen.json", **overrides):
@@ -298,17 +303,27 @@ class TestCommandLine:
         ["frobnicate"],
         [],
         ["link-demo", "--script", "s.json", "--cap", "x"],
+        ["sweep", "--s", "x"],
+        ["sweep", "--scenario", "s", "--out", "--strict"],
+        ["sweep", "--scenario", "s", "--strict=1"],
+        ["plan", "extra"],
+        ["sweep", "--scenario", "s", "--", "x"],
     ], ids=["non_integer_repeats", "missing_scenario", "unknown_verb", "no_verb",
-            "non_numeric_cap"])
+            "non_numeric_cap", "ambiguous_prefix", "option_as_value", "flag_with_value",
+            "extra_word", "double_dash"])
     def test_rejected_arguments_exit_usage(self, capsys, argv):
-        self.one_line_usage_error(capsys, argv)
+        assert cli.main(argv) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: bioz") and captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+    @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"], ["sweep", "-h"],
+                                      ["link-demo", "--h"]])
     def test_help_exits_ok(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == cli.EXIT_OK
-        assert "usage:" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: bioz") and captured.err == ""
 
     @pytest.mark.parametrize("value", ["0", "-5", "nan", "inf", "1e-319"])
     def test_link_demo_cap_must_be_positive(self, tmp_path, capsys, value):
@@ -707,3 +722,116 @@ class TestLinkDemo:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: cannot read script: ")
         assert captured.err.count("\n") == 1
+
+
+#: Each verb's options with a value a user might give (None for a flag),
+#: written out apart from `cli._VERBS`, and each verb's required options.
+OPTION_VALUES = {
+    "calibrate": {"--scenario": "s.json", "--out": "t.json", "--reference": "50",
+                  "--seed": "3", "--created-at": "2020-01-01"},
+    "sweep": {"--scenario": "s.json", "--cal": "t.json", "--uncalibrated": None,
+              "--repeats": "2", "--seed": "4", "--format": "json", "--out": "z.csv",
+              "--strict": None},
+    "link-demo": {"--script": "l.json", "--cap": "5.5", "--seed": "1", "--trace": None},
+}
+REQUIRED = {"plan": [], "calibrate": ["--scenario", "s.json", "--out", "t.json"],
+            "sweep": ["--scenario", "s.json"], "link-demo": ["--script", "l.json"]}
+
+
+def option_lines(verb):
+    """Every option of the verb in both forms and by every prefix,
+    without its value, with an option-looking, negative or odd value, and
+    with a flag's `=value`."""
+    base = [verb, *REQUIRED[verb]]
+    for name, value in OPTION_VALUES[verb].items():
+        if value is None:
+            yield base + [name]
+            yield base + [f"{name}=1"]
+            yield base + [f"{name}="]
+            yield base + [name, name]
+        else:
+            yield base + [name, value]
+            yield base + [f"{name}={value}"]
+            yield base + [f"{name}="]
+            yield base + [name]
+            yield base + [name, value, name, "9"]
+            for odd in ("--strict", "--bogus", "-x", "-1", "-.5", "-1e-5", "-inf", "-",
+                        "", "-a b", "--", "x y", "-h"):
+                yield base + [name, odd]
+        for k in range(3, len(name)):
+            yield base + [name[:k]] + ([] if value is None else [value])
+            yield base + [f"{name[:k]}={value or ''}"]
+
+
+COMMAND_LINES = [
+    [], ["plan"], ["frobnicate"], ["plan", "extra"], ["-h"], ["--help"], ["--he"], ["--h"],
+    ["-hh"], ["-h=h"], ["-hx"], ["-h="], ["--help=x"], ["--help="], ["--bogus"],
+    ["--bogus", "plan"], ["--bogus", "--help"], ["-x", "plan"], ["--", "plan"], ["plan", "--"],
+    ["plan", "--help"], ["plan", "-h", "x"], ["x", "--help"], ["-1"], ["", "plan"],
+    ["sweep"], ["sweep", "--help", "--s"], ["sweep", "--s", "--help"],
+    ["sweep", "--help", "--repeats", "x"], ["sweep", "--repeats", "x", "--help"],
+    ["sweep", "--bogus", "--help"], ["sweep", "--", "--help"], ["sweep", "--help", "--"],
+    ["sweep", "--scenario", "s", "extra"], ["sweep", "--scenario", "s", "--", "x"],
+    ["sweep", "--scenario", "s", "--bogus=1"], ["sweep", "--scenario", "s", "---scenario", "t"],
+    ["sweep", "--scenario", "s", "--=x"], ["sweep", "--scenario", "s", "--format", "CSV"],
+    ["sweep", "--scenario", "s", "--repeats", "1.5"], ["sweep", "--scenario", "s", "--seed", " 7 "],
+    ["sweep", "--scenario", "s", "--seed", "1_0"], ["sweep", "--scenario", "s", "--seed", "-1"],
+    ["sweep", "--scen", "s", "--rep", "3", "--uncal", "--str"],
+    ["calibrate", "--scenario", "s"], ["calibrate", "--out", "t"], ["calibrate", "--c", "x"],
+    ["calibrate", "--scenario", "s", "--out", "t", "--reference", "nan"],
+    ["link-demo", "--s", "x"], ["link-demo", "--script", "l", "--cap", "inf"],
+    ["link-demo", "--script", "l", "--t", "--c=1e-3", "--se=-2"],
+    ["sweep", "--scenario=--"], ["sweep", "--scenario", "s", "--out=--", "--help"],
+    ["sweep", "--scenario=--", "--scenario", "s"], ["sweep", "--scenario", "s", "--format=--"],
+]
+
+
+def outcome(parse, argv):
+    """A parser's reading of `argv`: each option's value by repr, "error"
+    for a rejected line, or the exit code and first word of its help."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            args = parse(list(argv))
+    except cli.ScenarioError:
+        return "error"
+    except SystemExit as exc:
+        return exc.code, out.getvalue().split(" ")[0]
+    return {name: repr(value) for name, value in vars(args).items()}
+
+
+def assert_read_as_argparse(argv):
+    ours, theirs = outcome(cli._parse, argv), outcome(argparse_args, argv)
+    if isinstance(theirs, dict) and "[]" in theirs.values():
+        # argparse reads `--name=--` as an empty list, which no verb can
+        # use (`--scenario=--` died on it with a TypeError); `_parse` reads
+        # no value, an error once the line is read
+        assert ours == "error", argv
+    else:
+        assert ours == theirs, argv
+
+
+class TestParserParity:
+    """`cli._parse` reads every command line as the argparse parser it
+    replaced does: the same values, or both reject it, or both print help."""
+
+    @pytest.mark.parametrize("argv", COMMAND_LINES, ids=" ".join)
+    def test_same_reading_as_argparse(self, argv):
+        assert_read_as_argparse(argv)
+
+    @pytest.mark.parametrize("verb", OPTION_VALUES)
+    def test_every_option_reads_as_argparse(self, verb):
+        for argv in option_lines(verb):
+            assert_read_as_argparse(argv)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["plan", "calibrate", "sweep", "link-demo", "--help", "-h", "x", ""]),
+           st.lists(st.one_of(
+               st.sampled_from([n for options in OPTION_VALUES.values() for n in options]
+                               + ["-h", "--help", "--", "--s", "--sc", "--c", "--se", "--r",
+                                  "--t", "--st", "--cr", "--bogus"]),
+               st.sampled_from([v for options in OPTION_VALUES.values()
+                                for v in options.values() if v] + ["-1", "x", "csv", "nan"]),
+               st.text(alphabet="-=h1.x s", max_size=6)), max_size=7))
+    def test_random_lines_read_as_argparse(self, verb, tokens):
+        assert_read_as_argparse([verb, *tokens])

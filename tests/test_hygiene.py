@@ -1,6 +1,7 @@
 """Every module of the package and of the tests uses each name it
 imports, every function of the package reads each parameter it takes, and
-no module of the package imports scipy.
+no module of the package imports scipy; nor does a `bioz` process load
+argparse or gettext.
 
 No linter ships with the project, so this walks each module's syntax tree:
 a name bound by `import` or `from ... import` must appear as a name
@@ -111,6 +112,22 @@ def test_calibrate_and_sweep_load_no_scipy_and_no_numpy_submodule(tmp_path):
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)), timeout=120, check=True)
     assert out.stdout.strip().splitlines()[-2:] == ["[]", "[]"]
+
+
+def test_the_cli_loads_no_argparse_or_gettext():
+    # `bioz` reads its command line by `cli._VERBS`; importing argparse,
+    # and the gettext it loads, would cost every process 2-3 ms
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        import biozsim, biozsim.cli
+        print(sorted({"argparse", "gettext"} & set(sys.modules)))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert biozsim.cli.main(["plan"]) == 0
+        print(sorted({"argparse", "gettext"} & set(sys.modules)))
+    """)
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)), timeout=120, check=True)
+    assert out.stdout.split() == ["[]", "[]"]
 
 
 def is_dataclass(cls: ast.ClassDef) -> bool:

@@ -3,6 +3,7 @@ import hashlib
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from biozsim import link
 from biozsim.acquire import sequence_duration
@@ -34,6 +35,8 @@ from biozsim.link import (
     encode_config,
     session,
 )
+
+from reference import clamped_session
 
 
 class TestConfigCodec:
@@ -345,6 +348,48 @@ class TestRecordedSessions:
         assert trace[-1] == (0.004166666666666667, 1.1599111707413534, "rx")
         assert str(err.value) == "brown-out at t=4.17 ms, reservoir 1.160 V"
         assert self.digest(trace) == "0c76a196bc63521cdc1b5745a2dfe95b639fb911c4c19279416e9ad4c53bcf67"
+
+
+def session_outcome(run, frames, r_source, v0, cap, measure_time):
+    """A session's responses, trace (times and volts as hex) and any
+    brown-out message."""
+    device = ImplantDevice(measure_backend=lambda w: (0x155, 0x2AA), measure_time=measure_time)
+    try:
+        result = run(frames, ChannelParams(r_source=r_source),
+                     PowerState(reservoir_voltage=v0, reservoir_cap=cap), device)
+    except BrownOutError as exc:
+        trace, responses, message = exc.trace, None, str(exc)
+    else:
+        trace, responses, message = result.trace, result.responses, None
+    return [(t.hex(), float(v).hex(), tag) for t, v, tag in trace], responses, message
+
+
+SESSION_FRAMES = st.lists(st.one_of(
+    st.builds(lambda token, corrupt: Frame(OP_PING, bytes([token]), corrupt=corrupt),
+              st.integers(0, 255), st.booleans()),
+    st.builds(lambda idx, corrupt: Frame(OP_SET_CONFIG, set_config_frame(freq_sel=idx).payload,
+                                         corrupt=corrupt),
+              st.integers(0, 15), st.booleans()),
+    st.builds(lambda op, corrupt: Frame(op, corrupt=corrupt),
+              st.sampled_from([OP_START_MEASURE, OP_READ_RESULT]), st.booleans()),
+), max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SESSION_FRAMES,
+       st.one_of(st.floats(0.0, 5.0).map(lambda e: 10 ** e - 1.0),
+                 st.sampled_from([float("inf"), -2500.0])),
+       st.one_of(st.floats(-1.0, 4.0), st.just(float("nan"))),
+       st.one_of(st.floats(-8.0, -3.0).map(lambda e: 10 ** e),
+                 st.sampled_from([float("inf"), -20e-6])),
+       st.floats(0.0, 0.2))
+def test_session_equals_the_clamped_loop(frames, r_source, v0, cap, measure_time):
+    """Every uplink bit's voltage, time and any brown-out equal, bit for
+    bit, those of the loop that clamps each bit to [0, clamp]: over any
+    source resistance and reservoir, negative and infinite ones included,
+    start voltages below the floor, above the clamp and NaN."""
+    assert (session_outcome(session, frames, r_source, v0, cap, measure_time)
+            == session_outcome(clamped_session, frames, r_source, v0, cap, measure_time))
 
 
 class TestConstantResponses:
