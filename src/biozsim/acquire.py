@@ -150,18 +150,20 @@ def run_sequence(
     digitized.
 
     Two call shapes.  One configuration, its f0 and one seed run one
-    sequence: Python floats and a bool.  A list of configurations, `f0`
-    the list of their plan frequencies and `seed` one list of seeds per
-    configuration, is a stack of groups, one set of (configuration, seed)
-    rows run as one pass: any plan frequencies, gain words and source
-    states, and any number of repeats in each group.  The rows' noise-free
-    outputs are rows of the load's plan lattice (rendered once per
-    process), their noise is drawn per seed and shaped in one pass (one
-    folded spectrum serves every plan frequency, and the carrier term is
-    scaled per row), and they are digitized and averaged as arrays.  One
-    record comes back whose `v_i_dc`, `v_q_dc` and `saturated` are arrays
-    with one entry per row, groups in order, each bit for bit the result
-    of that row's seed at its configuration alone.  Repeats at one
+    sequence, a group of one row: Python floats and a bool.  A list of
+    configurations, `f0` the list of their plan frequencies and `seed` one
+    list of seeds per configuration, is a stack of groups, one set of
+    (configuration, seed) rows run as one pass: any plan frequencies, gain
+    words and source states, and any number of repeats in each group.
+    Each group's noise-free output is its row of the load's plan lattice
+    (rendered once per process), and the groups go to
+    `afe.baseband_output` as they are: every row's noise is drawn per
+    seed and shaped in one pass (one folded spectrum serves every plan
+    frequency), each group adds its lattice and its carrier term to its
+    rows, and the rows are digitized and averaged as arrays.  One record
+    comes back whose `v_i_dc`, `v_q_dc` and `saturated` are arrays with
+    one entry per row, groups in order, each bit for bit the result of
+    that row's seed at its configuration alone.  Repeats at one
     configuration are the one-group case.  A stack with other than one
     non-empty seed list per configuration raises ValueError.
     """
@@ -188,14 +190,7 @@ def run_sequence(
     g = math.gcd(settle_n, spacing_n)
     lattices = [afe._sequence_lattice(model, c, params, dc, phase_n, g)
                 for c, dc in zip(configs, dcs)]
-    if len(configs) == 1:  # the group's lattice, f0 and g2 are every row's
-        trajectory, f0_rows, g2_rows, rows = lattices[0], f0s[0], configs[0].g2, seeds[0]
-    else:
-        trajectory = np.repeat(np.array(lattices), counts, axis=0)
-        f0_rows = np.repeat(f0s, counts)
-        g2_rows = np.repeat([c.g2 for c in configs], counts)
-        rows = [s for group in seeds for s in group]
-    y = afe.baseband_output(trajectory, params, f0_rows, g2_rows, rows, stride=g)
+    y = afe.baseband_output(lattices, params, f0s, [c.g2 for c in configs], seeds, stride=g)
 
     # (row, I or Q, tap): each select phase is half of a row
     first, step = settle_n // g, spacing_n // g

@@ -62,15 +62,16 @@ sequences at the 11 plan frequencies differ only in their row of
 the first time any of them is measured and kept per process, read-only
 (`_plan_lattice`, at most 4 x 10^6 doubles in all): every repeat of a
 sweep and every sequence of a link session on that load reads a row of
-it.  `noise_process` and `baseband_output` take a list of seeds and
-return a 2-D array, one row per seed: a stack of (frequency, seed) rows,
-such as a whole sweep's repeats at every plan frequency under one gain
-word.  Each seed draws its noise from its own generator (a precomputed
-`seeds.SeedWords` seeds it without a SeedSequence), the 1/f noise of
-every row is shaped by the one folded spectrum of the chain and tap
-count, the carrier term is scaled per row, and the sum with each row's
-noise-free lattice runs as arrays over the stack, each row bit for bit
-that seed's output alone.
+it.  `noise_process` takes a list of seeds and returns a 2-D array, one
+row per seed.  `baseband_output` takes a stack of groups, as
+`acquire.run_sequence` does: per group one noise-free lattice, one
+carrier frequency, one gain bit and one list of seeds, such as a whole
+sweep's repeats at every plan frequency under one gain word.  Each seed
+draws its noise from its own generator (a precomputed `seeds.SeedWords`
+seeds it without a SeedSequence), the 1/f noise of every row is shaped
+by the one folded spectrum of the chain and tap count in one pass, and
+each group adds its lattice and its carrier term to its own rows, each
+row bit for bit that seed's output alone.
 
 Stateless apart from per-process caches of seed-independent results;
 independent measurements may run concurrently with independent seeds.
@@ -315,16 +316,12 @@ def _folded_root_spectrum(params: ChainParams, n: int, sample_rate: float, strid
     return root
 
 
-def _carrier_noise_sigma(params: ChainParams, f0, g2):
+def _carrier_noise_sigma(params: ChainParams, f0: float, g2: int) -> float:
     """Per-sample std of the noise folded down from the carrier at f0 with
-    gain bit g2, or one per entry of arrays of f0 and g2 (each entry's
-    arithmetic that of the scalar)."""
+    gain bit g2."""
     if params.carrier_noise_v == 0.0:
         return 0.0
-    if isinstance(g2, np.ndarray):
-        gain_ratio = np.take([params.total_gain(g) / params.total_gain(1) for g in (0, 1)], g2)
-    else:
-        gain_ratio = params.total_gain(g2) / params.total_gain(1)
+    gain_ratio = params.total_gain(g2) / params.total_gain(1)
     return params.carrier_noise_v * (params.carrier_flicker_corner / f0) * gain_ratio
 
 
@@ -656,46 +653,42 @@ def _sequence_lattice(model, config: AfeConfig, params: ChainParams, dc: tuple,
 
 
 def baseband_output(
-    trajectory: np.ndarray,
+    trajectories: list,
     params: ChainParams,
-    f0,
-    g2,
+    f0s: list,
+    g2s: list,
     seeds: list,
-    stride: int = 1,
+    stride: int,
 ) -> np.ndarray:
-    """The chain's output at every `stride`-th sample, one row per seed of
-    the list: the noise-free `trajectory` plus each seed's noise.
+    """The chain's output at every `stride`-th sample of a stack of groups,
+    one row per seed, groups in order: each group's noise-free lattice plus
+    each of its seeds' noise.
 
-    `trajectory` is the compressed, offset, noise-free output on that
-    lattice (rate output_rate / stride), as `_render` gives it for
-    piecewise-constant mixer DC; a sequence takes its row of the load's
-    plan lattice (`_sequence_lattice`).  `trajectory`, and `f0` and `g2`,
-    which set the carrier term, are shared by every seed or given one per
-    seed, so one pass may hold rows of several frequencies and gain words.
-    Both noise terms are exact on the lattice: `noise_process` draws the
-    1/f noise from its folded spectrum, the same for every row, and the
-    carrier term is white per sample.  Only the noise depends on the seed:
-    each seed's generator draws its 1/f normals and then, where its
-    carrier term is not zero, its carrier normals, and each row is bit for
-    bit the output of that seed alone.  The noise is added into a fresh
-    array, and the noise-free chain returns copies, so the caller always
-    owns the samples.
+    A group is one entry of each list: its lattice, the compressed, offset,
+    noise-free output on the stride's lattice (rate output_rate / stride),
+    as `_render` gives it for piecewise-constant mixer DC (a sequence takes
+    its row of the load's plan lattice, `_sequence_lattice`); its carrier
+    frequency f0 and gain bit g2, which set its carrier term; and its list
+    of seeds.  Both noise terms are exact on the lattice: `noise_process`
+    draws every row's 1/f noise from the one folded spectrum in one pass,
+    and the carrier term is white per sample.  Only the noise depends on
+    the seed: each seed's generator draws its 1/f normals and then, where
+    its group's carrier term is not zero, its carrier normals, and each row
+    is bit for bit the output of that seed alone.  The rows are a fresh
+    array, so the caller always owns the samples.
     """
-    shape = (len(seeds), trajectory.shape[-1])
-    if not (params.noise_floor or params.carrier_noise_v):
-        return np.broadcast_to(trajectory, shape).copy()
+    m = trajectories[0].shape[-1]
     fs = params.output_rate
-    rngs = [default_rng(s) for s in seeds]
-    y = noise_process(params, rngs, shape[1] * stride / fs, fs, stride)
-    y += trajectory
-    sig = _carrier_noise_sigma(params, f0, g2)
-    # a row whose carrier term is 0 draws no carrier normals, as it does alone
-    rows = isinstance(sig, np.ndarray)
-    live = np.flatnonzero(sig) if rows else range(len(rngs) if sig else 0)
-    if len(live) == len(rngs):
-        carrier = _normals(rngs, shape[1])
-        carrier *= sig[:, None] if rows else sig
-        y += carrier
-    elif len(live):
-        y[live] += sig[live, None] * _normals([rngs[r] for r in live], shape[1])
+    rngs = [default_rng(s) for group in seeds for s in group]
+    y = noise_process(params, rngs, m * stride / fs, fs, stride)
+    stop = 0
+    for lattice, f0, g2, group in zip(trajectories, f0s, g2s, seeds, strict=True):
+        start, stop = stop, stop + len(group)
+        rows = y[start:stop]
+        rows += lattice
+        sig = _carrier_noise_sigma(params, f0, g2)
+        if sig:  # a group whose carrier term is 0 draws no carrier normals
+            carrier = _normals(rngs[start:stop], m)
+            carrier *= sig
+            rows += carrier
     return y

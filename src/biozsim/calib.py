@@ -302,12 +302,11 @@ class MeasurementSetup:
     params: afe.ChainParams = afe.ChainParams()
     taps: int = acquire.TAPS
 
-    def run(self, configs: list, seeds: list, taps: int | None = None):
+    def run(self, configs: list, seeds: list):
         """A stack of groups, one list of seeds per configuration, at the
-        setup's taps unless `taps` is given (see `acquire.run_sequence`)."""
+        setup's taps (see `acquire.run_sequence`)."""
         return acquire.run_sequence(self.model, [c.fundamental for c in configs], configs,
-                                    self.params, taps=self.taps if taps is None else taps,
-                                    seed=seeds)
+                                    self.params, taps=self.taps, seed=seeds)
 
 
 def _bounds(seeds) -> list:
@@ -332,7 +331,7 @@ def measure_offsets(setup: MeasurementSetup, gain_words: list, seeds: list) -> d
     that word measured alone.  A word with no seeds raises ValueError.
     """
     configs = [afe.AfeConfig.from_gain_word(w, freq_index=0, source_enable=0) for w in gain_words]
-    res = setup.run(configs, seeds, taps=OFFSET_TAPS)
+    res = replace(setup, taps=OFFSET_TAPS).run(configs, seeds)
     return {w: (float(np.sum(res.v_i_dc[a:b] / (b - a))), float(np.sum(res.v_q_dc[a:b] / (b - a))))
             for w, (a, b) in zip(gain_words, _bounds(seeds))}
 

@@ -244,6 +244,11 @@ class ChannelParams:
 
     r_source: float = 2500.0  # recharge: tau = r_source * reservoir_cap = 50 ms
 
+    def __post_init__(self):
+        # 0 is an ideal source, inf no field
+        if not self.r_source >= 0:
+            raise ValueError(f"r_source must be non-negative, got {self.r_source!r}")
+
 
 @dataclass
 class PowerState:
@@ -252,6 +257,13 @@ class PowerState:
 
     reservoir_voltage: float = 3.0
     reservoir_cap: float = 20e-6
+
+    def __post_init__(self):
+        if not math.isfinite(self.reservoir_voltage):
+            raise ValueError(f"reservoir_voltage must be finite, got {self.reservoir_voltage!r}")
+        if not 0 < self.reservoir_cap < math.inf:
+            raise ValueError(f"reservoir_cap must be positive and finite, "
+                             f"got {self.reservoir_cap!r}")
 
 
 class Trace(Sequence):
@@ -485,13 +497,13 @@ def session(
     responses = []
 
     def harvest(dt: float, tag: str):
-        """Step dt on with the tank open: the gap to the clamp decays."""
+        """Step dt on with the tank open: the gap to the clamp decays.  v
+        starts at most at the clamp and no step passes it, so only the 0 V
+        clamp is needed."""
         nonlocal t, v
         v = clamp + (v - clamp) * math.exp(-dt / tau) if tau > 0 else clamp
         if v < 0.0:
             v = 0.0
-        if v > clamp:
-            v = clamp
         run(t, dt, tag)
         t += dt
         record(v)
@@ -509,11 +521,11 @@ def session(
             line = _line_bits(response)
         # the per-bit step, inlined: the same arithmetic as `harvest` with
         # the factor precomputed, or a discharge.  Every bit starts in
-        # [floor, clamp] (or at NaN), so a one bit's v - clamp is exact
+        # [floor, clamp], so a one bit's v - clamp is exact
         # (Sterbenz: floor >= clamp / 2) and its recharge lands in [v,
-        # clamp] unclamped; a zero bit needs the 0 V clamp only below the
-        # floor, and the upper one only for a negative drop.  Comparisons
-        # keep -0.0 and NaN as min/max would.
+        # clamp] unclamped; a zero bit's drop is positive, so it needs the
+        # 0 V clamp alone, and only below the floor.  The comparison keeps
+        # -0.0 as max would.
         run(t, bit_t, "tx")
         for bit in line:
             t += bit_t
@@ -524,8 +536,6 @@ def session(
                         v = 0.0
                     record(v)
                     raise _brownout(t, v, trace)
-                if v > clamp:
-                    v = clamp
             elif bit_decay is None:
                 v = clamp
             else:

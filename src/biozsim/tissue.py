@@ -73,8 +73,8 @@ class ColeModel:
 class TabulatedTwoPort:
     """Transfer impedance Z21 vs frequency from tabulated rows.
 
-    Rows are (frequency_hz, Re Z21, Im Z21), frequencies strictly
-    increasing, at least two rows.  Interpolation is linear in
+    Rows are (frequency_hz, Re Z21, Im Z21), all finite, frequencies
+    strictly increasing, at least two rows.  Interpolation is linear in
     log10(frequency) on Re and Im; it is exact at the table nodes.
     """
 
@@ -83,6 +83,8 @@ class TabulatedTwoPort:
         z = np.asarray(z21, dtype=complex)
         if f.ndim != 1 or len(f) < 2 or len(f) != len(z):
             raise ValueError("need at least 2 matched (frequency, z21) rows")
+        if not (np.isfinite(f).all() and np.isfinite(z).all()):
+            raise ValueError("frequencies and impedances must be finite")
         if np.any(f <= 0) or np.any(np.diff(f) <= 0):
             raise ValueError("frequencies must be positive and strictly increasing")
         self.freqs_hz = f

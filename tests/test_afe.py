@@ -42,8 +42,8 @@ BARE = ChainParams(noise_floor=0.0, carrier_noise_v=0.0, compression_knee=None, 
 def drive(steps, params, seeds, stride=1):
     """The chain driven by (n, dc) steps at the 1953.125 Hz carrier and the
     high gain, one row per seed: the steps rendered alone plus the noise."""
-    return baseband_output(afe._render(steps, params, stride), params, 1953.125, 1, seeds,
-                           stride=stride)
+    return baseband_output([afe._render(steps, params, stride)], params, [1953.125], [1],
+                           [seeds], stride=stride)
 
 
 def image_dc(model, f0, config, params):

@@ -199,6 +199,18 @@ class TestScenario:
         assert "Traceback" not in captured.err
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("rows", ["nan 100.0 0.0\n1e7 90.0 -5.0\n",
+                                      "1e3 100.0 0.0\ninf 90.0 -5.0\n",
+                                      "1e3 nan 0.0\n1e7 90.0 -5.0\n"],
+                             ids=["nan_frequency", "inf_frequency", "nan_impedance"])
+    def test_non_finite_table_row_one_line_error(self, tmp_path, capsys, rows):
+        (tmp_path / "electrode.z21").write_text(rows)
+        path = write_scenario(tmp_path, model={"type": "table", "path": "electrode.z21"})
+        rc = cli.main(["sweep", "--scenario", str(path), "--uncalibrated"])
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err == "error: bad model: frequencies and impedances must be finite\n"
 
     @pytest.mark.parametrize("content", [None, b"\xff\xfe{}",
                                          b'{"seed": 1' + b"0" * 5000 + b"}"],

@@ -196,7 +196,7 @@ def test_a_sequence_too_long_for_the_lattice_budget_renders_alone(monkeypatch):
     renders = count_renders(monkeypatch)
     setup = calib.MeasurementSetup(model=ParallelRC(r=150.0, c=2e-9))
     for taps in (32, 33, 32):
-        setup.run([AfeConfig.from_gain_word("111", freq_index=4)], [[1, 2]], taps=taps)
+        replace(setup, taps=taps).run([AfeConfig.from_gain_word("111", freq_index=4)], [[1, 2]])
     assert [rows_of(args) for args in renders] == [11, 1]
     info = afe._plan_lattice.cache_info()
     assert (info.currsize, info.hits) == (1, 1)
@@ -227,7 +227,8 @@ def test_returned_samples_belong_to_the_caller():
     def output(params):
         lattice = afe._sequence_lattice(model, config, quiet, dc, 200, 1)
         assert not lattice.flags.writeable
-        return afe.baseband_output(lattice, params, config.fundamental, 1, [None, 3])
+        return afe.baseband_output([lattice], params, [config.fundamental], [1], [[None, 3]],
+                                   stride=1)
 
     first = output(quiet)
     expected = first.copy()
