@@ -44,9 +44,6 @@ class AdcSpec:
 #: The one ADC every sequence digitizes with.
 ADC = AdcSpec()
 
-#: Seconds between successive ADC taps of a select phase.
-TAP_SPACING = 1e-3
-
 #: ADC taps a select phase averages by default.
 TAPS = 32
 
@@ -68,7 +65,8 @@ def adc_sample(v: float, spec: AdcSpec = ADC):
     """
     if isinstance(v, float) and math.isfinite(v):
         return round(min(max(float(v) / spec.lsb, 0.0), spec.codes - 1))
-    x = np.rint(np.asarray(v) / spec.lsb)
+    with np.errstate(over="ignore"):  # past a double is past the rails
+        x = np.rint(np.asarray(v) / spec.lsb)
     if np.logical_or.reduce(np.isnan(x), axis=None):
         raise ValueError("ADC input is NaN")
     code = np.minimum(np.maximum(x, 0.0), spec.codes - 1).astype(int)
@@ -113,12 +111,7 @@ def _phase_samples(params: afe.ChainParams, taps: int) -> tuple:
     taps, and in one select phase (settling plus the averaging window)."""
     fs = params.output_rate
     settle_n = int(round(params.settle_time * fs))
-    spacing_n = int(round(TAP_SPACING * fs))
-    if spacing_n < 1:
-        raise ValueError(f"output_rate {fs:g} Hz is below the 1 kHz tap rate")
-    if abs(TAP_SPACING * fs - spacing_n) > 1e-9 * spacing_n:
-        raise ValueError(f"output_rate {fs:g} Hz does not place the 1 ms taps on "
-                         "whole output samples")
+    spacing_n = int(round(afe.TAP_SPACING * fs))
     return settle_n, spacing_n, settle_n + spacing_n * taps
 
 

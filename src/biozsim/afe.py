@@ -104,6 +104,20 @@ CURRENT_LEVELS = {
 #: g2 -> LNA transconductance, siemens (20 uS or 6.67 uS).
 GM_LEVELS = {1: 20e-6, 0: 20e-6 / 3}
 
+#: Seconds between successive ADC taps of a select phase: the output rate
+#: must place them on whole output samples.
+TAP_SPACING = 1e-3
+
+#: The bounds `ChainParams` checks (see its docstring): the highest
+#: low-pass order, the ripple's range in dB, the range of the TIA pole,
+#: cutoff and output rate in Hz, the largest noise, offset and knee, and
+#: the smallest total gain at g2 = 0.
+MAX_LPF_ORDER = 6
+RIPPLE_DB = (1e-12, 3000.0)
+FREQUENCY_RANGE = (1e-6, 1e12)
+MAX_VOLTS = 1e6
+MIN_TOTAL_GAIN = 1e-140
+
 #: Soft-limit argument at which the compressive deviation is 1%.
 _KNEE_X = float((0.99**-4 - 1.0) ** 0.25)
 
@@ -168,6 +182,36 @@ class ChainParams:
     gcd(settle, tap spacing)-th sample): the 1/f term from its spectrum
     folded onto that lattice, the white term per lattice point, so each
     tap's noise has exactly the full series' joint distribution.
+
+    Construction refuses, with a one-line ValueError naming the field, a
+    chain the engine cannot run.  The bounds:
+
+    * `lpf_order` an integer from 1 to 6 (`MAX_LPF_ORDER`), the orders
+      the step response is tested to 1e-13 for; the response's state
+      grows as the order squared.
+    * `lpf_ripple_db` in [1e-12, 3000] dB (`RIPPLE_DB`): the design's
+      eps^2 = 10^(ripple/10) - 1 rounds to 0 below about 5e-16 dB and
+      overflows above about 3083 dB.
+    * `output_rate` and `tia_pole` in [1e-6, 1e12] Hz
+      (`FREQUENCY_RANGE`), `lpf_cutoff` from 1e-6 Hz to below
+      output_rate / 2, `lna_pole` finite and at least 1e-6 Hz, and
+      `flicker_corner` and `carrier_flicker_corner` in [0, 1e12] Hz, so
+      every digital pole is a number, a pole pair stays off the real
+      axis, and the noise PSD stays finite.
+      The output rate also rounds to at least one sample per 1 ms tap
+      (500 Hz) and places every tap on a whole sample, within 1e-9.
+    * `noise_floor` (V/rtHz) and `carrier_noise_v` in [0, 1e6], `offset`
+      within +/-1e6 V and `compression_knee` in (0, 1e6] V
+      (`MAX_VOLTS`), so the noise and offset stay finite.
+    * tia_gain and lpf_gain positive, with G finite at g2 = 1 and at
+      least 1e-140 at g2 = 0 (`MIN_TOTAL_GAIN`): a reading is
+      (pi/2) * V / (|I| * G), with |V| <= 1.8 V and |I| >= 10 uA / 9, so
+      it stays below 1e147 ohm and its square, in a standard error,
+      stays finite.
+    * `settle_time` non-negative, with settle_time * output_rate finite.
+
+    The chain's output past a double is past the ADC's rails too: a load
+    whose output overflows reads a rail code.
     """
 
     lna_pole: Optional[float] = 2.2e6
@@ -190,18 +234,36 @@ class ChainParams:
         def check(name, ok, rule):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
-        for name in ("output_rate", "tia_gain", "tia_pole", "lpf_gain", "lpf_ripple_db"):
+        lo, hi = FREQUENCY_RANGE
+        for name in ("output_rate", "tia_pole"):
+            check(name, lo <= getattr(self, name) <= hi, f"in [{lo:g}, {hi:g}] Hz")
+        check("lna_pole", self.lna_pole is None or lo <= self.lna_pole < math.inf,
+              f"finite and at least {lo:g} Hz, or null")
+        check("lpf_cutoff", lo <= self.lpf_cutoff < self.output_rate / 2,
+              f"in [{lo:g} Hz, output_rate / 2)")
+        for name in ("flicker_corner", "carrier_flicker_corner"):
+            check(name, 0 <= getattr(self, name) <= hi, f"in [0, {hi:g}] Hz")
+        for name in ("noise_floor", "carrier_noise_v"):
+            check(name, 0 <= getattr(self, name) <= MAX_VOLTS, f"in [0, {MAX_VOLTS:g}]")
+        check("compression_knee",
+              self.compression_knee is None or 0 < self.compression_knee <= MAX_VOLTS,
+              f"in (0, {MAX_VOLTS:g}] V, or null")
+        check("offset", abs(self.offset) <= MAX_VOLTS, f"at most {MAX_VOLTS:g} V in magnitude")
+        for name in ("tia_gain", "lpf_gain"):
             check(name, 0 < getattr(self, name) < math.inf, "positive and finite")
-        for name in ("settle_time", "noise_floor", "flicker_corner", "carrier_noise_v",
-                     "carrier_flicker_corner"):
-            check(name, 0 <= getattr(self, name) < math.inf, "non-negative and finite")
-        for name in ("lna_pole", "compression_knee"):
-            value = getattr(self, name)
-            check(name, value is None or 0 < value < math.inf, "positive and finite, or null")
-        check("offset", math.isfinite(self.offset), "finite")
-        check("lpf_order", self.lpf_order >= 1 and float(self.lpf_order).is_integer(),
-              "a positive integer")
-        check("lpf_cutoff", 0 < self.lpf_cutoff < self.output_rate / 2, "in (0, output_rate / 2)")
+        if not (self.total_gain(0) >= MIN_TOTAL_GAIN and self.total_gain(1) < math.inf):
+            raise ValueError(f"tia_gain and lpf_gain must give a finite total gain of at least "
+                             f"{MIN_TOTAL_GAIN:g} at g2 = 0, got {self.total_gain(0)!r}")
+        check("lpf_order", self.lpf_order in range(1, MAX_LPF_ORDER + 1),
+              f"an integer from 1 to {MAX_LPF_ORDER}")
+        check("lpf_ripple_db", RIPPLE_DB[0] <= self.lpf_ripple_db <= RIPPLE_DB[1],
+              f"in [{RIPPLE_DB[0]:g}, {RIPPLE_DB[1]:g}] dB")
+        check("settle_time", 0 <= self.settle_time * self.output_rate < math.inf,
+              "non-negative and finite in output samples")
+        taps = TAP_SPACING * self.output_rate
+        check("output_rate", round(taps) >= 1, "at least the 1 kHz tap rate")
+        check("output_rate", abs(taps - round(taps)) <= 1e-9 * round(taps),
+              "a rate that places the 1 ms taps on whole output samples")
 
     def total_gain(self, g2: int) -> float:
         return GM_LEVELS[g2] * self.tia_gain * self.lpf_gain
@@ -237,16 +299,17 @@ def apply_compression(v, params: ChainParams):
     The fourth root is taken as two square roots of 1 + (x*x)^2, which
     avoids libm `pow` (about 10x slower on negative arrays) and stays
     within 2 ULP of the `pow` form.  Where x^4 overflows (|x| above about
-    1e77), (1 + x^4)^(1/4) is |x| to the last bit, so y is +/-vs there.
+    1e77, an infinite v included), (1 + x^4)^(1/4) is |x| to the last bit,
+    so y is +/-vs there.
     """
     if params.compression_knee is None:
         return v
     vs = params.compression_knee / _KNEE_X
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         x = np.asarray(v, dtype=float) / vs
         x2 = x * x
         x4 = x2 * x2
-    y = np.asarray(v) / np.sqrt(np.sqrt(1.0 + x4))
+        y = np.asarray(v) / np.sqrt(np.sqrt(1.0 + x4))
     y = np.where(np.isinf(x4), np.copysign(vs, x), y)
     return y if np.ndim(v) else float(y)
 
@@ -604,7 +667,9 @@ def _render(steps, params: ChainParams, stride: int) -> np.ndarray:
             y[..., first:] += np.multiply.outer(dc - level,
                                                 s[first * stride - start : total - start : stride])
         start, level = start + n, dc
-    return apply_compression(y * params.tia_gain * params.lpf_gain, params) + params.offset
+    with np.errstate(over="ignore"):  # an output past a double is past the rails too
+        y = y * params.tia_gain * params.lpf_gain
+    return apply_compression(y, params) + params.offset
 
 
 #: Plan lattices kept per process.  A sweep, a calibration's reference

@@ -85,7 +85,6 @@ class ImpedanceReading:
 
     z: complex
     freq: float
-    gain_word: str
     flags: tuple = ()
 
 
@@ -430,8 +429,8 @@ def apply_calibration(
     z = derotate(z_raw)
     coeff = table.eq_coeffs.get(freq)
     if coeff is None:
-        return ImpedanceReading(z=z, freq=freq, gain_word=gain_word, flags=("out_of_table",))
-    return ImpedanceReading(z=_mul(z, coeff), freq=freq, gain_word=gain_word)
+        return ImpedanceReading(z=z, freq=freq, flags=("out_of_table",))
+    return ImpedanceReading(z=_mul(z, coeff), freq=freq)
 
 
 def measure_impedance(
@@ -462,7 +461,7 @@ def measure_impedance(
     readings = []
     for i, (a, b) in zip(indices, _bounds(seeds)):
         f = plan_frequencies()[i]
-        reading = (ImpedanceReading(z=derotate(z[a:b]), freq=f, gain_word=gain_word)
+        reading = (ImpedanceReading(z=derotate(z[a:b]), freq=f)
                    if table is None else apply_calibration(z[a:b], table, f, gain_word))
         if res.saturated[a:b].any():
             reading = replace(reading, flags=reading.flags + ("saturated",))

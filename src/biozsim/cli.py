@@ -80,6 +80,7 @@ import math
 import os
 import re
 import sys
+from collections import deque
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -246,12 +247,7 @@ def load_scenario(path) -> Scenario:
                         frequencies=tuple(float(f) for f in values["frequencies"]),
                         output_format=values["format"])
     scenario.freq_indices()  # every frequency is a plan frequency
-    try:
-        _, _, phase_n = acquire._phase_samples(params, max(taps, calib.OFFSET_TAPS))
-    except OverflowError:  # settle_time * output_rate is not a finite number
-        phase_n = math.inf
-    except ValueError as exc:
-        raise ScenarioError(f"bad chain parameters: {exc}") from None
+    _, _, phase_n = acquire._phase_samples(params, max(taps, calib.OFFSET_TAPS))
     if 2 * phase_n > MAX_SEQUENCE_SAMPLES:
         raise ScenarioError(
             f"a sequence would exceed {MAX_SEQUENCE_SAMPLES} output samples; "
@@ -514,7 +510,7 @@ def cmd_link_demo(args) -> int:
         result = link.session(frames, link.ChannelParams(), power, device)
     except link.BrownOutError as exc:
         print(f"session aborted: {exc}", file=sys.stderr)
-        for t, v, tag in exc.trace[-6:]:
+        for t, v, tag in deque(exc.trace, maxlen=6):
             print(f"  t={t * 1e3:9.3f} ms  V={v:.3f}  {tag}", file=sys.stderr)
         return EXIT_BROWNOUT
 
@@ -522,7 +518,8 @@ def cmd_link_demo(args) -> int:
         print(f">> {cmd.hex()}")
         print(f"<< {rsp.hex()}")
     vmin = min(result.trace.volts)
-    print(f"reservoir: start 3.000 V, min {vmin:.4f} V over {result.trace[-1][0] * 1e3:.2f} ms")
+    (end, _, _), = deque(result.trace, maxlen=1)
+    print(f"reservoir: start 3.000 V, min {vmin:.4f} V over {end * 1e3:.2f} ms")
     if args.trace:
         for t, v, tag in result.trace:
             print(f"  t={t * 1e3:9.3f} ms  V={v:.4f}  {tag}")

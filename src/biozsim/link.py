@@ -48,8 +48,9 @@ and mapped to its front-end configuration, once per process.
 The record is a packed `Trace`: each step's volts as one double, and a
 start time, a time step and a tag once per run of steps (the start step,
 each `rx` or `measure` step, one uplink frame's bits), about 10 B a step.
-A step's time is replayed from its run by the additions the session
-made, so it is bit for bit the time the session reached.
+A trace is read by iteration, one pass in step order; it replays each
+step's time from its run by the additions the session made, so it is bit
+for bit the time the session reached.
 
 A session owns the reader and implant state machines exclusively; the
 module is otherwise stateless, and a session is deterministic given the
@@ -61,9 +62,8 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from bisect import bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain, pairwise
 from operator import index
 from typing import Callable, Optional
 
@@ -220,15 +220,6 @@ class Frame:
             csum ^= 0xFF
         return body + bytes([csum])
 
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "Frame":
-        if len(data) < 3 or data[0] != SYNC:
-            raise ValueError("malformed frame")
-        frame = cls(opcode=data[1], payload=data[2:-1])
-        if sum(data[:-1]) & 0xFF != data[-1]:
-            raise ValueError("checksum mismatch")
-        return frame
-
     def hex(self) -> str:
         return self.to_bytes().hex()
 
@@ -266,21 +257,18 @@ class PowerState:
                              f"got {self.reservoir_cap!r}")
 
 
-class Trace(Sequence):
-    """A session's reservoir record: a read-only sequence of
-    `(time_s, reservoir_voltage, tag)` steps, in the order they happened.
+class Trace:
+    """A session's reservoir record, read by iteration: it yields the
+    `(time_s, reservoir_voltage, tag)` steps in the order they happened.
 
     `volts` is the array of each step's voltage, one double a step.  The
     steps fall in runs that share a tag and a time step dt: the start
     step, each `"rx"` or `"measure"` step, and the bits of one uplink
     frame (`"tx"`).  A run keeps the time before its first step, dt and
-    its tag once, so a step costs 8 B plus a share of its run's 32 B.  A
-    step's time is the run's time plus dt, added once per step up to it,
-    in the session's order: bit for bit the time the session reached.
-    Indexing replays the run that holds the step; iteration replays each
-    run once and yields one step at a time.  A slice is a list of steps,
-    and a trace equals another trace, or a list of triples, with the same
-    steps.
+    its tag once, so a step costs 8 B plus a share of its run's 32 B.
+    Iteration replays each run once: a step's time is the run's time plus
+    dt, added once per step up to it, in the session's order, so it is
+    bit for bit the time the session reached.
     """
 
     __slots__ = ("volts", "_starts", "_t0", "_dt", "_tags")
@@ -299,52 +287,19 @@ class Trace(Sequence):
         self._dt.append(dt)
         self._tags.append(tag)
 
-    def _steps(self, lo: int, hi: int):
-        """Yield steps lo..hi-1, replaying each run's times from its start."""
-        starts, volts = self._starts, self.volts
-        r = bisect_right(starts, lo) - 1
-        while lo < hi:
-            stop = min(hi, starts[r + 1]) if r + 1 < len(starts) else hi
-            t, dt, tag = self._t0[r], self._dt[r], self._tags[r]
-            for _ in range(starts[r], lo):
-                t += dt
-            for k in range(lo, stop):
+    def __iter__(self):
+        volts = self.volts
+        bounds = pairwise(chain(self._starts, (len(volts),)))
+        for (lo, hi), t, dt, tag in zip(bounds, self._t0, self._dt, self._tags):
+            for k in range(lo, hi):
                 t += dt
                 yield t, volts[k], tag
-            lo = stop
-            r += 1
-
-    def __len__(self):
-        return len(self.volts)
-
-    def __iter__(self):
-        return self._steps(0, len(self.volts))
-
-    def __getitem__(self, key):
-        n = len(self.volts)
-        if isinstance(key, slice):
-            wanted = range(n)[key]
-            if not wanted:
-                return []
-            lo = min(wanted[0], wanted[-1])
-            block = list(self._steps(lo, max(wanted[0], wanted[-1]) + 1))
-            return [block[k - lo] for k in wanted]
-        k = index(key)
-        if k < 0:
-            k += n
-        if not 0 <= k < n:
-            raise IndexError("trace index out of range")
-        return next(self._steps(k, k + 1))
-
-    def __eq__(self, other):
-        if not isinstance(other, (Trace, list)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 class BrownOutError(RuntimeError):
     """Reservoir dropped below the regulator dropout margin; `trace` is
-    the session's `Trace` up to and including the step that fell."""
+    the session's `Trace` up to and including the step that fell, so the
+    last step its iteration yields is the one that fell."""
 
     def __init__(self, message, trace):
         super().__init__(message)
@@ -356,8 +311,9 @@ class SessionResult:
     """A session's outcome.
 
     `responses` holds the implant's response `Frame` to each command, in
-    command order.  `trace` is the reservoir after every step, as a
-    `Trace` of (time_s, volts, tag).
+    command order.  `trace` is the reservoir after every step, a `Trace`
+    whose iteration yields (time_s, volts, tag) and whose `volts` holds
+    the voltages alone.
     """
 
     responses: list
@@ -462,9 +418,9 @@ def session(
     the trace holds every bit boundary.  The `Trace` stores each step's
     volts as one double and each run's time, dt and tag once (a run is
     the start step, an `"rx"` or `"measure"` step, or one frame's `"tx"`
-    bits); it replays the times by the additions of the session's own
-    clock, so they equal it bit for bit.  A 200-PING session holds about
-    13 B a step, its responses included.  A response's line bits are read
+    bits); its iteration replays the times by the additions of the
+    session's own clock, so they equal it bit for bit.  A 200-PING
+    session holds about 13 B a step, its responses included.  A response's line bits are read
     from `_LINE_BITS` when it is one of the device's constant ACK or NAK
     frames, built once per process with them; only a PONG or a RESULT is
     encoded here.  The device decodes each config word once per process.

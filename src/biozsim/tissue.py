@@ -20,6 +20,7 @@ Models are immutable; concurrent reads are safe.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -93,8 +94,14 @@ class TabulatedTwoPort:
 
     @classmethod
     def from_text(cls, source) -> "TabulatedTwoPort":
-        """Parse a plain-text table: `freq_hz re_ohm im_ohm` per row, # comments."""
-        rows = np.loadtxt(source, ndmin=2)
+        """Parse a plain-text table: `freq_hz re_ohm im_ohm` per row, #
+        comments.  A source with no rows (empty, or comments only) raises
+        ValueError, without numpy's warning."""
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rows = np.loadtxt(source, ndmin=2)
+        if rows.size == 0:
+            raise ValueError("the table has no rows")
         if rows.shape[1] != 3:
             raise ValueError("expected 3 columns: freq_hz re_ohm im_ohm")
         return cls(rows[:, 0], rows[:, 1] + 1j * rows[:, 2])

@@ -30,6 +30,8 @@ program computes by another road, so a test can hold the program to it:
   that `cli._parse` replaced.
 * `clamped_session` runs a link session by the per-bit loop that clamps
   every uplink bit to [0, clamp].
+* `parse_frame` reads a link frame's opcode and payload off its wire
+  bytes, by the wire format's own table of payload lengths.
 """
 
 from __future__ import annotations
@@ -690,3 +692,22 @@ def clamped_session(commands, channel, power, device):
         responses.append(response)
 
     return link.SessionResult(responses=responses, trace=trace)
+
+
+#: Each opcode's payload length, as the wire format in `link`'s docstring lists it.
+WIRE_PAYLOAD_LEN = {0x01: 2, 0x02: 0, 0x03: 0, 0x04: 1, 0x81: 1, 0x82: 4, 0x84: 1, 0x7F: 1}
+
+
+def parse_frame(data: bytes) -> tuple:
+    """The (opcode, payload) of one frame's wire bytes: sync 0xA5, opcode,
+    payload, checksum = sum of the preceding bytes mod 256.  Raises
+    ValueError on a bad sync byte, an unknown opcode, a wrong length or a
+    checksum mismatch."""
+    if len(data) < 3 or data[0] != 0xA5:
+        raise ValueError("malformed frame")
+    opcode, payload, checksum = data[1], bytes(data[2:-1]), data[-1]
+    if WIRE_PAYLOAD_LEN.get(opcode) != len(payload):
+        raise ValueError(f"opcode 0x{opcode:02X} with {len(payload)} payload bytes")
+    if sum(data[:-1]) % 256 != checksum:
+        raise ValueError("checksum mismatch")
+    return opcode, payload

@@ -182,7 +182,7 @@ class TestRunSequence:
         # 1 ms is 1.4 or 0.6 samples here: rounding would move the taps
         for rate in (1400.0, 600.0):
             with pytest.raises(ValueError, match="whole output samples"):
-                _phase_samples(ChainParams(output_rate=rate), 32)
+                ChainParams(output_rate=rate)
 
 
 class TestTapLattice:

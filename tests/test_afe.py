@@ -131,6 +131,15 @@ class TestChainParams:
         ("noise_floor", -1.0), ("flicker_corner", -100.0),
         ("carrier_noise_v", -0.036), ("carrier_flicker_corner", -2000.0),
         ("offset", float("nan")),
+        # past what the engine can run
+        ("lpf_order", 7), ("lpf_order", 10**6),
+        ("lpf_ripple_db", 4.8e-16), ("lpf_ripple_db", 3083.0),
+        ("noise_floor", 1.4e154), ("carrier_noise_v", 1.1e6), ("offset", -1.1e6),
+        ("compression_knee", 1.1e6), ("tia_pole", 2.9e307), ("tia_pole", 1.1e12),
+        ("lna_pole", 1e-300), ("lpf_cutoff", 5e-324), ("flicker_corner", 1.1e12),
+        ("carrier_flicker_corner", 1.1e12), ("output_rate", 1.1e12),
+        ("tia_gain", 1e-300), ("tia_gain", 1e-200), ("lpf_gain", 1e-250), ("lpf_gain", 1e308),
+        ("output_rate", 150.0), ("output_rate", 1400.0), ("settle_time", 1e305),
     ])
     def test_rejects_out_of_range_field(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -139,6 +148,14 @@ class TestChainParams:
     def test_accepts_boundaries(self):
         ChainParams(lpf_order=2.0, lpf_cutoff=24999.0, settle_time=0.0, noise_floor=0.0,
                     lna_pole=None, compression_knee=None, offset=-0.5)
+        ChainParams(lpf_order=afe.MAX_LPF_ORDER, lpf_ripple_db=afe.RIPPLE_DB[1],
+                    noise_floor=afe.MAX_VOLTS, carrier_noise_v=afe.MAX_VOLTS,
+                    offset=-afe.MAX_VOLTS, compression_knee=afe.MAX_VOLTS, lna_pole=1e-6,
+                    tia_pole=1e12, flicker_corner=1e12, carrier_flicker_corner=1e12)
+        ChainParams(lpf_ripple_db=afe.RIPPLE_DB[0], lpf_cutoff=1e-6, tia_pole=1e-6,
+                    output_rate=1e12, lna_pole=1.7e308)
+        for g2 in (0, 1):
+            assert ChainParams(tia_gain=2e-135, lpf_gain=1.0).total_gain(g2) >= afe.MIN_TOTAL_GAIN
 
 
 class TestOracle:

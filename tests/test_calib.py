@@ -326,7 +326,7 @@ class TestStackedReading:
         assert stacked.z.shape == (len(seeds),)
         for z, single in zip(stacked.z, alone):
             assert np.complex128(z).tobytes() == np.complex128(single.z).tobytes()
-        assert (stacked.freq, stacked.gain_word) == (alone[0].freq, alone[0].gain_word)
+        assert stacked.freq == alone[0].freq
         union = tuple(f for f in ("out_of_table", "saturated")
                       if any(f in single.flags for single in alone))
         assert stacked.flags == union
@@ -367,8 +367,7 @@ class TestGroupStack:
 
     @staticmethod
     def key(reading):
-        return (np.asarray(reading.z, complex).tobytes(), reading.freq, reading.gain_word,
-                reading.flags)
+        return np.asarray(reading.z, complex).tobytes(), reading.freq, reading.flags
 
     @pytest.mark.parametrize("table", ["none", "built", "loaded", "short"])
     def test_readings_equal_each_index_alone(self, table):

@@ -212,6 +212,34 @@ class TestScenario:
         assert captured.out == ""
         assert captured.err == "error: bad model: frequencies and impedances must be finite\n"
 
+    @pytest.mark.parametrize("field, value", [
+        ("lpf_ripple_db", 4.8e-16), ("lpf_ripple_db", 3083.0), ("noise_floor", 1.35e154),
+        ("lpf_order", 7), ("lpf_order", 1000), ("lpf_order", 3000), ("lpf_order", 10**6),
+        ("tia_gain", 1e-300), ("tia_gain", 1e-200), ("lpf_gain", 1e-250),
+        ("settle_time", 1e305),
+    ])
+    def test_unrunnable_chain_one_line_error(self, tmp_path, capsys, monkeypatch, field, value):
+        # refused where ChainParams is built: no order above 6 ever reaches the engine
+        calls = []
+        monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: calls.append(a))
+        path = write_scenario(tmp_path, chain={field: value})
+        rc = cli.main(["sweep", "--scenario", str(path), "--uncalibrated"])
+        captured = capsys.readouterr()
+        assert (rc, captured.out, calls) == (cli.EXIT_USAGE, "", [])
+        assert captured.err.startswith("error: bad chain parameters: ")
+        assert field in captured.err and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", ["", "# freq_hz re_ohm im_ohm\n\n# no rows yet\n"],
+                             ids=["empty", "comments_only"])
+    def test_table_without_rows_one_line_error(self, tmp_path, capsys, text):
+        (tmp_path / "electrode.z21").write_text(text)
+        path = write_scenario(tmp_path, model={"type": "table", "path": "electrode.z21"})
+        rc = cli.main(["sweep", "--scenario", str(path), "--uncalibrated"])
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err == "error: bad model: the table has no rows\n"
+
     @pytest.mark.parametrize("content", [None, b"\xff\xfe{}",
                                          b'{"seed": 1' + b"0" * 5000 + b"}"],
                              ids=["directory", "not_utf8", "integer_past_the_digit_limit"])

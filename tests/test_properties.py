@@ -11,6 +11,8 @@ from biozsim.acquire import ADC, code_volts, pin_code
 from biozsim.afe import AfeConfig
 from biozsim.link import PAYLOAD_LEN, ConfigWord, Frame, checksum_ok, decode_config, encode_config
 
+from reference import parse_frame
+
 BOUNDED = settings(max_examples=100, deadline=None)
 
 config_words = st.builds(
@@ -59,8 +61,11 @@ def test_frame_bytes_round_trip(frame):
     wire = frame.to_bytes()
     assert len(wire) == 3 + PAYLOAD_LEN[frame.opcode]
     assert checksum_ok(wire) == (not frame.corrupt)
-    if not frame.corrupt:
-        assert Frame.from_bytes(wire) == frame
+    if frame.corrupt:
+        with pytest.raises(ValueError, match="checksum"):
+            parse_frame(wire)
+    else:
+        assert parse_frame(wire) == (frame.opcode, frame.payload)
 
 
 @BOUNDED

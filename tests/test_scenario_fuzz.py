@@ -1,17 +1,18 @@
-"""Fuzzed scenario documents through `bioz sweep --uncalibrated --repeats 1`.
+"""Fuzzed scenario documents through `bioz sweep --uncalibrated`.
 
 Valid documents and documents with one field set to a junk value, removed
-or added must all end with a documented exit code, at most one `error:`
-line and no traceback, never with a NaN in a record, and never with a
-NaN or infinity cast to an ADC code.  A valid document with one key
-renamed, or one number made a string or a boolean, must end at load with
-exit 1 and one `error:` line, and so must one that lists a plan
-frequency twice.  Model fields (r, c, r_interface,
-the Cole fields) and chain and schedule times are drawn over the whole
-finite float range; `load_scenario` rejects any document whose sequence
-would pass `cli.MAX_SEQUENCE_SAMPLES`, so none asks for more than a few
-MB.  Bounded so the suite stays fast: at most 100 examples, one repeat,
-one or two frequencies.
+or added must all end, over two repeats, with a documented exit code, at
+most one `error:` line, no traceback and no warning, and with every
+number of every record finite, its standard error included.  A valid
+document with one key renamed, or one number made a string or a boolean,
+must end at load with exit 1 and one `error:` line, and so must one that
+lists a plan frequency twice.  Model fields (r, c, r_interface, the Cole
+fields) and schedule times are drawn over the whole finite float range,
+and all 15 chain fields over the whole domain `afe.ChainParams` accepts;
+`load_scenario` rejects any document whose sequence would pass
+`cli.MAX_SEQUENCE_SAMPLES`, so none asks for more than a few MB.
+Bounded so the suite stays fast: at most 100 examples, two repeats, one
+or two frequencies.
 
 A calibration table as `to_json` writes it, with one key at any depth
 dropped or added or one value swapped for another kind, must end `bioz
@@ -30,9 +31,9 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
-from biozsim import calib, cli
+from biozsim import afe, calib, cli
 from biozsim.waveforms import plan_frequencies
 
 EXIT_CODES = {cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_RANGE, cli.EXIT_BROWNOUT}
@@ -62,20 +63,48 @@ time_varying = st.builds(
                          "schedule": {"r": [[0.0, base["r"]], [10.0, r1]]}, "time": t},
     parallel_rc, above_zero, anything,
 )
-chains = st.fixed_dictionaries({}, optional={
-    "lna_pole": st.one_of(st.none(), positive(1e5, 1e7)),
-    "compression_knee": st.one_of(st.none(), positive(0.5, 3.0)),
-    "offset": positive(-0.05, 0.05),
-    "noise_floor": positive(0.0, 1e-4),
-    "carrier_noise_v": positive(0.0, 0.1),
-    "settle_time": anything,
-    "lpf_cutoff": positive(10.0, 200.0),
-})
+
+
+@st.composite
+def chains(draw):
+    """Any subset of the chain's fields that `ChainParams` accepts, each
+    drawn over its whole domain: the output rate a whole number of samples
+    a tap, and the cutoff below the drawn or default Nyquist rate; a draw
+    whose gains or settling the fields' joint checks refuse is rejected."""
+    low_hz, high_hz = afe.FREQUENCY_RANGE
+    volts = positive(0.0, afe.MAX_VOLTS)
+    fields = draw(st.fixed_dictionaries({}, optional={
+        "lna_pole": st.one_of(st.none(), positive(low_hz, sys.float_info.max)),
+        "tia_gain": above_zero,
+        "tia_pole": positive(low_hz, high_hz),
+        "lpf_order": st.integers(1, afe.MAX_LPF_ORDER),
+        "lpf_ripple_db": positive(*afe.RIPPLE_DB),
+        "lpf_gain": above_zero,
+        "compression_knee": st.one_of(st.none(), st.floats(0.0, afe.MAX_VOLTS, exclude_min=True)),
+        "offset": positive(-afe.MAX_VOLTS, afe.MAX_VOLTS),
+        "noise_floor": volts,
+        "flicker_corner": positive(0.0, high_hz),
+        "carrier_noise_v": volts,
+        "carrier_flicker_corner": positive(0.0, high_hz),
+        "settle_time": anything,
+        "output_rate": st.integers(1, int(high_hz * afe.TAP_SPACING)).map(
+            lambda k: k / afe.TAP_SPACING),
+    }))
+    if draw(st.booleans()):
+        nyquist = fields.get("output_rate", afe.ChainParams.output_rate) / 2
+        fields["lpf_cutoff"] = draw(st.floats(low_hz, nyquist, exclude_max=True))
+    try:
+        afe.ChainParams(**fields)
+    except ValueError:
+        reject()
+    return fields
+
+
 documents = st.fixed_dictionaries(
     {"model": st.one_of(parallel_rc, cole, builtin, time_varying),
      "frequencies": st.lists(st.sampled_from(plan_frequencies()), min_size=1, max_size=2,
                              unique=True)},
-    optional={"chain": chains, "seed": st.integers(0, 2**32), "taps": st.integers(1, 64),
+    optional={"chain": chains(), "seed": st.integers(0, 2**32), "taps": st.integers(1, 64),
               "gain": st.sampled_from(["111", "101", "001", "000", "auto"]),
               "format": st.sampled_from(cli.OUTPUT_FORMATS)},
 )
@@ -124,9 +153,10 @@ def broken(draw):
     return doc
 
 
-def sweep(doc: dict, table=None) -> tuple:
+def sweep(doc: dict, table=None, repeats=1) -> tuple:
     """`bioz sweep` on the scenario `doc`, through the calibration table
-    document `table` if one is given, else uncalibrated."""
+    document `table` if one is given, else uncalibrated: its exit code,
+    output, error output and the messages of any warnings it raised."""
     with tempfile.TemporaryDirectory() as workdir:
         path, cal = Path(workdir) / "scenario.json", Path(workdir) / "table.json"
         path.write_text(json.dumps(doc))
@@ -136,10 +166,9 @@ def sweep(doc: dict, table=None) -> tuple:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
                 warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rc = cli.main(["sweep", "--scenario", str(path), "--repeats", "1",
+            rc = cli.main(["sweep", "--scenario", str(path), "--repeats", str(repeats),
                            *(["--uncalibrated"] if table is None else ["--cal", str(cal)])])
-    casts = [w for w in caught if "cast" in str(w.message)]
-    return rc, out.getvalue(), err.getvalue(), casts
+    return rc, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
 
 
 def record_values(text: str, fmt: str) -> list:
@@ -153,8 +182,8 @@ def record_values(text: str, fmt: str) -> list:
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(documents, mutated()))
 def test_sweep_ends_cleanly(doc):
-    rc, out, err, casts = sweep(doc)
-    assert casts == []
+    rc, out, err, warned = sweep(doc, repeats=2)
+    assert warned == []
     assert rc in EXIT_CODES
     assert "Traceback" not in err
     assert err.count("error:") <= 1
