@@ -60,16 +60,21 @@ it (`_SCENARIO`, `_MODELS`, `_CHAIN` from `afe.ChainParams`' fields,
 number, never a string or a boolean, and an integer a whole one.  Any
 other key or value is a one-line error, exit 1, before any measurement;
 so is a `frequencies` entry not within 1e-6 (relative) of a plan
-frequency.  That tolerance applies there and to a calibration table's
-`freq_hz` only (`waveforms.plan_index`): each reads as the exact plan
-frequency, and past them `afe.mixer_dc_pair` rejects any other.  A
+frequency, one plan frequency given twice, and a chain whose unit-step
+response at the first tap is more than `MAX_SETTLING_ERROR` (0.5) from
+its settled value, whose readings would be little more than the offset.
+The 1e-6 tolerance applies to `frequencies` and to a calibration table's
+`freq_hz` only (`waveforms.plan_index`): each reads as its plan index,
+and past them `afe.mixer_dc_pair` rejects any other frequency.  A
 calibration table is read by the same reader, `calib.read_fields`.
 
-Sweep output (CSV) has the frozen header
-`freq_hz,re_ohm,im_ohm,mag_ohm,phase_deg,stderr_ohm,gain_word,flags`;
-stderr_ohm is the standard error of the repeat mean (0 for one repeat).
-Per-measurement seeds derive deterministically from (master seed,
-frequency index, repeat), so identical scenario + seed gives
+A sweep's records are the rows it writes, one dict per frequency with
+the keys `freq_hz re_ohm im_ohm mag_ohm phase_deg stderr_ohm gain_word
+flags`: `--format json` writes them as they are, and CSV under the
+frozen header `CSV_HEADER`, flags joined by `;`.  stderr_ohm is the
+standard error of the repeat mean (0 for one repeat).  Repeat r at plan
+index i is seeded by the stream `SeedSequence((seed, i, r))`, in a sweep
+and in a link demo alike, so identical scenario + seed gives
 byte-identical output.
 """
 
@@ -100,6 +105,11 @@ EXIT_USAGE = 1
 EXIT_RANGE = 2
 EXIT_BROWNOUT = 3
 
+#: Most a chain's unit-step response at the first tap may differ from its
+#: settled value 1: the default chain is 0.25% off, a sixth-order or a
+#: 3 dB-ripple low-pass 19% and 7%.
+MAX_SETTLING_ERROR = 0.5
+
 #: Longest I-then-Q sequence, in output samples, that a scenario may ask
 #: for: 35x the 28 100 of calibrate's 256-tap offset sequence at the
 #: default chain, and 8 MB a series.
@@ -112,28 +122,19 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """Parsed scenario: the load model plus instrument configuration."""
+    """Parsed scenario: the load model plus instrument configuration.
+    `indices` are the plan indices to measure, in order."""
 
     model: object
     params: afe.ChainParams
     seed: int = 0
     taps: int = acquire.TAPS
     gain: str = "111"
-    frequencies: tuple = ()
+    indices: tuple = tuple(range(N_PLAN))
     output_format: str = "csv"
 
     def setup(self) -> calib.MeasurementSetup:
         return calib.MeasurementSetup(model=self.model, params=self.params, taps=self.taps)
-
-    def freq_indices(self):
-        """The plan index of each of `frequencies`, or of the whole plan; a
-        plan frequency given twice, exactly or within the plan match, is an
-        error."""
-        indices = [plan_index(f, ScenarioError) for f in self.frequencies]
-        for k, idx in enumerate(indices):
-            if idx in indices[:k]:
-                raise ScenarioError(f"plan frequency {plan_frequencies()[idx]:g} Hz given twice")
-        return indices or list(range(N_PLAN))
 
 
 def _numbers(value) -> bool:
@@ -210,11 +211,15 @@ def build_model(spec: dict, base_dir: Path):
 def load_scenario(path) -> Scenario:
     """Parse and check a scenario file; any fault raises ScenarioError.
 
-    Besides each field's own check, the longest sequence the scenario can
-    run (its taps, or calibrate's `calib.OFFSET_TAPS`, after
+    Besides each field's own check, each `frequencies` entry must read as
+    a plan index no other entry reads as; the longest sequence the
+    scenario can run (its taps, or calibrate's `calib.OFFSET_TAPS`, after
     `chain.settle_time`) must fit in `MAX_SEQUENCE_SAMPLES` (1 000 000)
     output samples, so a runaway settle time or tap count fails here,
-    before any measurement.
+    before any measurement; and last, the chain's unit-step response at
+    the first tap of a sequence of the scenario's taps must lie within
+    `MAX_SETTLING_ERROR` (0.5) of 1.  That response is the one the
+    scenario's sequences render, memoized, so no second one is computed.
     """
     path = Path(path)
     try:
@@ -243,16 +248,23 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError("taps must be >= 1")
     if seed < 0:
         raise ScenarioError("seed must be >= 0")
-    scenario = Scenario(model=model, params=params, seed=seed, taps=taps, gain=values["gain"],
-                        frequencies=tuple(float(f) for f in values["frequencies"]),
-                        output_format=values["format"])
-    scenario.freq_indices()  # every frequency is a plan frequency
+    indices = tuple(plan_index(f, ScenarioError) for f in values["frequencies"])
+    for k, idx in enumerate(indices):
+        if idx in indices[:k]:
+            raise ScenarioError(f"plan frequency {plan_frequencies()[idx]:g} Hz given twice")
     _, _, phase_n = acquire._phase_samples(params, max(taps, calib.OFFSET_TAPS))
     if 2 * phase_n > MAX_SEQUENCE_SAMPLES:
         raise ScenarioError(
             f"a sequence would exceed {MAX_SEQUENCE_SAMPLES} output samples; "
             "lower chain.settle_time or taps")
-    return scenario
+    settle_n, _, phase_n = acquire._phase_samples(params, taps)
+    step = afe._step_response(params, 2 * phase_n)[settle_n]
+    if not abs(step - 1.0) <= MAX_SETTLING_ERROR:
+        raise ScenarioError(
+            f"the chain does not settle: its unit-step response at the first tap is {step:.3g}, "
+            f"more than {MAX_SETTLING_ERROR} from 1; raise chain.settle_time or the chain's poles")
+    return Scenario(model=model, params=params, seed=seed, taps=taps, gain=values["gain"],
+                    indices=indices or Scenario.indices, output_format=values["format"])
 
 
 def _check_writable(path) -> None:
@@ -275,31 +287,12 @@ def _measure_seeds(master: int, indices: list, repeats: int, first: int = 0) -> 
                      lambda k, r: seed_words((master, np.asarray(indices)[k], first + r), ()))
 
 
-@dataclass
-class SweepRecord:
-    freq: float
-    z: complex
-    stderr_ohm: float
-    gain_word: str
-    flags: tuple = ()
-
-    def csv_row(self) -> str:
-        d = self.as_dict()
-        numbers = [repr(float(d[k])) for k in CSV_HEADER.split(",")[:6]]
-        return ",".join(numbers + [self.gain_word, ";".join(self.flags)])
-
-    def as_dict(self) -> dict:
-        mag = abs(self.z)
-        return {
-            "freq_hz": self.freq,
-            "re_ohm": self.z.real,
-            "im_ohm": self.z.imag,
-            "mag_ohm": mag,
-            "phase_deg": float(np.degrees(np.angle(self.z))) if mag else 0.0,
-            "stderr_ohm": self.stderr_ohm,
-            "gain_word": self.gain_word,
-            "flags": list(self.flags),
-        }
+def _record(freq: float, z: complex, stderr_ohm: float, gain_word: str, flags: tuple) -> dict:
+    """One sweep record, as it is written."""
+    mag = abs(z)
+    return {"freq_hz": freq, "re_ohm": z.real, "im_ohm": z.imag, "mag_ohm": mag,
+            "phase_deg": float(np.degrees(np.angle(z))) if mag else 0.0,
+            "stderr_ohm": stderr_ohm, "gain_word": gain_word, "flags": list(flags)}
 
 
 def run_sweep(
@@ -307,8 +300,9 @@ def run_sweep(
     table: calib.CalibrationTable | None,
     repeats: int = 10,
 ) -> list:
-    """Measure every scenario frequency `repeats` times; one record each,
-    the mean of its repeats' impedances, flagged as its reading is.
+    """Measure every scenario frequency `repeats` times; one record each
+    (the row dict `format_records` writes), the mean of its repeats'
+    impedances, flagged as its reading is.
 
     The frequencies measured under one gain word are one stack of
     (frequency, seed) rows, one `calib.measure_impedance` pass: each
@@ -326,7 +320,7 @@ def run_sweep(
     if repeats < 1:
         raise ScenarioError(f"repeats must be >= 1, got {repeats}")
     setup = scenario.setup()
-    indices = scenario.freq_indices()
+    indices = list(scenario.indices)  # a list is a stack (`calib.measure_impedance`)
     records = {}
     if scenario.gain == "auto":
         words = {}
@@ -337,7 +331,7 @@ def run_sweep(
             try:
                 words[idx] = calib.auto_gain(abs(z))
             except ValueError:
-                records[idx] = SweepRecord(pilot.freq, z, 0.0, "000", ("out_of_range",))
+                records[idx] = _record(pilot.freq, z, 0.0, "000", ("out_of_range",))
     else:
         words = dict.fromkeys(indices, scenario.gain)
 
@@ -355,17 +349,20 @@ def run_sweep(
                 stderr = float(np.std(np.abs(reading.z), ddof=1) / np.sqrt(repeats))
             else:
                 stderr = 0.0
-            records[idx] = SweepRecord(reading.freq, z_mean, stderr, word, flags + reading.flags)
+            records[idx] = _record(reading.freq, z_mean, stderr, word, flags + reading.flags)
     return [records[idx] for idx in indices]
 
 
 def format_records(records, fmt: str) -> str:
+    """`run_sweep`'s records as CSV rows under `CSV_HEADER`, numbers by
+    `repr`, or as a JSON document {"records": [...]}."""
     if fmt == "csv":
-        lines = [CSV_HEADER] + [r.csv_row() for r in records]
+        numbers = CSV_HEADER.split(",")[:6]
+        lines = [CSV_HEADER] + [",".join([*(repr(float(r[k])) for k in numbers), r["gain_word"],
+                                          ";".join(r["flags"])]) for r in records]
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        doc = {"records": [r.as_dict() for r in records]}
-        return json.dumps(doc, indent=2) + "\n"
+        return json.dumps({"records": records}, indent=2) + "\n"
     raise ScenarioError(f"unknown output format {fmt!r}")
 
 
@@ -429,10 +426,10 @@ def cmd_sweep(args) -> int:
             raise ScenarioError(f"cannot write sweep records: {exc}") from None
     else:
         sys.stdout.write(text)
-    bad = [r for r in records if r.flags]
+    bad = [r for r in records if r["flags"]]
     if bad and args.strict:
         for r in bad:
-            print(f"flagged at {r.freq:g} Hz: {','.join(r.flags)}", file=sys.stderr)
+            print(f"flagged at {r['freq_hz']:g} Hz: {','.join(r['flags'])}", file=sys.stderr)
         return EXIT_RANGE
     return EXIT_OK
 
@@ -492,13 +489,14 @@ def cmd_link_demo(args) -> int:
 
     model = tissue.ParallelRC(r=100.0, c=0.0)
     params = afe.ChainParams()
-    measured = [0] * len(plan_frequencies())  # measurements so far per plan index
+    measured = [0] * N_PLAN  # measurements so far per plan index
 
     def backend(word: link.ConfigWord):
         config = word.to_afe_config()
-        # the r-th measurement at plan index i draws the stream of a sweep's repeat r
+        # the r-th measurement at plan index i draws the stream of a sweep's
+        # repeat r, SeedSequence((seed, i, r)), which numpy builds from the tuple
         idx = config.freq_index
-        seed = _measure_seeds(args.seed, [idx], 1, measured[idx])[0][0]
+        seed = (args.seed, idx, measured[idx])
         measured[idx] += 1
         res = acquire.run_sequence(model, config.fundamental, config, params,
                                    taps=acquire.TAPS, seed=seed)
@@ -517,9 +515,9 @@ def cmd_link_demo(args) -> int:
     for cmd, rsp in zip(frames, result.responses):
         print(f">> {cmd.hex()}")
         print(f"<< {rsp.hex()}")
-    vmin = min(result.trace.volts)
+    volts = result.trace.volts
     (end, _, _), = deque(result.trace, maxlen=1)
-    print(f"reservoir: start 3.000 V, min {vmin:.4f} V over {end * 1e3:.2f} ms")
+    print(f"reservoir: start {volts[0]:.3f} V, min {min(volts):.4f} V over {end * 1e3:.2f} ms")
     if args.trace:
         for t, v, tag in result.trace:
             print(f"  t={t * 1e3:9.3f} ms  V={v:.4f}  {tag}")

@@ -229,6 +229,36 @@ class TestScenario:
         assert captured.err.startswith("error: bad chain parameters: ")
         assert field in captured.err and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("chain", [{"tia_pole": 1e-6}, {"settle_time": 0.0},
+                                       {"lpf_cutoff": 1e-6}, {"lpf_ripple_db": 20.0}])
+    def test_unsettled_chain_one_line_error(self, tmp_path, capsys, monkeypatch, chain):
+        # 100%, 100%, 100% and 54% off at the first tap: through a 1 uHz TIA
+        # pole this 100 ohm load once read 3.79 ohm, exit 0, unflagged
+        calls = []
+        monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: calls.append(a))
+        path = write_scenario(tmp_path, chain=chain, frequencies=[1953.125])
+        rc = cli.main(["sweep", "--scenario", str(path), "--uncalibrated"])
+        captured = capsys.readouterr()
+        assert (rc, captured.out, calls) == (cli.EXIT_USAGE, "", [])
+        assert captured.err.startswith("error: the chain does not settle: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("chain", [{}, {"lpf_order": 6}, {"lpf_ripple_db": 3.0}])
+    def test_settled_chain_loads(self, tmp_path, chain):
+        # 0.25%, 19% and 7% off at the first tap
+        cli.load_scenario(write_scenario(tmp_path, chain=chain))
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"frequencies": [1234.5]}, "plan frequency"),
+        ({"frequencies": [1953.125, 1953.125]}, "given twice"),
+        ({"taps": 10**6}, "would exceed"),
+        ({"seed": -1}, "seed must be"),
+    ])
+    def test_settling_is_checked_last(self, tmp_path, overrides, message):
+        path = write_scenario(tmp_path, chain={"tia_pole": 1e-6}, **overrides)
+        with pytest.raises(cli.ScenarioError, match=message):
+            cli.load_scenario(path)
+
     @pytest.mark.parametrize("text", ["", "# freq_hz re_ohm im_ohm\n\n# no rows yet\n"],
                              ids=["empty", "comments_only"])
     def test_table_without_rows_one_line_error(self, tmp_path, capsys, text):
@@ -612,11 +642,11 @@ class TestSweep:
         table = CalibrationTable.load(cal_table)
         scenario = cli.Scenario(model=model, params=ChainParams(), seed=2**33 + 7, gain=gain)
         records = cli.run_sweep(scenario, table, repeats=4)
-        alone = [cli.run_sweep(replace(scenario, frequencies=(f,)), table, repeats=4)[0]
-                 for f in plan_frequencies()]
-        assert [r.csv_row() for r in records] == [r.csv_row() for r in alone]
+        alone = [cli.run_sweep(replace(scenario, indices=(i,)), table, repeats=4)[0]
+                 for i in range(len(plan_frequencies()))]
+        assert cli.format_records(records, "csv") == cli.format_records(alone, "csv")
         if gain == "auto":
-            assert len({r.gain_word for r in records}) > 1
+            assert len({r["gain_word"] for r in records}) > 1
 
     def test_auto_gain_ranges(self, tmp_path, capsys):
         scen = write_scenario(

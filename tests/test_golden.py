@@ -1,5 +1,5 @@
-"""Golden outputs: the exact bytes of `bioz calibrate` tables, sweep CSVs
-and `bioz link-demo --trace` stdout.
+"""Golden outputs: the exact bytes of `bioz calibrate` tables, sweep CSVs,
+one sweep's JSON and `bioz link-demo --trace` stdout for two scripts.
 
 A change that claims only speed must leave every seeded output
 byte-identical; these files pin them at two seeds.  A change that moves
@@ -53,11 +53,19 @@ SWEEPS = {
 }
 
 
+#: The sweep also written as JSON (`--format json`).
+JSON_SWEEP = "auto_gain"
+
 #: A reader script: PING, then configure, measure and read at two plan indices.
 LINK_SCRIPT = [{"op": "ping"}] + [
     op for idx in (0, 10)
     for op in ({"op": "set_config", "freq_sel": idx}, {"op": "start_measure"}, {"op": "read_result"})
 ]
+
+#: PING, then three measurements at one plan index: repeats 0, 1 and 2 of
+#: that index's seed streams.
+LINK_REPEATS_SCRIPT = [{"op": "ping"}, {"op": "set_config", "freq_sel": 4},
+                       *({"op": "start_measure"}, {"op": "read_result"}) * 3]
 
 
 def _write(path: Path, doc) -> Path:
@@ -76,13 +84,14 @@ def calibrate_bytes(workdir: Path, seed: int) -> bytes:
     return out.read_bytes()
 
 
-def sweep_bytes(workdir: Path, name: str, seed: int) -> bytes:
-    """Sweep CSV; a calibrated one reads the table `calibrate_bytes` left in `workdir`."""
+def sweep_bytes(workdir: Path, name: str, seed: int, fmt: str = "") -> bytes:
+    """Sweep output, CSV or as `--format fmt` asks; a calibrated one reads
+    the table `calibrate_bytes` left in `workdir`."""
     doc, calibrated = SWEEPS[name]
     scen = _write(workdir / f"{name}.json", doc)
-    out = workdir / f"{name}_s{seed}.csv"
+    out = workdir / f"{name}_s{seed}.{fmt or 'csv'}"
     argv = ["sweep", "--scenario", str(scen), "--seed", str(seed),
-            "--repeats", str(REPEATS), "--out", str(out)]
+            "--repeats", str(REPEATS), "--out", str(out)] + (["--format", fmt] if fmt else [])
     if calibrated:
         argv += ["--cal", str(workdir / f"cal_s{seed}.json")]
     else:
@@ -91,9 +100,10 @@ def sweep_bytes(workdir: Path, name: str, seed: int) -> bytes:
     return out.read_bytes()
 
 
-def link_demo_bytes(workdir: Path, seed: int) -> bytes:
-    """stdout of `bioz link-demo --trace`: frames, reservoir summary, full trace."""
-    script = _write(workdir / "link_script.json", LINK_SCRIPT)
+def link_demo_bytes(workdir: Path, seed: int, doc=LINK_SCRIPT) -> bytes:
+    """stdout of `bioz link-demo --trace` on the script `doc`: frames,
+    reservoir summary, full trace."""
+    script = _write(workdir / "link_script.json", doc)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         rc = cli.main(["link-demo", "--script", str(script), "--seed", str(seed), "--trace"])
@@ -123,8 +133,20 @@ def test_sweep_csv_bytes(workdir, name, seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
+def test_sweep_json_bytes(workdir, seed):
+    got = sweep_bytes(workdir, JSON_SWEEP, seed, "json")
+    assert got == (GOLDEN / f"sweep_{JSON_SWEEP}_s{seed}.json").read_bytes()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_link_demo_bytes(tmp_path, seed):
     assert link_demo_bytes(tmp_path, seed) == (GOLDEN / f"link_demo_s{seed}.txt").read_bytes()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_link_demo_repeats_bytes(tmp_path, seed):
+    got = link_demo_bytes(tmp_path, seed, LINK_REPEATS_SCRIPT)
+    assert got == (GOLDEN / f"link_demo_repeats_s{seed}.txt").read_bytes()
 
 
 def main():
@@ -137,7 +159,11 @@ def main():
             (GOLDEN / f"calibrate_s{seed}.json").write_bytes(calibrate_bytes(workdir, seed))
             for name in sorted(SWEEPS):
                 (GOLDEN / f"sweep_{name}_s{seed}.csv").write_bytes(sweep_bytes(workdir, name, seed))
+            (GOLDEN / f"sweep_{JSON_SWEEP}_s{seed}.json").write_bytes(
+                sweep_bytes(workdir, JSON_SWEEP, seed, "json"))
             (GOLDEN / f"link_demo_s{seed}.txt").write_bytes(link_demo_bytes(workdir, seed))
+            (GOLDEN / f"link_demo_repeats_s{seed}.txt").write_bytes(
+                link_demo_bytes(workdir, seed, LINK_REPEATS_SCRIPT))
 
 
 if __name__ == "__main__":

@@ -158,7 +158,7 @@ def test_public_settable_values():
     new one must be justified in CHANGES.md, and this pin updated there."""
     counts = {p.stem: public_settable_values(p) for p in sorted(PACKAGE.glob("*.py"))
               if p.name != "__init__.py"}
-    assert sum(counts.values()) == 87, f"per module: {counts}"
+    assert sum(counts.values()) == 82, f"per module: {counts}"
 
 
 def unread_fields(sources: list) -> list:

@@ -114,6 +114,19 @@ def test_link_sessions_build_no_constant_frame_and_decode_each_word_once(monkeyp
     assert len(configs) == 11
 
 
+def test_a_sweep_computes_one_step_response(monkeypatch, tmp_path, capsys):
+    # load_scenario's settling check reads the response the sequences render
+    afe._step_response.cache_clear()
+    afe._plan_lattice.cache_clear()
+    calls = count_calls(monkeypatch, afe, "_cascade_step_response")
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"model": {"type": "parallel_rc", "r": 150.0, "c": 2e-9}}))
+    argv = ["sweep", "--scenario", str(scenario), "--uncalibrated", "--repeats", "2"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 12
+    assert len(calls) == 1
+
+
 def test_chebyshev_designed_once_per_chain(monkeypatch):
     afe._step_response.cache_clear()
     calls = count_calls(monkeypatch, afe, "_cheby1_poles")
@@ -272,17 +285,18 @@ def test_an_auto_gain_sweep_runs_one_pass_per_chosen_word(monkeypatch):
     scenario = cli.Scenario(model=ParallelRC(r=1000.0, c=1e-9), params=ChainParams(), seed=5,
                             gain="auto")
     records = cli.run_sweep(scenario, None, repeats=10)
-    words = list(dict.fromkeys(r.gain_word for r in records))  # in frequency order
+    words = list(dict.fromkeys(r["gain_word"] for r in records))  # in frequency order
     assert len(words) > 1
     assert len(calls) == 1 + len(words)
     assert [len(args[1]) for args in calls] == [11] + [
-        10 * sum(r.gain_word == w for r in records) for w in words]
+        10 * sum(r["gain_word"] == w for r in records) for w in words]
 
 
 def test_sweeps_and_calibrations_build_no_seed_sequence(monkeypatch, tmp_path):
-    # every seed of a sweep, a calibration and a link demo comes as
-    # precomputed words: no SeedSequence is built, and no generator is
-    # seeded from an int (which builds one inside numpy)
+    # every seed of a sweep and a calibration comes as precomputed words:
+    # no SeedSequence is built, and no generator is seeded from an int
+    # (which builds one inside numpy); a link demo seeds each measurement
+    # by its stream tuple (seed, plan index, repeat), one per measurement
     built, seeded = [], []
 
     class Counting(np.random.SeedSequence):
@@ -306,6 +320,7 @@ def test_sweeps_and_calibrations_build_no_seed_sequence(monkeypatch, tmp_path):
                                 seed=2**40 + 3, gain=gain)
         cli.run_sweep(scenario, None, repeats=10)
     calib.build_equalization(calib.MeasurementSetup(model=None), seed=4, created_at="pinned")
+    assert built == []
     # two measurements at one plan index and one at another
     measure = [{"op": "start_measure"}, {"op": "read_result"}]
     script = tmp_path / "script.json"
@@ -313,8 +328,9 @@ def test_sweeps_and_calibrations_build_no_seed_sequence(monkeypatch, tmp_path):
                                   {"op": "set_config", "freq_sel": 9}, *measure]))
     seeded.clear()
     assert cli.main(["link-demo", "--script", str(script), "--seed", "7"]) == cli.EXIT_OK
-    assert len(seeded) == 3  # one seed per measurement
-    assert built == []
+    assert seeded == [(7, 3, 0), (7, 3, 1), (7, 9, 0)]  # one seed per measurement
+    assert built == seeded
+    built.clear()
     # the counters do see a seed that is not words
     config = AfeConfig(freq_index=4, source_enable=0)
     acquire.run_sequence(None, config.fundamental, config, ChainParams(), taps=acquire.TAPS, seed=3)

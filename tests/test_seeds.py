@@ -50,6 +50,17 @@ def test_a_sweep_stack_is_its_measure_seeds(master):
         assert row.tobytes() == numpy_words((master, i, r)).tobytes()
 
 
+@pytest.mark.parametrize("master", [0, 7, 2**32, 2**70])
+def test_a_stream_tuple_draws_its_words(master):
+    # as `bioz link-demo` seeds measurement r at plan index i: numpy builds
+    # SeedSequence((master, i, r)) from the tuple, the stream of a sweep's row
+    for i in (0, 5, 10):
+        for r in range(3):
+            ours = np.random.default_rng(SeedWords(seed_words((master, i, r), ())[0]))
+            theirs = np.random.default_rng((master, i, r))
+            assert ours.standard_normal(16).tobytes() == theirs.standard_normal(16).tobytes()
+
+
 def test_spawned_children_are_their_spawn_keys():
     # as `bioz calibrate` seeds them: child r of child i of the master
     children = [c.spawn(4) for c in np.random.SeedSequence(9).spawn(19)]
