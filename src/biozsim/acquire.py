@@ -127,7 +127,7 @@ def run_sequence(
     config: afe.AfeConfig,
     params: afe.ChainParams,
     taps: int,
-    seed=None,
+    seed,
 ) -> SequenceResult:
     """Run the I-then-Q time-multiplexed sequence and average the taps.
 
@@ -142,27 +142,29 @@ def run_sequence(
     double) raises MeasurementRangeError before anything is drawn or
     digitized.
 
-    Two call shapes.  One configuration, its f0 and one seed run one
-    sequence, a group of one row: Python floats and a bool.  A list of
-    configurations, `f0` the list of their plan frequencies and `seed` one
-    list of seeds per configuration, is a stack of groups, one set of
-    (configuration, seed) rows run as one pass: any plan frequencies, gain
-    words and source states, and any number of repeats in each group.
-    Each group's noise-free output is its row of the load's plan lattice
-    (rendered once per process), and the groups go to
-    `afe.baseband_output` as they are: every row's noise is drawn per
-    seed and shaped in one pass (one folded spectrum serves every plan
-    frequency), each group adds its lattice and its carrier term to its
-    rows, and the rows are digitized and averaged as arrays.  One record
-    comes back whose `v_i_dc`, `v_q_dc` and `saturated` are arrays with
-    one entry per row, groups in order, each bit for bit the result of
-    that row's seed at its configuration alone.  Repeats at one
-    configuration are the one-group case.  A stack with other than one
-    non-empty seed list per configuration raises ValueError.
+    Two call shapes, told apart by `config`'s type.  One `afe.AfeConfig`,
+    its f0 and one seed run one sequence, a group of one row: Python
+    floats and a bool.  Any other `config` is a sequence of configurations
+    (a list or a tuple), `f0` the sequence of their plan frequencies and
+    `seed` one list of seeds per configuration: a stack of groups, one set
+    of (configuration, seed) rows run as one pass, with any plan
+    frequencies, gain words and source states, and any number of repeats
+    in each group.  Each group's noise-free output is its row of the
+    load's plan lattice (rendered once per process), and the groups go to
+    `afe.baseband_output` as they are, each configuration setting its
+    group's carrier term: every row's noise is drawn per seed and shaped
+    in one pass (one folded spectrum serves every plan frequency), each
+    group adds its lattice and its carrier term to its rows, and the rows
+    are digitized and averaged as arrays.  One record comes back whose
+    `v_i_dc`, `v_q_dc` and `saturated` are arrays with one entry per row,
+    groups in order, each bit for bit the result of that row's seed at its
+    configuration alone.  Repeats at one configuration are the one-group
+    case.  A stack with other than one non-empty seed list per
+    configuration raises ValueError.
     """
     if taps < 1:
         raise ValueError("taps must be >= 1")
-    stack = isinstance(config, list)
+    stack = not isinstance(config, afe.AfeConfig)
     configs, f0s, seeds = (config, f0, seed) if stack else ((config,), (f0,), ([seed],))
     counts = [len(s) for s in seeds]
     if len(counts) != len(configs) or 0 in counts:
@@ -183,7 +185,7 @@ def run_sequence(
     g = math.gcd(settle_n, spacing_n)
     lattices = [afe._sequence_lattice(model, c, params, dc, phase_n, g)
                 for c, dc in zip(configs, dcs)]
-    y = afe.baseband_output(lattices, params, f0s, [c.g2 for c in configs], seeds, stride=g)
+    y = afe.baseband_output(lattices, params, configs, seeds, stride=g)
 
     # (row, I or Q, tap): each select phase is half of a row
     first, step = settle_n // g, spacing_n // g

@@ -44,7 +44,10 @@ one numpy stack and gives each row bit for bit its frequency's value
 alone.  A load's DC at all 11 plan frequencies is computed in one such
 pass the first time any of them is measured, and kept per process as a
 read-only 11 x 2 table (`_plan_dc`): a sweep or a link session on one
-load pays for one evaluation of the plan, not eleven.
+load pays for one evaluation of the plan, not eleven.  A short table, one
+whose range misses some plan frequency's images, is found short once:
+`_plan_dc` keeps None for it, and each of its readings then computes its
+own frequency's row alone and renders its own lattice.
 
 Baseband.  The TIA pole and the Chebyshev low-pass are first- and
 second-order sections, each at unity DC gain and each defined by its
@@ -65,13 +68,14 @@ sweep and every sequence of a link session on that load reads a row of
 it.  `noise_process` takes a list of seeds and returns a 2-D array, one
 row per seed.  `baseband_output` takes a stack of groups, as
 `acquire.run_sequence` does: per group one noise-free lattice, one
-carrier frequency, one gain bit and one list of seeds, such as a whole
-sweep's repeats at every plan frequency under one gain word.  Each seed
-draws its noise from its own generator (a precomputed `seeds.SeedWords`
-seeds it without a SeedSequence), the 1/f noise of every row is shaped
-by the one folded spectrum of the chain and tap count in one pass, and
-each group adds its lattice and its carrier term to its own rows, each
-row bit for bit that seed's output alone.
+configuration, whose fundamental and gain bit set its carrier term, and
+one list of seeds, such as a whole sweep's repeats at every plan
+frequency under one gain word.  Each seed draws its noise from its own
+generator (a precomputed `seeds.SeedWords` seeds it without a
+SeedSequence), the 1/f noise of every row is shaped by the one folded
+spectrum of the chain and tap count in one pass, and each group adds its
+lattice and its carrier term to its own rows, each row bit for bit that
+seed's output alone.
 
 Stateless apart from per-process caches of seed-independent results;
 independent measurements may run concurrently with independent seeds.
@@ -379,13 +383,13 @@ def _folded_root_spectrum(params: ChainParams, n: int, sample_rate: float, strid
     return root
 
 
-def _carrier_noise_sigma(params: ChainParams, f0: float, g2: int) -> float:
-    """Per-sample std of the noise folded down from the carrier at f0 with
-    gain bit g2."""
+def _carrier_noise_sigma(params: ChainParams, config: AfeConfig) -> float:
+    """Per-sample std of the noise folded down from the configuration's
+    carrier, its fundamental f0, at its gain bit g2."""
     if params.carrier_noise_v == 0.0:
         return 0.0
-    gain_ratio = params.total_gain(g2) / params.total_gain(1)
-    return params.carrier_noise_v * (params.carrier_flicker_corner / f0) * gain_ratio
+    return (params.carrier_noise_v * (params.carrier_flicker_corner / config.fundamental)
+            * (params.total_gain(config.g2) / params.total_gain(1)))
 
 
 # ---------------------------------------------------------------------------
@@ -460,9 +464,11 @@ def mixer_dc_pair(model, f0: float, config: AfeConfig, params: ChainParams) -> t
     params)): every reading of a sweep or a link session on the same load
     reads a row of it.  ParallelRC and Cole models and the parameters key
     by value; a TabulatedTwoPort keys by identity.  An f0 other than
-    `config.fundamental` raises ValueError, source on or off.  A table
-    whose range misses some plan frequency's images is evaluated alone,
-    a one-row stack, not cached.  A disabled source returns (0.0, 0.0).
+    `config.fundamental` raises ValueError, source on or off.  A short
+    table, whose range misses some plan frequency's images, is found short
+    once: its plan entry is None, and each reading evaluates its own f0
+    alone, a one-row stack, not cached (TableRangeError where the table
+    misses that f0's images too).  A disabled source returns (0.0, 0.0).
 
     Every load takes the image sum of `_image_dc` over n = 8k +/- 1 <= 255,
     its alternating tail past n = 127 taken by a fixed Euler transform.  It
@@ -491,10 +497,8 @@ def mixer_dc_pair(model, f0: float, config: AfeConfig, params: ChainParams) -> t
         raise ValueError(f"f0 {f0:g} does not match plan frequency {config.fundamental:g}")
     if not config.source_enable:
         return 0.0, 0.0
-    try:
-        dc = _plan_dc(model, config.gain_word, params)[config.freq_index]
-    except tissue.TableRangeError:  # the table may still cover this f0's images
-        dc = _image_dc(model, [f0], config, params)[0]
+    plan = _plan_dc(model, config.gain_word, params)
+    dc = _image_dc(model, [f0], config, params)[0] if plan is None else plan[config.freq_index]
     return float(dc[0]), float(dc[1])
 
 #: Plan tables kept per process: one per (load, gain word, chain) measured.
@@ -502,10 +506,14 @@ _PLAN_CACHE_SIZE = 32
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _plan_dc(model, gain_word: str, params: ChainParams) -> np.ndarray:
-    """(I, Q) mixer DC at every plan frequency, 11 x 2, read-only."""
+def _plan_dc(model, gain_word: str, params: ChainParams) -> Optional[np.ndarray]:
+    """(I, Q) mixer DC at every plan frequency, 11 x 2, read-only; None for
+    a short table, one that misses some plan frequency's images."""
     config = AfeConfig.from_gain_word(gain_word)
-    dc = _image_dc(model, plan_frequencies(), config, params)
+    try:
+        dc = _image_dc(model, plan_frequencies(), config, params)
+    except tissue.TableRangeError:
+        return None
     dc.setflags(write=False)
     return dc
 
@@ -687,10 +695,13 @@ _LATTICE_ENTRY_DOUBLES = 1_000_000
 
 @functools.lru_cache(maxsize=_LATTICE_CACHE_SIZE)
 def _plan_lattice(model, gain_word: str, params: ChainParams, phase_n: int,
-                  stride: int) -> np.ndarray:
+                  stride: int) -> Optional[np.ndarray]:
     """Noise-free I-then-Q lattice of the load at every plan frequency, one
-    row per `_plan_dc` row, `phase_n` samples a phase, read-only."""
+    row per `_plan_dc` row, `phase_n` samples a phase, read-only; None for
+    a short table."""
     dc = _plan_dc(model, gain_word, params)
+    if dc is None:
+        return None
     y = _render([(phase_n, dc[:, 0]), (phase_n, dc[:, 1])], params, stride)
     y.setflags(write=False)
     return y
@@ -703,25 +714,21 @@ def _sequence_lattice(model, config: AfeConfig, params: ChainParams, dc: tuple,
     config.fundamental, config, params).  A disabled source makes no step,
     so the lattice is the offset alone (compression keeps 0.0).  Where the
     plan's lattice fits `_LATTICE_ENTRY_DOUBLES`, it is the config's row
-    of `_plan_lattice`, read-only; otherwise, or where the DC came alone
-    (a table short of the plan's images), the sequence is rendered
-    alone."""
+    of `_plan_lattice`, read-only; otherwise, or for a short table (no
+    plan lattice), the sequence is rendered alone."""
     if not config.source_enable:
         return np.zeros(2 * phase_n // stride) + params.offset
     if N_PLAN * (2 * phase_n // stride) <= _LATTICE_ENTRY_DOUBLES:
-        try:
-            plan = _plan_lattice(model, config.gain_word, params, phase_n, stride)
+        plan = _plan_lattice(model, config.gain_word, params, phase_n, stride)
+        if plan is not None:
             return plan[config.freq_index]
-        except tissue.TableRangeError:  # as in mixer_dc_pair: the DC came alone
-            pass
     return _render([(phase_n, dc[0]), (phase_n, dc[1])], params, stride)
 
 
 def baseband_output(
     trajectories: list,
     params: ChainParams,
-    f0s: list,
-    g2s: list,
+    configs: list,
     seeds: list,
     stride: int,
 ) -> np.ndarray:
@@ -732,11 +739,12 @@ def baseband_output(
     A group is one entry of each list: its lattice, the compressed, offset,
     noise-free output on the stride's lattice (rate output_rate / stride),
     as `_render` gives it for piecewise-constant mixer DC (a sequence takes
-    its row of the load's plan lattice, `_sequence_lattice`); its carrier
-    frequency f0 and gain bit g2, which set its carrier term; and its list
-    of seeds.  Both noise terms are exact on the lattice: `noise_process`
-    draws every row's 1/f noise from the one folded spectrum in one pass,
-    and the carrier term is white per sample.  Only the noise depends on
+    its row of the load's plan lattice, `_sequence_lattice`); its
+    `AfeConfig`, whose fundamental f0 and gain bit g2 set its carrier term
+    (`_carrier_noise_sigma`); and its list of seeds.  Both noise terms are
+    exact on the lattice: `noise_process` draws every row's 1/f noise from
+    the one folded spectrum in one pass, and the carrier term is white per
+    sample.  Only the noise depends on
     the seed: each seed's generator draws its 1/f normals and then, where
     its group's carrier term is not zero, its carrier normals, and each row
     is bit for bit the output of that seed alone.  The rows are a fresh
@@ -747,11 +755,11 @@ def baseband_output(
     rngs = [default_rng(s) for group in seeds for s in group]
     y = noise_process(params, rngs, m * stride / fs, fs, stride)
     stop = 0
-    for lattice, f0, g2, group in zip(trajectories, f0s, g2s, seeds, strict=True):
+    for lattice, config, group in zip(trajectories, configs, seeds, strict=True):
         start, stop = stop, stop + len(group)
         rows = y[start:stop]
         rows += lattice
-        sig = _carrier_noise_sigma(params, f0, g2)
+        sig = _carrier_noise_sigma(params, config)
         if sig:  # a group whose carrier term is 0 draws no carrier normals
             carrier = _normals(rngs[start:stop], m)
             carrier *= sig

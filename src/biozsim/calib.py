@@ -33,10 +33,10 @@ import numpy as np
 
 from . import acquire, afe, tissue
 from .seeds import seed_grid, seed_words
-from .waveforms import N_PLAN, plan_frequencies, plan_index
+from .waveforms import N_PLAN, SOURCE_LAG, plan_frequencies, plan_index
 
 #: Derotation factor undoing the pi/8 source lag.
-DEROTATION = cmath.exp(1j * np.pi / 8)
+DEROTATION = cmath.exp(1j * SOURCE_LAG)
 
 #: Format version written to and required of a saved calibration table.
 TABLE_VERSION = 1
@@ -356,10 +356,10 @@ def _spawned(seed, first: int, groups: int, repeats: int) -> list:
 
 def build_equalization(
     setup: MeasurementSetup,
-    reference_r: float = 100.0,
-    gain_word: str = "111",
-    seed=None,
-    created_at: str | None = None,
+    reference_r: float,
+    gain_word: str,
+    seed,
+    created_at: str | None,
 ) -> CalibrationTable:
     """Measure the reference resistor at every plan frequency.
 
@@ -375,10 +375,9 @@ def build_equalization(
     `GAIN_WORDS.index(gain_word)`, then `REFERENCE_REPEATS` per plan
     frequency from children 8 to 18.  They are computed as words, and the
     4 offset sequences run as one stack, the 110 reference reads as
-    another.
+    another.  The table is stamped `created_at`, or the current UTC time
+    when it is None.
     """
-    if seed is None:
-        seed = np.random.SeedSequence().entropy
     configs = [afe.AfeConfig.from_gain_word(gain_word, freq_index=i) for i in range(N_PLAN)]
     offsets = measure_offsets(setup, [gain_word], _spawned(seed, GAIN_WORDS.index(gain_word), 1, 4))
 
@@ -438,21 +437,24 @@ def measure_impedance(
     freq_index,
     gain_word: str,
     table: CalibrationTable | None = None,
-    seed=None,
+    *,
+    seed,
 ):
     """One full reading: sequence, offset subtraction (the table's offset
     for the gain word; none without a table), extraction, and derotation
     and equalization by `apply_calibration` (derotation alone without a
-    table).  One plan index and one seed give one reading with a complex
-    `z`, flagged `saturated` when the sequence saturated.
+    table).  One plan index, an integer (numpy integers included), and one
+    seed give one reading with a complex `z`, flagged `saturated` when the
+    sequence saturated.
 
-    A list of plan indices, with one list of seeds per index (any number
-    each), is a stack of groups run in one pass (see
+    Any other `freq_index` is a sequence of plan indices (a list or a
+    tuple), with one list of seeds per index (any number each): a stack of
+    groups run in one pass (see
     `acquire.run_sequence`): a list of readings comes back, one per index,
     whose `z` has one entry per seed, each bit for bit that seed's reading
     alone, flagged `saturated` when any entry saturated.
     """
-    groups = isinstance(freq_index, list)
+    groups = not isinstance(freq_index, (int, np.integer))
     indices, seeds = (freq_index, seed) if groups else ([freq_index], [[seed]])
     configs = [afe.AfeConfig.from_gain_word(gain_word, freq_index=i) for i in indices]
     res = setup.run(configs, seeds)

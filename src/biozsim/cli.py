@@ -298,7 +298,7 @@ def _record(freq: float, z: complex, stderr_ohm: float, gain_word: str, flags: t
 def run_sweep(
     scenario: Scenario,
     table: calib.CalibrationTable | None,
-    repeats: int = 10,
+    repeats: int,
 ) -> list:
     """Measure every scenario frequency `repeats` times; one record each
     (the row dict `format_records` writes), the mean of its repeats'
@@ -320,7 +320,7 @@ def run_sweep(
     if repeats < 1:
         raise ScenarioError(f"repeats must be >= 1, got {repeats}")
     setup = scenario.setup()
-    indices = list(scenario.indices)  # a list is a stack (`calib.measure_impedance`)
+    indices = scenario.indices
     records = {}
     if scenario.gain == "auto":
         words = {}

@@ -403,11 +403,13 @@ class ImplantDevice:
 
 def session(
     commands,
-    channel: ChannelParams = ChannelParams(),
-    power: PowerState | None = None,
-    device: ImplantDevice | None = None,
+    channel: ChannelParams,
+    power: PowerState,
+    device: ImplantDevice,
 ) -> SessionResult:
-    """Run a half-duplex exchange: one response per reader command.
+    """Run a half-duplex exchange: one response per reader command, from
+    `device`, over `channel`, starting from the reservoir state `power`.
+    The caller states all three; the session advances `device`'s state.
 
     Each command is three steps: an `"rx"` step while the downlink frame
     arrives (shallow modulation, so harvesting continues), a `"measure"`
@@ -420,10 +422,11 @@ def session(
     the start step, an `"rx"` or `"measure"` step, or one frame's `"tx"`
     bits); its iteration replays the times by the additions of the
     session's own clock, so they equal it bit for bit.  A 200-PING
-    session holds about 13 B a step, its responses included.  A response's line bits are read
-    from `_LINE_BITS` when it is one of the device's constant ACK or NAK
-    frames, built once per process with them; only a PONG or a RESULT is
-    encoded here.  The device decodes each config word once per process.
+    session holds about 13 B a step, its responses included.  A
+    response's line bits are read from `_LINE_BITS` when it is one of the
+    device's constant ACK or NAK frames, built once per process with them;
+    only a PONG or a RESULT is encoded here.  The device decodes each
+    config word once per process.
 
     Brown-out raises BrownOutError carrying the trace up to and including
     the step that fell below the floor.  Harvesting moves the reservoir
@@ -432,11 +435,6 @@ def session(
     session that starts below the floor.  Checksum failures produce NAK
     responses.
     """
-    if power is None:
-        power = PowerState()
-    if device is None:
-        device = ImplantDevice()
-
     bit_t = 1.0 / BIT_RATE
     tau = channel.r_source * power.reservoir_cap
     clamp, floor = CLAMP_VOLTAGE, BROWNOUT_VOLTAGE

@@ -175,7 +175,7 @@ class TestRunSequence:
     def test_frequency_index_consistency(self):
         cfg = AfeConfig(freq_index=10)
         with pytest.raises(ValueError):
-            run_sequence(self.MODEL, 2e6, cfg, QUIET, taps=TAPS)
+            run_sequence(self.MODEL, 2e6, cfg, QUIET, taps=TAPS, seed=1)
 
     def test_taps_fall_on_whole_output_samples(self):
         assert _phase_samples(ChainParams(output_rate=20e3), 32) == (500, 20, 1140)
@@ -300,6 +300,18 @@ class TestSeedStack:
         alone = [run_sequence(self.MODEL, c.fundamental, c, params, taps=taps, seed=s)
                  for c, group in zip(configs, seeds) for s in group]
         assert [self.key(row) for row in rows] == [self.key(single) for single in alone]
+
+    def test_a_tuple_of_configurations_is_a_stack(self):
+        # only an AfeConfig is one sequence: any other sequence of
+        # configurations is a stack, as a list is
+        configs = [c for c, _ in self.GROUPS]
+        seeds = [list(range(10 * k, 10 * k + n)) for k, (_, n) in enumerate(self.GROUPS)]
+        f0s = [c.fundamental for c in configs]
+        record = run_sequence(self.MODEL, tuple(f0s), tuple(configs), ChainParams(), taps=TAPS,
+                              seed=tuple(map(tuple, seeds)))
+        want = run_sequence(self.MODEL, f0s, configs, ChainParams(), taps=TAPS, seed=seeds)
+        for got, expected in zip(vars(record).values(), vars(want).values(), strict=True):
+            assert got.tobytes() == expected.tobytes()
 
     def test_a_group_stack_checks_every_frequency(self):
         configs = [AfeConfig(freq_index=2), AfeConfig(freq_index=3)]

@@ -42,8 +42,8 @@ BARE = ChainParams(noise_floor=0.0, carrier_noise_v=0.0, compression_knee=None, 
 def drive(steps, params, seeds, stride=1):
     """The chain driven by (n, dc) steps at the 1953.125 Hz carrier and the
     high gain, one row per seed: the steps rendered alone plus the noise."""
-    return baseband_output([afe._render(steps, params, stride)], params, [1953.125], [1],
-                           [seeds], stride=stride)
+    return baseband_output([afe._render(steps, params, stride)], params, [AfeConfig()], [seeds],
+                           stride=stride)
 
 
 def image_dc(model, f0, config, params):
@@ -615,7 +615,7 @@ class TestPlanLattice:
         assert self.sequence(ChainParams(settle_time=0.0251)) == (2855, 5)
 
     def test_a_table_short_of_the_top_images_renders_every_row_alone(self):
-        # its plan DC table cannot be built, so no plan lattice is either
+        # its plan DC table is None, and so is its plan lattice
         full = builtin_model("blood")
         short = tissue.TabulatedTwoPort(full.freqs_hz[full.freqs_hz <= 1e6],
                                         full.z21[full.freqs_hz <= 1e6])
@@ -625,7 +625,8 @@ class TestPlanLattice:
         row = afe._sequence_lattice(short, config, ChainParams(), dc, 2850, 50)
         alone = afe._render([(2850, dc[0]), (2850, dc[1])], ChainParams(), 50)
         assert row.tobytes() == alone.tobytes()
-        assert afe._plan_lattice.cache_info().currsize == 0
+        assert afe._plan_lattice.cache_info().currsize == 1
+        assert afe._plan_lattice(short, config.gain_word, ChainParams(), 2850, 50) is None
 
     def test_a_disabled_source_reads_the_offset(self):
         params = ChainParams(offset=-0.0)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from biozsim import afe, tissue
 from biozsim.afe import AfeConfig, ChainParams, apply_compression, mixer_dc_pair
 from biozsim.calib import (
     GAIN_WORDS,
@@ -19,7 +20,7 @@ from biozsim.calib import (
     measure_impedance,
     measure_offsets,
 )
-from biozsim.tissue import ParallelRC, impedance_at
+from biozsim.tissue import ColeModel, ParallelRC, builtin_model, impedance_at
 from biozsim.waveforms import plan_frequencies
 
 QUIET = ChainParams(noise_floor=0.0, carrier_noise_v=0.0)
@@ -186,7 +187,7 @@ class TestEqualization:
     def test_a_malformed_gain_word_is_named(self):
         setup = MeasurementSetup(model=ParallelRC(r=100.0, c=0.0))
         with pytest.raises(ValueError, match="gain word must be 3 bits, got '11'"):
-            build_equalization(setup, gain_word="11", seed=1, created_at="t")
+            build_equalization(setup, reference_r=100.0, gain_word="11", seed=1, created_at="t")
 
     def test_sanity_bounds_enforced(self):
         with pytest.raises(CalibrationError, match="sanity bounds"):
@@ -201,6 +202,50 @@ class TestEqualization:
         with pytest.raises(CalibrationError, match="no offset for its own gain word 111"):
             CalibrationTable(reference_r=100.0, gain_word="111", offsets={"101": (0.0, 0.0)},
                              eq_coeffs={})
+
+
+class TestHoldImageFolding:
+    """The error that the staircase's hold images fold into a calibrated
+    reading of a dispersive load, noise free and without a sequence.
+
+    The mixer DC carries the images n = 8k +/- 1 weighted by Z(n f0) / n^2,
+    and a resistor calibration divides out only a flat load's share.  The
+    reading is R_ref * (I + jQ)_load / (I + jQ)_ref at each plan frequency,
+    both DCs from `afe._image_dc` at the default chain: the calibrated
+    reading without noise, compression or quantization.  Its distance from
+    the sensed impedance is the folding error.  The bounds pin today's
+    worst error over the plan, rounded up; correcting the folding (ROADMAP
+    item 4(b)) is the change that tightens them.
+    """
+
+    @staticmethod
+    def folding_error(model, word="111", reference_r=100.0):
+        """Each plan frequency's |reading - Z_sense| and |Z_sense|."""
+        plan = plan_frequencies()
+        config = AfeConfig.from_gain_word(word)
+        load = afe._image_dc(model, plan, config, ChainParams())
+        ref = afe._image_dc(ParallelRC(r=reference_r), plan, config, ChainParams())
+        z = reference_r * (load[:, 0] + 1j * load[:, 1]) / (ref[:, 0] + 1j * ref[:, 1])
+        truth = tissue._sense_z(model, np.array(plan))
+        return np.abs(z - truth), np.abs(truth)
+
+    @pytest.mark.parametrize("model, word, reference_r, bound", [
+        (ParallelRC(r=390.0, c=1 / (2 * np.pi * 390.0 * 20e3)), "111", 100.0, 9.62),
+        (ParallelRC(r=300.0, c=1 / (2 * np.pi * 300.0 * 500e3)), "111", 100.0, 7.10),
+        # R_s 50 ohm in series with R_p 250 ohm || C, the corner at 100 kHz
+        (ColeModel(r_inf=50.0, r0=300.0, tau=1 / (2 * np.pi * 100e3)), "111", 100.0, 6.11),
+        (builtin_model("blood"), "111", 100.0, 0.640),
+        (builtin_model("saline"), "111", 100.0, 0.116),
+        (builtin_model("muscle_transversal"), "000", 3000.0, 49.9),
+    ], ids=["rc_20khz", "rc_500khz", "rs_rp_c_100khz", "blood", "saline", "muscle"])
+    def test_worst_error_over_the_plan(self, model, word, reference_r, bound):
+        error, _ = self.folding_error(model, word, reference_r)
+        assert np.max(error) <= bound
+
+    def test_a_resistor_reads_back_exactly(self):
+        # a flat load folds as the reference does: the method itself
+        error, magnitude = self.folding_error(ParallelRC(r=270.0))
+        assert np.max(error / magnitude) <= 1e-12
 
 
 class TestApplyCalibration:
@@ -380,6 +425,17 @@ class TestGroupStack:
         alone = [measure_impedance(self.SETUP, [idx], "111", table=table, seed=[seeds])[0]
                  for idx, seeds in zip(self.INDICES, self.SEEDS)]
         assert [self.key(r) for r in readings] == [self.key(r) for r in alone]
+
+    def test_a_tuple_of_indices_is_a_stack(self):
+        # only an integer is one plan index; any other sequence of indices
+        # is a stack, as a list is
+        readings = measure_impedance(self.SETUP, tuple(self.INDICES), "111",
+                                     seed=tuple(map(tuple, self.SEEDS)))
+        want = measure_impedance(self.SETUP, self.INDICES, "111", seed=self.SEEDS)
+        assert [self.key(r) for r in readings] == [self.key(r) for r in want]
+        one = measure_impedance(self.SETUP, np.int64(5), "111", seed=3)
+        assert self.key(one) == self.key(measure_impedance(self.SETUP, 5, "111", seed=3))
+        assert isinstance(one.z, complex)
 
     def test_saturation_is_flagged_per_index(self):
         # 430 ohm clamps taps at 1953 Hz on some seeds, never at 2 MHz

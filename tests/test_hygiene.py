@@ -12,6 +12,7 @@ in the function's body, nested functions included.
 The package's public settable values are counted and pinned, so a new
 option cannot slip in unnoticed, and every public dataclass field must be
 read somewhere in the package, so no field is kept that nothing reads.
+No public function gives a `seed` a default: every caller states its seed.
 
 numpy is the one runtime dependency: importing scipy would cost a `bioz`
 process about a second before it measures anything.  scipy stays a test
@@ -158,7 +159,47 @@ def test_public_settable_values():
     new one must be justified in CHANGES.md, and this pin updated there."""
     counts = {p.stem: public_settable_values(p) for p in sorted(PACKAGE.glob("*.py"))
               if p.name != "__init__.py"}
-    assert sum(counts.values()) == 82, f"per module: {counts}"
+    assert sum(counts.values()) == 72, f"per module: {counts}"
+
+
+def defaulted_seeds(source: str) -> list:
+    """`name(seed)` for each public function, or public method of a public
+    class, that gives its `seed` parameter a default."""
+    functions = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            functions.append(node)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            functions += [s for s in node.body
+                          if isinstance(s, ast.FunctionDef) and not s.name.startswith("_")]
+    found = []
+    for fn in functions:
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        defaulted = positional[len(positional) - len(a.defaults):] + [
+            p for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        found += [f"{fn.name}(seed)" for p in defaulted if p.arg == "seed"]
+    return found
+
+
+def test_no_public_seed_has_a_default():
+    """A caller states every seed: a default would draw unseeded noise, or
+    choose a stream on the caller's behalf."""
+    assert [f"{p.stem}.{name}" for p in sorted(PACKAGE.glob("*.py"))
+            for name in defaulted_seeds(p.read_text())] == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def f(a, seed=None): pass", ["f(seed)"]),
+    ("def f(a, *, seed=1): pass", ["f(seed)"]),
+    ("def f(seed, b=2): pass", []),
+    ("def f(a, *, seed, b=2): pass", []),
+    ("def _f(seed=1): pass", []),
+    ("class A:\n    def f(self, seed=1): pass", ["f(seed)"]),
+    ("class _A:\n    def f(self, seed=1): pass", []),
+])
+def test_defaulted_seeds_are_found(source, found):
+    assert defaulted_seeds(source) == found
 
 
 def unread_fields(sources: list) -> list:

@@ -155,22 +155,24 @@ def set_config_frame(**kw):
 
 class TestSession:
     def test_ping_echo(self):
-        result = session([Frame(OP_PING, b"\x77")])
+        result = session([Frame(OP_PING, b"\x77")], ChannelParams(), PowerState(), ImplantDevice())
         assert [r.opcode for r in result.responses] == [OP_PONG]
         assert result.responses[0].payload == b"\x77"
 
     def test_checksum_failure_naks(self):
-        result = session([Frame(OP_PING, b"\x77", corrupt=True)])
+        result = session([Frame(OP_PING, b"\x77", corrupt=True)], ChannelParams(), PowerState(),
+                         ImplantDevice())
         assert result.responses[0].opcode == OP_NAK
         assert result.responses[0].payload == bytes([NAK_CHECKSUM])
 
     def test_reserved_frequency_naks(self):
-        result = session([set_config_frame(freq_sel=12, source_enable=1, gain=7)])
+        result = session([set_config_frame(freq_sel=12, source_enable=1, gain=7)],
+                         ChannelParams(), PowerState(), ImplantDevice())
         assert result.responses[0].opcode == OP_NAK
         assert result.responses[0].payload == bytes([NAK_RESERVED_FREQ])
 
     def test_read_before_measure_naks(self):
-        result = session([Frame(OP_READ_RESULT)])
+        result = session([Frame(OP_READ_RESULT)], ChannelParams(), PowerState(), ImplantDevice())
         assert result.responses[0].opcode == OP_NAK
         assert result.responses[0].payload == bytes([NAK_NO_RESULT])
 
@@ -181,7 +183,7 @@ class TestSession:
             Frame(OP_READ_RESULT),
         ]
         device = ImplantDevice(measure_backend=lambda w: (512, 480))
-        result = session(frames, device=device)
+        result = session(frames, ChannelParams(), PowerState(), device)
         assert [r.opcode for r in result.responses] == [OP_ACK, OP_ACK, OP_RESULT]
         vi = int.from_bytes(result.responses[2].payload[:2], "big")
         vq = int.from_bytes(result.responses[2].payload[2:], "big")
@@ -192,10 +194,11 @@ class TestSession:
     def test_clamp_equilibrium_without_transmission(self):
         # harvesting with the reservoir below the clamp recovers toward 3.0 V
         power = PowerState(reservoir_voltage=2.5)
-        result = session([], ChannelParams(), power)
+        result = session([], ChannelParams(), power, ImplantDevice())
         assert result.trace.volts[-1] <= 3.0
         # a downlink-heavy exchange starting at the clamp stays there
-        result = session([set_config_frame(freq_sel=1)], ChannelParams(), PowerState())
+        result = session([set_config_frame(freq_sel=1)], ChannelParams(), PowerState(),
+                         ImplantDevice())
         rx = [v for _, v, tag in result.trace if tag == "rx"]
         assert all(v == pytest.approx(3.0) for v in rx)
 
@@ -204,7 +207,7 @@ class TestSession:
         # discharging the reservoir by I*t/C while recharge is negligible
         channel = ChannelParams()
         power = PowerState()
-        result = session([Frame(OP_PING, b"\x55")], channel, power)
+        result = session([Frame(OP_PING, b"\x55")], channel, power, ImplantDevice())
         wire = result.responses[0].to_bytes()
         zero_bits = sum(
             10 - 1 - bin(byte).count("1") for byte in wire  # start bit + data zeros
@@ -221,13 +224,14 @@ class TestSession:
         power = PowerState(reservoir_cap=0.05e-6)
         frames = [Frame(OP_PING, bytes([k % 256])) for k in range(20)]
         with pytest.raises(BrownOutError) as err:
-            session(frames, ChannelParams(), power)
+            session(frames, ChannelParams(), power, ImplantDevice())
         # every brown-out is preceded by a transmit interval
         *_, (_, _, tag) = err.value.trace
         assert tag == "tx"
 
     def test_voltage_bounds(self):
-        result = session([Frame(OP_PING, b"\x00")] * 5)
+        result = session([Frame(OP_PING, b"\x00")] * 5, ChannelParams(), PowerState(),
+                         ImplantDevice())
         volts = [v for _, v, _ in result.trace]
         assert max(volts) <= 3.0
         assert min(volts) >= 0.0
@@ -241,7 +245,7 @@ class TestSession:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            result = session(frames, device=device)
+            result = session(frames, ChannelParams(), PowerState(), device)
             held = tracemalloc.get_traced_memory()[0] - before
             tracemalloc.reset_peak()
             for _ in result.trace:
@@ -256,8 +260,8 @@ class TestSession:
 
     def test_deterministic(self):
         frames = [set_config_frame(freq_sel=3, gain=5), Frame(OP_PING, b"\x12")]
-        a = session(frames)
-        b = session(frames)
+        a = session(frames, ChannelParams(), PowerState(), ImplantDevice())
+        b = session(frames, ChannelParams(), PowerState(), ImplantDevice())
         assert list(a.trace) == list(b.trace)
         assert [r.to_bytes() for r in a.responses] == [r.to_bytes() for r in b.responses]
 
@@ -268,7 +272,7 @@ class TestSession:
             Frame(OP_START_MEASURE),
             Frame(OP_READ_RESULT),
         ]
-        result = session(frames, device=device)
+        result = session(frames, ChannelParams(), PowerState(), device)
         payload = result.responses[2].payload
         assert int.from_bytes(payload[:2], "big") == 7
         assert int.from_bytes(payload[2:], "big") == 0b001
@@ -359,14 +363,14 @@ class TestPowerInputs:
 
     def test_an_ideal_source_recharges_to_the_clamp_at_every_open_step(self):
         result = session([Frame(OP_PING, b"\x00")] * 3, ChannelParams(r_source=0.0),
-                         PowerState(reservoir_voltage=2.5))
+                         PowerState(reservoir_voltage=2.5), ImplantDevice())
         volts = [v for _, v, _ in result.trace]
         assert volts[0] == 2.5
         assert [v for (_, v, tag) in result.trace if tag == "rx"] == [3.0] * 3
 
     def test_no_source_only_discharges(self):
         result = session([Frame(OP_PING, b"\x00")] * 3, ChannelParams(r_source=float("inf")),
-                         PowerState(reservoir_voltage=2.5))
+                         PowerState(reservoir_voltage=2.5), ImplantDevice())
         volts = [v for _, v, _ in result.trace]
         assert volts == sorted(volts, reverse=True)
         assert volts[-1] < 2.5
@@ -449,9 +453,11 @@ class TestConstantResponses:
 
     def test_a_session_sends_the_table_bits_as_it_would_encode_them(self, monkeypatch):
         commands = [command for command, _ in self.EXCHANGE] + [Frame(OP_READ_RESULT)]
-        tabled = session(commands, device=ImplantDevice(measure_backend=lambda w: (1, 2)))
+        tabled = session(commands, ChannelParams(), PowerState(),
+                         ImplantDevice(measure_backend=lambda w: (1, 2)))
         monkeypatch.setattr(link, "_LINE_BITS", {})
-        encoded = session(commands, device=ImplantDevice(measure_backend=lambda w: (1, 2)))
+        encoded = session(commands, ChannelParams(), PowerState(),
+                         ImplantDevice(measure_backend=lambda w: (1, 2)))
         assert tabled.responses == encoded.responses
         assert tabled.responses[:-1] == [fresh for _, fresh in self.EXCHANGE]
         assert [(t.hex(), v.hex(), tag) for t, v, tag in tabled.trace] == \
@@ -468,7 +474,7 @@ class TestMeasureTime:
     FRAMES = [set_config_frame(freq_sel=10, source_enable=1, gain=0b111), Frame(OP_START_MEASURE)]
 
     def busy(self, device):
-        steps = list(session(self.FRAMES, device=device).trace)
+        steps = list(session(self.FRAMES, ChannelParams(), PowerState(), device).trace)
         (before, after), = [(steps[k - 1][0], t) for k, (t, _, tag) in enumerate(steps)
                             if tag == "measure"]
         return after - before

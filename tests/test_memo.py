@@ -14,7 +14,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from biozsim import acquire, afe, calib, cli, link
 from biozsim.afe import AfeConfig, ChainParams
-from biozsim.tissue import ColeModel, ParallelRC, builtin_model
+from biozsim.tissue import ColeModel, ParallelRC, TabulatedTwoPort, builtin_model
 from biozsim.waveforms import plan_frequencies
 
 
@@ -46,6 +46,22 @@ def test_sweep_computes_the_mixer_dc_once_per_load(monkeypatch, model):
     assert list(calls[0][1]) == list(plan_frequencies())
 
 
+def test_a_short_table_evaluates_the_plan_once(monkeypatch):
+    # blood cut at 120 MHz misses the images of plan indices 0-2: the plan
+    # is evaluated once and kept as None, and each covered index, 3-10,
+    # then computes its own row alone
+    full = builtin_model("blood")
+    keep = full.freqs_hz <= 120e6
+    short = TabulatedTwoPort(full.freqs_hz[keep], full.z21[keep])
+    afe._plan_dc.cache_clear()
+    calls = count_calls(monkeypatch, afe, "_image_dc")
+    scenario = cli.Scenario(model=short, params=ChainParams(), seed=5, indices=tuple(range(3, 11)))
+    records = cli.run_sweep(scenario, None, repeats=10)
+    assert len(records) == 8
+    assert [len(args[1]) for args in calls] == [11] + [1] * 8
+    assert afe._plan_dc(short, "111", ChainParams()) is None
+
+
 def test_link_sessions_compute_one_stack_per_load(monkeypatch):
     # as `bioz link-demo` measures, a different RC load in each session
     afe._plan_dc.cache_clear()
@@ -67,7 +83,8 @@ def test_link_sessions_compute_one_stack_per_load(monkeypatch):
             word = link.ConfigWord(freq_sel=idx, source_enable=1, gain=0b111)
             frames += [link.Frame(link.OP_SET_CONFIG, link.encode_config(word).to_bytes(2, "big")),
                        link.Frame(link.OP_START_MEASURE), link.Frame(link.OP_READ_RESULT)]
-        result = link.session(frames, device=link.ImplantDevice(measure_backend=backend))
+        result = link.session(frames, link.ChannelParams(), link.PowerState(),
+                              link.ImplantDevice(measure_backend=backend))
         assert [r.opcode for r in result.responses[2::3]] == [link.OP_RESULT] * 11
     assert len(calls) == 12
     assert all(len(args[1]) == 11 for args in calls)
@@ -98,7 +115,7 @@ def test_link_sessions_build_no_constant_frame_and_decode_each_word_once(monkeyp
     def run_sessions():
         for k in range(12):
             device = link.ImplantDevice(measure_backend=lambda word, k=k: backend(word, k))
-            result = link.session(frames, device=device)
+            result = link.session(frames, link.ChannelParams(), link.PowerState(), device)
             assert [r.opcode for r in result.responses[4::3]] == [link.OP_RESULT] * 11
 
     run_sessions()  # the load's plan tables, which build a configuration of their own
@@ -141,7 +158,8 @@ def test_calibration_computes_one_step_response_per_chain(monkeypatch):
     # 32-tap reads at 11 frequencies share one response
     afe._step_response.cache_clear()
     calls = count_calls(monkeypatch, afe, "_cascade_step_response")
-    calib.build_equalization(calib.MeasurementSetup(model=None), seed=4, created_at="pinned")
+    calib.build_equalization(calib.MeasurementSetup(model=None), 100.0, "111", seed=4,
+                             created_at="pinned")
     assert len(calls) == 1
     assert not afe._step_response(ChainParams(), calls[0][1]).flags.writeable
 
@@ -199,7 +217,8 @@ def test_calibration_renders_one_lattice_for_its_reference_reads(monkeypatch):
     # nothing is rendered; the 11 frequencies of reference reads share one
     # plan lattice
     renders = count_renders(monkeypatch)
-    calib.build_equalization(calib.MeasurementSetup(model=None), seed=4, created_at="pinned")
+    calib.build_equalization(calib.MeasurementSetup(model=None), 100.0, "111", seed=4,
+                             created_at="pinned")
     assert [rows_of(args) for args in renders] == [11]
 
 
@@ -240,8 +259,7 @@ def test_returned_samples_belong_to_the_caller():
     def output(params):
         lattice = afe._sequence_lattice(model, config, quiet, dc, 200, 1)
         assert not lattice.flags.writeable
-        return afe.baseband_output([lattice], params, [config.fundamental], [1], [[None, 3]],
-                                   stride=1)
+        return afe.baseband_output([lattice], params, [config], [[None, 3]], stride=1)
 
     first = output(quiet)
     expected = first.copy()
@@ -275,7 +293,8 @@ def test_a_reading_shapes_its_repeats_noise_in_one_pass(monkeypatch):
     cli.run_sweep(scenario, None, repeats=10)
     assert [len(args[1]) for args in calls] == [110]
     calls.clear()
-    calib.build_equalization(calib.MeasurementSetup(model=None), seed=4, created_at="pinned")
+    calib.build_equalization(calib.MeasurementSetup(model=None), 100.0, "111", seed=4,
+                             created_at="pinned")
     assert [len(args[1]) for args in calls] == [4, 110]
 
 
@@ -319,7 +338,8 @@ def test_sweeps_and_calibrations_build_no_seed_sequence(monkeypatch, tmp_path):
         scenario = cli.Scenario(model=ParallelRC(r=1000.0, c=1e-9), params=ChainParams(),
                                 seed=2**40 + 3, gain=gain)
         cli.run_sweep(scenario, None, repeats=10)
-    calib.build_equalization(calib.MeasurementSetup(model=None), seed=4, created_at="pinned")
+    calib.build_equalization(calib.MeasurementSetup(model=None), 100.0, "111", seed=4,
+                             created_at="pinned")
     assert built == []
     # two measurements at one plan index and one at another
     measure = [{"op": "start_measure"}, {"op": "read_result"}]
